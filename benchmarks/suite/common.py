@@ -39,9 +39,8 @@ class Result:
             # A layer the workload never enters reports 0, not nothing.
             self.metrics = dict.fromkeys(PER_LAYER, 0.0)
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        return bool(ok)
 
     def check_stationary(self, start_size: int, end_size: int,
                          rules: int) -> None:
@@ -55,11 +54,8 @@ class Result:
         return (self.failed == 0 and bool(self.checks)
                 and all(check["ok"] for check in self.checks))
 
-    def units(self) -> dict[str, str]:
-        return PER_LAYER if self.traced else END_TO_END
-
     def as_dict(self) -> dict:
-        units = self.units()
+        units = PER_LAYER if self.traced else END_TO_END
         missing = sorted(set(units) - set(self.metrics))
         if missing:
             raise RuntimeError(f"{self.workload} measured no "

@@ -55,7 +55,7 @@ LATE_SECONDS = 0.001
 #: serve-ingest writes: events per ``events:batch`` POST, and POSTs per
 #: ``POST /flush``.
 EVENTS_PER_POST = 8
-POSTS_PER_FLUSH = 4
+POSTS_PER_FLUSH = 2
 
 #: serve-read's tenants hold two different relations.
 TENANT_DATA_SEEDS = (11, 12)

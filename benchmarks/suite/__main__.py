@@ -18,6 +18,7 @@ seeds; ``compare`` reads two such documents.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -61,6 +62,8 @@ def run_workload(name: str, *, seed: int, seconds: float, trace: bool,
                         smoke=smoke, workdir=workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        with contextlib.suppress(OSError):  # another run may still use it
+            workdir.parent.rmdir()
     return result.as_dict()
 
 

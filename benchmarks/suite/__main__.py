@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 try:
     from benchmarks.suite import served, stats
     from benchmarks.suite.common import ROOT, child_env
-    from benchmarks.suite.workloads import WORKLOADS
+    from benchmarks.suite.workloads import SMOKE_SECONDS, WORKLOADS
 except ImportError as error:  # no source tree to measure
     sys.exit(f"benchmarks.suite: cannot import the system under test "
              f"({error})")
@@ -75,14 +75,20 @@ def _git_sha() -> str:
     return head.stdout.strip() if head.returncode == 0 else "unknown"
 
 
+def _spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def run(args: argparse.Namespace) -> int:
     names = args.workload or list(WORKLOADS)
+    if args.seconds is not None:
+        seconds = args.seconds
+    else:
+        seconds = SMOKE_SECONDS if args.smoke else _spec()["run_seconds"]
     runs = []
     for repeat in range(args.repeat):
         seed = args.seed + repeat
         for name in names:
-            scale = WORKLOADS[name].scale(args.smoke)
-            seconds = args.seconds if args.seconds else scale.seconds
             outcome = run_workload(name, seed=seed, seconds=seconds,
                                    trace=bool(args.trace), smoke=args.smoke)
             outcome.update(seed=seed, seconds=seconds, smoke=args.smoke,
@@ -110,26 +116,46 @@ def run(args: argparse.Namespace) -> int:
     return 0 if all(outcome["correct"] for outcome in runs) else 1
 
 
-def _end_to_end_values(document: dict) -> dict[tuple[str, str], list]:
+def _end_to_end_values(document: dict
+                       ) -> tuple[dict[tuple[str, str], list], set]:
+    """``(workload, metric) -> values`` of the untraced runs, and the
+    set of ``(smoke, seconds)`` settings they ran with."""
     values: dict[tuple[str, str], list] = {}
+    settings = set()
     for outcome in document["runs"]:
         if outcome["traced"]:
             continue
+        settings.add((outcome["smoke"], outcome["seconds"]))
         for metric, measured in outcome["metrics"].items():
             values.setdefault((outcome["workload"], metric),
                               []).append(measured["value"])
-    return values
+    return values, settings
 
 
 def compare(args: argparse.Namespace) -> int:
     """Median delta of every workload x end-to-end metric against its
     bound; ``unresolved`` when either side's quartile spread exceeds
-    the bound (too noisy to call either way)."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {metric["name"]: metric for metric in spec["end_to_end"]}
-    base = _end_to_end_values(json.loads(Path(args.base).read_text()))
-    new = _end_to_end_values(json.loads(Path(args.new).read_text()))
-    regressions = 0
+    the bound (too noisy to call either way).
+
+    Both documents must come from runs of one scale and window length:
+    the in-process window is a fixed amount of work sized from it, so
+    runs of different lengths measure different states.  A pair BASE
+    has and NEW lacks fails the comparison.
+    """
+    metrics = {metric["name"]: metric for metric in _spec()["end_to_end"]}
+    base, base_settings = _end_to_end_values(
+        json.loads(Path(args.base).read_text()))
+    new, new_settings = _end_to_end_values(
+        json.loads(Path(args.new).read_text()))
+    if len(base_settings | new_settings) != 1:
+        print("compare: the runs differ in --smoke or --seconds "
+              f"(base {sorted(base_settings)}, new {sorted(new_settings)})",
+              file=sys.stderr)
+        return 2
+    missing = sorted(base.keys() - new.keys())
+    for workload, metric in missing:
+        print(f"{workload:15} {metric:12} MISSING from {args.new}")
+    regressions = len(missing)
     for workload, metric in sorted(base.keys() & new.keys()):
         bound = metrics[metric]["bound"]
         before, after = base[workload, metric], new[workload, metric]
@@ -165,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload to run (repeatable; default all)")
     runner.add_argument("--seed", type=int, default=0)
     runner.add_argument("--seconds", type=float, default=None,
-                        help="measured-window length (default per "
-                             "workload)")
+                        help="measured-window length (default: "
+                             "run_seconds in BENCHMARK.json, or "
+                             f"{SMOKE_SECONDS} s with --smoke)")
     runner.add_argument("--trace", type=int, nargs="?", const=1,
                         default=0, choices=(0, 1),
                         help="per-layer run instead of end-to-end")

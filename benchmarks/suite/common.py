@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from benchmarks.suite.workloads import END_TO_END, PER_LAYER
+from benchmarks.suite.workloads import END_TO_END, HEADLINE, PER_LAYER
 
 #: The repository checkout the suite runs from.
 ROOT = Path(__file__).resolve().parents[2]
@@ -22,7 +22,7 @@ class Result:
 
     ``metrics`` holds the gated end-to-end numbers of an untraced run
     or the per-layer numbers of a traced one; ``detail`` holds what is
-    measured but not gated (tails, secondary latencies), each as
+    measured but not among them (tails, secondary latencies), each as
     ``(value, unit)``.
     """
 
@@ -38,6 +38,14 @@ class Result:
         if self.traced:
             # A layer the workload never enters reports 0, not nothing.
             self.metrics = dict.fromkeys(PER_LAYER, 0.0)
+
+    def record(self, name: str, value: float) -> None:
+        """A :data:`HEADLINE` number: a metric when the run's metric set
+        names it, a detail otherwise."""
+        if name in (PER_LAYER if self.traced else END_TO_END):
+            self.metrics[name] = value
+        else:
+            self.detail[name] = (value, HEADLINE[name])
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})

@@ -9,9 +9,10 @@ test's alone, and prints its result as one JSON line.  Each run:
    alone); the other ``setups - 1`` set-ups run during the window;
 2. applies 32-event batches from a stationary stream: a fixed count of
    warm-up flushes, then the measured window, ``seconds`` times the
-   workload's nominal flush rate (``op_ms_p50`` times one
-   ``apply_batch``); the sharded workload also reads the top rules by
-   lift after each flush, as a served client would;
+   workload's nominal flush rate; the sharded workload also reads the
+   top rules by lift after each flush, as a served client would
+   (``op_ms_p50`` times one such step: the ``apply_batch`` and any
+   read after it);
 3. re-mines from scratch and checks the maintained rules against it.
 
 ``gc.collect()`` runs before every set-up and before the window.
@@ -209,6 +210,7 @@ def run(workload: str, *, seed: int, seconds: float, trace: bool,
     set_up_after = {flushes * index // scale.setups
                     for index in range(1, scale.setups)}
     flush_times: list[float] = []
+    step_times: list[float] = []
     events = 0
     loop_wall = 0.0
     gc.collect()
@@ -219,6 +221,7 @@ def run(workload: str, *, seed: int, seconds: float, trace: bool,
         report, flush_s, step_s, catalog_s, top_s, rebuilt = flush()
         result.attempted += 1
         flush_times.append(flush_s)
+        step_times.append(step_s)
         loop_wall += step_s
         events += report.events
         if tracer is not None:
@@ -239,19 +242,22 @@ def run(workload: str, *, seed: int, seconds: float, trace: bool,
     if tracer is not None:
         tracer.report(result, remine_s=remine_s, rules=rules,
                       loop_wall=loop_wall)
-    else:
-        result.metrics.update({
-            "setup_s": median(setups),
-            "mine_s": median(mines),
-            "op_ms_p50": median(flush_times) * 1000.0,
-            "rss_peak_mb": rss,
-        })
+    result.record("setup_s", median(setups))
+    result.record("mine_s", median(mines))
+    result.record("op_ms_p50", median(step_times) * 1000.0)
+    result.record("rss_peak_mb", rss)
     result.detail["flushes"] = (len(flush_times), "count")
     result.detail["events_per_s"] = (events / loop_wall, "1/s")
     result.detail["remine_s"] = (remine_s, "s")
-    tail = highest_tail(flush_times)
-    if tail is not None:
-        result.detail[f"flush_ms_p{tail[0]:g}"] = (tail[1] * 1000.0, "ms")
+    timed = [("op", step_times)]
+    if read_top:
+        result.detail["flush_ms_p50"] = (median(flush_times) * 1000.0, "ms")
+        timed.append(("flush", flush_times))
+    for name, samples in timed:
+        tail = highest_tail(samples)
+        if tail is not None:
+            result.detail[f"{name}_ms_p{tail[0]:g}"] = (tail[1] * 1000.0,
+                                                       "ms")
     return result
 
 

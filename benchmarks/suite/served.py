@@ -47,7 +47,7 @@ from benchmarks.suite.streams import (
     make_inputs,
     relation_from_rows,
 )
-from benchmarks.suite.workloads import Scale, Workload
+from benchmarks.suite.workloads import WARMUP_SHARE, Scale, Workload
 
 #: A request sent this long after its due time counts as late.
 LATE_SECONDS = 0.001
@@ -531,7 +531,7 @@ def run_serve_read(workload: Workload, *, seed: int, seconds: float,
         before = client.expect(200, "GET", "/metrics") if trace else None
         client.close()
         start = time.perf_counter() + 0.05
-        window_start = start + seconds * scale.warmup_share
+        window_start = start + seconds * WARMUP_SHARE
         requests = []
         for due in _schedule(start, scale.read_rate, window_start + seconds):
             route, path = rng.choice(mix)
@@ -579,13 +579,10 @@ def run_serve_read(workload: Workload, *, seed: int, seconds: float,
         # charged against the load's wall time all the same.
         result.metrics["trace.overhead_frac"] = share(
             verify_started - traced, traced - start)
-    else:
-        result.metrics.update({
-            "setup_s": median(setups),
-            "mine_s": median(mines),
-            "op_ms_p50": median(measured) * 1000.0,
-            "rss_peak_mb": rss,
-        })
+    result.record("setup_s", median(setups))
+    result.record("mine_s", median(mines))
+    result.record("op_ms_p50", median(measured) * 1000.0)
+    result.record("rss_peak_mb", rss)
     result.detail["reads"] = (len(measured), "count")
     _report_tail(result, "read", measured)
     return result
@@ -627,7 +624,7 @@ def run_serve_ingest(workload: Workload, *, seed: int, seconds: float,
         stream = StationaryStream(inputs.rows, inputs.insert_pool,
                                   seed=inputs.stream_seed)
         start = time.perf_counter() + 0.05
-        window_start = start + seconds * scale.warmup_share
+        window_start = start + seconds * WARMUP_SHARE
         window_end = window_start + seconds
         writes: list[Request] = []
         for index, due in enumerate(_schedule(start, scale.write_rate,
@@ -724,18 +721,16 @@ def run_serve_ingest(workload: Workload, *, seed: int, seconds: float,
             "gen.late_frac": _late_frac(samples),
             "trace.overhead_frac": share(traced, window_end - start),
         })
-    else:
-        result.metrics.update({
-            "setup_s": median(setups),
-            "mine_s": median(mines),
-            "op_ms_p50": median(commits) * 1000.0,
-            "rss_peak_mb": rss,
-        })
-    result.detail["restart_s"] = (restart_s, "s")
-    for kind, name in (("read", "read"), ("estimate", "estimate"),
-                       ("ingest", "ingest"), ("commit", "commit")):
+    result.record("setup_s", median(setups))
+    result.record("mine_s", median(mines))
+    result.record("op_ms_p50", median(commits) * 1000.0)
+    result.record("rss_peak_mb", rss)
+    result.record("restart_s", restart_s)
+    for kind in ("read", "estimate", "ingest", "commit"):
         latencies = _of_kind(samples, kind, window_start)
-        result.detail[f"{name}_ms_p50"] = (median(latencies) * 1000.0, "ms")
-        result.detail[f"{name}s"] = (len(latencies), "count")
-        _report_tail(result, name, latencies)
+        if kind != "commit":  # the commit median is op_ms_p50
+            result.detail[f"{kind}_ms_p50"] = (median(latencies) * 1000.0,
+                                               "ms")
+        result.detail[f"{kind}s"] = (len(latencies), "count")
+        _report_tail(result, kind, latencies)
     return result

@@ -3,7 +3,9 @@
 Every workload runs at ``--smoke`` scale, once untraced and once
 traced.  Each run must emit exactly the metrics ``BENCHMARK.json``
 names, with their units, and every correctness check must have run and
-passed.  A run whose verification fails must exit non-zero.
+passed.  A run whose verification fails must exit non-zero.  ``compare``
+must fail on a regression or a missing pair and refuse runs of
+different window lengths.
 """
 
 from __future__ import annotations
@@ -62,6 +64,31 @@ def test_every_workload_emits_its_metrics_and_passes_its_checks(
         assert run["correct"] and run["failed"] == 0 and run["attempted"]
     result = json.loads(completed.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
+
+
+def _document(setup_s: list[float], *, workloads=("fig16-paper",),
+              seconds: float = 12.0) -> dict:
+    return {"runs": [{"workload": workload, "traced": False, "smoke": False,
+                      "seconds": seconds,
+                      "metrics": {"setup_s": {"value": value, "unit": "s"}}}
+                     for workload in workloads for value in setup_s]}
+
+
+@pytest.mark.parametrize("new, code, verdict", [
+    (_document([1.0, 1.01, 0.99, 1.0, 1.02]), 0, " ok"),
+    (_document([1.3, 1.31, 1.29, 1.3, 1.32]), 1, "REGRESSION"),
+    (_document([1.0] * 5, workloads=()), 1, "MISSING"),
+    (_document([1.0] * 5, seconds=6.0), 2, ""),
+])
+def test_compare_flags_regressions_missing_pairs_and_mixed_settings(
+        tmp_path, capsys, new, code, verdict):
+    from benchmarks.suite.__main__ import main
+
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(_document([1.0, 1.01, 0.99, 1.0, 1.02])))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    assert main(["compare", str(base), str(tmp_path / "new.json")]) == code
+    assert verdict in capsys.readouterr().out
 
 
 def test_a_run_whose_verification_fails_exits_non_zero(tmp_path):

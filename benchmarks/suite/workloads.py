@@ -13,21 +13,32 @@ from dataclasses import dataclass
 
 from repro.synth import workloads as synth
 
-#: End-to-end metrics of an untraced run (name -> unit).  Every
-#: workload reports every one; ``op_ms_p50`` is the median latency of
-#: the workload's gated operation (``Workload.op``).
-END_TO_END = {
+#: Numbers every run measures, traced or not (name -> unit).
+#: ``op_ms_p50`` is the median latency of the workload's own operation
+#: (``Workload.op``); ``restart_s`` exists on serve-ingest alone.  Each
+#: is a metric of a run whose metric set below names it, and a
+#: ``detail`` otherwise.
+HEADLINE = {
     "setup_s": "s",
     "mine_s": "s",
     "op_ms_p50": "ms",
     "rss_peak_mb": "MB",
+    "restart_s": "s",
 }
+
+#: End-to-end metrics of an untraced run, the gated ones.  The time
+#: metrics that could not hold a 10% bound on the 2-CPU box the suite
+#: was written on (``mine_s``, ``op_ms_p50``; README.md has the spreads)
+#: are per-layer diagnostics instead.
+END_TO_END = {name: HEADLINE[name] for name in ("setup_s", "rss_peak_mb")}
 
 #: Per-layer metrics of a traced run (name -> unit).  Layer time is
 #: reported as a share of the call that contains it, so the shares of
 #: one call sum to at most 1 and a layer a workload never enters reads
 #: 0 rather than a made-up duration.
 PER_LAYER = {
+    **{name: HEADLINE[name] for name in ("mine_s", "op_ms_p50",
+                                         "restart_s")},
     "engine.mine.encode_share": "ratio",
     "engine.mine.mine_share": "ratio",
     "engine.mine.refresh_share": "ratio",
@@ -68,6 +79,14 @@ PER_LAYER = {
 }
 
 
+#: Served warm-up before the measured window, as a share of its length.
+WARMUP_SHARE = 0.15
+
+#: Measured-window length of a ``--smoke`` run, in seconds.  A full run's
+#: window is ``--seconds``, by default ``run_seconds`` in BENCHMARK.json.
+SMOKE_SECONDS = 0.6
+
+
 @dataclass(frozen=True)
 class Scale:
     """Sizes and rates of one workload run."""
@@ -77,16 +96,11 @@ class Scale:
     min_confidence: float
     #: Set-ups per run; ``setup_s`` is their median.
     setups: int
-    #: Served warm-up before the measured window, as a share of its
-    #: length.
-    warmup_share: float = 0.15
     #: In-process warm-up before the measured window, in flushes.
     warmup_flushes: int = 0
     #: In-process flushes per second of window, at the flush cost
     #: measured when the suite was written (2 CPUs, Python 3.11).
     flushes_per_second: float = 0.0
-    #: Measured-window length when ``--seconds`` is not given.
-    seconds: float = 12.0
     shards: int = 1
     #: Open-loop request rates (per second) of the served workloads.
     read_rate: float = 0.0
@@ -122,19 +136,20 @@ WORKLOADS = {
                        setups=7, warmup_flushes=300,
                        flushes_per_second=200.0),
             smoke=Scale(n_tuples=1000, min_support=0.4,
-                        min_confidence=0.8, setups=2, seconds=0.6,
+                        min_confidence=0.8, setups=2,
                         warmup_flushes=20, flushes_per_second=200.0),
         ),
         Workload(
             name="sharded-lowsup",
             kind="inproc",
-            op="apply_batch of 32 events",
+            op="apply_batch of 32 events, then catalog() and the top 10 "
+               "rules by lift",
             generate=synth.dense_correlations,
             full=Scale(n_tuples=4000, min_support=0.05,
                        min_confidence=0.6, setups=9, shards=2,
                        warmup_flushes=12, flushes_per_second=8.0),
             smoke=Scale(n_tuples=600, min_support=0.1, min_confidence=0.6,
-                        setups=2, seconds=0.6, shards=2, warmup_flushes=2,
+                        setups=2, shards=2, warmup_flushes=2,
                         flushes_per_second=8.0),
             read_top=10,
         ),
@@ -146,8 +161,7 @@ WORKLOADS = {
             full=Scale(n_tuples=8000, min_support=0.1, min_confidence=0.6,
                        setups=3, read_rate=300.0),
             smoke=Scale(n_tuples=1000, min_support=0.1,
-                        min_confidence=0.6, setups=1, seconds=1.0,
-                        read_rate=100.0),
+                        min_confidence=0.6, setups=1, read_rate=100.0),
         ),
         Workload(
             name="serve-ingest",
@@ -157,7 +171,7 @@ WORKLOADS = {
             full=Scale(n_tuples=8000, min_support=0.4, min_confidence=0.8,
                        setups=5, read_rate=40.0, write_rate=20.0),
             smoke=Scale(n_tuples=1000, min_support=0.4,
-                        min_confidence=0.8, setups=1, seconds=1.0,
+                        min_confidence=0.8, setups=1,
                         read_rate=40.0, write_rate=20.0),
         ),
     )

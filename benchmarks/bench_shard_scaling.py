@@ -14,12 +14,7 @@ at full scale only (CI smoke shrinks via ``REPRO_SHARD_TUPLES``);
 signature equality is asserted at *every* scale and shard count — that
 is the part that must never regress.
 
-A third axis compares the phase-1 executors: the thread pool against
-worker processes mining shared-memory bitmap pages
-(``shard_executor="process"``).  The >= 2x process-over-thread target
-binds only where the hardware can show it (>= 4 cores); everywhere
-else the row is measured, recorded and signature-asserted.  Every
-table also lands in machine-readable form in
+Every table also lands in machine-readable form in
 ``benchmarks/out/BENCH_shard_scaling.json`` (rows keyed by scenario;
 re-runs replace their scenario's rows).  Set
 ``REPRO_SHARD_BIG_TUPLES`` (e.g. ``1000000``) to add the opt-in
@@ -35,7 +30,6 @@ import pytest
 
 from repro.core.engine import engine
 from repro.shard import ShardedEngine
-from repro.shard.pool import available_cpus
 from repro.synth import workloads
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from benchmarks._harness import OUT_DIR, fmt_ms, record, time_once
@@ -43,13 +37,8 @@ from benchmarks._harness import OUT_DIR, fmt_ms, record, time_once
 N_TUPLES = int(os.environ.get("REPRO_SHARD_TUPLES", "8000"))
 BIG_TUPLES = int(os.environ.get("REPRO_SHARD_BIG_TUPLES", "0"))
 SHARD_COUNTS = (1, 2, 4, 8)
-EXECUTORS = ("thread", "process")
 FULL_SCALE = N_TUPLES >= 4000
 TARGET_SPEEDUP = 2.0
-#: Process-over-thread target (binding only with enough cores to show
-#: multi-core wins; a 1-2 core box pays fork cost for no parallelism).
-EXECUTOR_TARGET_SPEEDUP = 2.0
-EXECUTOR_TARGET_CORES = 4
 ROUNDS = 5
 
 JSON_PATH = os.path.join(OUT_DIR, "BENCH_shard_scaling.json")
@@ -60,10 +49,8 @@ def _record_json(scenario: str, rows: list[dict]) -> None:
     earlier rows of the same scenario (read-merge-write, so the file
     accumulates one entry set per scenario across the module).
 
-    Every row is stamped with the shard pool's ``available_cpus()`` and
-    the phase-1 executor actually used — without those two a recorded
-    speedup is uninterpretable across boxes (a 1.1x "process win" on a
-    2-core runner and a 4x win on a 16-core box must not look alike).
+    Every row is stamped with the CPU count — without it a recorded
+    speedup is uninterpretable across boxes.
     """
     os.makedirs(OUT_DIR, exist_ok=True)
     existing = []
@@ -71,7 +58,7 @@ def _record_json(scenario: str, rows: list[dict]) -> None:
         with open(JSON_PATH, encoding="utf-8") as handle:
             existing = json.load(handle)
     existing = [row for row in existing if row.get("scenario") != scenario]
-    existing.extend({"scenario": scenario, "cpus": available_cpus(), **row}
+    existing.extend({"scenario": scenario, "cpus": os.cpu_count(), **row}
                     for row in rows)
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
         json.dump(existing, handle, indent=2)
@@ -98,35 +85,29 @@ def _mono(relation, workload, backend):
     return manager
 
 
-def _sharded(relation, workload, backend, shards, *,
-             executor="thread", workers=None, phases=None, key=None):
+def _sharded(relation, workload, backend, shards, *, workers=None):
+    """A mined sharded engine and its mine report."""
     manager = ShardedEngine(relation,
                             min_support=workload.min_support,
                             min_confidence=workload.min_confidence,
                             backend=backend, shards=shards,
-                            shard_executor=executor,
                             shard_workers=workers)
-    report = manager.mine()
-    if phases is not None:
-        phases[key if key is not None else executor] = \
-            report.phases.as_dict()
-    return manager
+    return manager, manager.mine()
 
 
 def _best_of(workload, fn, rounds=ROUNDS):
     """Best-of-N with the relation copy *outside* the timed region —
     both sides of the comparison would otherwise pay the same copy,
-    diluting the measured ratio.  Discarded rounds are closed outside
-    the timed region too, so a process-mode engine's worker pool is
-    reaped promptly instead of piling up until GC."""
-    times, result = [], None
+    diluting the measured ratio.  Returns the fastest round's time with
+    that same round's result, so phases read from the result add up to
+    the reported time."""
+    best = None
     for _ in range(rounds):
         relation = workload.relation.copy()
-        if result is not None:
-            result.close()
         elapsed, result = time_once(lambda: fn(relation))
-        times.append(elapsed)
-    return min(times), result
+        if best is None or elapsed < best[0]:
+            best = (elapsed, result)
+    return best
 
 
 def test_shard_scaling_initial_mine(benchmark, shard_workload,
@@ -142,27 +123,23 @@ def test_shard_scaling_initial_mine(benchmark, shard_workload,
             f"monolithic   {fmt_ms(mono_seconds)}        1.00x  baseline",
             "shards       initial-mine   speedup  identical"]
     json_rows = [{"backend": backend_name, "tuples": N_TUPLES,
-                  "shards": 0, "executor": "none",
-                  "seconds": mono_seconds,
+                  "shards": 0, "seconds": mono_seconds,
                   "speedup": 1.0, "identical": True}]
-    speedups, phases = {}, {}
+    speedups = {}
     for shards in SHARD_COUNTS:
-        seconds, manager = _best_of(
+        seconds, (manager, report) = _best_of(
             shard_workload,
             lambda relation: _sharded(relation, shard_workload,
-                                      backend_name, shards,
-                                      phases=phases, key=shards))
+                                      backend_name, shards))
         identical = manager.signature() == reference
         speedups[shards] = mono_seconds / seconds if seconds else float("inf")
         rows.append(f"{shards:6d}  {fmt_ms(seconds)} {speedups[shards]:9.2f}x"
                     f"  {identical}")
         json_rows.append({"backend": backend_name, "tuples": N_TUPLES,
-                          "shards": shards, "executor": "thread",
-                          "seconds": seconds,
+                          "shards": shards, "seconds": seconds,
                           "speedup": speedups[shards],
                           "identical": identical,
-                          "phases": phases.get(shards)})
-        manager.close()
+                          "phases": report.phases.as_dict()})
         assert identical, (
             f"{shards}-shard merge diverged from the monolithic rules")
         assert len(manager.rules) == len(mono.rules)
@@ -182,111 +159,38 @@ def test_shard_scaling_initial_mine(benchmark, shard_workload,
             f"monolithic (target {TARGET_SPEEDUP}x)")
 
 
-def test_shard_executor_axis(benchmark, shard_workload, backend_name):
-    """Thread pool vs worker processes over shared bitmap pages, at 4
-    shards x 4 workers.  Exactness is asserted on every box; the >= 2x
-    process-over-thread target binds only at full scale on the default
-    backend with enough cores to show multi-core wins."""
-    cores = os.cpu_count() or 1
-    binding = (FULL_SCALE and backend_name == DEFAULT_BACKEND
-               and cores >= EXECUTOR_TARGET_CORES)
-
-    mono = _mono(shard_workload.relation.copy(), shard_workload,
-                 backend_name)
-    reference = mono.signature()
-
-    seconds, json_rows, phases = {}, [], {}
-    rows = [f"tuples={N_TUPLES} backend={backend_name} cores={cores} "
-            f"(4 shards x 4 workers)",
-            "executor   initial-mine   identical"]
-    for executor in EXECUTORS:
-        seconds[executor], manager = _best_of(
-            shard_workload,
-            lambda relation: _sharded(relation, shard_workload,
-                                      backend_name, 4, executor=executor,
-                                      workers=4, phases=phases))
-        identical = manager.signature() == reference
-        rows.append(f"{executor:9s} {fmt_ms(seconds[executor])}  "
-                    f"{identical}")
-        json_rows.append({"backend": backend_name, "tuples": N_TUPLES,
-                          "executor": executor, "cores": cores,
-                          "seconds": seconds[executor],
-                          "identical": identical,
-                          "phases": phases.get(executor)})
-        manager.close()
-        assert identical, (
-            f"{executor}-executor merge diverged from the monolithic "
-            f"rules")
-
-    # Headline measurement: the process-mode 4-shard mine.
-    relation = shard_workload.relation.copy()
-    benchmark.pedantic(
-        lambda: _sharded(relation, shard_workload, backend_name, 4,
-                         executor="process", workers=4),
-        rounds=1, iterations=1)
-
-    speedup = (seconds["thread"] / seconds["process"]
-               if seconds["process"] else float("inf"))
-    rows.append(f"process/thread speedup: {speedup:.2f}x "
-                f"(target >= {EXECUTOR_TARGET_SPEEDUP}x, binding on "
-                f"this axis: {binding})")
-    record("E11_shard_executor_axis", rows)
-    json_rows.append({"backend": backend_name, "tuples": N_TUPLES,
-                      "executor": "speedup", "cores": cores,
-                      "seconds": speedup, "identical": True})
-    _record_json(f"executor_axis:{backend_name}", json_rows)
-    if binding:
-        assert speedup >= EXECUTOR_TARGET_SPEEDUP, (
-            f"process-mode 4-shard mine only {speedup:.2f}x the "
-            f"thread mode (target {EXECUTOR_TARGET_SPEEDUP}x on "
-            f"{cores} cores)")
-
-
 @pytest.mark.skipif(BIG_TUPLES < 1,
                     reason="set REPRO_SHARD_BIG_TUPLES to opt in")
 def test_million_tuple_stream_row(backend_name):
     """Opt-in scale row: a synthetic stream at ``REPRO_SHARD_BIG_TUPLES``
-    (intended: 1e6) tuples, mined once per executor at 8 shards.  At
-    this scale the linear bulk index build and the zero-copy pages are
-    the difference between minutes and hours; exactness is asserted
-    between the two executors (a monolithic reference mine would
-    dominate the runtime, so the thread row is the baseline)."""
+    (intended: 1e6) tuples, mined once at 8 shards and then flushed.
+    At this scale the linear bulk index build is the difference between
+    minutes and hours.  A monolithic reference mine would dominate the
+    runtime, so exactness is left to the other rows."""
     workload = workloads.paper_scale(n_tuples=BIG_TUPLES, seed=13)
-    rows = [f"tuples={BIG_TUPLES} backend={backend_name} "
-            f"(8 shards x 4 workers, single round)"]
-    json_rows, signatures, seconds, phases = [], {}, {}, {}
-    for executor in EXECUTORS:
-        relation = workload.relation.copy()
-        seconds[executor], manager = time_once(
-            lambda: _sharded(relation, workload, backend_name, 8,
-                             executor=executor, workers=4,
-                             phases=phases))
-        # Exercise the maintenance path at scale too — in process mode
-        # the flush re-mines its touched shards on the persistent pool.
-        # The stream draws against a shadow copy: mutating the engine's
-        # own relation would invalidate its incremental state.
-        shadow = relation.copy()
-        stream = EventStream(shadow, StreamConfig(seed=83,
-                                                  batch_size=16))
-        events = list(stream.take(
-            64, apply=lambda event: apply_to_relation(shadow, event)))
-        flush_seconds, report = time_once(
-            lambda: manager.apply_batch(events))
-        signatures[executor] = manager.signature()
-        manager.close()
-        rows.append(f"{executor:9s} mine {fmt_ms(seconds[executor])}  "
-                    f"flush({len(events)} ev) {fmt_ms(flush_seconds)}")
-        json_rows.append({"backend": backend_name, "tuples": BIG_TUPLES,
-                          "executor": executor,
-                          "seconds": seconds[executor],
-                          "flush_seconds": flush_seconds,
-                          "flush_phases": report.phases.as_dict(),
-                          "identical": True,
-                          "phases": phases.get(executor)})
-    assert signatures["process"] == signatures["thread"], (
-        "executors diverged at stream scale")
-    record("E11_shard_big_stream", rows)
-    _record_json(f"big_stream:{backend_name}", json_rows)
+    relation = workload.relation.copy()
+    seconds, (manager, report) = time_once(
+        lambda: _sharded(relation, workload, backend_name, 8, workers=4))
+    # The stream draws against a shadow copy: mutating the engine's own
+    # relation would invalidate its incremental state.
+    shadow = relation.copy()
+    stream = EventStream(shadow, StreamConfig(seed=83, batch_size=16))
+    events = list(stream.take(
+        64, apply=lambda event: apply_to_relation(shadow, event)))
+    flush_seconds, flush_report = time_once(
+        lambda: manager.apply_batch(events))
+    record("E11_shard_big_stream", [
+        f"tuples={BIG_TUPLES} backend={backend_name} "
+        f"(8 shards x 4 workers, single round)",
+        f"mine {fmt_ms(seconds)}  flush({len(events)} ev) "
+        f"{fmt_ms(flush_seconds)}",
+    ])
+    _record_json(f"big_stream:{backend_name}", [
+        {"backend": backend_name, "tuples": BIG_TUPLES,
+         "seconds": seconds, "flush_seconds": flush_seconds,
+         "flush_phases": flush_report.phases.as_dict(),
+         "phases": report.phases.as_dict()},
+    ])
 
 
 def test_shard_scaling_incremental_flush(shard_workload, backend_name):
@@ -306,8 +210,8 @@ def test_shard_scaling_incremental_flush(shard_workload, backend_name):
     mono = _mono(shard_workload.relation.copy(), shard_workload,
                  backend_name)
     mono_seconds, _ = time_once(lambda: mono.apply_batch(events))
-    sharded = _sharded(shard_workload.relation.copy(), shard_workload,
-                       backend_name, 4)
+    sharded, _ = _sharded(shard_workload.relation.copy(), shard_workload,
+                          backend_name, 4)
     sharded_seconds, report = time_once(
         lambda: sharded.apply_batch(events))
 
@@ -323,9 +227,8 @@ def test_shard_scaling_incremental_flush(shard_workload, backend_name):
     ])
     _record_json(f"incremental_flush:{backend_name}", [
         {"backend": backend_name, "tuples": N_TUPLES,
-         "events": len(events), "shards": 4, "executor": "thread",
+         "events": len(events), "shards": 4,
          "mono_seconds": mono_seconds, "seconds": sharded_seconds,
          "shards_touched": report.shards_touched,
          "phases": report.phases.as_dict()},
     ])
-    sharded.close()

@@ -25,7 +25,6 @@ import os
 
 from repro.app.service import CorrelationService
 from repro.core.config import EngineConfig
-from repro.shard.pool import available_cpus
 from repro.synth import workloads
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from benchmarks._harness import OUT_DIR, fmt_ms, record, time_once
@@ -55,7 +54,7 @@ def _record_json(scenario: str, rows: list[dict]) -> None:
         with open(JSON_PATH, encoding="utf-8") as handle:
             existing = json.load(handle)
     existing = [row for row in existing if row.get("scenario") != scenario]
-    existing.extend({"scenario": scenario, "cpus": available_cpus(), **row}
+    existing.extend({"scenario": scenario, "cpus": os.cpu_count(), **row}
                     for row in rows)
     with open(JSON_PATH, "w", encoding="utf-8") as handle:
         json.dump(existing, handle, indent=2)

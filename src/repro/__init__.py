@@ -56,7 +56,6 @@ from repro.shard import (
 )
 from repro.core.maintenance import BatchReport, MaintenanceReport
 from repro.errors import DeltaPlanError
-from repro.core.manager import AnnotationRuleManager
 from repro.mining.backend import (
     AprioriFupBackend,
     EclatBackend,
@@ -119,7 +118,6 @@ __all__ = [
     "Annotation",
     "AnnotationAnchor",
     "AnnotatedRelation",
-    "AnnotationRuleManager",
     "AprioriFupBackend",
     "AssociationRule",
     "AuditReport",

@@ -122,36 +122,33 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     finally:
         store.close()
     engine = result.engine
-    try:
-        payload = {
-            "snapshot_seq": result.snapshot_seq,
-            "recovered_seq": result.last_seq,
-            "truncated_bytes": result.truncated_bytes,
-            "replayed_records": result.replay.records,
-            "replayed_events": result.replay.events,
-            "replayed_mines": result.replay.mines,
-            "db_size": engine.relation.live_count,
-            "rules": len(engine.catalog()),
-            "signature": signature_digest(engine),
-        }
-        if args.verify:
-            verification = engine.verify_against_remine()
-            payload["verified"] = verification.equivalent
-            if not verification.equivalent:
-                payload["verify_detail"] = verification.explain()
-        if args.snapshot_out is not None:
-            from repro.core import persistence
+    payload = {
+        "snapshot_seq": result.snapshot_seq,
+        "recovered_seq": result.last_seq,
+        "truncated_bytes": result.truncated_bytes,
+        "replayed_records": result.replay.records,
+        "replayed_events": result.replay.events,
+        "replayed_mines": result.replay.mines,
+        "db_size": engine.relation.live_count,
+        "rules": len(engine.catalog()),
+        "signature": signature_digest(engine),
+    }
+    if args.verify:
+        verification = engine.verify_against_remine()
+        payload["verified"] = verification.equivalent
+        if not verification.equivalent:
+            payload["verify_detail"] = verification.explain()
+    if args.snapshot_out is not None:
+        from repro.core import persistence
 
-            document = persistence.snapshot(
-                engine, journal_seq=result.last_seq)
-            with open(args.snapshot_out, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=1)
-            payload["snapshot_out"] = args.snapshot_out
-        _print(payload)
-        if args.verify and not payload["verified"]:
-            return 1
-    finally:
-        engine.close()
+        document = persistence.snapshot(
+            engine, journal_seq=result.last_seq)
+        with open(args.snapshot_out, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=1)
+        payload["snapshot_out"] = args.snapshot_out
+    _print(payload)
+    if args.verify and not payload["verified"]:
+        return 1
     return 0
 
 
@@ -160,36 +157,30 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     try:
         result = store.recover()
         engine = result.engine
-        try:
-            plan = plan_rebalance(engine, target_shards=args.shards)
-            payload = {
-                "recovered_seq": result.last_seq,
-                "plan": plan.as_dict(),
-                "skew_before": shard_skew(engine).as_dict(),
-                "applied": False,
-            }
-            if not args.dry_run and not plan.noop:
-                from repro.core import persistence
+        plan = plan_rebalance(engine, target_shards=args.shards)
+        payload = {
+            "recovered_seq": result.last_seq,
+            "plan": plan.as_dict(),
+            "skew_before": shard_skew(engine).as_dict(),
+            "applied": False,
+        }
+        if not args.dry_run and not plan.noop:
+            from repro.core import persistence
 
-                document = persistence.snapshot(
-                    engine, journal_seq=result.last_seq)
-                rebuilt = rebuild_with_plan(document, plan)
-                try:
-                    if rebuilt.signature() != engine.signature():
-                        raise ReproError(
-                            "rebalanced engine diverged from the "
-                            "recovered state; store left untouched")
-                    payload["skew_after"] = shard_skew(rebuilt).as_dict()
-                    # Anchor the new layout: the next recovery (or the
-                    # server's startup pass) loads this snapshot and
-                    # comes up already balanced.
-                    store.write_snapshot(rebuilt, result.last_seq)
-                finally:
-                    rebuilt.close()
-                payload["applied"] = True
-            _print(payload)
-        finally:
-            engine.close()
+            document = persistence.snapshot(
+                engine, journal_seq=result.last_seq)
+            rebuilt = rebuild_with_plan(document, plan)
+            if rebuilt.signature() != engine.signature():
+                raise ReproError(
+                    "rebalanced engine diverged from the "
+                    "recovered state; store left untouched")
+            payload["skew_after"] = shard_skew(rebuilt).as_dict()
+            # Anchor the new layout: the next recovery (or the server's
+            # startup pass) loads this snapshot and comes up already
+            # balanced.
+            store.write_snapshot(rebuilt, result.last_seq)
+            payload["applied"] = True
+        _print(payload)
     finally:
         store.close()
     return 0

@@ -359,29 +359,24 @@ class CorrelationService:
                         f"force=True) to discard them")
                 hosted.queue.clear()
             del self._hosted[name]
-        # Outside the registry lock: shutting a shard pool down waits
-        # for its workers, and nobody can reach the session anymore.
-        hosted.engine.close()
         if hosted.journal is not None:
             # The store's files stay on disk — a drop is not an erase;
             # restore_session() can resurrect the tenant later.
             hosted.journal.close()
 
     def close(self) -> None:
-        """Release every hosted engine's pooled resources (worker
-        pools, shared segments).  Sessions stay registered and usable —
-        a sharded engine restarts its pool lazily — so this is safe to
-        call at any quiesce point; the server's graceful drain calls it
-        after the final flushes."""
+        """Stop the async-flush worker and sync every journal.
+        Sessions stay registered and usable, so this is safe to call at
+        any quiesce point; the server's graceful drain calls it after
+        the final flushes."""
         with self._registry_lock:
             hosted_sessions = list(self._hosted.values())
             executor, self._flush_executor = self._flush_executor, None
         if executor is not None:
-            # Let in-flight async flushes land before releasing engine
-            # pools; a later flush_async simply starts a fresh worker.
+            # Let in-flight async flushes land before syncing; a later
+            # flush_async simply starts a fresh worker.
             executor.shutdown(wait=True)
         for hosted in hosted_sessions:
-            hosted.engine.close()
             if hosted.journal is not None:
                 hosted.journal.sync()
 
@@ -555,19 +550,16 @@ class CorrelationService:
                                    revision=hosted.revision)
         config = hosted.config
         workers = config.shard_workers if config is not None else None
-        executor = (config.shard_executor if config is not None
-                    else "thread")
         store = hosted.journal
         if store is None:
             with hosted.lock.write():
-                return self._cutover(hosted, plan, workers, executor,
+                return self._cutover(hosted, plan, workers,
                                      base_seq=0, caught_up=0)
         with hosted.lock.read():
             document = persistence.snapshot(
                 hosted.engine, journal_seq=hosted.applied_seq)
             base_seq = hosted.applied_seq
-        new_engine = rebuild_with_plan(document, plan, workers=workers,
-                                       executor=executor)
+        new_engine = rebuild_with_plan(document, plan, workers=workers)
         # Catch up on traffic that flushed while we rebuilt — without
         # any session lock, racing the live appender, until the lag is
         # gone (bounded: give up the lock-free chase after a few laps
@@ -588,12 +580,12 @@ class CorrelationService:
             if records:
                 replay_into(new_engine, records)
                 caught_up += len(records)
-            return self._cutover(hosted, plan, workers, executor,
+            return self._cutover(hosted, plan, workers,
                                  base_seq=base_seq, caught_up=caught_up,
                                  new_engine=new_engine)
 
     def _cutover(self, hosted: _Hosted, plan: RebalancePlan,
-                 workers: int | None, executor: str, *,
+                 workers: int | None, *,
                  base_seq: int, caught_up: int,
                  new_engine: CorrelationEngine | None = None
                  ) -> RebalanceReport:
@@ -608,10 +600,8 @@ class CorrelationService:
             document = persistence.snapshot(
                 old, journal_seq=hosted.applied_seq)
             new_engine = rebuild_with_plan(document, plan,
-                                           workers=workers,
-                                           executor=executor)
+                                           workers=workers)
         if new_engine.signature() != old.signature():
-            new_engine.close()
             raise SessionError(
                 f"rebalance of session {hosted.name!r} aborted before "
                 f"cutover: rebuilt engine's rule signature diverged "
@@ -625,7 +615,6 @@ class CorrelationService:
                 shards=plan.target_shards)
         hosted.revision += 1
         hosted.snapshot_cache = None
-        old.close()
         if hosted.journal is not None:
             # The new layout must be the one recovery rebuilds: anchor
             # it with a snapshot at the caught-up seq.

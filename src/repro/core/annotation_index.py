@@ -60,16 +60,6 @@ class VerticalIndex:
         index._bitmaps = BitmapIndex.from_transactions(transactions)
         return index
 
-    @classmethod
-    def from_bits(cls, vocabulary: ItemVocabulary,
-                  bits) -> "VerticalIndex":
-        """Bulk-build from pre-computed item -> bitmap-int tidsets —
-        how the parent hydrates a shard index from worker-filled shared
-        pages without re-walking the transactions."""
-        index = cls(vocabulary)
-        index._bitmaps = BitmapIndex.from_bits(bits)
-        return index
-
     # -- maintenance --------------------------------------------------------
 
     def add_transaction(self, tid: int, items: Transaction) -> None:

@@ -542,20 +542,22 @@ class CatalogQuery:
             filters.append(f"kind={kind.value}")
         if self._min_support is not None:
             floor = self._min_support
-            residual.append(lambda rule: rule.support >= floor)
+            residual.append(lambda rule, floor=floor: rule.support >= floor)
             filters.append(f"support>={floor}")
         if self._min_confidence is not None:
             floor = self._min_confidence
-            residual.append(lambda rule: rule.confidence >= floor)
+            residual.append(
+                lambda rule, floor=floor: rule.confidence >= floor)
             filters.append(f"confidence>={floor}")
         if self._min_lift is not None:
             floor = self._min_lift
-            residual.append(lambda rule: rule.lift >= floor)
+            residual.append(lambda rule, floor=floor: rule.lift >= floor)
             filters.append(f"lift>={floor}")
         if self._min_chi_square is not None:
             floor = self._min_chi_square
             residual.append(
-                lambda rule: catalog.chi_square_of(rule) >= floor)
+                lambda rule, floor=floor:
+                catalog.chi_square_of(rule) >= floor)
             filters.append(f"chi_square>={floor}")
         if self._max_p_value is not None:
             ceiling = self._max_p_value

@@ -29,14 +29,6 @@ from repro.errors import InvalidThresholdError, MiningError
 from repro.mining.apriori import COUNTER_STRATEGIES
 from repro.mining.backend import DEFAULT_BACKEND
 
-#: Executors a sharded engine may run its phase-1 shard mines on.
-#: ``"thread"`` (default) shares the interpreter — safe everywhere,
-#: but pure-python candidate generation contends on the GIL;
-#: ``"process"`` packs the shard bitmap indexes into shared-memory
-#: pages (:mod:`repro.mining.pages`) and mines in worker processes,
-#: falling back to threads when the platform cannot support it.
-SHARD_EXECUTORS = ("thread", "process")
-
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
@@ -66,13 +58,6 @@ class EngineConfig:
     #: Workers for the concurrent phase-1 shard mines (``None`` =
     #: min(shards, cpu count)).  Only consulted when ``shards >= 2``.
     shard_workers: int | None = None
-    #: Phase-1 executor: ``"thread"`` (default) or ``"process"`` —
-    #: worker processes reading zero-copy shared-memory bitmap pages,
-    #: escaping the GIL for true multi-core mining.  Process mode
-    #: degrades to thread mode when the platform lacks shared memory
-    #: or a worker pool cannot be started; answers are identical
-    #: either way.  Only consulted when ``shards >= 2``.
-    shard_executor: str = "thread"
     #: Bottom-k sample size of the approximate read tier
     #: (:mod:`repro.mining.sketch`): each item keeps the ``sketch_k``
     #: smallest tid hashes, giving estimate relative error around
@@ -97,10 +82,6 @@ class EngineConfig:
             raise InvalidThresholdError(
                 f"shard_workers must be >= 1 or None, "
                 f"got {self.shard_workers}")
-        if self.shard_executor not in SHARD_EXECUTORS:
-            raise InvalidThresholdError(
-                f"shard_executor must be one of "
-                f"{', '.join(SHARD_EXECUTORS)}, got {self.shard_executor!r}")
         if not isinstance(self.sketch_k, int) or self.sketch_k < 8:
             raise InvalidThresholdError(
                 f"sketch_k must be an int >= 8, got {self.sketch_k!r}")
@@ -178,10 +159,6 @@ class EngineConfigBuilder:
 
     def shard_workers(self, workers: int | None) -> "EngineConfigBuilder":
         self._values["shard_workers"] = workers
-        return self
-
-    def shard_executor(self, executor: str) -> "EngineConfigBuilder":
-        self._values["shard_executor"] = executor
         return self
 
     def sketch_k(self, k: int) -> "EngineConfigBuilder":

@@ -23,9 +23,8 @@ exposes exactly the lifecycle of the paper's application:
   equivalence check against full re-mining.
 
 Construction goes through :class:`~repro.core.config.EngineConfig`
-(usually via :func:`engine` or ``EngineConfig.builder()``); the legacy
-kwargs surface survives as the deprecated
-:class:`~repro.core.manager.AnnotationRuleManager` shim.
+(usually via :func:`engine` or ``EngineConfig.builder()``), or passes
+config fields as keyword arguments straight to the constructor.
 
 All mutation must flow through the engine (or a relation it has not
 yet adopted): it records the relation's version counter and refuses to
@@ -306,14 +305,6 @@ class CorrelationEngine:
             self._sketch_source = self.index
         return self._sketches
 
-    def adopt_sketches(self, sketches: SketchIndex) -> None:
-        """Install a pre-built registry (process-mode shard workers
-        build sketches next to the substrate and ship them back as
-        plain data) and attach it to the current index."""
-        self._sketches = sketches
-        self.index.set_observer(sketches)
-        self._sketch_source = self.index
-
     @property
     def sketches_ready(self) -> bool:
         """True when the registry is built and tracking the live index."""
@@ -358,26 +349,16 @@ class CorrelationEngine:
     # -- initial mining --------------------------------------------------------
 
     def mine(self, *,
-             substrate: EncodedSubstrate | None = None,
-             counts: dict[Itemset, int] | None = None) -> MaintenanceReport:
+             substrate: EncodedSubstrate | None = None) -> MaintenanceReport:
         """From-scratch pass: encode, apply generalizations, run the
         backend's constrained miner at the margined floor, derive rules.
 
         A pre-built :class:`EncodedSubstrate` (the sharded bulk-encode
         path) replaces the per-tuple encode loop; its caller owns label
         application, so the generalizer pass is skipped with it too.
-        ``counts`` additionally skips the search: the sharded engine's
-        process executor runs the identical vertical mine over this
-        engine's bitmap pages in a worker and hands the finished table
-        back — everything else (rule derivation, revision, validation)
-        proceeds exactly as if the search had run here.
         """
         started = time.perf_counter()
         phases = PhaseTimings()
-        if counts is not None and substrate is None:
-            raise MaintenanceError(
-                "pre-computed counts require the pre-built substrate "
-                "they were mined from")
         encode_started = time.perf_counter()
         if substrate is not None:
             if (substrate.database.vocabulary is not self.vocabulary
@@ -412,12 +393,7 @@ class CorrelationEngine:
         phases.add("encode", time.perf_counter() - encode_started)
 
         mine_started = time.perf_counter()
-        if counts is not None:
-            # The worker ran exactly the vertical search below over
-            # this engine's own bitmap pages; adopting its table keeps
-            # every following state transition identical.
-            pass
-        elif substrate is not None:
+        if substrate is not None:
             # A pre-encoded substrate mines on its native vertical
             # path: the bitmap index is already built, and every
             # backend honours the identical table contract (each
@@ -536,160 +512,10 @@ class CorrelationEngine:
         return self._apply_plan(plan)
 
     def close(self) -> None:
-        """Release pooled resources and leave the engine reusable.
+        """Release held resources and leave the engine reusable.
 
-        The monolithic engine holds none — this is the no-op base of
-        ``ShardedEngine.close()`` so services and the server drain can
-        close any hosted engine uniformly."""
-
-    def apply_batch_substrate(self, events: Sequence[UpdateEvent]
-                              ) -> BatchReport:
-        """Apply a batch's *substrate* mutations only — relation,
-        database, vertical index, event log, version counters — and
-        skip every pattern-table / rule maintenance walk.
-
-        This is the parent-side half of a pooled flush: the sharded
-        engine runs each touched shard's mutations here, then re-mines
-        the shard's complete table exactly in a worker process against
-        the refreshed bitmap pages.  A maintained table equals the
-        exact table at the keep floor (the invariant ``_finish``
-        enforces), so replacing it with the worker's re-mine is
-        indistinguishable from having run the maintenance walks — but
-        the O(patterns) work leaves the parent.
-
-        Lockstep mirror: the four mutation blocks below must match
-        ``_plan_inserts`` / ``_plan_annotation_adds`` /
-        ``_plan_annotation_removes`` / ``_plan_tuple_removals`` token
-        for token (case order, tuple order, interning calls), or
-        vocabulary ids drift from the thread path and cross-path
-        signatures diverge.  The table is stale when this returns; the
-        caller owns installing the re-mined table and validating.
-        """
-        self._require_mined()
-        if not events:
-            raise MaintenanceError("apply_batch needs at least one event")
-        if self.relation.version != self._relation_version:
-            raise MaintenanceError(
-                "relation was modified outside the engine; incremental "
-                "state is stale — re-run mine()")
-        started = time.perf_counter()
-        plan = compile_plan(
-            events,
-            next_tid=self.relation.tid_range,
-            is_live=self.relation.is_live,
-            annotations_of=lambda tid: self.relation.tuple(tid).annotation_ids,
-            validate_row=self._validate_insert_row,
-            validate_annotation=Annotation,
-        )
-        batch = BatchReport(db_size=self.db_size)
-        batch.audits = list(plan.audits)
-        batch.plan_stats = plan.stats
-        if len(plan.audits) == 1:
-            batch.event = plan.audits[0].event
-        else:
-            batch.event = f"apply-batch[{len(plan.audits)}]"
-
-        if plan.inserts:
-            case = MaintenanceReport(event="insert-tuples",
-                                     db_size=self.db_size)
-            for planned in plan.inserts:
-                tid = self.relation.insert(planned.values,
-                                           planned.annotations)
-                if tid != planned.tid:
-                    raise MaintenanceError(
-                        f"tid drift: plan says {planned.tid}, "
-                        f"relation says {tid}")
-                if planned.elided:
-                    self.relation.delete(tid)
-                    db_tid = self.database.add(frozenset())
-                    if db_tid != tid:
-                        raise MaintenanceError(
-                            f"tid drift: relation says {tid}, database "
-                            f"says {db_tid}")
-                    continue
-                if self.generalizer is not None:
-                    self.relation.set_labels(
-                        tid,
-                        self.generalizer.labels_for(
-                            frozenset(planned.annotations)))
-                transaction = encode_tuple(self.relation, tid,
-                                           self.vocabulary)
-                db_tid = self.database.add(transaction)
-                if db_tid != tid:
-                    raise MaintenanceError(
-                        f"tid drift: relation says {tid}, database "
-                        f"says {db_tid}")
-                self.index.add_transaction(tid, transaction)
-                case.tuples_scanned += 1
-            case.db_size = self.db_size
-            batch.case_reports.append(case)
-
-        if plan.annotation_adds:
-            case = MaintenanceReport(event="add-annotations",
-                                     db_size=self.db_size)
-            for tid, annotation_ids in plan.annotation_adds.items():
-                new_items = set()
-                for annotation_id in annotation_ids:
-                    if self.relation.annotate(tid, annotation_id):
-                        new_items.add(
-                            self.vocabulary.intern_annotation(annotation_id))
-                if self.generalizer is not None:
-                    row = self.relation.tuple(tid)
-                    fresh_labels = self.relation.add_labels(
-                        tid,
-                        self.generalizer.labels_for(row.annotation_ids))
-                    new_items |= {self.vocabulary.intern_label(label)
-                                  for label in fresh_labels}
-                if not new_items:
-                    continue
-                self.database.extend_transaction(tid, new_items)
-                self.index.extend_transaction(tid, new_items)
-                case.tuples_scanned += 1
-            batch.case_reports.append(case)
-
-        if plan.annotation_removes:
-            case = MaintenanceReport(event="remove-annotations",
-                                     db_size=self.db_size)
-            for tid, annotation_ids in plan.annotation_removes.items():
-                removed_items = set()
-                for annotation_id in annotation_ids:
-                    if self.relation.detach(tid, annotation_id):
-                        removed_items.add(
-                            self.vocabulary.intern_annotation(annotation_id))
-                if self.generalizer is not None:
-                    row = self.relation.tuple(tid)
-                    kept_labels = self.generalizer.labels_for(
-                        row.annotation_ids)
-                    lost_labels = row.labels - set(kept_labels)
-                    if lost_labels:
-                        self.relation.set_labels(tid, kept_labels)
-                        removed_items |= {self.vocabulary.intern_label(label)
-                                          for label in lost_labels}
-                if not removed_items:
-                    continue
-                self.database.shrink_transaction(tid, removed_items)
-                self.index.shrink_transaction(tid, removed_items)
-                case.tuples_scanned += 1
-            batch.case_reports.append(case)
-
-        if plan.deletions:
-            case = MaintenanceReport(event="remove-tuples",
-                                     db_size=self.db_size)
-            for tid in plan.deletions:
-                self.relation.delete(tid)
-                old = self.database.clear_transaction(tid)
-                self.index.remove_transaction(tid, old)
-                case.tuples_scanned += 1
-            case.db_size = self.db_size
-            batch.case_reports.append(case)
-
-        batch.db_size = self.db_size
-        self._revision += 1
-        for event in plan.events:
-            self.log.record(event)
-        self._relation_version = self.relation.version
-        batch.duration_seconds = time.perf_counter() - started
-        return batch
+        No engine holds any today; services and the server drain call
+        this on every hosted engine so one that does can release it."""
 
     def _validate_insert_row(self, values: Sequence[str]) -> None:
         """Mirror of ``relation.insert``'s row validation, run at plan

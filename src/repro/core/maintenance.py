@@ -53,15 +53,14 @@ class TupleDelta:
 class PhaseTimings:
     """Structured wall-clock breakdown of one lifecycle operation.
 
-    ``wall`` maps a phase name to the seconds the *parent* spent in it
+    ``wall`` maps a phase name to the seconds the caller spent in it
     (phases of an initial mine: ``partition`` / ``encode`` / ``build``
     / ``mine`` / ``merge`` / ``refresh``; a routed flush uses
-    ``partition`` / ``encode`` / ``build`` / ``mine`` on the pooled
-    path or ``partition`` / ``apply`` on the thread path, plus the
-    shared ``merge`` / ``refresh``).  ``per_shard`` maps a phase name
-    to one duration per shard, in shard order, for the phases that run
-    per shard (worker-side ``build`` and ``mine`` durations land here
-    — the parent wall for those phases includes pool dispatch).
+    ``partition`` / ``apply`` / ``merge`` / ``refresh``).
+    ``per_shard`` maps a phase name to one duration per shard, in shard
+    order, for the phases that run per shard (each shard's ``mine``
+    duration lands here — the wall for that phase includes thread-pool
+    dispatch).
     """
 
     wall: dict[str, float] = field(default_factory=dict)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core.config import SHARD_EXECUTORS, EngineConfig
+from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine
 from repro.errors import FormatError, MaintenanceError
 from repro.mining.backend import DEFAULT_BACKEND
@@ -52,6 +52,9 @@ FORMAT_VERSION = 4
 #: Versions :func:`restore` accepts; 1 lacks the revision/catalog keys,
 #: 2 lacks the shard layout, 3 lacks the journal anchor.
 SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: Shard-layout ``executor`` values older writers recorded.  The engine
+#: has one executor now, so a recorded value is checked and ignored.
+LEGACY_SHARD_EXECUTORS = ("thread", "process")
 
 
 def snapshot(manager: CorrelationEngine, *,
@@ -114,7 +117,6 @@ def snapshot(manager: CorrelationEngine, *,
         document["shards"] = {
             "count": manager.shard_count,
             "workers": manager.config.shard_workers,
-            "executor": manager.config.shard_executor,
             "assignment": manager.assignment(),
         }
     if journal_seq is not None:
@@ -233,10 +235,8 @@ def _restore_sharded(relation: AnnotatedRelation, config: EngineConfig,
                                     and workers >= 1):
         raise FormatError(
             f"snapshot shard layout has invalid workers {workers!r}")
-    # Absent in snapshots written before the process executor existed:
-    # those engines ran (and restore as) the thread default.
     executor = sharding.get("executor", "thread")
-    if executor not in SHARD_EXECUTORS:
+    if executor not in LEGACY_SHARD_EXECUTORS:
         raise FormatError(
             f"snapshot shard layout has invalid executor {executor!r}")
 
@@ -247,9 +247,7 @@ def _restore_sharded(relation: AnnotatedRelation, config: EngineConfig,
 
     return ShardedEngine(
         relation,
-        config.replace(shards=count,
-                       shard_workers=sharding.get("workers"),
-                       shard_executor=executor),
+        config.replace(shards=count, shard_workers=workers),
         partitioner=partitioner)
 
 

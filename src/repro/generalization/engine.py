@@ -6,7 +6,7 @@ appropriate data records"; ordinary mining then runs over this extended
 database and discovers correlations invisible at the raw level.
 
 :class:`Generalizer` is the object the
-:class:`~repro.core.manager.AnnotationRuleManager` consumes: its
+:class:`~repro.core.engine.CorrelationEngine` consumes: its
 ``labels_for`` maps a tuple's current raw annotation ids to the full
 label set (generalization rules plus hierarchy closure).  Because the
 mapping is a pure function of the annotation set, incremental label

@@ -14,10 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # type-only: counting needs no shared-memory machinery
-    from repro.mining.pages import PagedBitmapIndex
 
 from repro.errors import MiningError
 from repro._util import min_count_for, validate_fraction
@@ -91,7 +87,7 @@ def count_candidates(candidates: Sequence[Itemset],
                      transactions: Sequence[Transaction],
                      *,
                      counter: str = "auto",
-                     index: "BitmapIndex | PagedBitmapIndex | None" = None,
+                     index: BitmapIndex | None = None,
                      ) -> dict[Itemset, int]:
     """Exact support counts for same-length candidates.
 
@@ -99,11 +95,7 @@ def count_candidates(candidates: Sequence[Itemset],
     ``"scan"`` (per-candidate containment scan), ``"vertical"`` (bitmap
     tidset intersection), or ``"auto"``.  For ``"vertical"``, ``index``
     may carry a prebuilt index over ``transactions`` so level-wise
-    callers index the database once — a
-    :class:`~repro.mining.bitmap.BitmapIndex` or any object with its
-    ``count(itemset)`` query, such as the read-only
-    :class:`~repro.mining.pages.PagedBitmapIndex` over shared-memory
-    bitmap pages.
+    callers index the database once.
     """
     if not candidates:
         return {}

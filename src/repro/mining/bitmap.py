@@ -176,15 +176,6 @@ class BitmapIndex:
                        for item, buf in buffers.items()}
         return index
 
-    @classmethod
-    def from_bits(cls, bits: Mapping[int, int]) -> "BitmapIndex":
-        """Adopt pre-built item -> bitmap integers (e.g. decoded from a
-        worker-filled shared page segment).  Empty bitmaps are dropped
-        to preserve the no-dead-buckets invariant."""
-        index = cls()
-        index._bits = {item: value for item, value in bits.items() if value}
-        return index
-
     # -- maintenance ---------------------------------------------------------
 
     def add(self, item: int, tid: int) -> None:

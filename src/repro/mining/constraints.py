@@ -104,32 +104,6 @@ class CombinedRelevanceConstraint(CandidateConstraint):
         return annotations == len(itemset)
 
 
-class FrozenRelevanceConstraint(CandidateConstraint):
-    """:class:`CombinedRelevanceConstraint` against a *frozen* snapshot
-    of the annotation-like id set.
-
-    Process-parallel shard mining cannot ship an
-    :class:`~repro.mining.itemsets.ItemVocabulary` to workers (it is a
-    mutable interning structure; pickling it would fork the id space),
-    but all interning completes before the concurrent phase-1 mines, so
-    a frozen copy of ``vocabulary.annotation_like_ids()`` decides
-    admission identically.  Instances are plain picklable data.
-    """
-
-    __slots__ = ("_annotation_like",)
-
-    def __init__(self, annotation_like: Iterable[int]) -> None:
-        self._annotation_like = frozenset(annotation_like)
-
-    def admits(self, itemset: Iterable[int]) -> bool:
-        itemset = tuple(itemset)
-        keep = self._annotation_like
-        annotations = sum(1 for item_id in itemset if item_id in keep)
-        if annotations <= 1:
-            return True
-        return annotations == len(itemset)
-
-
 def constraint_for_task(task: MiningTask,
                         vocabulary: ItemVocabulary) -> CandidateConstraint:
     """The constraint the paper's modified Apriori applies for ``task``."""

@@ -25,10 +25,8 @@ from repro.mining.bitmap import BitmapIndex, BitTidset
 from repro.mining.constraints import CandidateConstraint, UnrestrictedConstraint
 from repro.mining.itemsets import Itemset, Transaction
 
-#: Any value usable as a tidset: set, frozenset, or BitTidset —
-#: including its buffer-backed subclass
-#: :class:`~repro.mining.pages.BufferTidset`, whose bits live in a
-#: shared-memory page; every miner here runs on either without change.
+#: Any value usable as a tidset: set, frozenset, or BitTidset; every
+#: miner here runs on either without change.
 Tidset = "set[int] | frozenset[int] | BitTidset"
 
 

@@ -23,10 +23,6 @@ Three properties the rest of the stack relies on:
   ``k/n`` — amortized O(k log k) per delete.  This is what lets the
   engine keep sketches fresh on every ``apply_batch`` without ever
   re-mining.
-* **Plain-data shipping.**  A sketch round-trips through
-  ``to_payload``/``from_payload`` as sorted hash lists + cardinalities,
-  so process-mode shard workers build sketches next to the bitmap
-  substrate and send them back without pickling live objects.
 
 Estimates are count-level (:class:`Estimate`) so shard-local answers
 compose by summation (values and bounds both add, exactness AND-s);
@@ -239,28 +235,6 @@ class TidsetSketch:
     def __len__(self) -> int:
         return len(self._hashes)
 
-    # -- shipping ------------------------------------------------------------
-
-    def to_payload(self) -> tuple[tuple[int, ...], int]:
-        return tuple(self._hashes), self._cardinality
-
-    @classmethod
-    def from_payload(cls, payload: tuple[Iterable[int], int], k: int,
-                     salt: int = DEFAULT_SALT) -> "TidsetSketch":
-        hashes, cardinality = payload
-        sketch = cls(k, salt)
-        sketch._hashes = sorted(hashes)
-        sketch._members = set(sketch._hashes)
-        sketch._cardinality = cardinality
-        if len(sketch._hashes) > k:
-            raise MiningError(
-                f"payload carries {len(sketch._hashes)} hashes for k={k}")
-        if cardinality < len(sketch._hashes):
-            raise MiningError(
-                f"payload cardinality {cardinality} below sample size "
-                f"{len(sketch._hashes)}")
-        return sketch
-
 
 class SketchIndex:
     """Item -> :class:`TidsetSketch` registry with KMV estimation.
@@ -397,21 +371,3 @@ class SketchIndex:
         return combine_rule_estimate(
             both, lhs_estimate, self.cardinality(rhs), db_size)
 
-    # -- shipping ------------------------------------------------------------
-
-    def to_payload(self) -> dict[int, tuple[tuple[int, ...], int]]:
-        """Plain-data form (sorted hash tuples + cardinalities) for
-        shipping from process-mode shard workers."""
-        return {item: sketch.to_payload()
-                for item, sketch in self._sketches.items()}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[int, tuple[Iterable[int], int]],
-                     k: int = DEFAULT_SKETCH_K,
-                     salt: int = DEFAULT_SALT) -> "SketchIndex":
-        index = cls(k, salt)
-        for item, entry in payload.items():
-            sketch = TidsetSketch.from_payload(entry, k, salt)
-            if sketch.cardinality:
-                index._sketches[item] = sketch
-        return index

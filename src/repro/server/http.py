@@ -282,10 +282,8 @@ class CorrelationServer:
                 self.metrics.counter("drain_flush_errors",
                                      tenant=name).inc()
 
-        # 4. release engine-owned resources: shard pools hold live
-        # worker processes and shared-memory leases that must not
-        # outlive the server.  After the final flushes, so the pools
-        # are idle when they are reaped.
+        # 4. stop the service's async-flush worker and sync every
+        # journal, after the final flushes.
         await self._run_blocking(self.service.close)
 
         # 5. tear down transport and executor.
@@ -840,13 +838,10 @@ class CorrelationServer:
         query = snapshot.catalog.query()
         if kind is not None:
             query = query.of_kind(kind)
-        for floor_name, setter in (("min_support", query.min_support),
-                                   ("min_confidence",
-                                    query.min_confidence),
-                                   ("min_lift", query.min_lift)):
+        for floor_name in ("min_support", "min_confidence", "min_lift"):
             value = request.float_param(floor_name)
             if value is not None:
-                query = setter(value)
+                query = getattr(query, floor_name)(value)
         significance_touched = False
         chi_floor = request.float_param("min_chi_square")
         if chi_floor is not None:

@@ -56,7 +56,7 @@ RESERVED_TENANT_NAMES = frozenset({"tenants"})
 ENGINE_CONFIG_FIELDS = frozenset({
     "min_support", "min_confidence", "margin", "backend", "counter",
     "max_length", "max_log_events", "shards", "shard_workers",
-    "shard_executor", "sketch_k", "track_candidates", "validate",
+    "sketch_k", "track_candidates", "validate",
 })
 
 
@@ -98,7 +98,6 @@ def engine_config_to_json(config: EngineConfig) -> dict[str, Any]:
         "max_log_events": config.max_log_events,
         "shards": config.shards,
         "shard_workers": config.shard_workers,
-        "shard_executor": config.shard_executor,
         "sketch_k": config.sketch_k,
     }
 

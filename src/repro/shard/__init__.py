@@ -17,6 +17,9 @@ Entry points:
   through transparently;
 * :func:`modulo_partitioner` / custom partitioners — the tid -> shard
   layout, persisted in snapshot format v3.
+
+Shard mines run on a thread pool; routed flushes run each touched
+shard's incremental maintenance in the caller's thread.
 """
 
 from repro.shard.engine import ShardedEngine
@@ -30,7 +33,6 @@ from repro.shard.partition import (
     substrate_from_transactions,
     substrates_for,
 )
-from repro.shard.pool import SegmentManager, ShardPool, available_cpus
 from repro.shard.rebalance import (
     RebalancePlan,
     ShardSkew,
@@ -45,13 +47,10 @@ __all__ = [
     "ShardSkew",
     "plan_rebalance",
     "shard_skew",
-    "SegmentManager",
     "ShardDatabaseView",
     "ShardIndexView",
-    "ShardPool",
     "ShardedEngine",
     "TokenInterner",
-    "available_cpus",
     "build_substrate",
     "encode_shards",
     "modulo_partitioner",

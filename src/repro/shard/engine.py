@@ -20,40 +20,19 @@ merge stays exact after every routed update batch — a sharded engine's
 rules and ``signature()`` are byte-identical to a monolithic engine's
 at every point of any event stream.
 
-Lifecycle (v8 — the whole pipeline is process-parallel, not just the
-phase-1 search):
+Lifecycle:
 
 * :meth:`mine` — partition, bulk-encode each shard's transactions in
   one sequential interning pass (:func:`repro.shard.partition.encode_shards`;
-  interning order is what keeps vocabulary ids deterministic), then
-  with ``shard_executor="process"`` allocate one zeroed shared-memory
-  segment laid out for every shard's pages and ship each shard's
-  *encoded transaction lists* to worker processes that build their
-  bitmap index, write the packed pages straight into the shared
-  segment, and run the phase-1 vertical search — the parent never
-  constructs a per-shard ``VerticalIndex``/``BitmapIndex`` on this
-  path; it re-hydrates each shard's index from the worker-filled pages
-  in one C-level pass.  Phase 2 then counts straight off the same
-  pages.  Any platform that cannot run the pool degrades to the thread
-  path; the answers are byte-identical either way;
+  interning order is what keeps vocabulary ids deterministic), build
+  each shard's substrate, run the phase-1 vertical searches on a
+  thread pool, then the exact phase-2 merge;
 * :meth:`apply_batch` (inherited) — compiles the global delta plan
   with all the usual guards; the overridden plan application routes
-  per-shard sub-plans (:func:`repro.core.deltas.split_plan`).  On the
-  process path each touched shard applies its substrate mutations
-  parent-side (``apply_batch_substrate`` — same interning order as the
-  thread path), repacks its pages, and re-mines its *complete* exact
-  table in a pool worker; a maintained table equals the exact table at
-  the keep floor, so the merge sees identical state either way.  One
-  global re-merge, one revision bump;
-* :meth:`close` — shut down the persistent worker pool and force-drop
-  any shared segments; wired through service/server drain.  The engine
-  stays usable (the pool restarts lazily).
+  per-shard sub-plans (:func:`repro.core.deltas.split_plan`) through
+  each touched shard's own incremental maintenance, then one global
+  re-merge and one revision bump.
 
-Process resources are owned by :mod:`repro.shard.pool`: one
-:class:`~repro.shard.pool.ShardPool` reused across ``mine()`` and every
-routed flush, and one :class:`~repro.shard.pool.SegmentManager` whose
-``release_all()`` guarantees no ``/dev/shm`` block survives an error —
-including an adoption failure raised *after* the workers succeeded.
 Every report carries a :class:`~repro.core.maintenance.PhaseTimings`
 breakdown (partition / encode / build / mine / merge / refresh) so the
 benchmarks can attribute scaling to phases instead of one opaque total.
@@ -61,24 +40,19 @@ benchmarks can attribute scaling to phases instead of one opaque total.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.config import EngineConfig
 from repro.core.deltas import DeltaPlan, split_plan
-from repro.core.engine import CorrelationEngine, EncodedSubstrate
-from repro.core.annotation_index import VerticalIndex
+from repro.core.engine import CorrelationEngine
 from repro.core.maintenance import (
     BatchReport,
     MaintenanceReport,
     PhaseTimings,
 )
-from repro.errors import MaintenanceError, MiningError
-from repro.mining.bitmap import BitmapIndex
-from repro.mining.constraints import FrozenRelevanceConstraint
-from repro.mining.eclat import mine_frequent_itemsets_vertical
-from repro.mining.itemsets import TransactionDatabase
-from repro.mining.pages import BitmapPageSegment
+from repro.errors import MaintenanceError
 from repro.mining.sketch import (
     Estimate,
     RuleEstimate,
@@ -95,86 +69,24 @@ from repro.shard.partition import (
     partition_relation,
     substrate_from_transactions,
 )
-from repro.shard.pool import SegmentManager, ShardPool, available_cpus
 from repro.shard.views import ShardDatabaseView, ShardIndexView
 
 
-def _mine_shard(task):
-    """Thread-pool phase-1 worker.
+def _available_cpus() -> int:
+    """Usable CPU count: ``os.process_cpu_count()`` (the scheduling
+    affinity mask, Python 3.13+) when available, else ``os.cpu_count()``,
+    floored at 1."""
+    counter = getattr(os, "process_cpu_count", None)
+    count = counter() if counter is not None else None
+    if count is None:
+        count = os.cpu_count()
+    return count if count else 1
 
-    Module-level (not a lambda) so the exact same callable could be
-    shipped to a process pool — and so tracebacks name it.
-    """
+
+def _mine_shard(task):
+    """Thread-pool phase-1 worker (module-level so tracebacks name it)."""
     shard_engine, shard_substrate = task
     return shard_engine.mine(substrate=shard_substrate)
-
-
-def _build_and_mine_shard(task):
-    """Process-pool worker for the initial mine: build *and* search.
-
-    Receives the shard's encoded transaction lists plus plain floor /
-    constraint data, builds the bitmap index in this worker (the
-    O(occurrences) pure-Python pass that used to serialize in the
-    parent), writes the packed pages straight into the pre-allocated
-    shared segment (the parent re-hydrates its shard index from them),
-    then runs the identical phase-1 vertical search the thread path's
-    substrate mine would run.  Returns ``(counts, sketch_payload,
-    build_seconds, mine_seconds)`` — the count table, the shard's
-    bottom-k sketch registry as plain data (built here, in one sweep
-    next to the substrate, so the parent's approximate read tier never
-    re-walks the tidsets), plus the worker-side phase timings for the
-    report's per-shard breakdown.
-    """
-    (name, shard, transactions, min_count, annotation_like, max_length,
-     sketch_k) = task
-    segment = BitmapPageSegment.attach(name)
-    try:
-        build_started = time.perf_counter()
-        index = BitmapIndex.from_transactions(transactions)
-        mapping = index.as_mapping()
-        segment.write_pages(shard, {item: mapping[item].bits
-                                    for item in mapping})
-        sketch_payload = SketchIndex.from_mapping(
-            mapping, k=sketch_k).to_payload()
-        build_seconds = time.perf_counter() - build_started
-        mine_started = time.perf_counter()
-        counts = mine_frequent_itemsets_vertical(
-            (),
-            min_count=min_count,
-            constraint=FrozenRelevanceConstraint(annotation_like),
-            max_length=max_length,
-            index=mapping,
-        )
-        return (counts, sketch_payload, build_seconds,
-                time.perf_counter() - mine_started)
-    finally:
-        segment.close()
-
-
-def _mine_shard_from_pages(task):
-    """Process-pool search worker over already-packed pages.
-
-    Receives only plain picklable data — the segment *name*, the shard
-    number, the shard's margined floor, the frozen annotation-like id
-    snapshot and the length cap — attaches the shared segment, runs the
-    identical vertical search the shard engine's substrate mine would
-    run (same floor, same constraint decisions, same index bits, read
-    zero-copy from the pages), and returns the small count table.  The
-    pooled flush path re-mines each touched shard's complete table
-    through this.
-    """
-    name, shard, min_count, annotation_like, max_length = task
-    segment = BitmapPageSegment.attach(name)
-    try:
-        return mine_frequent_itemsets_vertical(
-            (),
-            min_count=min_count,
-            constraint=FrozenRelevanceConstraint(annotation_like),
-            max_length=max_length,
-            index=segment.shard_mapping(shard),
-        )
-    finally:
-        segment.close()
 
 
 class ShardedEngine(CorrelationEngine):
@@ -191,18 +103,6 @@ class ShardedEngine(CorrelationEngine):
         self._partitioner = (partitioner if partitioner is not None
                              else modulo_partitioner(self.shard_count))
         self._shards: list[CorrelationEngine] = []
-        #: Refcounted owner of every shared segment this engine creates;
-        #: ``close()`` and the error paths force-drop through it, so no
-        #: ``/dev/shm`` block can outlive the engine whatever raised.
-        self._segments = SegmentManager()
-        #: The persistent worker pool, created lazily on the first
-        #: process-mode operation and reused across mine() and every
-        #: routed flush until :meth:`close`.
-        self._pool: ShardPool | None = None
-        #: Shared bitmap-page segment alive only inside :meth:`mine`'s
-        #: process-parallel path (phase 1 workers and the phase-2 merge
-        #: read it); always released before mine() returns.
-        self._segment: BitmapPageSegment | None = None
         #: shard -> local tid -> global tid (dense, grows with inserts).
         self._global_of: list[list[int]] = []
         #: global tid -> (shard, local tid); tombstones at partition
@@ -244,35 +144,11 @@ class ShardedEngine(CorrelationEngine):
     def _workers(self) -> int:
         if self.config.shard_workers is not None:
             return self.config.shard_workers
-        return max(1, min(self.shard_count, available_cpus()))
+        return max(1, min(self.shard_count, _available_cpus()))
 
     def _shard_config(self) -> EngineConfig:
         """Shard engines are ordinary monolithic engines."""
         return self.config.replace(shards=1, shard_workers=None)
-
-    # -- pooled resources -------------------------------------------------------
-
-    def _ensure_pool(self) -> ShardPool:
-        if self._pool is None:
-            self._pool = ShardPool(workers=self._workers())
-        return self._pool
-
-    def _use_processes(self) -> bool:
-        return (self.config.shard_executor == "process"
-                and self._workers() > 1 and self.shard_count > 1)
-
-    def close(self) -> None:
-        """Release the persistent pool and every shared segment.
-
-        Idempotent, and the engine stays usable: the next process-mode
-        operation simply restarts the pool.  Services and the server's
-        graceful drain call this for every hosted engine so no worker
-        process or ``/dev/shm`` block outlives its tenant.
-        """
-        self._segment = None
-        self._segments.release_all()
-        if self._pool is not None:
-            self._pool.close()
 
     # -- initial (partitioned) mining -------------------------------------------
 
@@ -302,133 +178,37 @@ class ShardedEngine(CorrelationEngine):
         with phases.timed("encode"):
             transactions_per_shard = encode_shards(relations, self.vocabulary)
 
-        try:
-            workers = self._workers()
-            dispatched = False
-            if self._use_processes():
-                dispatched = self._mine_in_processes(transactions_per_shard,
-                                                     phases)
-            if not dispatched:
-                with phases.timed("build"):
-                    substrates = [
-                        substrate_from_transactions(self.vocabulary,
-                                                    transactions)
-                        for transactions in transactions_per_shard
-                    ]
-                with phases.timed("mine"):
-                    if workers > 1 and self.shard_count > 1:
-                        with ThreadPoolExecutor(max_workers=workers) as pool:
-                            # list() drains the iterator so any shard's
-                            # exception surfaces here, not at garbage
-                            # collection.
-                            reports = list(pool.map(
-                                _mine_shard, zip(self._shards, substrates)))
-                    else:
-                        reports = [
-                            shard_engine.mine(substrate=shard_substrate)
-                            for shard_engine, shard_substrate
-                            in zip(self._shards, substrates)
-                        ]
-                phases.record_shards(
-                    "mine",
-                    [shard_report.duration_seconds
-                     for shard_report in reports])
-
-            self._mined = True
-            self._relation_version = self.relation.version
-            report = MaintenanceReport(event="mine", db_size=self.db_size,
-                                       phases=phases)
-            self._merge(report)
-            self._revision += 1
-            report.duration_seconds = time.perf_counter() - started
-            self._finish(report)
-            return report
-        finally:
-            self._release_segment()
-
-    def _mine_in_processes(self, transactions_per_shard,
-                           phases: PhaseTimings) -> bool:
-        """Worker-built substrates: build + phase 1 on the shard pool.
-
-        The parent computes each shard's page layout (item set and
-        fixed page width), allocates one zeroed shared segment, and
-        ships every shard's encoded transactions to a pool worker
-        (:func:`_build_and_mine_shard`) that builds the bitmap index,
-        fills its shard's pages in place — page regions are disjoint,
-        so N writers need no synchronization — and runs the phase-1
-        search.  The parent then re-hydrates each shard's
-        ``VerticalIndex`` from the filled pages (one C-level
-        ``int.from_bytes`` per item) and adopts index + counts via
-        ``mine(substrate=..., counts=...)`` — every state transition
-        after the search is then identical to the thread path, so the
-        merged table and ``signature()`` are too.  The segment stays
-        alive for the phase-2 merge; :meth:`mine` releases it.
-
-        Returns ``False`` (degrade to threads, nothing mutated) when
-        the platform cannot allocate shared memory or start/sustain
-        the pool.  A *mining* failure inside a worker is not a platform
-        problem and propagates, exactly as the thread path would raise
-        it.
-        """
-        pool = self._ensure_pool()
-        if not pool.start():
-            return False
-        build_started = time.perf_counter()
-        layouts = [
-            (sorted(frozenset().union(*transactions)) if transactions else (),
-             (len(transactions) + 7) // 8)
-            for transactions in transactions_per_shard
-        ]
-        try:
-            self._segment = self._segments.adopt(
-                BitmapPageSegment.allocate(layouts))
-        except (OSError, MiningError):  # pragma: no cover - no /dev/shm
-            return False
-        phases.add("build", time.perf_counter() - build_started)
-        annotation_like = frozenset(self.vocabulary.annotation_like_ids())
-        tasks = [
-            (self._segment.name, shard, transactions_per_shard[shard],
-             shard_engine.thresholds.keep_count(shard_engine.db_size),
-             annotation_like, shard_engine.max_length,
-             self.config.sketch_k)
-            for shard, shard_engine in enumerate(self._shards)
-        ]
-        with phases.timed("mine"):
-            results = pool.run(_build_and_mine_shard, tasks)
-        if results is None:
-            # Pool never started or died under us (sandboxed fork,
-            # missing sem support, OOM-killed worker): the shard
-            # engines are untouched, so the thread path can take over.
-            self._release_segment()
-            return False
         with phases.timed("build"):
-            for shard, shard_engine in enumerate(self._shards):
-                counts, sketch_payload, _build, _mine = results[shard]
-                mapping = self._segment.shard_mapping(shard)
-                index = VerticalIndex.from_bits(
-                    self.vocabulary,
-                    {item: mapping[item].bits for item in mapping})
-                database = TransactionDatabase.from_encoded(
-                    self.vocabulary, transactions_per_shard[shard])
-                shard_engine.mine(
-                    substrate=EncodedSubstrate(database=database,
-                                               index=index),
-                    counts=counts)
-                # Adopt the worker-built sketches after the substrate
-                # they describe is installed; the observer then keeps
-                # them fresh through every routed flush.
-                shard_engine.adopt_sketches(SketchIndex.from_payload(
-                    sketch_payload, k=self.config.sketch_k))
-        phases.record_shards("build", [result[2] for result in results])
-        phases.record_shards("mine", [result[3] for result in results])
-        return True
+            substrates = [
+                substrate_from_transactions(self.vocabulary, transactions)
+                for transactions in transactions_per_shard
+            ]
+        workers = self._workers()
+        with phases.timed("mine"):
+            if workers > 1 and self.shard_count > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    # list() drains the iterator so any shard's
+                    # exception surfaces here, not at garbage collection.
+                    reports = list(pool.map(
+                        _mine_shard, zip(self._shards, substrates)))
+            else:
+                reports = [
+                    shard_engine.mine(substrate=shard_substrate)
+                    for shard_engine, shard_substrate
+                    in zip(self._shards, substrates)
+                ]
+        phases.record_shards(
+            "mine", [shard_report.duration_seconds for shard_report in reports])
 
-    def _release_segment(self) -> None:
-        """Release the initial-mine segment through the refcounted
-        manager (idempotent; the last lease closes and unlinks)."""
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            self._segments.release(segment.name)
+        self._mined = True
+        self._relation_version = self.relation.version
+        report = MaintenanceReport(event="mine", db_size=self.db_size,
+                                   phases=phases)
+        self._merge(report)
+        self._revision += 1
+        report.duration_seconds = time.perf_counter() - started
+        self._finish(report)
+        return report
 
     # -- the approximate read tier ----------------------------------------------
 
@@ -484,18 +264,8 @@ class ShardedEngine(CorrelationEngine):
             floor = self.thresholds.keep_count(self.db_size)
             union = candidate_union(
                 shard.table for shard in self._shards)
-            if self._segment is not None:
-                # Initial process-parallel mine: count straight off the
-                # shared pages.  They hold the same bits as the freshly
-                # adopted shard indexes (the indexes were hydrated from
-                # them and nothing has mutated since), so the merged
-                # table is identical — without touching per-shard
-                # Python state.
-                shard_indexes = [self._segment.shard_mapping(shard)
-                                 for shard in range(self.shard_count)]
-            else:
-                shard_indexes = [shard.index.as_mapping()
-                                 for shard in self._shards]
+            shard_indexes = [shard.index.as_mapping()
+                             for shard in self._shards]
             merged = merge_counts(union, shard_indexes, floor=floor)
             self.table.replace(merged)
         with report.phases.timed("refresh"):
@@ -506,9 +276,8 @@ class ShardedEngine(CorrelationEngine):
     def _apply_plan(self, plan: DeltaPlan) -> BatchReport:
         """Split the compiled plan into per-shard sub-plans, apply the
         global relation mutation once, run each touched shard's own
-        batch — in pool workers on the process path, via the shard's
-        dirty-scoped maintenance otherwise — then one global re-merge
-        and revision bump.  The inherited :meth:`apply_batch` already
+        batch through its dirty-scoped maintenance, then one global
+        re-merge and revision bump.  The inherited :meth:`apply_batch` already
         compiled and validated the plan against the global relation."""
         started = time.perf_counter()
         batch = BatchReport(db_size=self.db_size)
@@ -540,18 +309,14 @@ class ShardedEngine(CorrelationEngine):
                 self._local_of[placement.tid] = (placement.shard,
                                                  placement.local_tid)
 
-        pooled = False
-        if self._use_processes():
-            pooled = self._apply_in_processes(sub_plans, batch)
-        if not pooled:
-            with batch.phases.timed("apply"):
-                for shard, events in enumerate(sub_plans):
-                    if not events:
-                        continue
-                    shard_report = self._shards[shard].apply_batch(events)
-                    batch.shards_touched += 1
-                    batch.case_reports.extend(shard_report.case_reports)
-                    batch.patterns_dirty += shard_report.patterns_dirty
+        with batch.phases.timed("apply"):
+            for shard, events in enumerate(sub_plans):
+                if not events:
+                    continue
+                shard_report = self._shards[shard].apply_batch(events)
+                batch.shards_touched += 1
+                batch.case_reports.extend(shard_report.case_reports)
+                batch.patterns_dirty += shard_report.patterns_dirty
 
         batch.db_size = self.db_size
         self._merge(batch)
@@ -562,89 +327,6 @@ class ShardedEngine(CorrelationEngine):
         self._finish(batch)
         self._relation_version = self.relation.version
         return batch
-
-    def _apply_in_processes(self, sub_plans, batch: BatchReport) -> bool:
-        """Pooled flush: substrate mutations parent-side, shard tables
-        re-mined exactly in pool workers.
-
-        Each touched shard applies its sub-plan's *substrate* half via
-        ``apply_batch_substrate`` — ascending shard order and identical
-        interning calls keep the vocabulary byte-identical to the
-        thread path — then its refreshed bitmap index is packed into a
-        flush-scoped segment and a pool worker re-mines the shard's
-        *complete* table at the shard keep floor
-        (:func:`_mine_shard_from_pages`).  A maintained shard table is
-        exactly the table of itemsets at/above that floor with exact
-        counts (the invariant ``_finish`` enforces), so adopting the
-        worker's table is indistinguishable from having run the
-        maintenance walks, and the SON merge sees identical state.
-
-        Pool availability is checked *before* any mutation, so a
-        ``False`` return leaves the engine untouched for the thread
-        path.  A pool that dies after mutations falls back to an
-        inline parent re-mine over the same indexes — same search,
-        same answer, no state to unwind.
-        """
-        pool = self._ensure_pool()
-        touched = [shard for shard, events in enumerate(sub_plans) if events]
-        if not touched or not pool.start():
-            return False
-        with batch.phases.timed("encode"):
-            for shard in touched:
-                shard_report = self._shards[shard].apply_batch_substrate(
-                    sub_plans[shard])
-                batch.shards_touched += 1
-                batch.case_reports.extend(shard_report.case_reports)
-        annotation_like = frozenset(self.vocabulary.annotation_like_ids())
-        segment = None
-        with batch.phases.timed("build"):
-            try:
-                segment = self._segments.adopt(BitmapPageSegment.pack(
-                    [self._shards[shard].index.as_mapping()
-                     for shard in touched]))
-            except (OSError, MiningError):  # pragma: no cover - no /dev/shm
-                segment = None
-        try:
-            tables = None
-            with batch.phases.timed("mine"):
-                if segment is not None:
-                    tasks = [
-                        (segment.name, position,
-                         self._shards[shard].thresholds.keep_count(
-                             self._shards[shard].db_size),
-                         annotation_like, self._shards[shard].max_length)
-                        for position, shard in enumerate(touched)
-                    ]
-                    tables = pool.run(_mine_shard_from_pages, tasks)
-                if tables is None:
-                    # The pool (or shared memory) died after the
-                    # substrate mutations: recompute inline — the same
-                    # vertical search over the same refreshed indexes.
-                    tables = [self._remine_shard_inline(shard)
-                              for shard in touched]
-            for shard, table in zip(touched, tables):
-                shard_engine = self._shards[shard]
-                shard_engine.table.replace(table)
-                batch.patterns_dirty += len(table)
-                shard_engine._finish(MaintenanceReport(
-                    event=batch.event, db_size=shard_engine.db_size))
-        finally:
-            if segment is not None:
-                self._segments.release(segment.name)
-        return True
-
-    def _remine_shard_inline(self, shard: int):
-        """Parent-side exact re-mine of one shard's complete table —
-        the mid-flush fallback when the pool dies after mutations."""
-        shard_engine = self._shards[shard]
-        return mine_frequent_itemsets_vertical(
-            (),
-            min_count=shard_engine.thresholds.keep_count(
-                shard_engine.db_size),
-            constraint=shard_engine.constraint,
-            max_length=shard_engine.max_length,
-            index=shard_engine.index.as_mapping(),
-        )
 
     def _locate_existing(self, tid: int) -> tuple[int, int]:
         located = self._local_of.get(tid)

@@ -119,8 +119,7 @@ def encode_relation(relation: AnnotatedRelation,
     ``encode_tuple`` loop would — same items, same tid alignment — so
     a shard mine over these equals a shard mine over the slow path.
     Tuple-order interning keeps vocabulary ids deterministic, which is
-    why this pass stays sequential in the parent even when substrate
-    *construction* moves into worker processes.
+    why this pass stays sequential.
     """
     schema = relation.schema
     data = interner.data

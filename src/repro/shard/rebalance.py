@@ -150,8 +150,7 @@ def plan_rebalance(engine: CorrelationEngine, *,
 
 
 def layout_document(document: dict, plan: RebalancePlan, *,
-                    workers: int | None = None,
-                    executor: str = "thread") -> dict:
+                    workers: int | None = None) -> dict:
     """A copy of a persistence snapshot with the plan's layout.
 
     Feeding the result to :func:`repro.core.persistence.restore`
@@ -164,7 +163,6 @@ def layout_document(document: dict, plan: RebalancePlan, *,
         rebuilt["shards"] = {
             "count": plan.target_shards,
             "workers": workers,
-            "executor": executor,
             "assignment": list(plan.assignment),
         }
     else:
@@ -174,14 +172,12 @@ def layout_document(document: dict, plan: RebalancePlan, *,
 
 def rebuild_with_plan(document: dict, plan: RebalancePlan, *,
                       workers: int | None = None,
-                      executor: str = "thread",
                       generalizer=None) -> CorrelationEngine:
     """Build the replacement engine a plan cuts over to."""
     from repro.core import persistence  # local: persistence imports shard
 
     return persistence.restore(
-        layout_document(document, plan, workers=workers,
-                        executor=executor),
+        layout_document(document, plan, workers=workers),
         generalizer=generalizer)
 
 

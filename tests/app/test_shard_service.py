@@ -76,42 +76,6 @@ class TestShardedSessions:
         assert service.verify("hot").equivalent
 
 
-class TestPoolLifecycle:
-    """The facade owns the engines, so it owns their worker pools:
-    ``drop()`` and ``close()`` must reap them."""
-
-    POOLED = CONFIG.replace(shard_workers=2, shard_executor="process")
-
-    def test_drop_closes_the_engine_pool(self):
-        from repro.mining.pages import live_segments
-        from repro.shard.pool import live_pool_count
-
-        service = CorrelationService(config=self.POOLED)
-        service.create("hot", make_relation())
-        assert live_pool_count() == 1
-        service.drop("hot")
-        assert live_pool_count() == 0, "drop() leaked pool workers"
-        assert live_segments() == ()
-
-    def test_service_close_reaps_every_tenant_pool(self):
-        from repro.mining.pages import live_segments
-        from repro.shard.pool import live_pool_count
-
-        service = CorrelationService(config=self.POOLED)
-        service.create("a", make_relation())
-        service.create("b", make_relation())
-        assert live_pool_count() == 2
-        service.close()
-        assert live_pool_count() == 0, "close() leaked pool workers"
-        assert live_segments() == ()
-        # Sessions stay usable: the pool restarts lazily on demand.
-        service.submit("a", AddAnnotations.build([(0, "Z9")]))
-        report = service.flush("a")
-        assert report.events == 1
-        assert service.verify("a").equivalent
-        service.close()
-
-
 class TestNoTornRevisions:
     def test_readers_never_observe_torn_state_during_sharded_remine(
             self, service):

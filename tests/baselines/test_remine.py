@@ -1,7 +1,7 @@
 """Unit tests for the full re-mining baseline."""
 
 from repro.baselines.remine import remine, signatures_match
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from tests.conftest import make_relation
 
 
@@ -20,8 +20,8 @@ class TestRemine:
 
     def test_incremental_manager_unaffected(self):
         relation = make_relation()
-        manager = AnnotationRuleManager(relation, min_support=0.25,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(relation, min_support=0.25,
+                                    min_confidence=0.6)
         manager.mine()
         remine(relation, min_support=0.25, min_confidence=0.6)
         # Incremental manager must still accept updates (no version drift).

@@ -69,16 +69,6 @@ def seeds(request: pytest.FixtureRequest) -> SeedRouter:
     return SeedRouter(_base_seed(request.config))
 
 
-@pytest.fixture(autouse=True)
-def _reap_shard_pools():
-    """Persistent shard pools outlive mine()/apply_batch by design;
-    tests that don't close their engines must not leak worker
-    processes into the rest of the session."""
-    yield
-    from repro.shard.pool import shutdown_live_pools
-
-    shutdown_live_pools()
-
 #: A hand-checkable reference dataset used across many tests.
 #: Value tokens are opaque strings (paper Figure 4 style); annotations
 #: A and B correlate with value "1" / value "3" respectively.

@@ -1,13 +1,13 @@
 """Unit tests for the deep consistency audit."""
 
 from repro.core.audit import audit
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from tests.conftest import make_relation
 
 
 def mined_manager():
-    manager = AnnotationRuleManager(make_relation(), min_support=0.25,
-                                    min_confidence=0.6)
+    manager = CorrelationEngine(make_relation(), min_support=0.25,
+                                min_confidence=0.6)
     manager.mine()
     return manager
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine, engine
-from repro.core.manager import AnnotationRuleManager
 from repro.errors import InvalidThresholdError, MaintenanceError, MiningError
 from tests.conftest import make_relation
 
@@ -73,32 +72,6 @@ class TestEngineFactory:
     def test_default_relation_is_empty(self):
         eng = engine(min_support=0.5, min_confidence=0.5)
         assert eng.db_size == 0
-
-
-class TestDeprecatedShim:
-    def test_shim_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            manager = AnnotationRuleManager(
-                make_relation(), min_support=0.25, min_confidence=0.6)
-        manager.mine()
-        assert manager.verify_against_remine().equivalent
-
-    def test_shim_is_an_engine(self):
-        with pytest.warns(DeprecationWarning):
-            manager = AnnotationRuleManager(
-                make_relation(), min_support=0.25, min_confidence=0.6,
-                backend="fpgrowth")
-        assert isinstance(manager, CorrelationEngine)
-        assert manager.config.backend == "fpgrowth"
-
-    def test_shim_matches_engine_results(self):
-        with pytest.warns(DeprecationWarning):
-            manager = AnnotationRuleManager(
-                make_relation(), min_support=0.25, min_confidence=0.6)
-        manager.mine()
-        eng = engine(make_relation(), min_support=0.25, min_confidence=0.6)
-        eng.mine()
-        assert manager.signature() == eng.signature()
 
 
 class TestValidationReporting:

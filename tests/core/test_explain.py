@@ -4,15 +4,15 @@ import pytest
 
 from repro.core.explain import explain_rule, render_evidence, verify_evidence
 from tests.conftest import make_relation
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 
 
 @pytest.fixture
 def manager():
     rows = [(("1", "2"), ("A",))] * 5 + [(("1", "3"), ())] \
         + [(("4", "2"), ())] * 2
-    manager = AnnotationRuleManager(make_relation(rows), min_support=0.3,
-                                    min_confidence=0.6)
+    manager = CorrelationEngine(make_relation(rows), min_support=0.3,
+                                min_confidence=0.6)
     manager.mine()
     return manager
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.errors import MaintenanceError
 from tests.conftest import assert_equivalent_to_remine, make_relation
 
 
 def manager_over_reference(**kwargs):
-    manager = AnnotationRuleManager(
+    manager = CorrelationEngine(
         make_relation(), min_support=0.25, min_confidence=0.6,
         validate=True, **kwargs)
     manager.mine()
@@ -18,14 +18,14 @@ def manager_over_reference(**kwargs):
 
 class TestLifecycle:
     def test_rules_before_mine_raises(self):
-        manager = AnnotationRuleManager(make_relation(), min_support=0.3,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(make_relation(), min_support=0.3,
+                                    min_confidence=0.6)
         with pytest.raises(MaintenanceError):
             _ = manager.rules
 
     def test_apply_before_mine_raises(self):
-        manager = AnnotationRuleManager(make_relation(), min_support=0.3,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(make_relation(), min_support=0.3,
+                                    min_confidence=0.6)
         with pytest.raises(MaintenanceError):
             manager.add_annotations([(0, "Z")])
 
@@ -78,9 +78,9 @@ class TestCase3AddAnnotations:
     def test_confidence_can_drop_rule(self):
         # A2A rule A=>B: adding A to tuples without B lowers confidence.
         rows = [(("1",), ("A", "B"))] * 4 + [(("2",), ())] * 4
-        manager = AnnotationRuleManager(make_relation(rows),
-                                        min_support=0.3, min_confidence=0.9,
-                                        validate=True)
+        manager = CorrelationEngine(make_relation(rows),
+                                    min_support=0.3, min_confidence=0.9,
+                                    validate=True)
         manager.mine()
         key = None
         for rule in manager.rules_of_kind(RuleKind.ANNOTATION_TO_ANNOTATION):
@@ -162,9 +162,9 @@ class TestRemovalExtensions:
     def test_shrinking_db_can_create_rules(self):
         # Removing tuples shrinks |DB|, raising supports of survivors.
         rows = [(("1",), ("A",))] * 3 + [(("2",), ())] * 7
-        manager = AnnotationRuleManager(make_relation(rows),
-                                        min_support=0.4, min_confidence=0.6,
-                                        validate=True)
+        manager = CorrelationEngine(make_relation(rows),
+                                    min_support=0.4, min_confidence=0.6,
+                                    validate=True)
         manager.mine()
         assert len(manager.rules) == 0
         report = manager.remove_tuples([9, 8, 7, 6])
@@ -193,8 +193,8 @@ class TestSignature:
             (("1", "5"), ("A",)),
             (("4", "5"), ()),
         ]))
-        right = AnnotationRuleManager(make_relation(rows),
-                                      min_support=0.25, min_confidence=0.6)
+        right = CorrelationEngine(make_relation(rows),
+                                  min_support=0.25, min_confidence=0.6)
         right.mine()
         assert left.signature() == right.signature()
 
@@ -208,9 +208,9 @@ class TestSignature:
 
 class TestMaxLength:
     def test_max_length_limits_lhs(self):
-        manager = AnnotationRuleManager(make_relation(),
-                                        min_support=0.1, min_confidence=0.5,
-                                        max_length=2, validate=True)
+        manager = CorrelationEngine(make_relation(),
+                                    min_support=0.1, min_confidence=0.5,
+                                    max_length=2, validate=True)
         manager.mine()
         assert all(len(rule.lhs) <= 1 for rule in manager.rules)
         manager.add_annotations([(3, "A")])

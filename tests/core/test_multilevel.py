@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.multilevel import MultiLevelMiner
 from repro.errors import GeneralizationError
 from repro.generalization.engine import Generalizer
@@ -35,17 +35,17 @@ def build_manager():
                                IdMatcher(frozenset({"Annot_b"}))),
         ]),
         hierarchy)
-    manager = AnnotationRuleManager(relation, min_support=0.15,
-                                    min_confidence=0.5,
-                                    generalizer=generalizer)
+    manager = CorrelationEngine(relation, min_support=0.15,
+                                min_confidence=0.5,
+                                generalizer=generalizer)
     manager.mine()
     return manager, hierarchy
 
 
 class TestConstruction:
     def test_requires_generalizer(self):
-        manager = AnnotationRuleManager(make_relation(), min_support=0.3,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(make_relation(), min_support=0.3,
+                                    min_confidence=0.6)
         manager.mine()
         with pytest.raises(GeneralizationError):
             MultiLevelMiner(manager, ConceptHierarchy())

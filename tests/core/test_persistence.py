@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.persistence import load, restore, save, snapshot
 from repro.errors import FormatError, MaintenanceError
 from repro.relation.annotation import Annotation
@@ -14,7 +14,7 @@ from tests.conftest import make_relation
 
 
 def mined_manager(relation=None):
-    manager = AnnotationRuleManager(
+    manager = CorrelationEngine(
         relation if relation is not None else make_relation(),
         min_support=0.25, min_confidence=0.6)
     manager.mine()
@@ -23,8 +23,8 @@ def mined_manager(relation=None):
 
 class TestSnapshot:
     def test_unmined_rejected(self):
-        manager = AnnotationRuleManager(make_relation(), min_support=0.3,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(make_relation(), min_support=0.3,
+                                    min_confidence=0.6)
         with pytest.raises(MaintenanceError):
             snapshot(manager)
 

@@ -4,7 +4,8 @@ Each version's writer is reconstructed by stripping exactly the keys
 that version's spec lacks from a current document — v1 has no
 revision/catalog, v2 no shard layout, v3 no journal anchor.  All of
 them must load, round-trip through the v4 writer unchanged in
-substance, and malformed v4 journal anchors must refuse.
+substance, and malformed v4 journal anchors must refuse.  Shard
+layouts may carry the ``executor`` key older writers recorded.
 """
 
 import pytest
@@ -82,6 +83,31 @@ def test_v3_sharded_layout_still_loads():
     assert restored.signature() == manager.signature()
     restored.close()
     manager.close()
+
+
+@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("executor", [None, "thread", "process"])
+def test_legacy_shard_executor_is_accepted_and_ignored(version, executor):
+    """v3/v4 writers recorded a shard executor (or, before it existed,
+    none); every such document restores the same engine, and the
+    current writer no longer records one."""
+    manager = mined(shards=2)
+    aged = downgrade(persistence.snapshot(manager), version)
+    assert "executor" not in aged["shards"]
+    if executor is not None:
+        aged["shards"] = {**aged["shards"], "executor": executor}
+    restored = persistence.restore(aged)
+    assert isinstance(restored, ShardedEngine)
+    assert restored.assignment() == manager.assignment()
+    assert restored.signature() == manager.signature()
+
+
+def test_invalid_legacy_shard_executor_refuses():
+    manager = mined(shards=2)
+    document = persistence.snapshot(manager)
+    document["shards"] = {**document["shards"], "executor": "fiber"}
+    with pytest.raises(FormatError, match="invalid executor"):
+        persistence.restore(document)
 
 
 def test_v4_journal_anchor_round_trips():

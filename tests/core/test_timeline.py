@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.events import AddAnnotations, AddUnannotatedTuples
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.core.timeline import Direction, TimelineRecorder
 from repro.errors import MaintenanceError
@@ -11,7 +11,7 @@ from tests.conftest import make_relation
 
 
 def recorder_over(rows=None, **thresholds):
-    manager = AnnotationRuleManager(
+    manager = CorrelationEngine(
         make_relation(rows),
         min_support=thresholds.get("min_support", 0.25),
         min_confidence=thresholds.get("min_confidence", 0.6))
@@ -29,8 +29,8 @@ class TestDirection:
 
 class TestRecorder:
     def test_requires_mined_manager(self):
-        manager = AnnotationRuleManager(make_relation(), min_support=0.3,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(make_relation(), min_support=0.3,
+                                    min_confidence=0.6)
         with pytest.raises(MaintenanceError):
             TimelineRecorder(manager)
 

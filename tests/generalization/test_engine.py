@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.errors import GeneralizationError
 from repro.generalization.engine import Generalizer
@@ -130,10 +130,10 @@ class TestManagerIntegration:
     def test_generalized_rules_surface(self):
         relation = self._relation()
         generalizer = build_generalizer(relation)
-        manager = AnnotationRuleManager(relation, min_support=0.5,
-                                        min_confidence=0.9,
-                                        generalizer=generalizer,
-                                        validate=True)
+        manager = CorrelationEngine(relation, min_support=0.5,
+                                    min_confidence=0.9,
+                                    generalizer=generalizer,
+                                    validate=True)
         manager.mine()
         label_rules = [
             rule for rule in manager.rules
@@ -149,10 +149,10 @@ class TestManagerIntegration:
     def test_incremental_labels_under_case3(self):
         relation = self._relation()
         generalizer = build_generalizer(relation)
-        manager = AnnotationRuleManager(relation, min_support=0.4,
-                                        min_confidence=0.8,
-                                        generalizer=generalizer,
-                                        validate=True)
+        manager = CorrelationEngine(relation, min_support=0.4,
+                                    min_confidence=0.8,
+                                    generalizer=generalizer,
+                                    validate=True)
         manager.mine()
         # Annotating an un-annotated tuple must also attach the label
         # incrementally and stay equivalent to a full re-mine.
@@ -163,10 +163,10 @@ class TestManagerIntegration:
     def test_label_removal_under_detach(self):
         relation = self._relation()
         generalizer = build_generalizer(relation)
-        manager = AnnotationRuleManager(relation, min_support=0.4,
-                                        min_confidence=0.8,
-                                        generalizer=generalizer,
-                                        validate=True)
+        manager = CorrelationEngine(relation, min_support=0.4,
+                                    min_confidence=0.8,
+                                    generalizer=generalizer,
+                                    validate=True)
         manager.mine()
         manager.remove_annotations([(0, "Annot_bad1")])
         assert relation.tuple(0).labels == set()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.exploitation.curation import CurationSession
 from repro.exploitation.insert_advisor import InsertAdvisor
@@ -25,7 +25,7 @@ class TestWorkloadLifecycle:
     @pytest.fixture
     def manager(self):
         workload = workloads.dev_scale()
-        manager = AnnotationRuleManager(
+        manager = CorrelationEngine(
             workload.relation,
             min_support=workload.min_support,
             min_confidence=workload.min_confidence,
@@ -52,10 +52,10 @@ class TestWorkloadLifecycle:
     def test_many_small_batches_equal_one_large(self):
         first = workloads.dev_scale()
         second = workloads.dev_scale()
-        small = AnnotationRuleManager(
+        small = CorrelationEngine(
             first.relation, min_support=0.3, min_confidence=0.7)
         small.mine()
-        large = AnnotationRuleManager(
+        large = CorrelationEngine(
             second.relation, min_support=0.3, min_confidence=0.7)
         large.mine()
         batch = generate_annotation_batch(first.relation, size=40, seed=7)
@@ -82,7 +82,7 @@ class TestGeneralizationPipeline:
     def test_sparse_concept_only_visible_generalized(self):
         workload = workloads.sparse_annotations(n_tuples=600)
         relation = workload.relation
-        raw = AnnotationRuleManager(
+        raw = CorrelationEngine(
             relation, min_support=workload.min_support,
             min_confidence=workload.min_confidence)
         raw.mine()
@@ -95,7 +95,7 @@ class TestGeneralizationPipeline:
             relation.registry,
             GeneralizationRuleSet(
                 [GeneralizationRule("Invalidation", IdMatcher(variants))]))
-        generalized = AnnotationRuleManager(
+        generalized = CorrelationEngine(
             relation.copy(), min_support=workload.min_support,
             min_confidence=workload.min_confidence,
             generalizer=generalizer)
@@ -113,8 +113,8 @@ class TestExploitationPipeline:
         workload = workloads.dev_scale(n_tuples=600)
         relation = workload.relation
         hidden = set(hide_annotations(relation, fraction=0.15, seed=3))
-        manager = AnnotationRuleManager(relation, min_support=0.25,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(relation, min_support=0.25,
+                                    min_confidence=0.6)
         manager.mine()
         recommendations = rank(
             MissingAnnotationRecommender(manager).scan())
@@ -127,9 +127,9 @@ class TestExploitationPipeline:
 
     def test_curation_commit_then_advisor(self):
         workload = workloads.dev_scale(n_tuples=400)
-        manager = AnnotationRuleManager(workload.relation,
-                                        min_support=0.25,
-                                        min_confidence=0.6)
+        manager = CorrelationEngine(workload.relation,
+                                    min_support=0.25,
+                                    min_confidence=0.6)
         manager.mine()
         advisor = InsertAdvisor(manager).install()
         session = CurationSession(manager)
@@ -145,7 +145,7 @@ class TestExploitationPipeline:
 class TestRuleKindsSeparation:
     def test_d2a_lhs_is_data_a2a_lhs_is_annotations(self):
         workload = workloads.dense_correlations(n_tuples=600)
-        manager = AnnotationRuleManager(
+        manager = CorrelationEngine(
             workload.relation, min_support=0.2, min_confidence=0.6)
         manager.mine()
         for rule in manager.rules_of_kind(RuleKind.DATA_TO_ANNOTATION):

@@ -9,7 +9,7 @@ import io
 
 from repro.app.session import Session
 from repro.core.events import AddAnnotations
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.io import dataset_format, rules_format, updates_format
 from repro.synth import workloads
 from repro.synth.generator import generate_annotation_batch
@@ -33,7 +33,7 @@ class TestFigure4Dataset:
 class TestFigure7Rules:
     def test_rule_file_regenerated(self, tmp_path):
         workload = workloads.dev_scale()
-        manager = AnnotationRuleManager(
+        manager = CorrelationEngine(
             workload.relation, min_support=workload.min_support,
             min_confidence=workload.min_confidence)
         manager.mine()
@@ -51,7 +51,7 @@ class TestFigure7Rules:
 class TestFigure14Updates:
     def test_update_file_round_trip_through_manager(self, tmp_path):
         workload = workloads.dev_scale()
-        manager = AnnotationRuleManager(
+        manager = CorrelationEngine(
             workload.relation, min_support=workload.min_support,
             min_confidence=workload.min_confidence)
         manager.mine()

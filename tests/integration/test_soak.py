@@ -9,7 +9,7 @@ hundreds of times and hide real regressions in noise).
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.synth.streams import EventStream, StreamConfig
 from repro.synth.workloads import dev_scale
 from tests.conftest import assert_equivalent_to_remine
@@ -18,8 +18,8 @@ from tests.conftest import assert_equivalent_to_remine
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_soak_mixed_stream(seed):
     workload = dev_scale(n_tuples=120, seed=seed)
-    manager = AnnotationRuleManager(workload.relation, min_support=0.25,
-                                    min_confidence=0.6, validate=True)
+    manager = CorrelationEngine(workload.relation, min_support=0.25,
+                                min_confidence=0.6, validate=True)
     manager.mine()
     stream = EventStream(workload.relation, StreamConfig(
         seed=seed, batch_size=6))
@@ -38,8 +38,8 @@ def test_soak_mixed_stream(seed):
 def test_soak_heavy_annotation_churn():
     """Case 3 and its inverse dominating — the paper's central loop."""
     workload = dev_scale(n_tuples=100, seed=7)
-    manager = AnnotationRuleManager(workload.relation, min_support=0.2,
-                                    min_confidence=0.6, validate=True)
+    manager = CorrelationEngine(workload.relation, min_support=0.2,
+                                min_confidence=0.6, validate=True)
     manager.mine()
     stream = EventStream(workload.relation, StreamConfig(
         weight_add_annotations=5, weight_remove_annotations=3,
@@ -54,8 +54,8 @@ def test_soak_growing_then_shrinking():
     """Database grows by inserts then shrinks by deletes; floors move
     in both directions and the pattern table must track exactly."""
     workload = dev_scale(n_tuples=80, seed=5)
-    manager = AnnotationRuleManager(workload.relation, min_support=0.25,
-                                    min_confidence=0.6, validate=True)
+    manager = CorrelationEngine(workload.relation, min_support=0.25,
+                                min_confidence=0.6, validate=True)
     manager.mine()
     grow = EventStream(workload.relation, StreamConfig(
         weight_add_annotations=1, weight_insert_annotated=4,

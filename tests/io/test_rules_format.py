@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.errors import FormatError
 from repro.io.rules_format import (
     format_rule,
@@ -17,8 +17,8 @@ from tests.conftest import make_relation
 
 @pytest.fixture
 def mined():
-    manager = AnnotationRuleManager(make_relation(), min_support=0.25,
-                                    min_confidence=0.6)
+    manager = CorrelationEngine(make_relation(), min_support=0.25,
+                                min_confidence=0.6)
     manager.mine()
     return manager
 

@@ -188,19 +188,6 @@ class TestTidsetSketch:
         with pytest.raises(MiningError, match="empty"):
             TidsetSketch(k=8).max_hash
 
-    def test_payload_round_trip(self):
-        sketch = TidsetSketch.from_tids(range(50), k=8)
-        clone = TidsetSketch.from_payload(sketch.to_payload(), k=8)
-        assert clone.sample == sketch.sample
-        assert clone.cardinality == sketch.cardinality
-        assert clone.max_hash == sketch.max_hash
-
-    def test_payload_validation(self):
-        with pytest.raises(MiningError, match="hashes for k=8"):
-            TidsetSketch.from_payload((tuple(range(9)), 9), k=8)
-        with pytest.raises(MiningError, match="below sample size"):
-            TidsetSketch.from_payload(((1, 2, 3), 2), k=8)
-
 
 class TestSketchIndex:
     def test_from_mapping_skips_empty_tidsets(self):
@@ -276,10 +263,3 @@ class TestSketchIndex:
         assert rule.support == pytest.approx(4 / 12)
         assert rule.confidence == pytest.approx(4 / 8)
         assert rule.lift == pytest.approx((4 / 8) / (8 / 12))
-
-    def test_payload_round_trip_preserves_estimates(self):
-        index = SketchIndex.from_mapping(
-            {1: range(0, 3000, 2), 2: range(0, 3000, 3)}, k=16)
-        clone = SketchIndex.from_payload(index.to_payload(), k=16)
-        assert clone.itemset_estimate((1, 2)) == index.itemset_estimate((1, 2))
-        assert clone.cardinality(1) == index.cardinality(1)

@@ -15,6 +15,7 @@ from repro.core.catalog import METRICS, metric_key
 from repro.core.engine import engine
 from repro.core.rules import RuleKind
 from repro.mining.backend import available_backends
+from repro.synth import workloads
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from tests.conftest import make_relation
 
@@ -37,6 +38,42 @@ def maintained_engine(backend, counter, seed):
     eng.mine()
     eng.apply_batch(events)
     return eng
+
+
+#: Floor combinations checked together: each floor must filter on its
+#: own value, whatever floors are set beside it.
+FLOOR_COMBINATIONS = (
+    ("min_support", "min_confidence"),
+    ("min_confidence", "min_lift"),
+    ("min_support", "min_confidence", "min_lift"),
+    ("min_lift", "min_chi_square"),
+)
+
+
+def _metric(catalog, rule, floor_name):
+    if floor_name == "min_chi_square":
+        return catalog.chi_square_of(rule)
+    return getattr(rule, floor_name.removeprefix("min_"))
+
+
+def assert_floors_equal_linear_scan(catalog, context):
+    """Each floor combination, every floor set at its metric's median
+    over the catalog, returns exactly the brute-force filter."""
+    rules = catalog.rules
+    if not rules:
+        return
+    for names in FLOOR_COMBINATIONS:
+        floors = {name: sorted(_metric(catalog, rule, name)
+                               for rule in rules)[len(rules) // 2]
+                  for name in names}
+        query = catalog.query()
+        for name, value in floors.items():
+            query = getattr(query, name)(value)
+        brute = [rule for rule in rules
+                 if all(_metric(catalog, rule, name) >= value
+                        for name, value in floors.items())]
+        assert list(query.all()) == brute, (context, floors)
+        assert query.count() == len(brute), (context, floors)
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -114,6 +151,8 @@ def test_paged_and_composed_queries_equal_linear_scan(backend, counter,
                 1 for rule in rules
                 if rule.kind is kind and rule.confidence >= floor), context
 
+    assert_floors_equal_linear_scan(catalog, context)
+
     # explain() must name a real index and truthful candidate counts.
     if rules:
         probe = rng.choice(rules)
@@ -122,3 +161,12 @@ def test_paged_and_composed_queries_equal_linear_scan(backend, counter,
         assert explain.index == "rhs", context
         assert explain.candidates == len(catalog.with_rhs(probe.rhs)), context
         assert explain.matched == explain.candidates, context
+
+
+def test_combined_floors_equal_linear_scan_at_paper_scale():
+    """A rule set large enough that every floor combination keeps some
+    rules and drops others."""
+    workload = workloads.paper_scale(n_tuples=2000, seed=1)
+    eng = engine(workload.relation, min_support=0.1, min_confidence=0.5)
+    eng.mine()
+    assert_floors_equal_linear_scan(eng.catalog(), "(paper_scale)")

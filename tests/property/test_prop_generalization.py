@@ -9,7 +9,7 @@ require exact equivalence with re-mining the final extended database.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.generalization.engine import Generalizer
 from repro.generalization.hierarchy import ConceptHierarchy
 from repro.generalization.rules import (
@@ -48,10 +48,10 @@ def build_manager(rows, mapping, with_hierarchy):
         hierarchy = ConceptHierarchy.from_edges(
             [(label, "Root") for label in mapping])
     generalizer = Generalizer(relation.registry, rules, hierarchy)
-    manager = AnnotationRuleManager(relation, min_support=0.2,
-                                    min_confidence=0.6,
-                                    generalizer=generalizer,
-                                    validate=True)
+    manager = CorrelationEngine(relation, min_support=0.2,
+                                min_confidence=0.6,
+                                generalizer=generalizer,
+                                validate=True)
     manager.mine()
     return manager
 

@@ -11,7 +11,7 @@ scenarios.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.relation.relation import AnnotatedRelation
 from tests.conftest import assert_equivalent_to_remine
 
@@ -62,9 +62,9 @@ def build_manager(rows, thresholds):
     for values, annotations in rows:
         relation.insert(values, annotations)
     min_support, min_confidence, margin = thresholds
-    manager = AnnotationRuleManager(relation, min_support=min_support,
-                                    min_confidence=min_confidence,
-                                    margin=margin, validate=True)
+    manager = CorrelationEngine(relation, min_support=min_support,
+                                min_confidence=min_confidence,
+                                margin=margin, validate=True)
     manager.mine()
     return manager
 

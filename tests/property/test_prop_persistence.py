@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.persistence import restore, snapshot
 from repro.relation.relation import AnnotatedRelation
 
@@ -19,8 +19,8 @@ def build_manager(rows):
     relation = AnnotatedRelation()
     for values, annotations in rows:
         relation.insert(values, annotations)
-    manager = AnnotationRuleManager(relation, min_support=0.2,
-                                    min_confidence=0.6)
+    manager = CorrelationEngine(relation, min_support=0.2,
+                                min_confidence=0.6)
     manager.mine()
     return manager
 

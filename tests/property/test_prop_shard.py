@@ -11,10 +11,7 @@ including shard-skewed streams where one shard receives ~all inserts
 and shard counts exceeding the tuple count.
 
 ``REPRO_SHARDS`` (the CI axis) folds an extra shard count into the
-grid, so the axis job re-runs the differential suite at that layout;
-``REPRO_SHARD_EXECUTOR`` does the same for the phase-1 executor, so
-the ``process`` job re-proves indistinguishability with the shard
-mines running in worker processes over shared bitmap pages.
+grid, so the axis job re-runs the differential suite at that layout.
 """
 
 import os
@@ -30,8 +27,6 @@ from tests.conftest import assert_equivalent_to_remine, make_relation
 COUNTERS = ("auto", "vertical")
 SHARD_COUNTS = tuple(sorted({1, 2, 3, 7,
                              int(os.environ.get("REPRO_SHARDS", "1"))}))
-EXECUTORS = tuple(dict.fromkeys(
-    ("thread", os.environ.get("REPRO_SHARD_EXECUTOR", "thread"))))
 SEEDS = (3, 29)
 
 
@@ -44,8 +39,7 @@ def drawn_events(relation, count, seed, config=None):
         count, apply=lambda event: apply_to_relation(shadow, event)))
 
 
-def mined_pair(relation, backend, counter, shards, *, partitioner=None,
-               executor="thread"):
+def mined_pair(relation, backend, counter, shards, *, partitioner=None):
     """(monolithic, sharded) engines over private copies, both mined."""
     mono = engine(relation.copy(), min_support=0.25, min_confidence=0.6,
                   backend=backend, counter=counter, validate=True)
@@ -54,12 +48,6 @@ def mined_pair(relation, backend, counter, shards, *, partitioner=None,
                             min_support=0.25, min_confidence=0.6,
                             backend=backend, counter=counter,
                             validate=True, shards=shards,
-                            # Single-core CI boxes report cpu_count 1,
-                            # which would quietly serialize phase 1;
-                            # pin 2 workers so the chosen pool engages.
-                            shard_workers=2 if executor == "process"
-                            else None,
-                            shard_executor=executor,
                             partitioner=partitioner)
     sharded.mine()
     return mono, sharded
@@ -68,20 +56,17 @@ def mined_pair(relation, backend, counter, shards, *, partitioner=None,
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("counter", COUNTERS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_equals_monolithic_at_every_boundary(backend, counter,
-                                                     shards, executor,
-                                                     seed, seeds):
+                                                     shards, seed, seeds):
     """Initial mine and every flush boundary of a randomized stream
     agree between the sharded and the monolithic engine."""
     relation = make_relation()
     events = drawn_events(relation, count=12, seed=seeds.seed(seed))
-    mono, sharded = mined_pair(relation, backend, counter, shards,
-                               executor=executor)
+    mono, sharded = mined_pair(relation, backend, counter, shards)
     assert sharded.signature() == mono.signature(), (
         f"initial mine diverged (backend={backend}, counter={counter}, "
-        f"shards={shards}, executor={executor})")
+        f"shards={shards})")
 
     rng = seeds.rng(seed * 101 + shards)
     cut_count = rng.randint(1, 4)
@@ -92,7 +77,7 @@ def test_sharded_equals_monolithic_at_every_boundary(backend, counter,
         sharded.apply_batch(batch)
         assert sharded.signature() == mono.signature(), (
             f"flush boundary {start}:{stop} diverged (backend={backend}, "
-            f"counter={counter}, shards={shards}, executor={executor}, "
+            f"counter={counter}, shards={shards}, "
             f"seed={seed})")
         assert sharded.db_size == mono.db_size
     assert len(sharded.table) == len(mono.table)

@@ -139,10 +139,10 @@ class TestComposition:
         """Query results are ordinary annotated relations — they feed
         straight into the rule manager (annotations survived the query,
         so correlations can be mined on views)."""
-        from repro.core.manager import AnnotationRuleManager
+        from repro.core.engine import CorrelationEngine
 
         view = select(genes, lambda row: True).relation
-        manager = AnnotationRuleManager(view, min_support=0.1,
-                                        min_confidence=0.5)
+        manager = CorrelationEngine(view, min_support=0.1,
+                                    min_confidence=0.5)
         manager.mine()
         assert manager.verify_against_remine().equivalent

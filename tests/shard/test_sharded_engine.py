@@ -312,6 +312,34 @@ class TestShardWorkers:
         manager = sharded(shards=3, shard_workers=workers)
         assert manager.signature() == baseline.signature()
 
+    def test_cpu_count_floors_at_one(self, monkeypatch):
+        import os
+
+        import repro.shard.engine as engine_module
+
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        assert engine_module._available_cpus() == 1
+
+    def test_cpu_count_prefers_affinity_aware_count(self, monkeypatch):
+        import os
+
+        import repro.shard.engine as engine_module
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 2,
+                            raising=False)
+        assert engine_module._available_cpus() == 2
+
+    def test_default_workers_capped_by_cpus(self, monkeypatch):
+        import repro.shard.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_available_cpus", lambda: 2)
+        manager = ShardedEngine(
+            make_relation(),
+            EngineConfig(min_support=0.25, min_confidence=0.6, shards=4))
+        assert manager._workers() == 2
+
 
 class TestPersistenceV3:
     def test_sharded_snapshot_round_trips_layout_and_rules(self, tmp_path):

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.core.manager import AnnotationRuleManager
+from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.mining.itemsets import ItemKind
 from repro.synth import workloads
 
 
 def mine(workload, **overrides):
-    manager = AnnotationRuleManager(
+    manager = CorrelationEngine(
         workload.relation,
         min_support=overrides.get("min_support", workload.min_support),
         min_confidence=overrides.get("min_confidence",
-                                     workload.min_confidence))
+                                 workload.min_confidence))
     manager.mine()
     return manager
 

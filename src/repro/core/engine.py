@@ -514,8 +514,8 @@ class CorrelationEngine:
     def close(self) -> None:
         """Release held resources and leave the engine reusable.
 
-        No engine holds any today; services and the server drain call
-        this on every hosted engine so one that does can release it."""
+        No engine holds any today; the method stays so callers that
+        close engines when done keep working."""
 
     def _validate_insert_row(self, values: Sequence[str]) -> None:
         """Mirror of ``relation.insert``'s row validation, run at plan

@@ -76,6 +76,38 @@ class TestShardedSessions:
         assert service.verify("hot").equivalent
 
 
+class TestLifecycle:
+    """Sharded engines hold no resources between calls, so ``drop()``
+    and ``close()`` leave no worker threads and close() keeps every
+    session serving."""
+
+    POOLED = CONFIG.replace(shard_workers=2)
+
+    def test_drop_leaves_no_worker_threads(self):
+        before = set(threading.enumerate())
+        service = CorrelationService(config=self.POOLED)
+        service.create("hot", make_relation())
+        service.submit("hot", AddAnnotations.build([(3, "A")]))
+        service.flush("hot")
+        service.drop("hot")
+        assert set(threading.enumerate()) <= before
+        assert service.sessions() == ()
+
+    def test_service_close_keeps_sharded_sessions_usable(self):
+        service = CorrelationService(config=self.POOLED)
+        service.create("a", make_relation())
+        service.create("b", make_relation())
+        signature = service.snapshot("a").signature
+        service.close()
+        assert service.snapshot("a").signature == signature
+        service.submit("a", AddAnnotations.build([(0, "Z9")]))
+        report = service.flush("a")
+        assert report.events == 1
+        assert service.verify("a").equivalent
+        assert service.verify("b").equivalent
+        service.close()
+
+
 class TestNoTornRevisions:
     def test_readers_never_observe_torn_state_during_sharded_remine(
             self, service):

@@ -1,5 +1,7 @@
 """RuleCatalog: indexes, metric orderings, query planning, explain."""
 
+import itertools
+
 import pytest
 
 from repro.core.catalog import (
@@ -388,3 +390,58 @@ class TestSignificanceTier:
         assert clone.ordered_by("support") is support_ordering
         assert clone.chi_square_of(rules[0]) != before
         assert base.chi_square_of(rules[0]) == before
+
+
+FLOORS = ("min_support", "min_confidence", "min_lift", "min_chi_square")
+
+
+def floor_metric(catalog, rule, name):
+    if name == "min_chi_square":
+        return catalog.chi_square_of(rule)
+    return getattr(rule, name.removeprefix("min_"))
+
+
+@pytest.fixture
+def grid_catalog():
+    """Rules spread over every metric: supports 2..12 of 40 tuples, each
+    at several LHS counts, so floors on different metrics cut the rule
+    set differently."""
+    grid = [rule(lhs=(lhs_id,), rhs=100, union=union,
+                 lhs_count=union + extra, db_size=40)
+            for lhs_id, (union, extra) in enumerate(
+                (union, extra) for union in range(2, 13)
+                for extra in (0, 2, 5, 9))]
+    return RuleCatalog(grid, rhs_counts={100: 20})
+
+
+class TestFloorCombinations:
+    @pytest.mark.parametrize("names", [
+        combo for size in (2, 3, 4)
+        for combo in itertools.combinations(FLOORS, size)
+    ], ids="+".join)
+    def test_each_floor_filters_on_its_own_value(self, grid_catalog,
+                                                 names):
+        """Floors set together each keep their own value; a floor that
+        read another's value would check, say, support against a lift
+        threshold and drop every rule."""
+        rules = grid_catalog.rules
+        floors = {name: sorted(floor_metric(grid_catalog, r, name)
+                               for r in rules)[len(rules) // 3]
+                  for name in names}
+        query = grid_catalog.query()
+        for name, value in floors.items():
+            query = getattr(query, name)(value)
+        expected = [r for r in rules
+                    if all(floor_metric(grid_catalog, r, name) >= value
+                           for name, value in floors.items())]
+        last = floors[names[-1]]
+        late_bound = [r for r in rules
+                      if all(floor_metric(grid_catalog, r, name) >= last
+                             for name in names)]
+        assert expected and expected != late_bound, (
+            "grid does not separate the floors")
+        assert list(query.all()) == expected
+        assert query.count() == len(expected)
+        for name, value in floors.items():
+            label = name.removeprefix("min_")
+            assert f"{label}>={value}" in query.explain().filters

@@ -125,6 +125,18 @@ class TestTenantLifecycle:
         assert status == 400
         assert "min_sup" in body["error"]
 
+    def test_removed_shard_executor_field_400(self, served):
+        """Sharded tenants have one executor; a body that still picks
+        one is an unknown field, not a silently ignored choice."""
+        status, body, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "x", "rows": ROWS,
+             "config": {"shards": 2, "shard_executor": "thread"}})
+        assert status == 400
+        assert "shard_executor" in body["error"]
+        status, _, _ = served.request("GET", "/v1/x")
+        assert status == 404
+
     def test_reserved_name_400(self, served):
         status, body, _ = served.request(
             "POST", "/v1/tenants", {"name": "tenants", "rows": ROWS})

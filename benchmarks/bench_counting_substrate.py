@@ -1,18 +1,10 @@
-"""E10 — the counting substrate: scan vs hashtree vs vertical (bitmap).
+"""E10 — the counting substrate: set tidsets vs bitmap tidsets.
 
-Two experiments around :mod:`repro.mining.bitmap`:
-
-* **counter axis** — the same fig7-style discovery pass and an
-  incremental insert batch, run on every registered backend under every
-  counter strategy it supports, asserting identical rule signatures and
-  reporting per-configuration wall clock;
-* **set vs bitmap micro-comparison** — the same candidate patterns
-  counted through the classic ``dict[int, set[int]]`` tidsets and
-  through :class:`~repro.mining.bitmap.BitmapIndex`, which is the
-  headline number the substrate has to win.
-
-Select one configuration for CI smoke via ``REPRO_BACKEND`` and
-``REPRO_COUNTER``.
+The same candidate patterns counted through the classic
+``dict[int, set[int]]`` tidsets and through
+:class:`~repro.mining.bitmap.BitmapIndex` — the headline number the
+substrate every engine mine runs on has to win — plus the bulk bitmap
+build against the per-tid reference it replaced.
 """
 
 from __future__ import annotations
@@ -20,61 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import engine
-from repro.mining.backend import available_backends
 from repro.mining.bitmap import BitmapIndex
 from repro.mining.eclat import build_vertical_index, count_itemset
 from repro.synth import workloads
 from benchmarks._harness import fmt_ms, record, time_once
 
-#: Counter strategies each backend supports (the horizontal structures
-#: are apriori-fup-only; the bitmap substrate is universal).
-SUPPORTED_COUNTERS = {
-    "apriori-fup": ("auto", "scan", "hashtree", "vertical"),
-    "eclat": ("auto", "vertical"),
-    "fpgrowth": ("auto", "vertical"),
-}
-
 
 @pytest.fixture(scope="module")
 def fig7_workload():
     return workloads.dense_correlations()
-
-
-def _lifecycle(workload, backend_name, counter):
-    """Fig7-style discovery plus one insert batch; returns the engine."""
-    manager = engine(workload.relation.copy(),
-                     min_support=0.2, min_confidence=0.6,
-                     backend=backend_name, counter=counter)
-    manager.mine()
-    manager.insert_annotated([(("77", "88"), ("Annot_1",))] * 25)
-    return manager
-
-
-def test_counter_axis_identical_rules(benchmark, fig7_workload,
-                                      backend_name, counter_name):
-    """Every (backend, counter) combination produces the same rules;
-    the benchmarked configuration comes from REPRO_BACKEND/REPRO_COUNTER."""
-    if counter_name not in SUPPORTED_COUNTERS[backend_name]:
-        pytest.skip(f"{backend_name} does not support counter="
-                    f"{counter_name}")
-    manager = benchmark.pedantic(
-        lambda: _lifecycle(fig7_workload, backend_name, counter_name),
-        rounds=2, iterations=1)
-    reference = manager.signature()
-
-    rows = [f"benchmarked configuration: backend={backend_name} "
-            f"counter={counter_name}",
-            "backend        counter    mine+insert      rules  agrees"]
-    for name in available_backends():
-        for counter in SUPPORTED_COUNTERS[name]:
-            elapsed, other = time_once(
-                lambda: _lifecycle(fig7_workload, name, counter))
-            agrees = other.signature() == reference
-            rows.append(f"{name:12s} {counter:10s} {fmt_ms(elapsed)} "
-                        f"{len(other.rules):8d}  {agrees}")
-            assert agrees, (f"backend {name} with counter={counter} "
-                            f"disagrees with the benchmarked configuration")
-    record("E10_counting_substrate_axis", rows)
 
 
 def test_bitmap_beats_set_counting(benchmark, fig7_workload):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.engine import engine
 from repro.core.rules import RuleKind
-from repro.mining.backend import available_backends
+from repro.baselines.remine import remine
 from repro.io.rules_format import parse_rules, write_rules
 from repro.synth import workloads
 from benchmarks._harness import record
@@ -30,22 +30,19 @@ def dense_workload():
     return workloads.dense_correlations()
 
 
-def _mine(relation, min_support, min_confidence, backend="apriori-fup"):
+def _mine(relation, min_support, min_confidence):
     manager = engine(relation.copy(),
                      min_support=min_support,
-                     min_confidence=min_confidence,
-                     backend=backend)
+                     min_confidence=min_confidence)
     manager.mine()
     return manager
 
 
-def test_fig7_rule_file_at_paper_thresholds(benchmark, paper_workload,
-                                            backend_name):
+def test_fig7_rule_file_at_paper_thresholds(benchmark, paper_workload):
     manager = benchmark.pedantic(
         lambda: _mine(paper_workload.relation,
                       paper_workload.min_support,
-                      paper_workload.min_confidence,
-                      backend_name),
+                      paper_workload.min_confidence),
         rounds=2, iterations=1)
     buffer = io.StringIO()
     write_rules(manager.rules, manager.vocabulary, buffer)
@@ -64,30 +61,34 @@ def test_fig7_rule_file_at_paper_thresholds(benchmark, paper_workload,
         f"flagship rule (paper: '28 85 ==> Annot_1, 0.9659, 0.4194'): "
         f"{flagship[0].lhs_tokens} ==> {flagship[0].rhs_token}, "
         f"{flagship[0].confidence}, {flagship[0].support}",
-        f"backend: {manager.backend_name}",
     ])
 
 
-def test_fig7_backend_axis(benchmark, dense_workload, backend_name):
-    """The same discovery pass on every registered backend: identical
-    rule sets, per-backend wall clock as a comparison table."""
+def test_fig7_engine_vs_paper_apriori(benchmark, dense_workload):
+    """The same discovery pass two ways: the engine's ``mine()`` (bulk
+    encode, vertical miner over the bitmap index) and the paper's
+    hash-tree Apriori (``remine``).  Identical rule sets, wall clock
+    of each as a comparison table."""
     from benchmarks._harness import fmt_ms, time_once
 
     manager = benchmark.pedantic(
-        lambda: _mine(dense_workload.relation, 0.2, 0.6, backend_name),
+        lambda: _mine(dense_workload.relation, 0.2, 0.6),
         rounds=2, iterations=1)
     reference = manager.signature()
 
-    rows = [f"benchmarked backend: {backend_name}",
-            "backend        initial-mine      rules  agrees"]
-    for name in available_backends():
-        elapsed, other = time_once(
-            lambda: _mine(dense_workload.relation, 0.2, 0.6, name))
+    rows = ["pipeline                    initial-mine      rules  agrees"]
+    for name, run in (
+            ("engine mine()", lambda: _mine(dense_workload.relation,
+                                            0.2, 0.6)),
+            ("hash-tree Apriori (remine)",
+             lambda: remine(dense_workload.relation, min_support=0.2,
+                            min_confidence=0.6))):
+        elapsed, other = time_once(run)
         agrees = other.signature() == reference
-        rows.append(f"{name:12s} {fmt_ms(elapsed)} {len(other.rules):8d}"
+        rows.append(f"{name:26s} {fmt_ms(elapsed)} {len(other.rules):8d}"
                     f"  {agrees}")
-        assert agrees, f"backend {name} disagrees with {backend_name}"
-    record("E5_fig7_backend_axis", rows)
+        assert agrees, f"{name} disagrees with the engine's mine()"
+    record("E5_fig7_engine_vs_paper_apriori", rows)
 
 
 def test_fig7_threshold_grid(benchmark, dense_workload):

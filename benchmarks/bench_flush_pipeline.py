@@ -94,27 +94,23 @@ def flush_events(flush_workload):
     return events
 
 
-def mined_engine(workload, backend, counter="auto"):
+def mined_engine(workload):
     manager = engine(
         workload.relation.copy(),
         min_support=workload.min_support,
-        min_confidence=workload.min_confidence,
-        backend=backend,
-        counter=counter)
+        min_confidence=workload.min_confidence)
     manager.mine()
     return manager
 
 
 def test_flush_pipeline_coalesced_vs_per_event(benchmark, flush_workload,
-                                               flush_events, backend_name,
-                                               counter_name):
+                                               flush_events):
     # Best-of-3 on each side (fresh engine per round: events mutate
     # state) so a scheduler hiccup cannot fake or mask the speedup.
     rounds = 3
     per_event_rounds = []
     for _ in range(rounds):
-        per_event = mined_engine(flush_workload, backend_name,
-                                 counter_name)
+        per_event = mined_engine(flush_workload)
 
         def apply_per_event():
             for event in flush_events:
@@ -125,8 +121,7 @@ def test_flush_pipeline_coalesced_vs_per_event(benchmark, flush_workload,
     coalesced_rounds = []
     report = None
     for _ in range(rounds):
-        batched = mined_engine(flush_workload, backend_name,
-                               counter_name)
+        batched = mined_engine(flush_workload)
         elapsed, report = time_once(
             lambda: batched.apply_batch(flush_events))
         coalesced_rounds.append(elapsed)
@@ -135,8 +130,7 @@ def test_flush_pipeline_coalesced_vs_per_event(benchmark, flush_workload,
     # Headline measurement: the coalesced flush, re-run via pedantic on
     # a fresh engine so pytest-benchmark owns its own timing.
     benchmark.pedantic(
-        lambda: mined_engine(flush_workload, backend_name,
-                             counter_name).apply_batch(flush_events),
+        lambda: mined_engine(flush_workload).apply_batch(flush_events),
         rounds=1, iterations=1)
 
     assert batched.signature() == per_event.signature(), (
@@ -148,8 +142,7 @@ def test_flush_pipeline_coalesced_vs_per_event(benchmark, flush_workload,
                if coalesced_seconds else float("inf"))
     stats = report.plan_stats
     record("E9_flush_pipeline", [
-        f"tuples={N_TUPLES} events={N_EVENTS} "
-        f"backend={backend_name} counter={counter_name}",
+        f"tuples={N_TUPLES} events={N_EVENTS}",
         f"per-event flush : {fmt_ms(per_event_seconds)}",
         f"coalesced flush : {fmt_ms(coalesced_seconds)}",
         f"speedup         : {speedup:8.1f}x  (target >= {TARGET_SPEEDUP}x "
@@ -167,14 +160,12 @@ def test_flush_pipeline_coalesced_vs_per_event(benchmark, flush_workload,
             f"application (target {TARGET_SPEEDUP}x)")
 
 
-def test_flush_pipeline_through_the_service(flush_workload, flush_events,
-                                            backend_name):
+def test_flush_pipeline_through_the_service(flush_workload, flush_events):
     """The serving facade path: queue everything, flush once, one
     revision bump, per-event audit rows intact."""
     config = EngineConfig(
         min_support=flush_workload.min_support,
-        min_confidence=flush_workload.min_confidence,
-        backend=backend_name)
+        min_confidence=flush_workload.min_confidence)
     service = CorrelationService(config=config)
     service.create("bench", flush_workload.relation.copy())
     for event in flush_events:
@@ -185,7 +176,7 @@ def test_flush_pipeline_through_the_service(flush_workload, flush_events,
     snap = service.snapshot("bench")
     assert snap.revision == 2 and snap.pending_events == 0
 
-    reference = mined_engine(flush_workload, backend_name)
+    reference = mined_engine(flush_workload)
     reference.apply_batch(flush_events)
     assert snap.signature == reference.signature()
     record("E9_flush_pipeline_service", [

@@ -65,11 +65,10 @@ def journal_batches(journal_workload):
     return batches
 
 
-def mined_engine(workload, backend):
+def mined_engine(workload):
     manager = engine(workload.relation.copy(),
                      min_support=workload.min_support,
-                     min_confidence=workload.min_confidence,
-                     backend=backend)
+                     min_confidence=workload.min_confidence)
     manager.mine()
     return manager
 
@@ -80,17 +79,16 @@ def drive(store, manager, batches):
         manager.apply_batch(list(batch))
 
 
-def test_journal_write_tax(tmp_path, journal_workload, journal_batches,
-                           backend_name):
+def test_journal_write_tax(tmp_path, journal_workload, journal_batches):
     """Flush throughput: bare engine vs WAL (fsync off) vs WAL (on)."""
-    bare = mined_engine(journal_workload, backend_name)
+    bare = mined_engine(journal_workload)
     bare_seconds, _ = time_once(
         lambda: [bare.apply_batch(list(batch))
                  for batch in journal_batches])
 
     timings = {}
     for fsync in (False, True):
-        manager = mined_engine(journal_workload, backend_name)
+        manager = mined_engine(journal_workload)
         store = JournalStore(tmp_path / f"fsync-{fsync}", fsync=fsync)
         store.ensure_base_snapshot(manager)
         timings[fsync], _ = time_once(
@@ -101,8 +99,7 @@ def test_journal_write_tax(tmp_path, journal_workload, journal_batches,
 
     events = N_FLUSHES * BATCH
     record("E10_journal_write_tax", [
-        f"tuples={N_TUPLES} flushes={N_FLUSHES} batch={BATCH} "
-        f"backend={backend_name}",
+        f"tuples={N_TUPLES} flushes={N_FLUSHES} batch={BATCH}",
         f"bare flushes       : {fmt_ms(bare_seconds)}",
         f"journal, no fsync  : {fmt_ms(timings[False])}",
         f"journal, fsync     : {fmt_ms(timings[True])}",
@@ -115,9 +112,9 @@ def test_journal_write_tax(tmp_path, journal_workload, journal_batches,
 
 def test_recovery_time_vs_journal_depth(benchmark, tmp_path,
                                         journal_workload,
-                                        journal_batches, backend_name):
+                                        journal_batches):
     """Restart bill: full-history replay vs snapshot + short suffix."""
-    manager = mined_engine(journal_workload, backend_name)
+    manager = mined_engine(journal_workload)
     store = JournalStore(tmp_path / "deep", fsync=False)
     store.ensure_base_snapshot(manager)
     drive(store, manager, journal_batches)
@@ -145,7 +142,7 @@ def test_recovery_time_vs_journal_depth(benchmark, tmp_path,
 
     speedup = full_seconds / snap_seconds if snap_seconds else float("inf")
     record("E10_recovery_depth", [
-        f"tuples={N_TUPLES} flushes={N_FLUSHES} backend={backend_name}",
+        f"tuples={N_TUPLES} flushes={N_FLUSHES}",
         f"full replay ({N_FLUSHES} records)   : {fmt_ms(full_seconds)}",
         f"snapshot + {suffix} record suffix : {fmt_ms(snap_seconds)}",
         f"checkpoint speedup: {speedup:6.1f}x",

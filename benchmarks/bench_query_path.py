@@ -56,12 +56,11 @@ def query_workload():
 
 
 @pytest.fixture(scope="module")
-def query_manager(query_workload, backend_name):
+def query_manager(query_workload):
     manager = engine(
         query_workload.relation.copy(),
         min_support=MIN_SUPPORT,
-        min_confidence=MIN_CONFIDENCE,
-        backend=backend_name)
+        min_confidence=MIN_CONFIDENCE)
     manager.mine()
     return manager
 
@@ -78,8 +77,7 @@ def _query_log(catalog, queries):
     }
 
 
-def test_query_path_catalog_vs_linear_scan(benchmark, query_manager,
-                                           backend_name):
+def test_query_path_catalog_vs_linear_scan(benchmark, query_manager):
     build_seconds, catalog = time_once(query_manager.catalog)
     # The baseline scans the same canonical listing the catalog serves,
     # so result *order* is identical and only the lookup cost differs.
@@ -149,8 +147,7 @@ def test_query_path_catalog_vs_linear_scan(benchmark, query_manager,
     per_query = {name: catalog_seconds[name] / N_QUERIES
                  for name in catalog_seconds}
     record("E10_query_path", [
-        f"tuples={N_TUPLES} rules={len(catalog)} queries={N_QUERIES}/class "
-        f"backend={backend_name}",
+        f"tuples={N_TUPLES} rules={len(catalog)} queries={N_QUERIES}/class",
         f"catalog build (once per revision): {fmt_ms(build_seconds)}",
         f"top-{TOP_K} by metric : linear {fmt_ms(linear_seconds['topk'])}"
         f"  catalog {fmt_ms(catalog_seconds['topk'])}"
@@ -177,12 +174,11 @@ def test_query_path_catalog_vs_linear_scan(benchmark, query_manager,
             f"linear scan (target {TARGET_SPEEDUP}x)")
 
 
-def test_query_path_hot_revision_reuse(query_workload, backend_name):
+def test_query_path_hot_revision_reuse(query_workload):
     """Unchanged-revision reads: snapshot() returns the same object,
     catalog() the same indexes — no per-call rule copying."""
     config = EngineConfig(min_support=MIN_SUPPORT,
-                          min_confidence=MIN_CONFIDENCE,
-                          backend=backend_name)
+                          min_confidence=MIN_CONFIDENCE)
     service = CorrelationService(config=config)
     service.create("bench", query_workload.relation.copy())
 
@@ -211,8 +207,7 @@ def test_query_path_hot_revision_reuse(query_workload, backend_name):
     speedup = (rebuild_seconds / hot_seconds if hot_seconds
                else float("inf"))
     record("E10_query_path_hot_reads", [
-        f"tuples={N_TUPLES} rules={len(rules)} reads={reads} "
-        f"backend={backend_name}",
+        f"tuples={N_TUPLES} rules={len(rules)} reads={reads}",
         f"hot snapshot() x{reads}   : {fmt_ms(hot_seconds)} "
         f"({hot_seconds / reads * 1e6:7.1f} us/read, same object)",
         f"per-read copy (old path) : {fmt_ms(rebuild_seconds)} "

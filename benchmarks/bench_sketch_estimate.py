@@ -108,12 +108,12 @@ def _estimate_accuracy(service, name):
     }
 
 
-def _scenario(benchmark, backend_name, *, scenario, shards,
+def _scenario(benchmark, *, scenario, shards,
               insert_heavy, headline):
     workload = workloads.paper_scale(n_tuples=N_TUPLES, seed=13)
     config = EngineConfig(min_support=workload.min_support,
                           min_confidence=workload.min_confidence,
-                          backend=backend_name, shards=shards)
+                          shards=shards)
     service = CorrelationService(config=config)
     try:
         service.create("bench", workload.relation.copy())
@@ -149,7 +149,7 @@ def _scenario(benchmark, backend_name, *, scenario, shards,
                  if estimate_seconds else float("inf"))
         binding = FULL_SCALE and headline
         record(f"E12_sketch_estimate:{scenario}", [
-            f"tuples={N_TUPLES} backend={backend_name} shards={shards} "
+            f"tuples={N_TUPLES} shards={shards} "
             f"events={EVENTS} top_k={TOP_K}",
             f"exact (flush+read) : {fmt_ms(exact_seconds)}",
             f"estimate (no wait) : {fmt_ms(estimate_seconds)}",
@@ -159,8 +159,8 @@ def _scenario(benchmark, backend_name, *, scenario, shards,
             f"over {accuracy['rules']} rules",
             f"mean |err| support : {accuracy['mean_abs_err_support']:.5f}",
         ])
-        _record_json(f"{scenario}:{backend_name}", [{
-            "backend": backend_name, "tuples": N_TUPLES,
+        _record_json(scenario, [{
+            "tuples": N_TUPLES,
             "shards": shards, "events": EVENTS, "top_k": TOP_K,
             "exact_seconds": exact_seconds,
             "estimate_seconds": estimate_seconds,
@@ -180,14 +180,14 @@ def _scenario(benchmark, backend_name, *, scenario, shards,
         service.close()
 
 
-def test_sketch_estimate_vs_exact(benchmark, backend_name):
+def test_sketch_estimate_vs_exact(benchmark):
     """Monolithic fig7 workload: the headline estimate-read latency."""
-    _scenario(benchmark, backend_name, scenario="fig7_monolithic",
+    _scenario(benchmark, scenario="fig7_monolithic",
               shards=1, insert_heavy=False, headline=True)
 
 
-def test_sketch_estimate_sharded_skewed_stream(backend_name):
+def test_sketch_estimate_sharded_skewed_stream():
     """4-shard engine under an insert-heavy stream — the exact leg pays
     a routed flush plus the global SON re-merge per batch."""
-    _scenario(None, backend_name, scenario="sharded_skewed",
+    _scenario(None, scenario="sharded_skewed",
               shards=4, insert_heavy=True, headline=False)

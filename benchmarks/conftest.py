@@ -1,51 +1,11 @@
-"""Shared fixtures for the benchmark harness.
-
-Backend selection is a harness-wide axis: set ``REPRO_BACKEND`` to any
-registered mining backend (``apriori-fup``, ``eclat``, ``fpgrowth``)
-to re-run every experiment on that backend, e.g.::
-
-    REPRO_BACKEND=eclat pytest benchmarks/bench_fig7_rule_discovery.py
-
-``REPRO_COUNTER`` likewise selects the candidate counting strategy
-(``auto``, ``scan``, ``hashtree``, ``vertical``) for the experiments
-that take the counter axis (``bench_counting_substrate.py``).
-
-The per-experiment output files record which backend produced them.
-"""
+"""Shared fixtures for the benchmark harness."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.core.engine import CorrelationEngine, engine
-from repro.mining.backend import DEFAULT_BACKEND, available_backends
 from repro.synth import workloads
-
-
-@pytest.fixture(scope="session")
-def backend_name() -> str:
-    """The mining backend under benchmark (``REPRO_BACKEND`` env var)."""
-    name = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
-    if name not in available_backends():
-        raise pytest.UsageError(
-            f"REPRO_BACKEND={name!r} is not a registered backend; "
-            f"choose from {', '.join(available_backends())}")
-    return name
-
-
-@pytest.fixture(scope="session")
-def counter_name() -> str:
-    """Candidate counting strategy (``REPRO_COUNTER`` env var)."""
-    from repro.mining.apriori import COUNTER_STRATEGIES
-
-    name = os.environ.get("REPRO_COUNTER", "auto")
-    if name not in COUNTER_STRATEGIES:
-        raise pytest.UsageError(
-            f"REPRO_COUNTER={name!r} is not a counter strategy; "
-            f"choose from {', '.join(COUNTER_STRATEGIES)}")
-    return name
 
 
 @pytest.fixture(scope="session")
@@ -55,13 +15,12 @@ def paper_workload():
 
 
 @pytest.fixture(scope="session")
-def paper_manager(paper_workload, backend_name):
+def paper_manager(paper_workload):
     """A mined engine over a private copy of the paper workload."""
     manager = engine(
         paper_workload.relation.copy(),
         min_support=paper_workload.min_support,
-        min_confidence=paper_workload.min_confidence,
-        backend=backend_name)
+        min_confidence=paper_workload.min_confidence)
     manager.mine()
     return manager
 
@@ -72,12 +31,10 @@ def case_workload():
     return workloads.paper_scale(n_tuples=2000, seed=17)
 
 
-def fresh_case_manager(case_workload,
-                       backend: str = DEFAULT_BACKEND) -> CorrelationEngine:
+def fresh_case_manager(case_workload) -> CorrelationEngine:
     manager = engine(
         case_workload.relation.copy(),
         min_support=case_workload.min_support,
-        min_confidence=case_workload.min_confidence,
-        backend=backend)
+        min_confidence=case_workload.min_confidence)
     manager.mine()
     return manager

@@ -56,14 +56,6 @@ from repro.shard import (
 )
 from repro.core.maintenance import BatchReport, MaintenanceReport
 from repro.errors import DeltaPlanError
-from repro.mining.backend import (
-    AprioriFupBackend,
-    EclatBackend,
-    FPGrowthBackend,
-    MiningBackend,
-    available_backends,
-    register_backend,
-)
 from repro.app.service import (
     CorrelationService,
     RebalanceReport,
@@ -118,7 +110,6 @@ __all__ = [
     "Annotation",
     "AnnotationAnchor",
     "AnnotatedRelation",
-    "AprioriFupBackend",
     "AssociationRule",
     "AuditReport",
     "BatchReport",
@@ -132,13 +123,10 @@ __all__ = [
     "DeltaPlanError",
     "EncodedSubstrate",
     "EventAudit",
-    "EclatBackend",
     "EngineConfig",
     "EngineConfigBuilder",
     "EventJournal",
-    "FPGrowthBackend",
     "JournalStore",
-    "MiningBackend",
     "QueryExplain",
     "RebalancePlan",
     "RebalanceReport",
@@ -184,7 +172,6 @@ __all__ = [
     "UnexplainedAnnotationFinder",
     "TransactionDatabase",
     "audit",
-    "available_backends",
     "closed_itemsets",
     "compile_plan",
     "compress_rules",
@@ -196,7 +183,6 @@ __all__ = [
     "persistence",
     "plan_rebalance",
     "query",
-    "register_backend",
     "remine",
     "render_evidence",
     "rule_yield",

@@ -22,8 +22,6 @@ from collections.abc import Callable, Iterator
 from repro.core.rules import RuleKind
 from repro.errors import ReproError
 from repro.app.session import Session
-from repro.mining.apriori import COUNTER_STRATEGIES
-from repro.mining.backend import DEFAULT_BACKEND, available_backends
 
 MENU = """
 Please select an operation:
@@ -58,14 +56,11 @@ class CommandLoop:
                  read: Callable[[str], str],
                  write: Callable[[str], None],
                  *,
-                 backend: str = DEFAULT_BACKEND,
-                 counter: str = "auto",
                  auto_flush_every: int | None = None,
                  shards: int = 1) -> None:
         self._read = read
         self._write = write
-        self.session = Session(backend=backend, counter=counter,
-                               auto_flush_every=auto_flush_every,
+        self.session = Session(auto_flush_every=auto_flush_every,
                                shards=shards)
 
     # -- prompting helpers ----------------------------------------------------
@@ -399,15 +394,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="dataset file (paper Figure 4 format)")
     parser.add_argument("--commands", metavar="FILE",
                         help="read menu answers from FILE instead of stdin")
-    parser.add_argument("--backend", default=DEFAULT_BACKEND,
-                        choices=available_backends(),
-                        help="mining backend for discovery and maintenance "
-                             "(default: %(default)s)")
-    parser.add_argument("--counter", default="auto",
-                        choices=COUNTER_STRATEGIES,
-                        help="candidate counting strategy; 'vertical' "
-                             "counts by bitmap-tidset intersection "
-                             "(default: %(default)s)")
     parser.add_argument("--auto-flush-every", metavar="N", type=int,
                         default=None,
                         help="queue update files and apply them as one "
@@ -426,15 +412,13 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.commands, encoding="utf-8") as handle:
                 lines = [line.rstrip("\n") for line in handle]
             loop = CommandLoop(_scripted_reader(lines), print,
-                               backend=args.backend, counter=args.counter,
                                auto_flush_every=args.auto_flush_every,
                                shards=args.shards)
         else:
             def read(prompt: str) -> str:
                 return input(prompt)
 
-            loop = CommandLoop(read, print, backend=args.backend,
-                               counter=args.counter,
+            loop = CommandLoop(read, print,
                                auto_flush_every=args.auto_flush_every,
                                shards=args.shards)
         return loop.run(args.dataset)

@@ -201,7 +201,6 @@ class EstimateSnapshot:
     """
 
     session: str
-    backend: str
     #: Revision of the published catalog the candidates came from.
     revision: int
     #: Estimated live tuple count (flushed size + pending inserts −
@@ -311,7 +310,6 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
         estimated = estimated[:n]
     return EstimateSnapshot(
         session=session,
-        backend=engine.backend_name,
         revision=revision,
         db_size=db_size,
         pending_events=len(pending),

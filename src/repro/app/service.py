@@ -88,7 +88,6 @@ class RuleSnapshot:
     """
 
     session: str
-    backend: str
     db_size: int
     #: Monotone per-session *flush* counter: bumped by ``mine`` and
     #: each flush.  Not the engine's rule revision — a per-event
@@ -1001,7 +1000,6 @@ class CorrelationService:
                 instrumentation.snapshot_misses.inc()
             snap = RuleSnapshot(
                 session=hosted.name,
-                backend=engine.backend_name,
                 db_size=engine.db_size,
                 revision=hosted.revision,
                 # The catalog's canonical tuple is the snapshot's rule

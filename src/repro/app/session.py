@@ -27,7 +27,6 @@ from repro.app.service import isolate_poison_event
 from repro.core.rules import AssociationRule, RuleKind
 from repro.core.stats import DEFAULT_MARGIN
 from repro.errors import ItemKindError, SessionError, VocabularyError
-from repro.mining.backend import DEFAULT_BACKEND
 from repro.exploitation.ranking import rank
 from repro.exploitation.recommender import (
     MissingAnnotationRecommender,
@@ -50,9 +49,7 @@ class Session:
     the serving facade's write path, surfaced in the standalone app.
     """
 
-    def __init__(self, *, backend: str = DEFAULT_BACKEND,
-                 counter: str = "auto",
-                 auto_flush_every: int | None = None,
+    def __init__(self, *, auto_flush_every: int | None = None,
                  shards: int = 1) -> None:
         if auto_flush_every is not None and auto_flush_every < 1:
             raise SessionError(
@@ -64,8 +61,6 @@ class Session:
         self.manager: CorrelationEngine | None = None
         self.generalizer: Generalizer | None = None
         self.dataset_path: str | None = None
-        self.backend = backend
-        self.counter = counter
         self.auto_flush_every = auto_flush_every
         self.shards = shards
         self.pending_updates: list[UpdateEvent] = []
@@ -130,8 +125,6 @@ class Session:
                   .support(min_support)
                   .confidence(min_confidence)
                   .margin(margin)
-                  .backend(self.backend)
-                  .counter(self.counter)
                   .generalizer(self.generalizer)
                   .max_length(max_length)
                   .shards(self.shards)
@@ -343,8 +336,6 @@ class Session:
             "annotations": (len(self.relation.registry)
                             if self.relation else 0),
             "generalizations": (self.generalizer is not None),
-            "backend": self.backend,
-            "counter": self.counter,
             # The live manager's actual layout wins over the session
             # default: a restored v3 snapshot installs its own shard
             # count (menu option 13), which the next mine() replaces

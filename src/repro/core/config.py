@@ -1,16 +1,16 @@
 """Engine configuration: one immutable object instead of sprawling kwargs.
 
 :class:`EngineConfig` gathers every knob the correlation engine takes —
-thresholds, the near-miss margin, the mining backend, generalization,
-search limits, counting strategy, observability toggles.  It is frozen,
-so a config can be shared between engines, stored on a service, or used
-as a template (:meth:`EngineConfig.replace`) without aliasing bugs.
+thresholds, the near-miss margin, generalization, search limits,
+sharding, observability toggles.  It is frozen, so a config can be
+shared between engines, stored on a service, or used as a template
+(:meth:`EngineConfig.replace`) without aliasing bugs.
 
 :class:`EngineConfigBuilder` is the fluent construction path::
 
     config = (EngineConfig.builder()
               .support(0.2).confidence(0.6)
-              .backend("eclat")
+              .max_length(3)
               .build())
 
 Thresholds are validated eagerly at :meth:`~EngineConfigBuilder.build`
@@ -25,9 +25,7 @@ from dataclasses import dataclass, replace as _dataclass_replace
 from typing import Any
 
 from repro.core.stats import DEFAULT_MARGIN, Thresholds
-from repro.errors import InvalidThresholdError, MiningError
-from repro.mining.apriori import COUNTER_STRATEGIES
-from repro.mining.backend import DEFAULT_BACKEND
+from repro.errors import InvalidThresholdError
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,10 +35,8 @@ class EngineConfig:
     min_support: float
     min_confidence: float
     margin: float = DEFAULT_MARGIN
-    backend: str = DEFAULT_BACKEND
     generalizer: Any = None
     max_length: int | None = None
-    counter: str = "auto"
     track_candidates: bool = True
     validate: bool = False
     #: Retain at most this many events in the engine's provenance log
@@ -68,27 +64,26 @@ class EngineConfig:
     def __post_init__(self) -> None:
         # Thresholds shares its validation; a bad fraction raises here.
         self.thresholds()
-        if self.max_length is not None and self.max_length < 1:
-            raise InvalidThresholdError(
-                f"max_length must be >= 1 or None, got {self.max_length}")
-        if self.max_log_events is not None and self.max_log_events < 1:
-            raise InvalidThresholdError(
-                f"max_log_events must be >= 1 or None, "
-                f"got {self.max_log_events}")
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise InvalidThresholdError(
-                f"shards must be an int >= 1, got {self.shards!r}")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise InvalidThresholdError(
-                f"shard_workers must be >= 1 or None, "
-                f"got {self.shard_workers}")
-        if not isinstance(self.sketch_k, int) or self.sketch_k < 8:
-            raise InvalidThresholdError(
-                f"sketch_k must be an int >= 8, got {self.sketch_k!r}")
-        if self.counter not in COUNTER_STRATEGIES:
-            raise MiningError(
-                f"unknown counter strategy {self.counter!r}; choose from "
-                f"{', '.join(COUNTER_STRATEGIES)}")
+        # Tenant-create bodies reach this constructor straight from
+        # JSON, so types are checked here, not where a value is used.
+        for name in ("track_candidates", "validate"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidThresholdError(
+                    f"{name} must be a bool, got {value!r}")
+        for name, least, optional in (("max_length", 1, True),
+                                      ("max_log_events", 1, True),
+                                      ("shards", 1, False),
+                                      ("shard_workers", 1, True),
+                                      ("sketch_k", 8, False)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < least):
+                raise InvalidThresholdError(
+                    f"{name} must be an int >= {least}"
+                    f"{' or None' if optional else ''}, got {value!r}")
 
     def thresholds(self) -> Thresholds:
         """The engine-facing thresholds triple."""
@@ -125,20 +120,12 @@ class EngineConfigBuilder:
         self._values["margin"] = margin
         return self
 
-    def backend(self, name: str) -> "EngineConfigBuilder":
-        self._values["backend"] = name
-        return self
-
     def generalizer(self, generalizer: Any) -> "EngineConfigBuilder":
         self._values["generalizer"] = generalizer
         return self
 
     def max_length(self, max_length: int | None) -> "EngineConfigBuilder":
         self._values["max_length"] = max_length
-        return self
-
-    def counter(self, counter: str) -> "EngineConfigBuilder":
-        self._values["counter"] = counter
         return self
 
     def track_candidates(self, enabled: bool = True) -> "EngineConfigBuilder":

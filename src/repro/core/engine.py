@@ -6,8 +6,9 @@ annotation (vertical) index and frequency table, the frequent-pattern
 table, the valid rule set, and the near-miss candidate store.  It
 exposes exactly the lifecycle of the paper's application:
 
-* :meth:`mine` — the initial, from-scratch pass, run by whichever
-  :class:`~repro.mining.backend.MiningBackend` the config selects;
+* :meth:`mine` — the initial, from-scratch pass: bulk-encode the
+  relation into the transaction store and bitmap index, then mine the
+  constrained itemsets over that index;
 * :meth:`apply_batch` — coalesce an ordered batch of update events
   into one :class:`~repro.core.deltas.DeltaPlan` and run it through
   the incremental algorithms of Figures 12 and 13 with **one**
@@ -76,13 +77,23 @@ from repro.core.maintenance import (
 from repro.core.pattern_table import FrequentPatternTable
 from repro.core.rules import AssociationRule, RuleKey, RuleKind, RuleSet
 from repro.errors import MaintenanceError, SchemaError
-from repro.mining.backend import MiningBackend, get_backend
 from repro.mining.constraints import CombinedRelevanceConstraint
+from repro.mining.eclat import mine_frequent_itemsets_vertical
+from repro.mining.fup import fup_update
 from repro.mining.sketch import Estimate, RuleEstimate, SketchIndex
-from repro.mining.itemsets import Itemset, ItemVocabulary, TransactionDatabase
+from repro.mining.itemsets import (
+    Itemset,
+    ItemVocabulary,
+    Transaction,
+    TransactionDatabase,
+)
 from repro.relation.annotation import Annotation
 from repro.relation.relation import AnnotatedRelation
-from repro.relation.transactions import encode_tuple
+from repro.relation.transactions import (
+    TokenInterner,
+    encode_relation,
+    encode_tuple,
+)
 
 #: Vocabulary-independent fingerprint of one rule (used across engines).
 RuleSignature = tuple[str, tuple[str, ...], str, int, int, int]
@@ -95,7 +106,7 @@ def engine(relation: AnnotatedRelation | None = None,
 
     ``overrides`` are :class:`EngineConfig` fields; they either build a
     config from scratch (``repro.engine(rel, min_support=0.2,
-    min_confidence=0.6, backend="eclat")``) or refine a given one.
+    min_confidence=0.6, max_length=3)``) or refine a given one.
 
     With ``shards >= 2`` in the config the factory returns a
     :class:`~repro.shard.ShardedEngine` — a drop-in
@@ -116,24 +127,34 @@ def engine(relation: AnnotatedRelation | None = None,
 
 @dataclass(frozen=True)
 class EncodedSubstrate:
-    """A pre-built mining substrate :meth:`CorrelationEngine.mine` can
-    adopt instead of encoding the relation tuple by tuple.
+    """The mining substrate of one relation: its transaction store and
+    the bitmap index over the same transactions.
 
-    The sharded path builds one per partition in a single bulk pass
-    (token -> id caching, no per-occurrence ``Item`` construction), so
-    shard mines skip the engine's per-tuple encode loop entirely.  The
-    database and index must be built against the engine's *own*
-    vocabulary and aligned with its relation (transaction index == tid,
-    tombstones encoded as empty transactions, index covering exactly
-    the database's transactions).  :meth:`CorrelationEngine.mine`
-    verifies the vocabulary identity of both halves and the
+    :meth:`CorrelationEngine.mine` builds one from its relation; the
+    sharded engine builds one per partition itself (interning must
+    stay sequential across shards) and hands it to each shard's
+    ``mine``.  The database and index must be built against the
+    engine's *own* vocabulary and aligned with its relation
+    (transaction index == tid, tombstones encoded as empty
+    transactions, index covering exactly the database's transactions).
+    ``mine`` verifies the vocabulary identity of both halves and the
     database/relation alignment; index/database agreement is the
-    builder's contract (:func:`repro.shard.partition.build_substrate`
-    derives both from one transaction list).
+    builder's contract (:meth:`from_transactions` derives both from one
+    transaction list).
     """
 
     database: TransactionDatabase
     index: VerticalIndex
+
+    @classmethod
+    def from_transactions(cls, vocabulary: ItemVocabulary,
+                          transactions: list[Transaction]
+                          ) -> "EncodedSubstrate":
+        """Materialize a substrate from pre-encoded transactions."""
+        return cls(
+            database=TransactionDatabase.from_encoded(vocabulary,
+                                                      transactions),
+            index=VerticalIndex.from_transactions(vocabulary, transactions))
 
 
 class CorrelationEngine:
@@ -152,7 +173,6 @@ class CorrelationEngine:
         self.relation = relation if relation is not None else AnnotatedRelation()
         self.config = config
         self.thresholds = config.thresholds()
-        self._backend: MiningBackend = get_backend(config.backend)
 
         # A caller-supplied vocabulary lets several engines share one
         # interning space — the sharded engine gives every partition
@@ -196,30 +216,12 @@ class CorrelationEngine:
     # -- properties ----------------------------------------------------------
 
     @property
-    def backend_name(self) -> str:
-        """Registry name of the mining backend in use."""
-        return self._backend.name
-
-    @property
     def generalizer(self):
         return self.config.generalizer
 
     @property
     def max_length(self) -> int | None:
         return self.config.max_length
-
-    @property
-    def counter(self) -> str:
-        return self.config.counter
-
-    def _counting_index(self) -> VerticalIndex | None:
-        """The index, when maintenance should recount via bitmaps.
-
-        With ``counter="vertical"`` the Figure-12 refresh/decay paths
-        recount the touched patterns by bitmap-tidset intersection
-        instead of adjusting counts tuple by tuple.
-        """
-        return self.index if self.config.counter == "vertical" else None
 
     @property
     def validate(self) -> bool:
@@ -350,78 +352,68 @@ class CorrelationEngine:
 
     def mine(self, *,
              substrate: EncodedSubstrate | None = None) -> MaintenanceReport:
-        """From-scratch pass: encode, apply generalizations, run the
-        backend's constrained miner at the margined floor, derive rules.
+        """From-scratch pass: apply generalizations, bulk-encode the
+        relation into the database and bitmap index, mine the
+        constrained itemsets at the margined floor over that index,
+        derive rules.
 
-        A pre-built :class:`EncodedSubstrate` (the sharded bulk-encode
-        path) replaces the per-tuple encode loop; its caller owns label
-        application, so the generalizer pass is skipped with it too.
+        Only the sharded engine passes a pre-built ``substrate`` (one
+        per partition, interned sequentially across shards); its caller
+        owns label application, so the generalizer pass is skipped with
+        it too.
         """
         started = time.perf_counter()
         phases = PhaseTimings()
-        encode_started = time.perf_counter()
-        if substrate is not None:
-            if (substrate.database.vocabulary is not self.vocabulary
+        with phases.timed("encode"):
+            if substrate is None:
+                self._apply_generalizer()
+                substrate = EncodedSubstrate.from_transactions(
+                    self.vocabulary,
+                    encode_relation(self.relation,
+                                    TokenInterner(self.vocabulary)))
+            elif (substrate.database.vocabulary is not self.vocabulary
                     or substrate.index.vocabulary is not self.vocabulary):
                 raise MaintenanceError(
                     "substrate was encoded against a different vocabulary "
                     "than this engine's")
-            if len(substrate.database) != self.relation.tid_range:
+            elif len(substrate.database) != self.relation.tid_range:
                 raise MaintenanceError(
                     f"substrate covers {len(substrate.database)} "
                     f"transactions but the relation has tid range "
                     f"{self.relation.tid_range}")
-            self.database = substrate.database
-            self.index = substrate.index
-        else:
-            if self.generalizer is not None:
-                for row in self.relation:
-                    self.relation.set_labels(
-                        row.tid,
-                        self.generalizer.labels_for(row.annotation_ids))
-
-            self.database = TransactionDatabase(self.vocabulary)
-            self.index = VerticalIndex(self.vocabulary)
-            for tid in range(self.relation.tid_range):
-                if self.relation.is_live(tid):
-                    transaction = encode_tuple(self.relation, tid,
-                                               self.vocabulary)
-                else:
-                    transaction = frozenset()
-                self.database.add(transaction)
-                self.index.add_transaction(tid, transaction)
-        phases.add("encode", time.perf_counter() - encode_started)
-
-        mine_started = time.perf_counter()
-        if substrate is not None:
-            # A pre-encoded substrate mines on its native vertical
-            # path: the bitmap index is already built, and every
-            # backend honours the identical table contract (each
-            # constraint-admitted itemset at/above the floor with its
-            # exact count), so the result is the same table the
-            # configured backend would produce.  The backend choice
-            # still governs all incremental maintenance.
-            from repro.mining.eclat import (  # local: avoid miner cycle
-                mine_frequent_itemsets_vertical,
-            )
-
+        with phases.timed("mine"):
             counts = mine_frequent_itemsets_vertical(
-                self.database.transactions,
+                substrate.database.transactions,
                 min_count=self.thresholds.keep_count(self.db_size),
                 constraint=self.constraint,
                 max_length=self.max_length,
-                index=self.index.as_mapping(),
+                index=substrate.index.as_mapping(),
             )
-        else:
-            counts = self._backend.mine_initial(
-                self.database.transactions,
-                min_count=self.thresholds.keep_count(self.db_size),
-                constraint=self.constraint,
-                counter=self.counter,
-                max_length=self.max_length,
-            )
+        return self._commit_mine(substrate, counts, phases, started)
+
+    def _apply_generalizer(self) -> None:
+        """Label every live tuple with its generalizations (no-op
+        without a generalizer) — the first step of a from-scratch
+        mine."""
+        if self.generalizer is not None:
+            for row in self.relation:
+                self.relation.set_labels(
+                    row.tid, self.generalizer.labels_for(row.annotation_ids))
+
+    def _commit_mine(self, substrate: EncodedSubstrate,
+                     counts: dict[Itemset, int],
+                     phases: PhaseTimings,
+                     started: float) -> MaintenanceReport:
+        """Adopt a from-scratch substrate and pattern table, then derive
+        and commit the rules.
+
+        :func:`repro.baselines.remine.remine` calls this directly with
+        the substrate and table of its own encoder and miner, so the
+        oracle shares only rule derivation with :meth:`mine`.
+        """
+        self.database = substrate.database
+        self.index = substrate.index
         self.table.replace(counts)
-        phases.add("mine", time.perf_counter() - mine_started)
         self._mined = True
         self._relation_version = self.relation.version
 
@@ -572,7 +564,7 @@ class CorrelationEngine:
         self._relation_version = self.relation.version
         return batch
 
-    # -- Cases 1 and 2: tuple inserts (backend increment path) ------------------
+    # -- Cases 1 and 2: tuple inserts (FUP increment path) ----------------------
 
     def _plan_inserts(self, inserts: Sequence[PlannedInsert],
                       dirty: set[Itemset]) -> MaintenanceReport:
@@ -612,7 +604,7 @@ class CorrelationEngine:
         report.tuples_scanned = len(increment)
         if not increment:
             return report  # every insert was elided: |DB| net unchanged
-        fup_report = self._backend.apply_increment(
+        fup_report = fup_update(
             self.table.counts,
             increment,
             index=self.index.as_mapping(),
@@ -620,7 +612,6 @@ class CorrelationEngine:
             keep_fraction=self.thresholds.keep_support,
             constraint=self.constraint,
             max_length=self.max_length,
-            counter=self.counter,
         )
         report.patterns_touched = fup_report.refreshed
         report.patterns_added = fup_report.added
@@ -663,8 +654,7 @@ class CorrelationEngine:
         report.tuples_scanned = len(deltas)
         # Figure 12: refresh stored patterns, touching only δ tuples.
         report.patterns_touched = refresh_for_added_items(
-            self.table, deltas, index=self._counting_index(),
-            touched_out=dirty)
+            self.table, deltas, touched_out=dirty)
         # Figure 13: seeded discovery through the annotation index.
         report.patterns_added = discover_with_seeds(
             self.table, self.index, seeds,
@@ -708,8 +698,7 @@ class CorrelationEngine:
                                    db_size=self.db_size)
         report.tuples_scanned = len(deltas)
         report.patterns_touched = decay_for_removed_items(
-            self.table, deltas, index=self._counting_index(),
-            touched_out=dirty)
+            self.table, deltas, touched_out=dirty)
         # Counts only fell and |DB| is unchanged: nothing new can appear.
         report.patterns_pruned = self.table.prune_below(
             self.thresholds.keep_count(self.db_size))
@@ -729,8 +718,7 @@ class CorrelationEngine:
                                    db_size=self.db_size)
         report.tuples_scanned = len(old_transactions)
         report.patterns_touched = decay_for_deleted_tuples(
-            self.table, old_transactions, index=self._counting_index(),
-            touched_out=dirty)
+            self.table, old_transactions, touched_out=dirty)
         floor = self.thresholds.keep_count(self.db_size)
         report.patterns_pruned = self.table.prune_below(floor)
         # |DB| fell, so patterns whose counts never changed may now
@@ -823,7 +811,7 @@ class CorrelationEngine:
             report.validation_seconds = time.perf_counter() - started
             raise MaintenanceError(
                 f"invariant check failed after event {report.event!r} "
-                f"(db_size={report.db_size}, backend={self.backend_name}): "
+                f"(db_size={report.db_size}): "
                 f"{error}") from error
         report.validation_seconds = time.perf_counter() - started
 
@@ -861,7 +849,6 @@ class CorrelationEngine:
             margin=self.thresholds.margin,
             generalizer=self.generalizer,
             max_length=self.max_length,
-            backend=self.config.backend,
         )
         mine_signature = self.signature()
         fresh_signature = fresh.signature()

@@ -10,14 +10,9 @@ by construction.
 
 The same walk with ``delta=-1`` over the *pre-update* item set handles
 annotation removal (future-work extension), and with no required-items
-filter it handles whole-tuple deletion.
-
-Counting happens one of two ways.  The default walk *adjusts* stored
-counts in place (``count += delta`` per touched tuple).  When the
-caller hands in the engine's (already updated) vertical index, the
-touched patterns are instead *recounted* exactly by bitmap-tidset
-intersection — the ``counter="vertical"`` substrate.  Both produce the
-same table because stored counts are exact before and after.
+filter it handles whole-tuple deletion.  Every walk *adjusts* stored
+counts in place (``count += delta`` per touched tuple), which keeps the
+table exact because stored counts are exact before the batch.
 """
 
 from __future__ import annotations
@@ -27,12 +22,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.core.annotation_index import VerticalIndex
 from repro.core.deltas import EventAudit, PlanStats
 from repro.core.pattern_table import FrequentPatternTable
 from repro.core.rules import AssociationRule, RuleKey
 from repro.mining.itemsets import Itemset, Transaction
-from repro.mining.tables import increment_counts, iter_table_subsets
+from repro.mining.tables import increment_counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,24 +188,6 @@ class BatchReport:
         return line
 
 
-def _recount_touched(table: FrequentPatternTable,
-                     index: VerticalIndex,
-                     touched: Iterable[Itemset],
-                     touched_out: set[Itemset] | None = None) -> int:
-    """Set each touched pattern to its exact bitmap-intersection count.
-
-    ``index`` must already reflect the update batch, so the
-    intersection is the post-update truth; deduplication means one
-    popcount per distinct pattern however many δ tuples hit it.
-    """
-    patterns = set(touched)
-    for itemset in patterns:
-        table.counts[itemset] = index.count(itemset)
-    if touched_out is not None:
-        touched_out |= patterns
-    return len(patterns)
-
-
 def _adjust_counts(table: FrequentPatternTable,
                    deltas: Sequence[TupleDelta],
                    *,
@@ -230,33 +206,22 @@ def _adjust_counts(table: FrequentPatternTable,
 def refresh_for_added_items(table: FrequentPatternTable,
                             deltas: Sequence[TupleDelta],
                             *,
-                            index: VerticalIndex | None = None,
                             touched_out: set[Itemset] | None = None) -> int:
     """Figure 12: bump counts of stored patterns newly satisfied by δ.
 
     Touches only the δ tuples.  A stored pattern gains one occurrence
     per δ tuple that contains it *and* where it includes a changed item
     (so it cannot have been satisfied before the batch).
-    Returns the number of (pattern, tuple) increments performed — or,
-    with ``index`` (the vertical counting substrate), the number of
-    distinct patterns recounted by bitmap intersection.  With
+    Returns the number of (pattern, tuple) increments performed.  With
     ``touched_out``, the identities of the touched patterns are
     collected there (the dirty set of the scoped rule refresh).
     """
-    if index is not None:
-        return _recount_touched(table, index, (
-            itemset
-            for delta in deltas
-            for itemset in iter_table_subsets(
-                table.counts, delta.after,
-                required_items=delta.changed_items)), touched_out)
     return _adjust_counts(table, deltas, delta=1, touched_out=touched_out)
 
 
 def decay_for_removed_items(table: FrequentPatternTable,
                             deltas: Sequence[TupleDelta],
                             *,
-                            index: VerticalIndex | None = None,
                             touched_out: set[Itemset] | None = None) -> int:
     """Inverse walk for annotation removal.
 
@@ -264,31 +229,16 @@ def decay_for_removed_items(table: FrequentPatternTable,
     (the last state in which the patterns were satisfied) and
     ``changed_items`` the removed items.
     """
-    if index is not None:
-        return _recount_touched(table, index, (
-            itemset
-            for delta in deltas
-            for itemset in iter_table_subsets(
-                table.counts, delta.after,
-                required_items=delta.changed_items)), touched_out)
     return _adjust_counts(table, deltas, delta=-1, touched_out=touched_out)
 
 
 def decay_for_deleted_tuples(table: FrequentPatternTable,
                              old_transactions: Sequence[Transaction],
                              *,
-                             index: VerticalIndex | None = None,
                              touched_out: set[Itemset] | None = None) -> int:
     """Remove a deleted tuple's contribution from every stored pattern."""
-    if index is not None:
-        return _recount_touched(table, index, (
-            itemset
-            for transaction in old_transactions
-            for itemset in iter_table_subsets(table.counts, transaction)),
-            touched_out)
     touched = 0
     for transaction in old_transactions:
         touched += increment_counts(table.counts, transaction, delta=-1,
                                     touched_out=touched_out)
     return touched
-

@@ -33,6 +33,11 @@ Format version 4 adds the write-ahead journal anchor
 taken at, so :class:`~repro.core.journal.JournalStore` recovery knows
 exactly which journal suffix to replay on top.  Snapshots saved
 outside a journal store omit the key.  Versions 1-3 still load.
+
+Snapshots no longer record the ``backend`` the engine mined with: the
+engine has one mining path.  Documents from writers that did record it
+still load when the value names a backend those writers had (the value
+is ignored); any other value is a corrupted document.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import os
 from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine
 from repro.errors import FormatError, MaintenanceError
-from repro.mining.backend import DEFAULT_BACKEND
 from repro.relation.annotation import Annotation
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
@@ -55,6 +59,8 @@ SUPPORTED_VERSIONS = (1, 2, 3, 4)
 #: Shard-layout ``executor`` values older writers recorded.  The engine
 #: has one executor now, so a recorded value is checked and ignored.
 LEGACY_SHARD_EXECUTORS = ("thread", "process")
+#: Mining-backend names older writers recorded; checked and ignored.
+LEGACY_BACKENDS = ("apriori-fup", "eclat", "fpgrowth")
 
 
 def snapshot(manager: CorrelationEngine, *,
@@ -99,7 +105,6 @@ def snapshot(manager: CorrelationEngine, *,
             "margin": manager.thresholds.margin,
         },
         "max_length": manager.max_length,
-        "backend": manager.config.backend,
         "schema": ([attribute.name
                     for attribute in relation.schema.attributes]
                    if relation.schema is not None else None),
@@ -164,9 +169,10 @@ def restore(document: dict, *, generalizer=None) -> CorrelationEngine:
             record.get("category", ""), record.get("author", ""),
             record.get("created", "")))
     doomed = []
+    placeholder = ("__tombstone__",) * (schema.arity if schema else 1)
     for entry in document["tuples"]:
         if entry is None:
-            tid = relation.insert(("__tombstone__",))
+            tid = relation.insert(placeholder)
             doomed.append(tid)
             continue
         tid = relation.insert(entry["values"], entry["annotations"])
@@ -174,12 +180,14 @@ def restore(document: dict, *, generalizer=None) -> CorrelationEngine:
     for tid in doomed:
         relation.delete(tid)
 
+    backend = document.get("backend", LEGACY_BACKENDS[0])
+    if backend not in LEGACY_BACKENDS:
+        raise FormatError(f"snapshot records unknown backend {backend!r}")
     thresholds = document["thresholds"]
     config = EngineConfig(
         min_support=thresholds["min_support"],
         min_confidence=thresholds["min_confidence"],
         margin=thresholds["margin"],
-        backend=document.get("backend", DEFAULT_BACKEND),
         max_length=document.get("max_length"),
         generalizer=generalizer,
     )

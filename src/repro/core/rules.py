@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 import enum
-import warnings
 
 from repro.errors import ItemKindError
 from repro.mining.itemsets import ItemVocabulary, Itemset, canonical
@@ -167,34 +166,6 @@ class RuleSet:
                                  revision=self._version)
             self._catalog = cached
         return cached
-
-    def mentioning(self, item: int) -> list[AssociationRule]:
-        """Rules whose LHS or RHS contains ``item``.
-
-        Deprecated — query the engine's ``catalog()`` instead, which is
-        memoized across rule-set replacements.
-        """
-        self._warn_deprecated("mentioning")
-        return list(self.catalog().mentioning(item))
-
-    def of_kind(self, kind: RuleKind) -> list[AssociationRule]:
-        """Deprecated — prefer ``catalog().of_kind``."""
-        self._warn_deprecated("of_kind")
-        return list(self.catalog().of_kind(kind))
-
-    def with_rhs(self, rhs: int) -> list[AssociationRule]:
-        """Deprecated — prefer ``catalog().with_rhs``."""
-        self._warn_deprecated("with_rhs")
-        return list(self.catalog().with_rhs(rhs))
-
-    @staticmethod
-    def _warn_deprecated(name: str) -> None:
-        # stacklevel 3: point past this helper and the deprecated
-        # method at the caller that should migrate.
-        warnings.warn(
-            f"RuleSet.{name}() is deprecated; query the engine's "
-            f"revision-memoized catalog() instead (RuleCatalog.{name})",
-            DeprecationWarning, stacklevel=3)
 
     def keys(self) -> set[RuleKey]:
         return set(self._rules)

@@ -1,1 +1,1 @@
-"""Frequent-itemset mining substrate (Apriori, Eclat, FP-growth, FUP)."""
+"""Frequent-itemset mining substrate (Apriori, Eclat, FUP)."""

@@ -17,7 +17,6 @@ from collections.abc import Sequence
 
 from repro.errors import MiningError
 from repro._util import min_count_for, validate_fraction
-from repro.mining.bitmap import BitmapIndex
 from repro.mining.constraints import (
     CandidateConstraint,
     MiningTask,
@@ -29,11 +28,6 @@ from repro.mining.itemsets import Itemset, Transaction, TransactionDatabase
 
 #: Below this many candidates a direct scan beats building a hash tree.
 _SCAN_THRESHOLD = 12
-
-#: Every candidate-counting strategy a config may select.  ``"auto"``
-#: picks scan or hashtree by candidate volume; ``"vertical"`` counts by
-#: bitmap-tidset intersection (:mod:`repro.mining.bitmap`).
-COUNTER_STRATEGIES = ("auto", "scan", "hashtree", "vertical")
 
 
 def resolve_min_count(n_transactions: int,
@@ -87,25 +81,16 @@ def count_candidates(candidates: Sequence[Itemset],
                      transactions: Sequence[Transaction],
                      *,
                      counter: str = "auto",
-                     index: BitmapIndex | None = None,
                      ) -> dict[Itemset, int]:
     """Exact support counts for same-length candidates.
 
     ``counter`` selects the strategy: ``"hashtree"`` (paper default),
-    ``"scan"`` (per-candidate containment scan), ``"vertical"`` (bitmap
-    tidset intersection), or ``"auto"``.  For ``"vertical"``, ``index``
-    may carry a prebuilt index over ``transactions`` so level-wise
-    callers index the database once.
+    ``"scan"`` (per-candidate containment scan), or ``"auto"``.
     """
     if not candidates:
         return {}
     if counter == "auto":
         counter = "scan" if len(candidates) <= _SCAN_THRESHOLD else "hashtree"
-    if counter == "vertical":
-        if index is None:
-            index = BitmapIndex.from_transactions(transactions)
-        return {candidate: index.count(candidate)
-                for candidate in candidates}
     if counter == "hashtree":
         tree = HashTree(candidates)
         return tree.count_all(transactions)
@@ -119,7 +104,7 @@ def count_candidates(candidates: Sequence[Itemset],
                     counts[candidate] += 1
         return counts
     raise MiningError(f"unknown counter strategy {counter!r}; "
-                      f"choose from {', '.join(COUNTER_STRATEGIES)}")
+                      "choose from auto, scan, hashtree")
 
 
 def mine_frequent_itemsets(transactions: Sequence[Transaction],
@@ -139,11 +124,6 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction],
     threshold = resolve_min_count(len(transactions), min_support, min_count)
     projected = [constraint.project(transaction)
                  for transaction in transactions]
-    # With the vertical counter, index the database once up front; every
-    # level then counts candidates by bitmap intersection against it.
-    index = (BitmapIndex.from_transactions(projected)
-             if counter == "vertical" else None)
-
     item_counts: Counter[int] = Counter()
     for transaction in projected:
         item_counts.update(transaction)
@@ -160,8 +140,7 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction],
         candidates = [candidate
                       for candidate in generate_candidates(level)
                       if constraint.admits(candidate)]
-        counts = count_candidates(candidates, projected, counter=counter,
-                                  index=index)
+        counts = count_candidates(candidates, projected, counter=counter)
         level = set()
         for candidate, count in counts.items():
             if count >= threshold:

@@ -17,9 +17,8 @@ Two layers live here:
   generic vertical miners in :mod:`repro.mining.eclat` run unchanged on
   either representation.
 * :class:`BitmapIndex` — the maintained item -> bitmap map.  It is the
-  storage engine behind :class:`~repro.core.annotation_index.VerticalIndex`
-  and the ``counter="vertical"`` candidate-counting strategy of
-  :func:`repro.mining.apriori.count_candidates`.  Buckets whose last
+  storage engine behind :class:`~repro.core.annotation_index.VerticalIndex`,
+  the index every from-scratch mine runs over.  Buckets whose last
   tid is discarded are dropped immediately, so delete-heavy streams
   never iterate dead items.
 

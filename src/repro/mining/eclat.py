@@ -7,7 +7,9 @@ tuple ids.  :func:`mine_containing` is exactly that operation: it
 enumerates every frequent itemset that *contains a given seed item*,
 intersecting tidsets so that only transactions holding the seed are ever
 touched.  :func:`mine_frequent_itemsets_vertical` is the unrestricted
-Eclat counterpart used for cross-checking the horizontal miners.
+Eclat search every from-scratch engine mine runs over its bitmap index;
+the hash-tree Apriori of :mod:`repro.mining.apriori` stays as the
+re-mine oracle it is checked against.
 
 Every function here is *tidset-polymorphic*: it only asks a tidset for
 ``a & b``, ``len``, truthiness and iteration, so the same search runs
@@ -47,6 +49,8 @@ def _dfs(prefix: Itemset,
          constraint: CandidateConstraint,
          max_length: int | None,
          out: dict[Itemset, int]) -> None:
+    if max_length is not None and len(prefix) >= max_length:
+        return
     for position, (item, item_tids) in enumerate(extensions):
         tids = prefix_tids & item_tids
         if len(tids) < min_count:
@@ -56,8 +60,6 @@ def _dfs(prefix: Itemset,
             # Violations are monotone under supersets: prune the branch.
             continue
         out[itemset] = len(tids)
-        if max_length is not None and len(itemset) >= max_length:
-            continue
         _dfs(itemset, tids, extensions[position + 1:], min_count,
              constraint, max_length, out)
 

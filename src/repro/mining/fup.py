@@ -26,7 +26,7 @@ plus a popcount, never a database scan.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro._util import min_count_for
@@ -60,22 +60,13 @@ def fup_update(table: dict[Itemset, int],
                new_size: int,
                keep_fraction: float,
                constraint: CandidateConstraint,
-               max_length: int | None = None,
-               counter: str = "auto",
-               miner: Callable[..., dict[Itemset, int]] | None = None
-               ) -> FupReport:
+               max_length: int | None = None) -> FupReport:
     """Update ``table`` in place for ``increment`` newly inserted tuples.
 
     ``index`` must be the vertical index of the **already updated**
     database (increment included); ``new_size`` its transaction count.
-    ``keep_fraction`` is the support floor the table maintains.
-
-    The FUP argument is miner-agnostic: any exact frequent-itemset
-    miner may enumerate the increment-local candidates.  ``miner``
-    (keyword signature ``(transactions, *, min_count, constraint,
-    max_length)``) substitutes for the default Apriori pass — this is
-    how the Eclat and FP-growth backends run the whole incremental
-    lifecycle on their own algorithms.
+    ``keep_fraction`` is the support floor the table maintains.  The
+    increment-local candidates come from the paper's Apriori pass.
     """
     if new_size < len(increment):
         raise MaintenanceError(
@@ -93,21 +84,12 @@ def fup_update(table: dict[Itemset, int],
     # new table entry must be among them (FUP argument above).
     if increment:
         local_threshold = min_count_for(keep_fraction, len(increment))
-        if miner is None:
-            local = apriori.mine_frequent_itemsets(
-                increment,
-                min_count=local_threshold,
-                constraint=constraint,
-                counter=counter,
-                max_length=max_length,
-            )
-        else:
-            local = miner(
-                increment,
-                min_count=local_threshold,
-                constraint=constraint,
-                max_length=max_length,
-            )
+        local = apriori.mine_frequent_itemsets(
+            increment,
+            min_count=local_threshold,
+            constraint=constraint,
+            max_length=max_length,
+        )
         global_threshold = min_count_for(keep_fraction, new_size)
         for itemset in sorted(local, key=len):
             if itemset in table:

@@ -38,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default engine (tenants created without an explicit config)")
     engine.add_argument("--min-support", type=float, default=0.4)
     engine.add_argument("--min-confidence", type=float, default=0.6)
-    engine.add_argument("--backend", default=None,
-                        help="mining backend name (default: engine "
-                             "default)")
     engine.add_argument("--shards", type=int, default=1)
     engine.add_argument("--max-log-events", type=int, default=100_000,
                         help="rotate each tenant's provenance log past "
@@ -78,15 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    extra = {}
-    if args.backend is not None:
-        extra["backend"] = args.backend
     return EngineConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,
         shards=args.shards,
-        max_log_events=args.max_log_events or None,
-        **extra)
+        max_log_events=args.max_log_events or None)
 
 
 def build_server(args: argparse.Namespace) -> CorrelationServer:

@@ -54,9 +54,9 @@ RESERVED_TENANT_NAMES = frozenset({"tenants"})
 
 #: ``EngineConfig`` fields a tenant-create body may set.
 ENGINE_CONFIG_FIELDS = frozenset({
-    "min_support", "min_confidence", "margin", "backend", "counter",
-    "max_length", "max_log_events", "shards", "shard_workers",
-    "sketch_k", "track_candidates", "validate",
+    "min_support", "min_confidence", "margin", "max_length",
+    "max_log_events", "shards", "shard_workers", "sketch_k",
+    "track_candidates", "validate",
 })
 
 
@@ -83,7 +83,7 @@ def engine_config_from_json(overrides: dict[str, Any] | None,
     except TypeError as error:
         raise ServerError(
             f"incomplete engine config: {error}") from None
-    # Threshold/backend validation errors (ReproError subclasses)
+    # Threshold/type validation errors (ReproError subclasses)
     # propagate — the endpoint layer maps them to 400.
 
 
@@ -92,8 +92,6 @@ def engine_config_to_json(config: EngineConfig) -> dict[str, Any]:
         "min_support": config.min_support,
         "min_confidence": config.min_confidence,
         "margin": config.margin,
-        "backend": config.backend,
-        "counter": config.counter,
         "max_length": config.max_length,
         "max_log_events": config.max_log_events,
         "shards": config.shards,
@@ -412,7 +410,6 @@ class TenantRegistry:
         snapshot = state.snapshot
         status = {
             "tenant": name,
-            "backend": snapshot.backend,
             "revision": snapshot.revision,
             "rules": len(snapshot),
             "db_size": snapshot.db_size,

@@ -5,7 +5,7 @@ relation is hash-partitioned by tid into shard-local engines that mine
 and maintain their slices independently, and a SON-style two-phase
 merge reconstructs the exact global answer — the sharded rules and
 ``signature()`` are byte-identical to a monolithic engine's on every
-backend, counter and event stream.
+event stream.
 
 Entry points:
 
@@ -25,13 +25,10 @@ shard's incremental maintenance in the caller's thread.
 from repro.shard.engine import ShardedEngine
 from repro.shard.partition import (
     Partitioner,
-    TokenInterner,
     build_substrate,
     encode_shards,
     modulo_partitioner,
     partition_relation,
-    substrate_from_transactions,
-    substrates_for,
 )
 from repro.shard.rebalance import (
     RebalancePlan,
@@ -50,11 +47,8 @@ __all__ = [
     "ShardDatabaseView",
     "ShardIndexView",
     "ShardedEngine",
-    "TokenInterner",
     "build_substrate",
     "encode_shards",
     "modulo_partitioner",
     "partition_relation",
-    "substrate_from_transactions",
-    "substrates_for",
 ]

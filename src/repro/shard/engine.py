@@ -46,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.config import EngineConfig
 from repro.core.deltas import DeltaPlan, split_plan
-from repro.core.engine import CorrelationEngine
+from repro.core.engine import CorrelationEngine, EncodedSubstrate
 from repro.core.maintenance import (
     BatchReport,
     MaintenanceReport,
@@ -67,7 +67,6 @@ from repro.shard.partition import (
     encode_shards,
     modulo_partitioner,
     partition_relation,
-    substrate_from_transactions,
 )
 from repro.shard.views import ShardDatabaseView, ShardIndexView
 
@@ -160,12 +159,7 @@ class ShardedEngine(CorrelationEngine):
         started = time.perf_counter()
         phases = PhaseTimings()
         with phases.timed("partition"):
-            if self.generalizer is not None:
-                for row in self.relation:
-                    self.relation.set_labels(
-                        row.tid,
-                        self.generalizer.labels_for(row.annotation_ids))
-
+            self._apply_generalizer()
             relations, self._global_of, self._local_of = partition_relation(
                 self.relation, self._partitioner, self.shard_count)
             self._shards = [
@@ -180,7 +174,8 @@ class ShardedEngine(CorrelationEngine):
 
         with phases.timed("build"):
             substrates = [
-                substrate_from_transactions(self.vocabulary, transactions)
+                EncodedSubstrate.from_transactions(self.vocabulary,
+                                                   transactions)
                 for transactions in transactions_per_shard
             ]
         workers = self._workers()

@@ -30,7 +30,6 @@ class TestSessions:
         assert isinstance(snap, RuleSnapshot)
         assert snap.session == "main"
         assert snap.revision == 1
-        assert snap.backend == "apriori-fup"
         assert len(snap) > 0 and snap.pending_events == 0
 
     def test_multi_dataset_sessions_are_independent(self, service):
@@ -44,9 +43,11 @@ class TestSessions:
         assert service.sessions() == ("right",)
 
     def test_per_session_config_override(self, service):
-        snap = service.create("vertical", make_relation(),
-                              CONFIG.replace(backend="eclat"))
-        assert snap.backend == "eclat"
+        assert len(service.create("default", make_relation())) > 0
+        # Single-item patterns derive no rules: the override took effect.
+        snap = service.create("singletons", make_relation(),
+                              CONFIG.replace(max_length=1))
+        assert len(snap) == 0
 
     def test_duplicate_name_rejected(self, service):
         service.create("dup", make_relation())
@@ -319,9 +320,13 @@ class TestUpdateQueue:
         assert service.verify("s").equivalent
 
     def test_failed_create_does_not_squat_the_name(self, service):
+        class FailingGeneralizer:
+            def labels_for(self, annotation_ids):
+                raise MiningError("generalizer failed")
+
         with pytest.raises(MiningError):
             service.create("s", make_relation(),
-                           CONFIG.replace(backend="no-such-backend"))
+                           CONFIG.replace(generalizer=FailingGeneralizer()))
         assert service.sessions() == ()
         service.create("s", make_relation())
         assert service.sessions() == ("s",)
@@ -576,7 +581,7 @@ class TestServiceIntrospection:
     def test_config_of_returns_the_effective_config(self, service):
         service.create("main", make_relation())
         assert service.config_of("main") is CONFIG
-        override = CONFIG.replace(backend="eclat")
+        override = CONFIG.replace(max_length=2)
         service.create("other", make_relation(), override)
         assert service.config_of("other") is override
 

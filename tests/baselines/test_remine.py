@@ -1,5 +1,7 @@
 """Unit tests for the full re-mining baseline."""
 
+import pytest
+
 from repro.baselines.remine import remine, signatures_match
 from repro.core.engine import CorrelationEngine
 from tests.conftest import make_relation
@@ -34,3 +36,31 @@ class TestRemine:
         assert signatures_match(left, right)
         different = remine(relation, min_support=0.25, min_confidence=0.9)
         assert not signatures_match(left, different)
+
+    def test_never_reaches_the_engine_encoder_or_miner(self, monkeypatch):
+        """The oracle stays independent of what it checks: with the bulk
+        encoder and the vertical miner disabled, the engine cannot mine
+        but ``remine`` still returns the engine's signature."""
+        import repro.core.engine
+        import repro.mining.eclat
+        import repro.relation.transactions
+
+        relation = make_relation()
+        engine = CorrelationEngine(relation.copy(), min_support=0.25,
+                                   min_confidence=0.6)
+        engine.mine()
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the re-mine oracle reached engine code")
+
+        for module, name in (
+                (repro.relation.transactions, "encode_relation"),
+                (repro.core.engine, "encode_relation"),
+                (repro.mining.eclat, "mine_frequent_itemsets_vertical"),
+                (repro.core.engine, "mine_frequent_itemsets_vertical")):
+            monkeypatch.setattr(module, name, disabled)
+        with pytest.raises(AssertionError, match="oracle reached"):
+            CorrelationEngine(relation.copy(), min_support=0.25,
+                              min_confidence=0.6).mine()
+        baseline = remine(relation, min_support=0.25, min_confidence=0.6)
+        assert baseline.signature() == engine.signature()

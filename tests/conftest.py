@@ -101,7 +101,6 @@ def assert_equivalent_to_remine(manager: CorrelationEngine) -> None:
         margin=manager.thresholds.margin,
         generalizer=manager.generalizer,
         max_length=manager.max_length,
-        backend=manager.config.backend,
     )
     incremental = manager.signature()
     fresh = baseline.signature()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine, engine
-from repro.errors import InvalidThresholdError, MaintenanceError, MiningError
+from repro.errors import InvalidThresholdError, MaintenanceError
 from tests.conftest import make_relation
 
 
@@ -14,16 +14,13 @@ class TestEngineConfig:
                   .support(0.2)
                   .confidence(0.6)
                   .margin(0.8)
-                  .backend("eclat")
                   .max_length(3)
-                  .counter("scan")
                   .track_candidates(False)
                   .validate()
                   .build())
         assert config == EngineConfig(
             min_support=0.2, min_confidence=0.6, margin=0.8,
-            backend="eclat", max_length=3, counter="scan",
-            track_candidates=False, validate=True)
+            max_length=3, track_candidates=False, validate=True)
 
     def test_builder_requires_thresholds(self):
         with pytest.raises(InvalidThresholdError, match="min_confidence"):
@@ -35,13 +32,22 @@ class TestEngineConfig:
         with pytest.raises(InvalidThresholdError):
             EngineConfig.builder().support(1.5).confidence(0.6).build()
 
-    def test_bad_max_length_rejected(self):
-        with pytest.raises(InvalidThresholdError):
-            EngineConfig(min_support=0.2, min_confidence=0.6, max_length=0)
+    @pytest.mark.parametrize("field,value", [
+        ("max_length", 0), ("max_length", 2.5), ("max_length", True),
+        ("max_log_events", 0), ("max_log_events", 2.5),
+        ("shards", 0), ("shards", True),
+        ("shard_workers", 0), ("shard_workers", 1.5),
+        ("sketch_k", 4), ("sketch_k", 16.0),
+        ("track_candidates", "no"), ("validate", 1),
+    ])
+    def test_bad_field_value_rejected(self, field, value):
+        with pytest.raises(InvalidThresholdError, match=field):
+            EngineConfig(min_support=0.2, min_confidence=0.6,
+                         **{field: value})
 
     def test_replace_revalidates(self):
         config = EngineConfig(min_support=0.2, min_confidence=0.6)
-        assert config.replace(backend="fpgrowth").backend == "fpgrowth"
+        assert config.replace(max_length=4).max_length == 4
         with pytest.raises(InvalidThresholdError):
             config.replace(min_support=0.0)
 
@@ -55,19 +61,19 @@ class TestEngineFactory:
     def test_engine_from_kwargs(self):
         eng = engine(make_relation(), min_support=0.25, min_confidence=0.6)
         eng.mine()
-        assert eng.backend_name == "apriori-fup"
         assert len(eng.rules) > 0
 
     def test_engine_from_config_with_overrides(self):
         config = EngineConfig(min_support=0.25, min_confidence=0.6)
-        eng = engine(make_relation(), config, backend="eclat")
-        assert eng.config.backend == "eclat"
+        eng = engine(make_relation(), config, max_length=2)
+        assert eng.config.max_length == 2
         assert eng.thresholds.min_support == 0.25
 
-    def test_unknown_backend_fails_at_construction(self):
-        with pytest.raises(MiningError, match="unknown mining backend"):
+    @pytest.mark.parametrize("field", ["backend", "counter"])
+    def test_removed_mining_options_fail_at_construction(self, field):
+        with pytest.raises(TypeError, match=field):
             engine(make_relation(), min_support=0.2, min_confidence=0.6,
-                   backend="nope")
+                   **{field: "auto"})
 
     def test_default_relation_is_empty(self):
         eng = engine(min_support=0.5, min_confidence=0.5)
@@ -102,6 +108,30 @@ class TestValidationReporting:
         message = str(excinfo.value)
         assert "add-annotations" in message
         assert "db_size=8" in message
-        assert "backend=apriori-fup" in message
         assert "closure violated (synthetic)" in message
         assert isinstance(excinfo.value.__cause__, MaintenanceError)
+
+
+class TestLifecycleAgainstRemine:
+    @pytest.mark.parametrize("max_length", [None, 1, 2])
+    def test_every_step_matches_the_paper_pipeline(self, max_length):
+        """The paper's three cases plus both removal extensions: after
+        each one the engine's table respects ``max_length`` and its
+        rules equal a from-scratch hash-tree Apriori re-mine."""
+        eng = engine(make_relation(), min_support=0.25, min_confidence=0.6,
+                     max_length=max_length, validate=True)
+        steps = [
+            eng.mine,
+            lambda: eng.add_annotations([(3, "A"), (5, "A"), (0, "B")]),
+            lambda: eng.insert_annotated([(("1", "2"), ("A",)),
+                                          (("4", "3"), ("B",))]),
+            lambda: eng.insert_unannotated([("4", "9"), ("1", "9")]),
+            lambda: eng.remove_annotations([(5, "A"), (1, "B")]),
+            lambda: eng.remove_tuples([7, 2]),
+        ]
+        for step in steps:
+            step()
+            if max_length is not None:
+                assert max(map(len, eng.table)) <= max_length
+            verification = eng.verify_against_remine()
+            assert verification.equivalent, verification.explain()

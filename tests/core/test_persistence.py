@@ -55,6 +55,31 @@ class TestRestore:
         assert not restored.relation.is_live(0)
         assert restored.signature() == manager.signature()
 
+    def test_round_trip_of_a_relation_with_interior_and_trailing_tombstones(
+            self):
+        """A restored relation carries its tombstones into the bulk
+        encoder of ``mine()``: dead tids, including the last one, must
+        stay empty transactions so every later tid keeps its slot."""
+        relation = AnnotatedRelation(Schema(["x", "y"]))
+        for values, annotations in [(("1", "2"), ("A",)),
+                                    (("1", "3"), ("A", "B")),
+                                    (("4", "2"), ()),
+                                    (("1", "3"), ("A", "B")),
+                                    (("4", "3"), ("B",)),
+                                    (("1", "2"), ("A",))]:
+            relation.insert(values, annotations)
+        manager = mined_manager(relation)
+        manager.remove_tuples([2, 5])
+        restored = restore(snapshot(manager))
+        assert restored.relation.tid_range == manager.relation.tid_range
+        assert [restored.database.transaction(tid) == frozenset()
+                for tid in range(restored.relation.tid_range)] == \
+            [not manager.relation.is_live(tid)
+             for tid in range(manager.relation.tid_range)]
+        assert restored.signature() == manager.signature()
+        restored.insert_annotated([(("1", "2"), ("A",))])
+        assert restored.verify_against_remine().equivalent
+
     def test_restored_manager_accepts_updates(self):
         restored = restore(snapshot(mined_manager()))
         restored.add_annotations([(3, "A")])

@@ -5,7 +5,8 @@ that version's spec lacks from a current document — v1 has no
 revision/catalog, v2 no shard layout, v3 no journal anchor.  All of
 them must load, round-trip through the v4 writer unchanged in
 substance, and malformed v4 journal anchors must refuse.  Shard
-layouts may carry the ``executor`` key older writers recorded.
+layouts may carry the ``executor`` key, and documents the ``backend``
+key, that older writers recorded.
 """
 
 import pytest
@@ -108,6 +109,31 @@ def test_invalid_legacy_shard_executor_refuses():
     document["shards"] = {**document["shards"], "executor": "fiber"}
     with pytest.raises(FormatError, match="invalid executor"):
         persistence.restore(document)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("backend", ["apriori-fup", "eclat", "fpgrowth"])
+def test_legacy_backend_is_accepted_and_ignored(version, backend):
+    """Writers before the single mining path recorded the backend they
+    mined with; every such document restores the signature it was
+    saved with, and the current writer no longer records one."""
+    manager = mined()
+    aged = downgrade(persistence.snapshot(manager), version)
+    assert "backend" not in aged
+    aged["backend"] = backend
+    restored = persistence.restore(aged)
+    assert restored.signature() == manager.signature()
+    restored.close()
+    manager.close()
+
+
+def test_unknown_legacy_backend_refuses():
+    manager = mined()
+    document = persistence.snapshot(manager)
+    document["backend"] = "bogus"
+    with pytest.raises(FormatError, match="unknown backend 'bogus'"):
+        persistence.restore(document)
+    manager.close()
 
 
 def test_v4_journal_anchor_round_trips():

@@ -100,44 +100,11 @@ class TestRuleSet:
         assert len(rules) == 1
         assert rules.get(rule().key).union_count == 4
 
-    def test_mentioning_index(self):
+    def test_catalog_follows_discards(self):
         rules = RuleSet([rule()])
-        with pytest.deprecated_call():
-            assert len(rules.mentioning(0)) == 1
-        with pytest.deprecated_call():
-            assert len(rules.mentioning(2)) == 1  # RHS is indexed too
-        with pytest.deprecated_call():
-            assert rules.mentioning(9) == []
-
-    def test_mentioning_index_cleans_up(self):
-        rules = RuleSet([rule()])
+        assert len(rules.catalog().mentioning(0)) == 1
         rules.discard(rule().key)
-        with pytest.deprecated_call():
-            assert rules.mentioning(0) == []
-
-    def test_of_kind_and_with_rhs(self):
-        d2a = rule()
-        a2a = rule(lhs=(3,), rhs=2, union=2, lhs_count=3,
-                   kind=RuleKind.ANNOTATION_TO_ANNOTATION)
-        rules = RuleSet([d2a, a2a])
-        with pytest.deprecated_call():
-            assert rules.of_kind(RuleKind.DATA_TO_ANNOTATION) == [d2a]
-        with pytest.deprecated_call():
-            assert set(r.key for r in rules.with_rhs(2)) == \
-                {d2a.key, a2a.key}
-
-    def test_deprecated_lookups_warn_and_match_the_catalog(self):
-        """The hot-path deprecations are real warnings, and the legacy
-        answers still agree with the catalog they delegate to."""
-        d2a = rule()
-        rules = RuleSet([d2a])
-        for call in (lambda: rules.mentioning(0),
-                     lambda: rules.of_kind(RuleKind.DATA_TO_ANNOTATION),
-                     lambda: rules.with_rhs(2)):
-            with pytest.warns(DeprecationWarning,
-                              match="catalog\\(\\) instead"):
-                legacy = call()
-            assert legacy == [d2a]
+        assert list(rules.catalog().mentioning(0)) == []
 
     def test_sorted_rules_deterministic(self):
         rules = RuleSet([

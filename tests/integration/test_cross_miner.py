@@ -1,4 +1,5 @@
-"""Cross-backend agreement: Apriori == Eclat == FP-growth on workloads."""
+"""Cross-miner agreement on workloads: the hash-tree Apriori (the
+re-mine oracle) == the vertical miner (the engine's from-scratch mine)."""
 
 import pytest
 
@@ -10,16 +11,18 @@ from repro.mining.constraints import (
     MiningTask,
 )
 from repro.mining.eclat import mine_frequent_itemsets_vertical
-from repro.mining.fpgrowth import mine_frequent_itemsets_fp
-from repro.relation.transactions import encode_relation
+from repro.mining.itemsets import ItemVocabulary, TransactionDatabase
+from repro.relation.transactions import TokenInterner, encode_relation
 from repro.synth import workloads
 
 
 @pytest.fixture(scope="module")
 def encoded():
     workload = workloads.dev_scale()
-    database = encode_relation(workload.relation)
-    return database
+    vocabulary = ItemVocabulary()
+    return TransactionDatabase.from_encoded(
+        vocabulary,
+        encode_relation(workload.relation, TokenInterner(vocabulary)))
 
 
 @pytest.mark.parametrize("task", [
@@ -28,17 +31,15 @@ def encoded():
     MiningTask.ANNOTATION_TO_ANNOTATION,
     MiningTask.COMBINED,
 ])
-def test_three_backends_agree(encoded, task):
+def test_apriori_and_vertical_miners_agree(encoded, task):
     constraint = constraint_for_task(task, encoded.vocabulary)
     min_count = min_count_for(0.2, len(encoded))
     apriori_table = mine_frequent_itemsets(
+        encoded.transactions, min_count=min_count, constraint=constraint,
+        counter="hashtree")
+    vertical_table = mine_frequent_itemsets_vertical(
         encoded.transactions, min_count=min_count, constraint=constraint)
-    eclat_table = mine_frequent_itemsets_vertical(
-        encoded.transactions, min_count=min_count, constraint=constraint)
-    fp_table = mine_frequent_itemsets_fp(
-        encoded.transactions, min_count=min_count, constraint=constraint)
-    assert apriori_table == eclat_table
-    assert apriori_table == fp_table
+    assert apriori_table == vertical_table
 
 
 def test_hash_tree_and_scan_counters_agree(encoded):
@@ -48,9 +49,4 @@ def test_hash_tree_and_scan_counters_agree(encoded):
                                   constraint=constraint, counter="hashtree")
     scan = mine_frequent_itemsets(encoded.transactions, min_count=min_count,
                                   constraint=constraint, counter="scan")
-    vertical = mine_frequent_itemsets(encoded.transactions,
-                                      min_count=min_count,
-                                      constraint=constraint,
-                                      counter="vertical")
     assert tree == scan
-    assert tree == vertical

@@ -1,20 +1,21 @@
-"""Threshold boundary rounding, unit-level and through every backend.
+"""Threshold boundary rounding, unit-level and through both miners.
 
 ``min_count_for`` and ``meets_fraction`` define the support floor at
 exact ``fraction * total`` products (0.3 × 10, 1/3 × 3, …), where naive
 ``ceil`` arithmetic flips on float noise.  These tests pin the boundary
 at the helper level and then assert the *same* boundary is applied by
-all three mining backends and all counter strategies: a pattern sitting
-exactly on the floor is frequent everywhere or nowhere.
+the engine's mine(), by a sharded mine and by the paper's hash-tree
+Apriori (``remine``):
+a pattern sitting exactly on the floor is frequent everywhere or
+nowhere.
 """
 
 import pytest
 
 from repro._util import EPSILON, meets_fraction, min_count_for
+from repro.baselines.remine import remine
 from repro.core.engine import engine
 from tests.conftest import make_relation
-
-ALL_BACKENDS = ("apriori-fup", "eclat", "fpgrowth")
 
 #: (fraction, total, expected floor) at exact-product boundaries.
 EXACT_BOUNDARIES = [
@@ -81,49 +82,60 @@ def _pattern_tokens(eng):
     }
 
 
-class TestBackendBoundaryAgreement:
-    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
-    def test_exact_three_tenths_is_frequent(self, backend_name):
-        eng = engine(_ten_tuple_relation(), min_support=0.3,
-                     min_confidence=0.5, margin=1.0, backend=backend_name,
-                     validate=True)
-        eng.mine()
+def _engine_mine(relation, min_support):
+    eng = engine(relation, min_support=min_support, min_confidence=0.5,
+                 margin=1.0, validate=True)
+    eng.mine()
+    return eng
+
+
+def _paper_remine(relation, min_support):
+    return remine(relation, min_support=min_support, min_confidence=0.5,
+                  margin=1.0)
+
+
+def _sharded_mine(relation, min_support):
+    # Three shards put the boundary on the SON merge's local floors.
+    eng = engine(relation, min_support=min_support, min_confidence=0.5,
+                 margin=1.0, shards=3, validate=True)
+    eng.mine()
+    return eng
+
+
+#: The engine's from-scratch mine, the same over shards, and the
+#: paper's hash-tree Apriori.
+PIPELINES = {"mine": _engine_mine, "sharded": _sharded_mine,
+             "remine": _paper_remine}
+
+
+class TestPipelineBoundaryAgreement:
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_exact_three_tenths_is_frequent(self, pipeline):
+        eng = PIPELINES[pipeline](_ten_tuple_relation(), 0.3)
         assert ("1", "A") in {
             tokens for tokens in _pattern_tokens(eng) if len(tokens) == 2}
 
-    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
-    def test_just_above_the_exact_product_is_not(self, backend_name):
-        eng = engine(_ten_tuple_relation(), min_support=0.3 + 1e-3,
-                     min_confidence=0.5, margin=1.0, backend=backend_name,
-                     validate=True)
-        eng.mine()
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_just_above_the_exact_product_is_not(self, pipeline):
+        eng = PIPELINES[pipeline](_ten_tuple_relation(), 0.3 + 1e-3)
         assert ("1", "A") not in _pattern_tokens(eng)
 
-    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
-    def test_exact_one_third_of_three(self, backend_name):
-        eng = engine(_three_tuple_relation(), min_support=1 / 3,
-                     min_confidence=0.5, margin=1.0, backend=backend_name,
-                     validate=True)
-        eng.mine()
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_exact_one_third_of_three(self, pipeline):
+        eng = PIPELINES[pipeline](_three_tuple_relation(), 1 / 3)
         assert ("1", "A") in _pattern_tokens(eng)
 
-    def test_all_backends_and_counters_agree_at_boundaries(self):
-        """Identical tables at the boundary thresholds everywhere —
-        including the bitmap (vertical) counting substrate."""
+    def test_pipelines_agree_at_boundaries(self):
+        """Identical tables at the boundary thresholds from the bitmap
+        vertical miner, its sharded SON merge and the hash-tree
+        Apriori."""
         for relation_factory, min_support in (
                 (_ten_tuple_relation, 0.3),
                 (_three_tuple_relation, 1 / 3)):
-            reference = None
-            for backend_name in ALL_BACKENDS:
-                for counter in ("auto", "vertical"):
-                    eng = engine(relation_factory(), min_support=min_support,
-                                 min_confidence=0.5, margin=1.0,
-                                 backend=backend_name, counter=counter,
-                                 validate=True)
-                    eng.mine()
-                    tokens = _pattern_tokens(eng)
-                    if reference is None:
-                        reference = tokens
-                    assert tokens == reference, (
-                        f"{backend_name}/{counter} drew a different "
-                        f"support boundary at {min_support}")
+            tables = {name: _pattern_tokens(run(relation_factory(),
+                                                min_support))
+                      for name, run in PIPELINES.items()}
+            assert tables["mine"] == tables["sharded"] == \
+                tables["remine"], (
+                    f"the pipelines drew different support boundaries "
+                    f"at {min_support}: {tables}")

@@ -68,8 +68,7 @@ class TestCandidateGeneration:
 
 
 class TestCountCandidates:
-    @pytest.mark.parametrize("counter",
-                             ["hashtree", "scan", "auto", "vertical"])
+    @pytest.mark.parametrize("counter", ["hashtree", "scan", "auto"])
     def test_strategies_agree(self, counter):
         candidates = [(1, 2), (2, 5), (3, 5), (1, 5)]
         counts = count_candidates(candidates, TRANSACTIONS, counter=counter)
@@ -168,7 +167,7 @@ class TestConstrainedMining:
 
 
 class TestCounterEquivalence:
-    @pytest.mark.parametrize("counter", ["hashtree", "scan", "vertical"])
+    @pytest.mark.parametrize("counter", ["hashtree", "scan"])
     def test_same_table_for_every_counter(self, counter):
         baseline = mine_frequent_itemsets(TRANSACTIONS, min_count=2,
                                           counter="auto")

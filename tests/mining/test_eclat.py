@@ -68,11 +68,13 @@ class TestEclatAgreesWithApriori:
                                                    min_count=min_count), \
                 f"trial {trial}"
 
-    def test_max_length(self):
-        vertical = mine_frequent_itemsets_vertical(TRANSACTIONS, min_count=2,
-                                                   max_length=2)
-        assert (2, 3, 5) not in vertical
-        assert (2, 5) in vertical
+    @pytest.mark.parametrize("max_length", [1, 2, 3])
+    def test_max_length(self, max_length):
+        vertical = mine_frequent_itemsets_vertical(
+            TRANSACTIONS, min_count=2, max_length=max_length)
+        assert vertical == mine_frequent_itemsets(
+            TRANSACTIONS, min_count=2, max_length=max_length)
+        assert max(map(len, vertical)) == max_length
 
 
 class TestMineContaining:
@@ -99,6 +101,11 @@ class TestMineContaining:
         index = build_vertical_index(TRANSACTIONS)
         assert mine_containing(index, 4, min_count=2) == {}
         assert mine_containing(index, 99, min_count=1) == {}
+
+    def test_max_length_one_keeps_only_the_seed(self):
+        index = build_vertical_index(TRANSACTIONS)
+        assert mine_containing(index, 5, min_count=2, max_length=1) == {
+            (5,): 3}
 
     def test_candidate_items_restriction(self):
         index = build_vertical_index(TRANSACTIONS)

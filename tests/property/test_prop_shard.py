@@ -1,7 +1,7 @@
 """Differential shard-equivalence suite.
 
 The sharded engine's whole contract is *indistinguishability*: for any
-backend, counting substrate, shard count and valid event stream, a
+shard count and valid event stream, a
 :class:`~repro.shard.ShardedEngine` must produce byte-identical
 ``signature()`` (rules with exact counts) to the monolithic engine at
 every flush boundary — and both must agree with a from-scratch re-mine.
@@ -19,15 +19,13 @@ import os
 import pytest
 
 from repro.core.engine import engine
-from repro.mining.backend import available_backends
 from repro.shard import ShardedEngine
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from tests.conftest import assert_equivalent_to_remine, make_relation
 
-COUNTERS = ("auto", "vertical")
 SHARD_COUNTS = tuple(sorted({1, 2, 3, 7,
                              int(os.environ.get("REPRO_SHARDS", "1"))}))
-SEEDS = (3, 29)
+SEEDS = (3, 29, 5, 7, 11, 13, 17, 19, 23, 31, 37, 41)
 
 
 def drawn_events(relation, count, seed, config=None):
@@ -39,34 +37,29 @@ def drawn_events(relation, count, seed, config=None):
         count, apply=lambda event: apply_to_relation(shadow, event)))
 
 
-def mined_pair(relation, backend, counter, shards, *, partitioner=None):
+def mined_pair(relation, shards, *, partitioner=None):
     """(monolithic, sharded) engines over private copies, both mined."""
     mono = engine(relation.copy(), min_support=0.25, min_confidence=0.6,
-                  backend=backend, counter=counter, validate=True)
+                  validate=True)
     mono.mine()
     sharded = ShardedEngine(relation.copy(),
                             min_support=0.25, min_confidence=0.6,
-                            backend=backend, counter=counter,
                             validate=True, shards=shards,
                             partitioner=partitioner)
     sharded.mine()
     return mono, sharded
 
 
-@pytest.mark.parametrize("backend", available_backends())
-@pytest.mark.parametrize("counter", COUNTERS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_equals_monolithic_at_every_boundary(backend, counter,
-                                                     shards, seed, seeds):
+def test_sharded_equals_monolithic_at_every_boundary(shards, seed, seeds):
     """Initial mine and every flush boundary of a randomized stream
     agree between the sharded and the monolithic engine."""
     relation = make_relation()
     events = drawn_events(relation, count=12, seed=seeds.seed(seed))
-    mono, sharded = mined_pair(relation, backend, counter, shards)
+    mono, sharded = mined_pair(relation, shards)
     assert sharded.signature() == mono.signature(), (
-        f"initial mine diverged (backend={backend}, counter={counter}, "
-        f"shards={shards})")
+        f"initial mine diverged (shards={shards}, seed={seed})")
 
     rng = seeds.rng(seed * 101 + shards)
     cut_count = rng.randint(1, 4)
@@ -76,17 +69,16 @@ def test_sharded_equals_monolithic_at_every_boundary(backend, counter,
         mono.apply_batch(batch)
         sharded.apply_batch(batch)
         assert sharded.signature() == mono.signature(), (
-            f"flush boundary {start}:{stop} diverged (backend={backend}, "
-            f"counter={counter}, shards={shards}, "
+            f"flush boundary {start}:{stop} diverged (shards={shards}, "
             f"seed={seed})")
         assert sharded.db_size == mono.db_size
     assert len(sharded.table) == len(mono.table)
     assert_equivalent_to_remine(sharded)
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("shards", (2, 3))
-def test_shard_skewed_insert_stream(backend, shards, seeds):
+@pytest.mark.parametrize("seed", (47, 53, 59))
+def test_shard_skewed_insert_stream(shards, seed, seeds):
     """A partitioner sending ~every new insert to shard 0 (hot-shard
     skew) must not change any answer — only the layout."""
     relation = make_relation()
@@ -96,7 +88,7 @@ def test_shard_skewed_insert_stream(backend, shards, seeds):
         return tid % shards if tid < base else 0
 
     stream_config = StreamConfig(
-        seed=seeds.seed(47), batch_size=3,
+        seed=seeds.seed(seed), batch_size=3,
         weight_insert_annotated=6.0,
         weight_insert_unannotated=2.0,
         weight_add_annotations=1.0,
@@ -105,8 +97,7 @@ def test_shard_skewed_insert_stream(backend, shards, seeds):
     )
     events = drawn_events(relation, count=14, seed=None,
                           config=stream_config)
-    mono, sharded = mined_pair(relation, backend, "auto", shards,
-                               partitioner=skewed)
+    mono, sharded = mined_pair(relation, shards, partitioner=skewed)
     mono.apply_batch(events)
     sharded.apply_batch(events)
 
@@ -125,8 +116,7 @@ def test_more_shards_than_tuples(shards, seeds):
     rows = [(("1", "2"), ("A",)), (("1", "3"), ("A",)),
             (("4", "2"), ())]
     relation = make_relation(rows)
-    mono, sharded = mined_pair(relation, "apriori-fup", "auto",
-                               max(shards, len(rows) + 2))
+    mono, sharded = mined_pair(relation, max(shards, len(rows) + 2))
     assert sharded.signature() == mono.signature()
     events = drawn_events(relation, count=6, seed=seeds.seed(11))
     mono.apply_batch(events)

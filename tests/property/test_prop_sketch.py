@@ -5,10 +5,9 @@ Two contracts back the ``mode=estimate`` read path:
 * **Exact mode is untouched.**  An engine whose sketch tier is
   exercised between flushes (warm build + estimate reads on every
   boundary) produces byte-identical ``signature()`` to a twin engine
-  that never touches a sketch — across backends, counting substrates
-  and randomized streams, including the shard-skewed layout.  Estimates
-  are pure reads; the maintenance observer must never perturb mining
-  state.
+  that never touches a sketch — across randomized streams, including
+  the shard-skewed layout.  Estimates are pure reads; the maintenance
+  observer must never perturb mining state.
 * **Bounds cover empirically.**  Every non-exact estimate carries a
   symmetric bound; re-scoring mined rules (whose ``union_count`` /
   ``lhs_count`` are exact ground truth) through deliberately tiny
@@ -20,14 +19,15 @@ Two contracts back the ``mode=estimate`` read path:
 import pytest
 
 from repro.core.engine import engine
-from repro.mining.backend import available_backends
 from repro.mining.sketch import z_score
 from repro.shard import ShardedEngine
 from tests.conftest import make_relation
 from tests.property.test_prop_shard import drawn_events
 
-COUNTERS = ("auto", "vertical")
-SEEDS = (5, 31)
+SEEDS = (5, 31, 3, 7, 11, 13, 17, 19, 23, 29, 37, 41)
+#: Coverage is a fixed regression point per seed (hashes are
+#: deterministic), so this grid keeps its historical seeds.
+COVERAGE_SEEDS = (5, 31)
 
 #: Small enough to force genuine sampling at the scales below, large
 #: enough (>= 8, the module floor) to keep estimates meaningful.
@@ -63,22 +63,17 @@ def probe_estimates(manager):
         manager.sketch_cardinality(rule.rhs)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-@pytest.mark.parametrize("counter", COUNTERS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_estimate_reads_never_change_exact_signatures(backend, counter,
-                                                      seed, seeds):
+def test_estimate_reads_never_change_exact_signatures(seed, seeds):
     """mode=exact byte-identity: a probed engine (sketches warmed, every
     rule estimated at every flush boundary) and an untouched twin agree
     on ``signature()`` throughout a randomized stream."""
     relation = make_relation()
     events = drawn_events(relation, count=12, seed=seeds.seed(seed))
     untouched = engine(relation.copy(), min_support=0.25,
-                       min_confidence=0.6, backend=backend,
-                       counter=counter, validate=True)
+                       min_confidence=0.6, validate=True)
     probed = engine(relation.copy(), min_support=0.25,
-                    min_confidence=0.6, backend=backend,
-                    counter=counter, validate=True, sketch_k=TINY_K)
+                    min_confidence=0.6, validate=True, sketch_k=TINY_K)
     untouched.mine()
     probed.mine()
     probe_estimates(probed)
@@ -93,21 +88,18 @@ def test_estimate_reads_never_change_exact_signatures(backend, counter,
         probe_estimates(probed)
         assert probed.signature() == untouched.signature(), (
             f"estimate reads perturbed exact results at boundary "
-            f"{start}:{stop} (backend={backend}, counter={counter}, "
-            f"seed={seed})")
+            f"{start}:{stop} (seed={seed})")
         assert probed.db_size == untouched.db_size
 
 
-@pytest.mark.parametrize("counter", COUNTERS)
 @pytest.mark.parametrize("confidence_level", (0.9, 0.95))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bounds_cover_exact_counts(counter, confidence_level, seed, seeds):
+@pytest.mark.parametrize("seed", COVERAGE_SEEDS)
+def test_bounds_cover_exact_counts(confidence_level, seed, seeds):
     """Union/LHS counts re-estimated through TINY_K sketches stay
     inside their bound at >= the configured confidence level."""
     rng = seeds.rng(seed * 131 + 7)
     manager = engine(synthetic_relation(rng), min_support=0.05,
-                     min_confidence=0.3, counter=counter,
-                     sketch_k=COVERAGE_K)
+                     min_confidence=0.3, sketch_k=COVERAGE_K)
     manager.mine()
     z = z_score(confidence_level)
 
@@ -129,10 +121,10 @@ def test_bounds_cover_exact_counts(counter, confidence_level, seed, seeds):
         "no sketch ever sampled — raise the row count or lower TINY_K")
     assert covered / sampled >= confidence_level, (
         f"bound coverage {covered}/{sampled} below "
-        f"{confidence_level} (counter={counter}, seed={seed})")
+        f"{confidence_level} (seed={seed})")
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", (5, 31))
 def test_rhs_marginals_are_exact_under_churn(seed, seeds):
     """Sketch cardinalities (the lift denominator) track the vertical
     index exactly through a randomized update stream."""
@@ -148,8 +140,8 @@ def test_rhs_marginals_are_exact_under_churn(seed, seeds):
             manager.index.frequency(rule.rhs)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_sharded_estimates_compose_and_stay_exact_mode_clean(backend, seeds):
+@pytest.mark.parametrize("seed", (83, 89, 97))
+def test_sharded_estimates_compose_and_stay_exact_mode_clean(seed, seeds):
     """A shard-skewed sharded engine: estimate reads between flushes
     never break byte-identity with the monolith, per-shard estimates
     sum to feasible totals, and exact ground truth stays covered."""
@@ -159,12 +151,11 @@ def test_sharded_estimates_compose_and_stay_exact_mode_clean(backend, seeds):
     def skewed(tid: int) -> int:
         return tid % 3 if tid < base else 0
 
-    events = drawn_events(relation, count=12, seed=seeds.seed(83))
+    events = drawn_events(relation, count=12, seed=seeds.seed(seed))
     mono = engine(relation.copy(), min_support=0.25, min_confidence=0.6,
-                  backend=backend, validate=True)
+                  validate=True)
     sharded = ShardedEngine(relation.copy(), min_support=0.25,
-                            min_confidence=0.6, backend=backend,
-                            validate=True, shards=3, partitioner=skewed,
+                            min_confidence=0.6, validate=True, shards=3, partitioner=skewed,
                             sketch_k=TINY_K)
     mono.mine()
     sharded.mine()

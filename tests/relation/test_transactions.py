@@ -4,6 +4,7 @@ from repro.mining.itemsets import ItemKind, ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
 from repro.relation.transactions import (
+    TokenInterner,
     annotation_item_ids,
     encode_relation,
     encode_tuple,
@@ -68,26 +69,35 @@ class TestEncodeTuple:
 class TestEncodeRelation:
     def test_tid_alignment(self):
         relation = build_relation()
-        database = encode_relation(relation)
-        assert len(database) == 2
-        tokens_0 = {database.vocabulary.item(item).token
-                    for item in database.transaction(0)}
+        vocabulary = ItemVocabulary()
+        transactions = encode_relation(relation, TokenInterner(vocabulary))
+        assert len(transactions) == 2
+        tokens_0 = {vocabulary.item(item).token for item in transactions[0]}
         assert tokens_0 == {"1", "2", "A"}
 
     def test_tombstones_encode_empty(self):
         relation = build_relation()
         relation.delete(0)
-        database = encode_relation(relation)
-        assert database.transaction(0) == frozenset()
-        assert database.transaction(1) != frozenset()
+        transactions = encode_relation(relation,
+                                       TokenInterner(ItemVocabulary()))
+        assert transactions[0] == frozenset()
+        assert transactions[1] != frozenset()
 
     def test_existing_vocabulary_reused(self):
         relation = build_relation()
         vocabulary = ItemVocabulary()
         pre_interned = vocabulary.intern_data("1")
-        database = encode_relation(relation, vocabulary)
-        assert database.vocabulary is vocabulary
-        assert pre_interned in database.transaction(0)
+        transactions = encode_relation(relation, TokenInterner(vocabulary))
+        assert pre_interned in transactions[0]
+
+    def test_labels_can_be_excluded(self):
+        relation = build_relation()
+        relation.set_labels(0, {"L"})
+        vocabulary = ItemVocabulary()
+        transactions = encode_relation(relation, TokenInterner(vocabulary),
+                                       include_labels=False)
+        assert {vocabulary.item(item).token
+                for item in transactions[0]} == {"1", "2", "A"}
 
 
 class TestAnnotationItemIds:

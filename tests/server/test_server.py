@@ -137,6 +137,33 @@ class TestTenantLifecycle:
         status, _, _ = served.request("GET", "/v1/x")
         assert status == 404
 
+    @pytest.mark.parametrize("field", ["backend", "counter"])
+    def test_removed_mining_option_fields_400(self, served, field):
+        """The engine has one mining path; a body that still selects a
+        backend or counter is an unknown field."""
+        status, body, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "x", "rows": ROWS, "config": {field: "auto"}})
+        assert status == 400
+        assert field in body["error"]
+
+    @pytest.mark.parametrize("config,field", [
+        ({"max_log_events": 2.5}, "max_log_events"),
+        ({"max_length": 2.5}, "max_length"),
+        ({"max_length": True}, "max_length"),
+        ({"shards": 2, "shard_workers": 1.5}, "shard_workers"),
+        ({"track_candidates": "no"}, "track_candidates"),
+        ({"validate": 1}, "validate"),
+    ])
+    def test_badly_typed_config_400(self, served, config, field):
+        status, body, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "typed", "rows": ROWS, "config": config})
+        assert status == 400
+        assert field in body["error"]
+        status, _, _ = served.request("GET", "/v1/typed")
+        assert status == 404
+
     def test_reserved_name_400(self, served):
         status, body, _ = served.request(
             "POST", "/v1/tenants", {"name": "tenants", "rows": ROWS})

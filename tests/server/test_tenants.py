@@ -45,11 +45,12 @@ class TestEngineConfigCodec:
 
     def test_no_template_requires_thresholds(self):
         with pytest.raises(ServerError, match="incomplete engine config"):
-            engine_config_from_json({"backend": "eclat"}, None)
+            engine_config_from_json({"max_length": 3}, None)
 
-    def test_unknown_field_rejected_by_name(self):
-        with pytest.raises(ServerError, match="min_suport"):
-            engine_config_from_json({"min_suport": 0.5}, ENGINE)
+    @pytest.mark.parametrize("field", ["min_suport", "backend", "counter"])
+    def test_unknown_field_rejected_by_name(self, field):
+        with pytest.raises(ServerError, match=field):
+            engine_config_from_json({field: 0.5}, ENGINE)
 
     def test_round_trip(self):
         rendered = engine_config_to_json(ENGINE)

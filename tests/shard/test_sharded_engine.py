@@ -84,8 +84,8 @@ class TestPartitionLayout:
         from repro.mining.itemsets import ItemVocabulary
         from repro.relation.schema import Schema
         from repro.relation.relation import AnnotatedRelation
-        from repro.relation.transactions import encode_tuple
-        from repro.shard import TokenInterner, build_substrate
+        from repro.relation.transactions import TokenInterner, encode_tuple
+        from repro.shard import build_substrate
 
         schemaless = make_relation()
         schemaful = AnnotatedRelation(Schema(("color", "size")))
@@ -402,6 +402,14 @@ class TestPersistenceV3:
             manager.mine(substrate=EncodedSubstrate(
                 database=TransactionDatabase(manager.vocabulary),
                 index=VerticalIndex(ItemVocabulary())))
+
+    def test_mine_rejects_misaligned_substrate(self):
+        from repro.core.engine import EncodedSubstrate
+
+        manager = CorrelationEngine(make_relation(), CONFIG)
+        with pytest.raises(MaintenanceError, match="tid range"):
+            manager.mine(substrate=EncodedSubstrate.from_transactions(
+                manager.vocabulary, [frozenset()]))
 
     def test_v2_documents_still_load(self):
         manager = CorrelationEngine(make_relation(), CONFIG)

@@ -128,8 +128,7 @@ class ServerHarness:
 
         engine_config = EngineConfig(
             min_support=workload.min_support,
-            min_confidence=workload.min_confidence,
-            max_log_events=50_000)
+            min_confidence=workload.min_confidence)
         settings = dict(host="127.0.0.1", port=0,
                         default_engine=engine_config,
                         flush_watermark=0.5,

@@ -81,13 +81,12 @@ def _mono(relation, workload):
     return manager
 
 
-def _sharded(relation, workload, shards, *, workers=None):
+def _sharded(relation, workload, shards):
     """A mined sharded engine and its mine report."""
     manager = ShardedEngine(relation,
                             min_support=workload.min_support,
                             min_confidence=workload.min_confidence,
-                            shards=shards,
-                            shard_workers=workers)
+                            shards=shards)
     return manager, manager.mine()
 
 
@@ -121,7 +120,7 @@ def test_shard_scaling_initial_mine(benchmark, shard_workload):
     assert mono.signature() == reference, (
         "the engine's mine() diverged from the paper's pipeline")
 
-    rows = [f"tuples={N_TUPLES} (workers = shard count)",
+    rows = [f"tuples={N_TUPLES} (shards mined in a loop)",
             f"paper pipeline {fmt_ms(paper_seconds)}      1.00x  baseline",
             f"monolithic     {fmt_ms(mono_seconds)} "
             f"{paper_seconds / mono_seconds:9.2f}x  True",
@@ -178,7 +177,7 @@ def test_million_tuple_stream_row():
     workload = workloads.paper_scale(n_tuples=BIG_TUPLES, seed=13)
     relation = workload.relation.copy()
     seconds, (manager, report) = time_once(
-        lambda: _sharded(relation, workload, 8, workers=4))
+        lambda: _sharded(relation, workload, 8))
     # The stream draws against a shadow copy: mutating the engine's own
     # relation would invalidate its incremental state.
     shadow = relation.copy()
@@ -188,7 +187,7 @@ def test_million_tuple_stream_row():
     flush_seconds, flush_report = time_once(
         lambda: manager.apply_batch(events))
     record("E11_shard_big_stream", [
-        f"tuples={BIG_TUPLES} (8 shards x 4 workers, single round)",
+        f"tuples={BIG_TUPLES} (8 shards, single round)",
         f"mine {fmt_ms(seconds)}  flush({len(events)} ev) "
         f"{fmt_ms(flush_seconds)}",
     ])

@@ -1,7 +1,7 @@
 """Quickstart: discover and incrementally maintain annotation rules.
 
 Builds a small annotated relation, configures a correlation engine
-through the fluent builder, mines data-to-annotation and
+with an ``EngineConfig``, mines data-to-annotation and
 annotation-to-annotation rules, applies each of the paper's three
 update cases incrementally, and verifies the maintained rule set
 against a full re-mine — then checks the initial mine against the
@@ -43,10 +43,7 @@ def print_rules(engine: CorrelationEngine) -> None:
 
 
 def main() -> None:
-    config = (EngineConfig.builder()
-              .support(0.25)
-              .confidence(0.6)
-              .build())
+    config = EngineConfig(min_support=0.25, min_confidence=0.6)
     engine = CorrelationEngine(build_relation(), config)
     report = engine.mine()
     print(f"Mined {len(engine.rules)} rules from {engine.db_size} tuples "

@@ -31,7 +31,7 @@ from repro.core.catalog import (
     QueryExplain,
     RuleCatalog,
 )
-from repro.core.config import EngineConfig, EngineConfigBuilder
+from repro.core.config import EngineConfig
 from repro.errors import CatalogError
 from repro.core.deltas import DeltaPlan, EventAudit, compile_plan
 from repro.core.engine import (
@@ -124,7 +124,6 @@ __all__ = [
     "EncodedSubstrate",
     "EventAudit",
     "EngineConfig",
-    "EngineConfigBuilder",
     "EventJournal",
     "JournalStore",
     "QueryExplain",

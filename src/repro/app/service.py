@@ -418,9 +418,6 @@ class CorrelationService:
         hosted.applied_seq = store.last_seq
         if hosted.engine.is_mined:
             store.ensure_base_snapshot(hosted.engine)
-        # Bounded in-memory logs must not evict anything the journal
-        # has not fsynced yet (only matters with journal_fsync=False).
-        hosted.engine.log.ensure_durable = store.sync
 
     def _journal_append(self, hosted: _Hosted,
                         batch: list[UpdateEvent]) -> int:
@@ -473,7 +470,6 @@ class CorrelationService:
                          config=result.engine.config,
                          journal=store, applied_seq=result.last_seq)
         hosted.revision += 1
-        hosted.engine.log.ensure_durable = store.sync
         with self._registry_lock:
             if name in self._hosted:
                 store.close()
@@ -547,18 +543,16 @@ class CorrelationService:
             return RebalanceReport(session=name, plan=plan,
                                    applied=False,
                                    revision=hosted.revision)
-        config = hosted.config
-        workers = config.shard_workers if config is not None else None
         store = hosted.journal
         if store is None:
             with hosted.lock.write():
-                return self._cutover(hosted, plan, workers,
+                return self._cutover(hosted, plan,
                                      base_seq=0, caught_up=0)
         with hosted.lock.read():
             document = persistence.snapshot(
                 hosted.engine, journal_seq=hosted.applied_seq)
             base_seq = hosted.applied_seq
-        new_engine = rebuild_with_plan(document, plan, workers=workers)
+        new_engine = rebuild_with_plan(document, plan)
         # Catch up on traffic that flushed while we rebuilt — without
         # any session lock, racing the live appender, until the lag is
         # gone (bounded: give up the lock-free chase after a few laps
@@ -579,12 +573,11 @@ class CorrelationService:
             if records:
                 replay_into(new_engine, records)
                 caught_up += len(records)
-            return self._cutover(hosted, plan, workers,
+            return self._cutover(hosted, plan,
                                  base_seq=base_seq, caught_up=caught_up,
                                  new_engine=new_engine)
 
-    def _cutover(self, hosted: _Hosted, plan: RebalancePlan,
-                 workers: int | None, *,
+    def _cutover(self, hosted: _Hosted, plan: RebalancePlan, *,
                  base_seq: int, caught_up: int,
                  new_engine: CorrelationEngine | None = None
                  ) -> RebalanceReport:
@@ -598,16 +591,13 @@ class CorrelationService:
         if new_engine is None:
             document = persistence.snapshot(
                 old, journal_seq=hosted.applied_seq)
-            new_engine = rebuild_with_plan(document, plan,
-                                           workers=workers)
+            new_engine = rebuild_with_plan(document, plan)
         if new_engine.signature() != old.signature():
             raise SessionError(
                 f"rebalance of session {hosted.name!r} aborted before "
                 f"cutover: rebuilt engine's rule signature diverged "
                 f"from the live one")
         new_engine.adopt_revision(old.revision)
-        if hosted.journal is not None:
-            new_engine.log.ensure_durable = hosted.journal.sync
         hosted.engine = new_engine
         if hosted.config is not None:
             hosted.config = hosted.config.replace(
@@ -949,18 +939,6 @@ class CorrelationService:
             raise SessionError(
                 f"session {name!r} carries no EngineConfig")
         return hosted.config
-
-    def log_status(self, name: str) -> dict[str, object]:
-        """Provenance-log accounting for status surfaces: the event
-        count, how many events a bounded log has rotated out, and
-        whether replaying it still reconstructs the full history."""
-        hosted = self._session(name)
-        log = hosted.engine.log
-        return {
-            "log_events": len(log),
-            "log_dropped": log.dropped,
-            "log_complete": log.complete,
-        }
 
     def verify(self, name: str) -> VerificationResult:
         """Re-mine from scratch and compare (read lock: no mutation)."""

@@ -85,12 +85,16 @@ class Session:
         """Adopt a restored engine (menu option 13 / programmatic load).
 
         Owns the queue invariant: any pending updates named tids of the
-        replaced relation, so they are discarded with it.
+        replaced relation, so they are discarded with it.  The replaced
+        session's generalizer and phase breakdown go with it too: the
+        next mine generalizes the way the restored engine does.
         """
         self.relation = manager.relation
         self.manager = manager
+        self.generalizer = manager.generalizer
         self.dataset_path = label
         self.pending_updates.clear()
+        self.last_phases = {}
 
     def _require_relation(self) -> AnnotatedRelation:
         if self.relation is None:
@@ -121,14 +125,12 @@ class Session:
              max_length: int | None = None) -> MaintenanceReport:
         """(Re)mine at the given thresholds; installs a fresh manager."""
         relation = self._require_relation()
-        config = (EngineConfig.builder()
-                  .support(min_support)
-                  .confidence(min_confidence)
-                  .margin(margin)
-                  .generalizer(self.generalizer)
-                  .max_length(max_length)
-                  .shards(self.shards)
-                  .build())
+        config = EngineConfig(min_support=min_support,
+                              min_confidence=min_confidence,
+                              margin=margin,
+                              generalizer=self.generalizer,
+                              max_length=max_length,
+                              shards=self.shards)
         self.manager = build_engine(relation, config)
         report = self.manager.mine()
         self.last_phases = dict(report.phases.wall)

@@ -127,7 +127,7 @@ class DeltaPlan:
     annotation_removes: dict[int, list[str]] = field(default_factory=dict)
     #: Pre-existing tuples the batch deletes, in event order.
     deletions: list[int] = field(default_factory=list)
-    #: The original events, in order (event-log provenance).
+    #: The original events, in order.
     events: tuple[UpdateEvent, ...] = ()
     audits: list[EventAudit] = field(default_factory=list)
     stats: PlanStats = field(default_factory=PlanStats)

@@ -24,7 +24,7 @@ exposes exactly the lifecycle of the paper's application:
   equivalence check against full re-mining.
 
 Construction goes through :class:`~repro.core.config.EngineConfig`
-(usually via :func:`engine` or ``EngineConfig.builder()``), or passes
+(usually via :func:`engine`), or passes
 config fields as keyword arguments straight to the constructor.
 
 All mutation must flow through the engine (or a relation it has not
@@ -60,7 +60,6 @@ from repro.core.events import (
     AddAnnotatedTuples,
     AddAnnotations,
     AddUnannotatedTuples,
-    EventLog,
     RemoveAnnotations,
     RemoveTuples,
     UpdateEvent,
@@ -185,7 +184,6 @@ class CorrelationEngine:
         self.table = FrequentPatternTable(self.vocabulary)
         self.constraint = CombinedRelevanceConstraint(self.vocabulary)
         self.candidates = CandidateRuleStore(enabled=config.track_candidates)
-        self.log = EventLog(max_events=config.max_log_events)
         self._rules = RuleSet()
         #: Full current near-miss set, keyed — maintained alongside the
         #: rules so the dirty-scoped refresh can revalidate untouched
@@ -248,13 +246,6 @@ class CorrelationEngine:
     def revision(self) -> int:
         """Monotone counter of committed rule-state changes."""
         return self._revision
-
-    @property
-    def log_dropped(self) -> int:
-        """Events rotated out of a bounded provenance log (0 while the
-        log is still complete) — a nonzero value means replaying the
-        log cannot reconstruct the full history."""
-        return self.log.dropped
 
     # -- the serving read path -------------------------------------------------
 
@@ -554,8 +545,6 @@ class CorrelationEngine:
         # staleness (Recommendation.revision and friends) keys on.
         self._revision += 1
         batch.duration_seconds = time.perf_counter() - started
-        for event in plan.events:
-            self.log.record(event)
         # Validate *before* syncing the version counter: a failed
         # invariant check leaves the engine stale, so the guard at the
         # top of apply_batch forces a re-mine instead of letting

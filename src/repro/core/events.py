@@ -15,10 +15,8 @@ algorithm:
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 from repro.errors import MaintenanceError
 
@@ -136,87 +134,3 @@ class RemoveTuples:
 UpdateEvent = (AddAnnotatedTuples | AddUnannotatedTuples | AddAnnotations
                | RemoveAnnotations | RemoveTuples)
 
-
-@dataclass
-class EventLog:
-    """Ordered record of applied events (provenance / replay).
-
-    By default the log grows without bound, which is what replay and
-    the short-lived application sessions want.  Long-lived *served*
-    sessions set ``max_events`` to rotate instead: once full, recording
-    a new event drops the oldest one and :attr:`dropped` counts how
-    many rotated out, so provenance consumers can tell a complete log
-    from a windowed one.
-
-    Rotation is a restart hazard — a restore that replays this log no
-    longer reconstructs the full history — so the *first* drop of a
-    log's lifetime also emits a :class:`RuntimeWarning`; after that the
-    counter (surfaced through engine/service/tenant status) is the
-    record.
-
-    When a write-ahead journal is attached to the session,
-    :attr:`ensure_durable` points at its ``sync`` — rotation then
-    blocks on the journal fsync *before* evicting, so an event can
-    only ever leave memory after it is safely on disk.  The
-    :attr:`dropped` counter still counts every eviction: durability
-    does not make the in-memory window any less windowed.
-    """
-
-    #: Stored as a list when unbounded, a ``deque(maxlen=...)`` when
-    #: bounded (O(1) rotation).
-    events: "list[UpdateEvent] | deque[UpdateEvent]" = field(
-        default_factory=list)
-    #: Retain at most this many events (``None`` = unbounded).
-    max_events: int | None = None
-    #: Events rotated out of a bounded log since its creation.
-    dropped: int = 0
-    #: Called (if set) before a rotation evicts an event — the durable
-    #: journal's ``sync``.  A raised exception aborts the record, so a
-    #: failed fsync never silently discards history.
-    ensure_durable: Callable[[], None] | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_events is not None and self.max_events < 1:
-            raise MaintenanceError(
-                f"EventLog max_events must be >= 1 or None, "
-                f"got {self.max_events}")
-        if self.max_events is not None:
-            # Bounded logs rotate on every record once full, so the
-            # storage must evict in O(1), not O(max_events).  A longer
-            # pre-seeded list rotates here too — count what fell out.
-            overflow = max(0, len(self.events) - self.max_events)
-            if overflow:
-                if self.ensure_durable is not None:
-                    self.ensure_durable()
-                self._count_drops(overflow)
-            self.events = deque(self.events, maxlen=self.max_events)
-
-    def record(self, event: UpdateEvent) -> None:
-        if self.max_events is not None and len(self.events) == self.max_events:
-            # Rotation eviction: with a journal attached, block on its
-            # fsync first — nothing leaves memory before it is on disk.
-            if self.ensure_durable is not None:
-                self.ensure_durable()
-            self._count_drops(1)  # the deque evicts the oldest on append
-        self.events.append(event)
-
-    def _count_drops(self, count: int) -> None:
-        if self.dropped == 0:
-            warnings.warn(
-                f"EventLog rotating: max_events={self.max_events} "
-                f"reached, oldest events are being dropped — replay / "
-                f"provenance history is now windowed (this warns once; "
-                f"the 'dropped' counter keeps the tally)",
-                RuntimeWarning, stacklevel=3)
-        self.dropped += count
-
-    @property
-    def complete(self) -> bool:
-        """False once a bounded log has rotated events out."""
-        return self.dropped == 0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)

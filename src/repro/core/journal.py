@@ -371,10 +371,10 @@ class EventJournal:
     def sync(self) -> None:
         """Force every appended record onto disk (no-op when clean).
 
-        This is the :attr:`~repro.core.events.EventLog.ensure_durable`
-        hook target: a bounded in-memory log about to rotate an event
-        out calls here first, so nothing leaves memory before it is on
-        disk.
+        With ``fsync=False`` appends only reach the OS; :meth:`close`,
+        :meth:`records` and ``CorrelationService.close`` call this so
+        deferred records are on disk before the journal is closed or
+        re-read.
         """
         if self._dirty:
             self._handle.flush()

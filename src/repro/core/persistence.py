@@ -6,7 +6,7 @@ currently it is a standalone application".  A standalone application
 that loses its pattern table on exit must re-run Apriori at startup —
 exactly the cost the incremental engine exists to avoid.  This module
 serializes everything the manager maintains (relation content, pattern
-table with exact counts, thresholds, event count) to a JSON document so
+table with exact counts, thresholds) to a JSON document so
 a session can resume where it stopped.
 
 The snapshot stores *tokens*, not interned ids: vocabularies are
@@ -21,8 +21,8 @@ first read from warm indexes) and verifies the rebuilt shape against
 the saved one.  Version-1 documents (without those fields) still load.
 
 Format version 3 adds the shard layout of a partitioned engine
-(:class:`~repro.shard.ShardedEngine`): shard count, worker setting and
-the tid -> shard assignment.  :func:`restore` rebuilds a sharded engine
+(:class:`~repro.shard.ShardedEngine`): shard count and the tid -> shard
+assignment.  :func:`restore` rebuilds a sharded engine
 with the identical layout, so the partition a session was running with
 survives a restart bit for bit (future inserts on a restored custom
 layout fall back to the default modulo scheme).  Monolithic snapshots
@@ -38,6 +38,11 @@ Snapshots no longer record the ``backend`` the engine mined with: the
 engine has one mining path.  Documents from writers that did record it
 still load when the value names a backend those writers had (the value
 is ignored); any other value is a corrupted document.
+
+Older writers also recorded an ``events_applied`` count and the shard
+layout's ``workers`` setting.  Documents carrying them still load:
+``events_applied`` is ignored, and ``workers`` is checked as those
+writers wrote it (``null`` or an int >= 1) and ignored.
 """
 
 from __future__ import annotations
@@ -112,7 +117,6 @@ def snapshot(manager: CorrelationEngine, *,
         "tuples": tuples,
         "annotations": annotations,
         "pattern_table": table,
-        "events_applied": len(manager.log),
         "engine_revision": manager.revision,
         "catalog": manager.catalog().stats.as_dict(),
     }
@@ -121,7 +125,6 @@ def snapshot(manager: CorrelationEngine, *,
     if isinstance(manager, ShardedEngine):
         document["shards"] = {
             "count": manager.shard_count,
-            "workers": manager.config.shard_workers,
             "assignment": manager.assignment(),
         }
     if journal_seq is not None:
@@ -238,9 +241,11 @@ def _restore_sharded(relation: AnnotatedRelation, config: EngineConfig,
            for shard in assignment):
         raise FormatError(
             f"snapshot shard assignment names shards outside 0..{count - 1}")
+    # Older writers recorded the shard-worker setting; checked, ignored.
     workers = sharding.get("workers")
-    if workers is not None and not (isinstance(workers, int)
-                                    and workers >= 1):
+    if workers is not None and (not isinstance(workers, int)
+                                or isinstance(workers, bool)
+                                or workers < 1):
         raise FormatError(
             f"snapshot shard layout has invalid workers {workers!r}")
     executor = sharding.get("executor", "thread")
@@ -255,7 +260,7 @@ def _restore_sharded(relation: AnnotatedRelation, config: EngineConfig,
 
     return ShardedEngine(
         relation,
-        config.replace(shards=count, shard_workers=workers),
+        config.replace(shards=count),
         partitioner=partitioner)
 
 

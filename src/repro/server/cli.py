@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--min-support", type=float, default=0.4)
     engine.add_argument("--min-confidence", type=float, default=0.6)
     engine.add_argument("--shards", type=int, default=1)
-    engine.add_argument("--max-log-events", type=int, default=100_000,
-                        help="rotate each tenant's provenance log past "
-                             "this many events (0 = unbounded)")
     admission = parser.add_argument_group("admission / backpressure")
     admission.add_argument("--max-pending-events", type=int,
                            default=10_000)
@@ -78,8 +75,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,
-        shards=args.shards,
-        max_log_events=args.max_log_events or None)
+        shards=args.shards)
 
 
 def build_server(args: argparse.Namespace) -> CorrelationServer:

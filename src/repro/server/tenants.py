@@ -19,6 +19,7 @@ what the service facade deliberately does not have:
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 from dataclasses import dataclass, field
@@ -52,12 +53,11 @@ from repro.relation.schema import Schema
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 RESERVED_TENANT_NAMES = frozenset({"tenants"})
 
-#: ``EngineConfig`` fields a tenant-create body may set.
-ENGINE_CONFIG_FIELDS = frozenset({
-    "min_support", "min_confidence", "margin", "max_length",
-    "max_log_events", "shards", "shard_workers", "sketch_k",
-    "track_candidates", "validate",
-})
+#: ``EngineConfig`` fields a tenant-create body may set and tenant
+#: status reports: every field but the generalizer, which is not JSON.
+ENGINE_CONFIG_FIELDS = tuple(
+    config_field.name for config_field in dataclasses.fields(EngineConfig)
+    if config_field.name != "generalizer")
 
 
 # -- engine config -------------------------------------------------------------
@@ -71,7 +71,7 @@ def engine_config_from_json(overrides: dict[str, Any] | None,
     threshold must not silently fall back to the template.
     """
     overrides = dict(overrides or {})
-    unknown = sorted(set(overrides) - ENGINE_CONFIG_FIELDS)
+    unknown = sorted(set(overrides).difference(ENGINE_CONFIG_FIELDS))
     if unknown:
         raise ServerError(
             f"unknown engine config field(s) {', '.join(unknown)}; "
@@ -88,16 +88,7 @@ def engine_config_from_json(overrides: dict[str, Any] | None,
 
 
 def engine_config_to_json(config: EngineConfig) -> dict[str, Any]:
-    return {
-        "min_support": config.min_support,
-        "min_confidence": config.min_confidence,
-        "margin": config.margin,
-        "max_length": config.max_length,
-        "max_log_events": config.max_log_events,
-        "shards": config.shards,
-        "shard_workers": config.shard_workers,
-        "sketch_k": config.sketch_k,
-    }
+    return {name: getattr(config, name) for name in ENGINE_CONFIG_FIELDS}
 
 
 # -- event codec ---------------------------------------------------------------
@@ -416,7 +407,6 @@ class TenantRegistry:
             "pending_events": self._service.pending(name),
             "config": engine_config_to_json(state.config),
         }
-        status.update(self._service.log_status(name))
         journal = self._service.journal_status(name)
         if journal is not None:
             status["journal"] = journal

@@ -18,8 +18,9 @@ Entry points:
 * :func:`modulo_partitioner` / custom partitioners — the tid -> shard
   layout, persisted in snapshot format v3.
 
-Shard mines run on a thread pool; routed flushes run each touched
-shard's incremental maintenance in the caller's thread.
+Shard mines and routed flushes run one shard after another in the
+caller's thread: pure-Python mining holds the GIL, and a measured
+thread pool was no faster than the loop (DESIGN.md "Sharding (v5)").
 """
 
 from repro.shard.engine import ShardedEngine

@@ -25,8 +25,8 @@ Lifecycle:
 * :meth:`mine` — partition, bulk-encode each shard's transactions in
   one sequential interning pass (:func:`repro.shard.partition.encode_shards`;
   interning order is what keeps vocabulary ids deterministic), build
-  each shard's substrate, run the phase-1 vertical searches on a
-  thread pool, then the exact phase-2 merge;
+  each shard's substrate, run the phase-1 vertical searches one shard
+  after another, then the exact phase-2 merge;
 * :meth:`apply_batch` (inherited) — compiles the global delta plan
   with all the usual guards; the overridden plan application routes
   per-shard sub-plans (:func:`repro.core.deltas.split_plan`) through
@@ -40,9 +40,7 @@ benchmarks can attribute scaling to phases instead of one opaque total.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.config import EngineConfig
 from repro.core.deltas import DeltaPlan, split_plan
@@ -69,23 +67,6 @@ from repro.shard.partition import (
     partition_relation,
 )
 from repro.shard.views import ShardDatabaseView, ShardIndexView
-
-
-def _available_cpus() -> int:
-    """Usable CPU count: ``os.process_cpu_count()`` (the scheduling
-    affinity mask, Python 3.13+) when available, else ``os.cpu_count()``,
-    floored at 1."""
-    counter = getattr(os, "process_cpu_count", None)
-    count = counter() if counter is not None else None
-    if count is None:
-        count = os.cpu_count()
-    return count if count else 1
-
-
-def _mine_shard(task):
-    """Thread-pool phase-1 worker (module-level so tracebacks name it)."""
-    shard_engine, shard_substrate = task
-    return shard_engine.mine(substrate=shard_substrate)
 
 
 class ShardedEngine(CorrelationEngine):
@@ -140,19 +121,14 @@ class ShardedEngine(CorrelationEngine):
             out[tid] = shard
         return out
 
-    def _workers(self) -> int:
-        if self.config.shard_workers is not None:
-            return self.config.shard_workers
-        return max(1, min(self.shard_count, _available_cpus()))
-
     def _shard_config(self) -> EngineConfig:
         """Shard engines are ordinary monolithic engines."""
-        return self.config.replace(shards=1, shard_workers=None)
+        return self.config.replace(shards=1)
 
     # -- initial (partitioned) mining -------------------------------------------
 
     def mine(self, *, substrate=None) -> MaintenanceReport:
-        """Partition, mine every shard (concurrently), merge exactly."""
+        """Partition, mine every shard, merge exactly."""
         if substrate is not None:
             raise MaintenanceError(
                 "a sharded engine builds its own per-shard substrates")
@@ -167,8 +143,8 @@ class ShardedEngine(CorrelationEngine):
                                   vocabulary=self.vocabulary)
                 for shard_relation in relations
             ]
-        # All interning happens in this sequential pass; the concurrent
-        # builds and phase-1 mines below only read the shared vocabulary.
+        # All interning happens in this pass; the builds and phase-1
+        # mines below only read the shared vocabulary.
         with phases.timed("encode"):
             transactions_per_shard = encode_shards(relations, self.vocabulary)
 
@@ -178,20 +154,12 @@ class ShardedEngine(CorrelationEngine):
                                                    transactions)
                 for transactions in transactions_per_shard
             ]
-        workers = self._workers()
         with phases.timed("mine"):
-            if workers > 1 and self.shard_count > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    # list() drains the iterator so any shard's
-                    # exception surfaces here, not at garbage collection.
-                    reports = list(pool.map(
-                        _mine_shard, zip(self._shards, substrates)))
-            else:
-                reports = [
-                    shard_engine.mine(substrate=shard_substrate)
-                    for shard_engine, shard_substrate
-                    in zip(self._shards, substrates)
-                ]
+            reports = [
+                shard_engine.mine(substrate=shard_substrate)
+                for shard_engine, shard_substrate
+                in zip(self._shards, substrates)
+            ]
         phases.record_shards(
             "mine", [shard_report.duration_seconds for shard_report in reports])
 
@@ -317,8 +285,6 @@ class ShardedEngine(CorrelationEngine):
         self._merge(batch)
         self._revision += 1
         batch.duration_seconds = time.perf_counter() - started
-        for event in plan.events:
-            self.log.record(event)
         self._finish(batch)
         self._relation_version = self.relation.version
         return batch

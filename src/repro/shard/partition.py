@@ -10,8 +10,7 @@ Two jobs live here, both on the sharded engine's critical path:
 
 One :class:`~repro.relation.transactions.TokenInterner` is shared by
 all shards of an engine, so the shared vocabulary is populated exactly
-once, in shard order, and the concurrent phase-1 mines only ever read
-it.
+once, in shard order, and the phase-1 mines only ever read it.
 """
 
 from __future__ import annotations

@@ -149,8 +149,7 @@ def plan_rebalance(engine: CorrelationEngine, *,
         assignment=tuple(target))
 
 
-def layout_document(document: dict, plan: RebalancePlan, *,
-                    workers: int | None = None) -> dict:
+def layout_document(document: dict, plan: RebalancePlan) -> dict:
     """A copy of a persistence snapshot with the plan's layout.
 
     Feeding the result to :func:`repro.core.persistence.restore`
@@ -162,7 +161,6 @@ def layout_document(document: dict, plan: RebalancePlan, *,
     if plan.target_shards > 1:
         rebuilt["shards"] = {
             "count": plan.target_shards,
-            "workers": workers,
             "assignment": list(plan.assignment),
         }
     else:
@@ -171,13 +169,12 @@ def layout_document(document: dict, plan: RebalancePlan, *,
 
 
 def rebuild_with_plan(document: dict, plan: RebalancePlan, *,
-                      workers: int | None = None,
                       generalizer=None) -> CorrelationEngine:
     """Build the replacement engine a plan cuts over to."""
     from repro.core import persistence  # local: persistence imports shard
 
     return persistence.restore(
-        layout_document(document, plan, workers=workers),
+        layout_document(document, plan),
         generalizer=generalizer)
 
 

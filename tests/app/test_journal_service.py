@@ -1,5 +1,5 @@
-"""Journaled service behavior: WAL-before-mutate, restore, rotation
-guard, checkpoint, and online rebalancing under live writes."""
+"""Journaled service behavior: WAL-before-mutate, restore, lazy-journal
+sync on close, checkpoint, and online rebalancing under live writes."""
 
 import threading
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.app.service import CorrelationService
 from repro.core.config import EngineConfig
-from repro.core.events import AddAnnotations, EventLog, RemoveAnnotations
+from repro.core.events import AddAnnotations, RemoveAnnotations
 from repro.errors import SessionError
 from tests.conftest import make_relation
 from tests.property.test_prop_shard import drawn_events
@@ -166,59 +166,18 @@ class TestCheckpoint:
         reborn.close()
 
 
-class TestRotationGuard:
-    """Bounded EventLog rotation must never evict an event the journal
-    has not fsynced yet (regression: the dropped counter stays
-    truthful and durability gates the eviction)."""
-
-    def test_rotation_syncs_the_journal_first(self, tmp_path):
-        calls = []
-        log = EventLog(max_events=2,
-                       ensure_durable=lambda: calls.append(len(calls)))
-        events = [AddAnnotations.build([(tid, "A")]) for tid in range(4)]
-        with pytest.warns(RuntimeWarning, match="rotating"):
-            for event in events:
-                log.record(event)
-        # One durable gate per eviction, and the counter matches.
-        assert len(calls) == 2
-        assert log.dropped == 2
-        assert list(log) == events[2:]
-
-    def test_failed_sync_aborts_the_eviction(self):
-        log = EventLog(max_events=1)
-        log.record(AddAnnotations.build([(0, "A")]))
-
-        def refuse():
-            raise OSError("fsync failed")
-
-        log.ensure_durable = refuse
-        with pytest.raises(OSError, match="fsync failed"):
-            log.record(AddAnnotations.build([(1, "A")]))
-        # Nothing left memory, nothing was counted as dropped.
-        assert log.dropped == 0
-        assert len(log) == 1
-
-    def test_service_flush_rotation_flushes_a_lazy_journal(self,
-                                                           tmp_path):
+class TestLazyJournal:
+    def test_service_close_syncs_a_lazy_journal(self, tmp_path):
         """With journal_fsync=False the WAL is only flushed on demand;
-        a flush whose event recording rotates the log must leave the
-        journal clean (synced) even though nothing else forces it."""
-        service = journaled_service(tmp_path, journal_fsync=False,
-                                    config=ENGINE.replace(
-                                        max_log_events=2))
+        closing the service must leave the journal synced."""
+        service = journaled_service(tmp_path, journal_fsync=False)
         service.create("s", make_relation())
         store = service._session("s").journal
         service.submit("s", AddAnnotations.build([(3, "A")]))
         service.flush("s")
         assert store.journal._dirty          # appended, not yet synced
-        with pytest.warns(RuntimeWarning, match="rotating"):
-            for tid in (5, 6):
-                service.submit("s", AddAnnotations.build([(tid, "A")]))
-            service.flush("s")
-        engine_log = service._session("s").engine.log
-        assert engine_log.dropped > 0
-        assert not store.journal._dirty      # rotation forced the sync
         service.close()
+        assert not store.journal._dirty
 
 
 class TestOnlineRebalance:

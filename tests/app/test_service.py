@@ -585,17 +585,6 @@ class TestServiceIntrospection:
         service.create("other", make_relation(), override)
         assert service.config_of("other") is override
 
-    def test_log_status_reports_rotation(self, service):
-        service.create("main", make_relation(),
-                       CONFIG.replace(max_log_events=2))
-        for tid in range(3):
-            service.submit("main", AddAnnotations.build([(tid, "Z1")]))
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            service.flush("main")
-        status = service.log_status("main")
-        assert status == {"log_events": 2, "log_dropped": 1,
-                          "log_complete": False}
-
 
 class TestServiceInstrumentation:
     def test_flush_and_snapshot_metrics_are_fed(self):

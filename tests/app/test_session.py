@@ -232,3 +232,43 @@ class TestRuleQueries:
         label_id = session.manager.vocabulary.id_of(
             Item(ItemKind.LABEL, "Concept_X"))
         assert all(rule.rhs == label_id for rule in rules)
+
+
+class TestSnapshotRestore:
+    """Menu option 13: a restored engine replaces the session's state."""
+
+    def test_restore_drops_the_replaced_generalizer_and_phases(
+            self, session, files, tmp_path):
+        from repro.core import persistence
+
+        session.load_generalizations(files["gen.txt"])
+        session.mine(0.25, 0.6)
+        assert session.last_phases
+        path = tmp_path / "snapshot.json"
+        persistence.save(session.manager, path)
+        restored = persistence.load(path)
+        session.restore_snapshot(restored, str(path))
+        assert session.generalizer is None
+        status = session.status()
+        assert status["generalizations"] is False
+        assert "last_phases" not in status
+        # The next mine uses the restored engine's (absent) generalizer,
+        # not one built on the replaced relation's registry.
+        session.mine(0.25, 0.6)
+        assert session.manager.generalizer is None
+        assert session.manager.verify_against_remine().equivalent
+
+    def test_restore_adopts_the_restored_engines_generalizer(
+            self, session, files, tmp_path):
+        from repro.core import persistence
+
+        session.load_generalizations(files["gen.txt"])
+        session.mine(0.25, 0.6)
+        generalizer = session.generalizer
+        path = tmp_path / "snapshot.json"
+        persistence.save(session.manager, path)
+        restored = persistence.load(path, generalizer=generalizer)
+        fresh = Session()
+        fresh.restore_snapshot(restored, str(path))
+        assert fresh.generalizer is generalizer
+        assert fresh.status()["generalizations"] is True

@@ -81,11 +81,9 @@ class TestLifecycle:
     and ``close()`` leave no worker threads and close() keeps every
     session serving."""
 
-    POOLED = CONFIG.replace(shard_workers=2)
-
     def test_drop_leaves_no_worker_threads(self):
         before = set(threading.enumerate())
-        service = CorrelationService(config=self.POOLED)
+        service = CorrelationService(config=CONFIG)
         service.create("hot", make_relation())
         service.submit("hot", AddAnnotations.build([(3, "A")]))
         service.flush("hot")
@@ -94,7 +92,7 @@ class TestLifecycle:
         assert service.sessions() == ()
 
     def test_service_close_keeps_sharded_sessions_usable(self):
-        service = CorrelationService(config=self.POOLED)
+        service = CorrelationService(config=CONFIG)
         service.create("a", make_relation())
         service.create("b", make_relation())
         signature = service.snapshot("a").signature

@@ -1,4 +1,6 @@
-"""EngineConfig builder, the engine() factory, and the deprecated shim."""
+"""EngineConfig validation and the engine() factory."""
+
+import dataclasses
 
 import pytest
 
@@ -9,34 +11,25 @@ from tests.conftest import make_relation
 
 
 class TestEngineConfig:
-    def test_builder_round_trip(self):
-        config = (EngineConfig.builder()
-                  .support(0.2)
-                  .confidence(0.6)
-                  .margin(0.8)
-                  .max_length(3)
-                  .track_candidates(False)
-                  .validate()
-                  .build())
-        assert config == EngineConfig(
-            min_support=0.2, min_confidence=0.6, margin=0.8,
-            max_length=3, track_candidates=False, validate=True)
-
-    def test_builder_requires_thresholds(self):
-        with pytest.raises(InvalidThresholdError, match="min_confidence"):
-            EngineConfig.builder().support(0.2).build()
-        with pytest.raises(InvalidThresholdError, match="min_support"):
-            EngineConfig.builder().confidence(0.6).build()
-
-    def test_bad_fraction_fails_at_build(self):
+    def test_bad_fraction_fails_at_construction(self):
         with pytest.raises(InvalidThresholdError):
-            EngineConfig.builder().support(1.5).confidence(0.6).build()
+            EngineConfig(min_support=1.5, min_confidence=0.6)
+
+    def test_fields(self):
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "min_support", "min_confidence", "margin", "generalizer",
+            "max_length", "track_candidates", "validate", "shards",
+            "sketch_k"]
+
+    @pytest.mark.parametrize("field", ["max_log_events", "shard_workers"])
+    def test_removed_options_fail_at_construction(self, field):
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(min_support=0.2, min_confidence=0.6,
+                         **{field: 2})
 
     @pytest.mark.parametrize("field,value", [
         ("max_length", 0), ("max_length", 2.5), ("max_length", True),
-        ("max_log_events", 0), ("max_log_events", 2.5),
         ("shards", 0), ("shards", True),
-        ("shard_workers", 0), ("shard_workers", 1.5),
         ("sketch_k", 4), ("sketch_k", 16.0),
         ("track_candidates", "no"), ("validate", 1),
     ])

@@ -1,14 +1,11 @@
 """Unit tests for update events."""
 
-import warnings
-
 import pytest
 
 from repro.core.events import (
     AddAnnotatedTuples,
     AddAnnotations,
     AddUnannotatedTuples,
-    EventLog,
     RemoveAnnotations,
     RemoveTuples,
 )
@@ -65,89 +62,3 @@ class TestRemovals:
         with pytest.raises(MaintenanceError):
             RemoveAnnotations(())
 
-
-class TestEventLog:
-    def test_record_and_iterate(self):
-        log = EventLog()
-        first = AddAnnotations.build([(0, "A")])
-        second = RemoveTuples.build([0])
-        log.record(first)
-        log.record(second)
-        assert len(log) == 2
-        assert list(log) == [first, second]
-
-    def test_unbounded_by_default(self):
-        log = EventLog()
-        for tid in range(100):
-            log.record(AddAnnotations.build([(tid, "A")]))
-        assert len(log) == 100
-        assert log.dropped == 0 and log.complete
-
-    def test_bounded_log_rotates_oldest_first(self):
-        log = EventLog(max_events=3)
-        events = [AddAnnotations.build([(tid, "A")]) for tid in range(5)]
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            for event in events:
-                log.record(event)
-        assert len(log) == 3
-        assert list(log) == events[2:]
-        assert log.dropped == 2
-        assert not log.complete
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(MaintenanceError):
-            EventLog(max_events=0)
-
-    def test_preseeded_overflow_counts_as_dropped(self):
-        events = [AddAnnotations.build([(tid, "A")]) for tid in range(5)]
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            log = EventLog(events=list(events), max_events=3)
-        assert list(log) == events[2:]
-        assert log.dropped == 2 and not log.complete
-
-
-class TestEventLogRotationWarning:
-    def test_first_drop_warns_once(self):
-        log = EventLog(max_events=2)
-        log.record(AddAnnotations.build([(0, "A")]))
-        log.record(AddAnnotations.build([(1, "A")]))
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            log.record(AddAnnotations.build([(2, "A")]))
-        # Later drops only bump the counter — no warning spam.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            log.record(AddAnnotations.build([(3, "A")]))
-        assert log.dropped == 2
-
-    def test_preseeded_overflow_warns(self):
-        events = [AddAnnotations.build([(tid, "A")]) for tid in range(3)]
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            EventLog(events=list(events), max_events=2)
-
-    def test_unbounded_log_never_warns(self):
-        log = EventLog()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for tid in range(50):
-                log.record(AddAnnotations.build([(tid, "A")]))
-        assert log.complete
-
-
-class TestEngineExposesDrops:
-    def test_log_dropped_surfaces_through_the_engine(self):
-        from repro.core.config import EngineConfig
-        from repro.core.engine import engine as build_engine
-        from repro.relation.relation import AnnotatedRelation
-
-        relation = AnnotatedRelation()
-        for tid in range(4):
-            relation.insert((str(tid), "x"), ("A1",))
-        built = build_engine(relation, EngineConfig(
-            min_support=0.25, min_confidence=0.6, max_log_events=2))
-        built.mine()
-        assert built.log_dropped == 0
-        with pytest.warns(RuntimeWarning, match="EventLog rotating"):
-            for tid in range(3):
-                built.apply(AddAnnotations.build([(tid, "B1")]))
-        assert built.log_dropped == 1
-        assert not built.log.complete

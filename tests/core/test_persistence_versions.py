@@ -5,8 +5,9 @@ that version's spec lacks from a current document — v1 has no
 revision/catalog, v2 no shard layout, v3 no journal anchor.  All of
 them must load, round-trip through the v4 writer unchanged in
 substance, and malformed v4 journal anchors must refuse.  Shard
-layouts may carry the ``executor`` key, and documents the ``backend``
-key, that older writers recorded.
+layouts may carry the ``executor`` and ``workers`` keys, and documents
+the ``backend`` and ``events_applied`` keys, that older writers
+recorded.
 """
 
 import pytest
@@ -108,6 +109,35 @@ def test_invalid_legacy_shard_executor_refuses():
     document = persistence.snapshot(manager)
     document["shards"] = {**document["shards"], "executor": "fiber"}
     with pytest.raises(FormatError, match="invalid executor"):
+        persistence.restore(document)
+
+
+@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("workers", [None, 1, 4])
+def test_legacy_events_applied_and_workers_are_accepted_and_ignored(
+        version, workers):
+    """Older writers recorded the in-memory event-log length and the
+    shard-worker setting; documents carrying them restore the engine
+    they were saved with, and the current writer records neither."""
+    manager = mined(shards=2)
+    aged = downgrade(persistence.snapshot(manager), version)
+    assert "events_applied" not in aged
+    assert "workers" not in aged["shards"]
+    aged["events_applied"] = 7
+    aged["shards"] = {**aged["shards"], "workers": workers}
+    restored = persistence.restore(aged)
+    assert isinstance(restored, ShardedEngine)
+    assert restored.assignment() == manager.assignment()
+    assert restored.signature() == manager.signature()
+    assert restored.config == manager.config
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+def test_invalid_legacy_shard_workers_refuses(workers):
+    manager = mined(shards=2)
+    document = persistence.snapshot(manager)
+    document["shards"] = {**document["shards"], "workers": workers}
+    with pytest.raises(FormatError, match="invalid workers"):
         persistence.restore(document)
 
 

@@ -149,9 +149,42 @@ class TestTenantLifecycle:
 
     @pytest.mark.parametrize("config,field", [
         ({"max_log_events": 2.5}, "max_log_events"),
+        ({"max_log_events": 100}, "max_log_events"),
+        ({"shard_workers": 2}, "shard_workers"),
+        ({"shards": 2, "shard_workers": 1.5}, "shard_workers"),
+    ])
+    def test_removed_log_and_pool_fields_400(self, served, config, field):
+        """The engine keeps no event log and mines shards in a loop; a
+        body that still sets either option names an unknown field."""
+        status, body, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "x", "rows": ROWS, "config": config})
+        assert status == 400
+        assert "unknown engine config field" in body["error"]
+        assert field in body["error"]
+        status, _, _ = served.request("GET", "/v1/x")
+        assert status == 404
+
+    def test_status_reports_every_engine_field(self, served):
+        """Tenant status echoes every JSON-able EngineConfig field the
+        body set, including the two booleans."""
+        status, _, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "flags", "rows": ROWS,
+             "config": {"validate": True, "track_candidates": False}})
+        assert status == 201
+        status, body, _ = served.request("GET", "/v1/flags")
+        assert status == 200
+        config = body["config"]
+        assert config["validate"] is True
+        assert config["track_candidates"] is False
+        assert sorted(config) == sorted([
+            "min_support", "min_confidence", "margin", "max_length",
+            "track_candidates", "validate", "shards", "sketch_k"])
+
+    @pytest.mark.parametrize("config,field", [
         ({"max_length": 2.5}, "max_length"),
         ({"max_length": True}, "max_length"),
-        ({"shards": 2, "shard_workers": 1.5}, "shard_workers"),
         ({"track_candidates": "no"}, "track_candidates"),
         ({"validate": 1}, "validate"),
     ])
@@ -455,7 +488,7 @@ class TestConsistency:
         status, _, _ = server.request(
             "POST", "/v1/tenants",
             {"name": "gamma", "columns": ["c1", "c2"], "rows": ROWS,
-             "config": {"shards": 2, "shard_workers": 2}})
+             "config": {"shards": 2}})
         assert status == 201
         for name in ("alpha", "beta", "gamma"):
             status, _, _ = server.request(

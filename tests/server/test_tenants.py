@@ -183,7 +183,6 @@ class TestRegistry:
         assert status["rules"] > 0
         assert status["db_size"] == 4
         assert status["pending_events"] == 0
-        assert status["log_complete"] is True
         assert status["config"]["min_support"] == 0.25
 
     def test_resolve_item(self, registry):

@@ -40,8 +40,6 @@ class TestFactoryDispatch:
     def test_config_rejects_bad_shard_settings(self):
         with pytest.raises(InvalidThresholdError, match="shards"):
             CONFIG.replace(shards=0)
-        with pytest.raises(InvalidThresholdError, match="shard_workers"):
-            CONFIG.replace(shard_workers=0)
 
     def test_sharded_engine_rejects_foreign_substrates(self):
         manager = ShardedEngine(make_relation(), CONFIG.replace(shards=2))
@@ -303,42 +301,6 @@ class TestExploitationParity:
             assert_equivalent_to_remine(session.manager)
         assert mined[0] == mined[1]
         assert updated[0] == updated[1]
-
-
-class TestShardWorkers:
-    @pytest.mark.parametrize("workers", (1, 2, 8))
-    def test_worker_count_never_changes_the_answer(self, workers):
-        baseline = sharded(shards=3)
-        manager = sharded(shards=3, shard_workers=workers)
-        assert manager.signature() == baseline.signature()
-
-    def test_cpu_count_floors_at_one(self, monkeypatch):
-        import os
-
-        import repro.shard.engine as engine_module
-
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        monkeypatch.delattr(os, "process_cpu_count", raising=False)
-        assert engine_module._available_cpus() == 1
-
-    def test_cpu_count_prefers_affinity_aware_count(self, monkeypatch):
-        import os
-
-        import repro.shard.engine as engine_module
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "process_cpu_count", lambda: 2,
-                            raising=False)
-        assert engine_module._available_cpus() == 2
-
-    def test_default_workers_capped_by_cpus(self, monkeypatch):
-        import repro.shard.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_available_cpus", lambda: 2)
-        manager = ShardedEngine(
-            make_relation(),
-            EngineConfig(min_support=0.25, min_confidence=0.6, shards=4))
-        assert manager._workers() == 2
 
 
 class TestPersistenceV3:

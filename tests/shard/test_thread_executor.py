@@ -1,15 +1,13 @@
-"""Thread-parallel phase 1: the sharded engine's one execution path.
+"""Phase 1 in the caller's thread: the sharded engine's one execution path.
 
-The phase-1 shard mines run on a thread pool sized by ``shard_workers``
-(or the usable CPU count).  These tests pin its contract: answers equal
-to the monolithic engine's after the mine *and* after every later
-flush, shard indexes equal to ones rebuilt from the shard transactions,
-errors raised inside a shard mine surfacing to the caller on both the
-pooled and the serial path, phase timings on every report, and no
-worker thread outliving the call that started it.
+The phase-1 shard mines run one after another in a loop (a measured
+thread pool was no faster: pure-Python mining holds the GIL).  These
+tests pin the loop's contract: answers equal to the monolithic engine's
+after the mine *and* after every later flush, shard indexes equal to
+ones rebuilt from the shard transactions, errors raised inside a shard
+mine surfacing to the caller with a retry that succeeds, and phase
+timings, one mine duration per shard, on every report.
 """
-
-import threading
 
 import pytest
 
@@ -21,9 +19,7 @@ from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from tests.conftest import assert_equivalent_to_remine, make_relation
 
 CONFIG = EngineConfig(min_support=0.25, min_confidence=0.6, validate=True)
-#: shard_workers pinned to 2: a single-core runner reports one CPU,
-#: which would quietly serialize phase 1 and never start the pool.
-THREADED = CONFIG.replace(shards=3, shard_workers=2)
+SHARDED = CONFIG.replace(shards=3)
 
 
 def drawn_events(relation, count, seed):
@@ -39,23 +35,23 @@ def mined_monolithic(relation):
     return mono
 
 
-class TestThreadedExactness:
+class TestShardLoopExactness:
     @pytest.mark.parametrize("shards", (2, 3, 5))
     def test_mine_signature_equals_monolithic(self, shards):
         relation = make_relation()
         mono = mined_monolithic(relation.copy())
-        sharded = ShardedEngine(relation, THREADED.replace(shards=shards))
+        sharded = ShardedEngine(relation, SHARDED.replace(shards=shards))
         sharded.mine()
         assert sharded.signature() == mono.signature()
 
-    def test_maintenance_after_threaded_mine_stays_exact(self, seeds):
-        """The pooled mine must leave every shard engine in the state
-        its own serial mine would: the incremental path and a
-        from-scratch re-mine agree afterwards."""
+    def test_maintenance_after_sharded_mine_stays_exact(self, seeds):
+        """The sharded mine must leave every shard engine in the state
+        its own mine would: the incremental path and a from-scratch
+        re-mine agree afterwards."""
         relation = make_relation()
         events = drawn_events(relation, count=10, seed=seeds.seed(17))
         mono = mined_monolithic(relation.copy())
-        sharded = ShardedEngine(relation, THREADED)
+        sharded = ShardedEngine(relation, SHARDED)
         sharded.mine()
         mono.apply_batch(events)
         sharded.apply_batch(events)
@@ -63,7 +59,7 @@ class TestThreadedExactness:
         assert_equivalent_to_remine(sharded)
 
     def test_shard_indexes_match_rebuilt_indexes(self):
-        sharded = ShardedEngine(make_relation(), THREADED)
+        sharded = ShardedEngine(make_relation(), SHARDED)
         sharded.mine()
         for shard_engine in sharded.shard_engines:
             rebuilt = BitmapIndex.from_transactions(
@@ -75,25 +71,22 @@ class TestThreadedExactness:
 
 
 class TestShardMineErrors:
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_shard_mining_errors_propagate(self, monkeypatch, workers):
-        """A failure inside one shard's mine surfaces from ``mine()``
-        on the serial (1 worker) and the pooled (2 workers) path."""
+    def test_shard_mining_errors_propagate(self, monkeypatch):
+        """A failure inside one shard's mine surfaces from ``mine()``."""
         def exploding_mine(self, **kwargs):
             raise ZeroDivisionError("shard mine bug")
 
         # ShardedEngine overrides mine(), so only the shard engines
         # reach the patched method.
         monkeypatch.setattr(CorrelationEngine, "mine", exploding_mine)
-        sharded = ShardedEngine(make_relation(),
-                                THREADED.replace(shard_workers=workers))
+        sharded = ShardedEngine(make_relation(), SHARDED)
         with pytest.raises(ZeroDivisionError, match="shard mine bug"):
             sharded.mine()
 
     def test_failed_mine_can_be_retried(self, monkeypatch):
         relation = make_relation()
         mono = mined_monolithic(relation.copy())
-        sharded = ShardedEngine(relation, THREADED)
+        sharded = ShardedEngine(relation, SHARDED)
         with monkeypatch.context() as patch:
             patch.setattr(CorrelationEngine, "mine",
                           lambda self, **kwargs: 1 // 0)
@@ -104,12 +97,12 @@ class TestShardMineErrors:
         assert_equivalent_to_remine(sharded)
 
 
-class TestThreadedFlushes:
+class TestShardLoopFlushes:
     def test_flushes_match_monolithic_at_every_boundary(self, seeds):
         relation = make_relation()
         events = drawn_events(relation, count=12, seed=seeds.seed(31))
         mono = mined_monolithic(relation.copy())
-        sharded = ShardedEngine(relation, THREADED)
+        sharded = ShardedEngine(relation, SHARDED)
         sharded.mine()
         for start in range(0, len(events), 3):
             batch = events[start:start + 3]
@@ -121,7 +114,7 @@ class TestThreadedFlushes:
         assert_equivalent_to_remine(sharded)
 
     def test_flush_report_carries_phase_breakdown(self, seeds):
-        sharded = ShardedEngine(make_relation(), THREADED)
+        sharded = ShardedEngine(make_relation(), SHARDED)
         sharded.mine()
         events = drawn_events(sharded.relation, count=6,
                               seed=seeds.seed(53))
@@ -131,30 +124,20 @@ class TestThreadedFlushes:
             assert phase in report.phases.wall, report.phases.wall
 
     def test_mine_report_carries_phase_breakdown(self):
-        sharded = ShardedEngine(make_relation(), THREADED)
+        sharded = ShardedEngine(make_relation(), SHARDED)
         report = sharded.mine()
         for phase in ("partition", "encode", "build", "mine", "merge",
                       "refresh"):
             assert phase in report.phases.wall, report.phases.wall
-        assert len(report.phases.per_shard["mine"]) == THREADED.shards
+        assert len(report.phases.per_shard["mine"]) == SHARDED.shards
         assert report.phases.summary() in report.summary()
         payload = report.phases.as_dict()
         assert set(payload) == {"wall", "per_shard"}
 
 
-class TestNoLingeringWorkers:
-    def test_no_worker_thread_outlives_a_mine(self, seeds):
-        before = set(threading.enumerate())
-        sharded = ShardedEngine(make_relation(),
-                                THREADED.replace(shard_workers=3))
-        sharded.mine()
-        sharded.apply_batch(drawn_events(sharded.relation, count=4,
-                                         seed=seeds.seed(59)))
-        sharded.mine()
-        assert set(threading.enumerate()) <= before
-
+class TestClose:
     def test_close_is_a_no_op_and_the_engine_stays_usable(self, seeds):
-        sharded = ShardedEngine(make_relation(), THREADED)
+        sharded = ShardedEngine(make_relation(), SHARDED)
         sharded.mine()
         signature = sharded.signature()
         sharded.close()
@@ -167,11 +150,9 @@ class TestNoLingeringWorkers:
 
 class TestOneExecutor:
     def test_config_has_no_executor_option(self):
-        """Threads are the only phase-1 executor: the config and its
-        builder offer no switch to choose another."""
+        """The config offers no switch to choose a phase-1 executor."""
         with pytest.raises(TypeError, match="shard_executor"):
             EngineConfig(min_support=0.25, min_confidence=0.6,
                          shard_executor="thread")
         with pytest.raises(TypeError, match="shard_executor"):
             CONFIG.replace(shard_executor="process")
-        assert not hasattr(EngineConfig.builder(), "shard_executor")

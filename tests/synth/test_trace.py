@@ -60,7 +60,8 @@ class TestReplay:
                           KitConfig(n_tuples=80, insert_rows=10))
         manager = replay_kit(paths, min_support=0.3, min_confidence=0.7)
         assert manager.db_size == 80 + 10 + 10
-        assert len(manager.log) == 3 + 2  # batches + two insert events
+        # The mine, the batches and the two insert events.
+        assert manager.revision == 1 + 3 + 2
         assert manager.verify_against_remine().equivalent
 
 

@@ -1,5 +1,5 @@
 """Journaled service behavior: WAL-before-mutate, restore, lazy-journal
-sync on close, checkpoint, and online rebalancing under live writes."""
+sync on close and drop, checkpoint, and online rebalancing under live writes."""
 
 import threading
 
@@ -178,6 +178,23 @@ class TestLazyJournal:
         assert store.journal._dirty          # appended, not yet synced
         service.close()
         assert not store.journal._dirty
+
+    def test_drop_syncs_a_lazy_journal(self, tmp_path):
+        """Dropping a tenant closes its store; the deferred records
+        must be on disk for restore_session to find them."""
+        service = journaled_service(tmp_path, journal_fsync=False)
+        service.create("s", make_relation())
+        store = service._session("s").journal
+        service.submit("s", AddAnnotations.build([(3, "A")]))
+        service.flush("s")
+        signature = service.snapshot("s").signature
+        assert store.journal._dirty
+        service.drop("s")
+        assert not store.journal._dirty
+        result = service.restore_session("s")
+        assert result.replay.records == 1
+        assert service.snapshot("s").signature == signature
+        service.close()
 
 
 class TestOnlineRebalance:

@@ -88,6 +88,13 @@ class TestBatchEquivalence:
         assert eng.revision == revision + 1  # a cancelled batch still commits
 
 
+    def test_a_batch_commits_one_revision(self):
+        eng = mined()
+        revision = eng.revision
+        eng.apply_batch(MIXED_BATCH)
+        assert eng.revision == revision + 1
+
+
 class TestBatchReportShape:
     def test_audit_rows_and_summary(self):
         eng = mined()

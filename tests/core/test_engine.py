@@ -15,6 +15,14 @@ class TestEngineConfig:
         with pytest.raises(InvalidThresholdError):
             EngineConfig(min_support=1.5, min_confidence=0.6)
 
+    @pytest.mark.parametrize("given,missing", [
+        ({"min_support": 0.2}, "min_confidence"),
+        ({"min_confidence": 0.6}, "min_support"),
+    ])
+    def test_thresholds_are_required(self, given, missing):
+        with pytest.raises(TypeError, match=missing):
+            EngineConfig(**given)
+
     def test_fields(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "min_support", "min_confidence", "margin", "generalizer",

@@ -116,6 +116,29 @@ class TestAppendAndRead:
         assert not journal._dirty
         journal.close()
 
+    def test_fsync_mode_is_never_dirty(self, tmp_path):
+        journal = EventJournal(wal(tmp_path))
+        journal.append_batch([EVENTS[0]])
+        assert not journal._dirty
+        journal.close()
+
+    def test_records_sync_a_lazy_journal_first(self, tmp_path):
+        journal = EventJournal(wal(tmp_path), fsync=False)
+        journal.append_batch([EVENTS[0]])
+        assert [record.seq for record in journal.records()] == [1]
+        assert not journal._dirty
+        journal.close()
+
+    def test_close_syncs_a_lazy_journal(self, tmp_path):
+        journal = EventJournal(wal(tmp_path), fsync=False)
+        journal.append_batch([EVENTS[0]])
+        journal.close()
+        assert not journal._dirty
+        reopened = EventJournal(wal(tmp_path))
+        assert [list(record.events) for record in reopened.records()] == [
+            [EVENTS[0]]]
+        reopened.close()
+
     def test_advance_to_requires_empty_journal(self, tmp_path):
         journal = EventJournal(wal(tmp_path))
         journal.advance_to(7)

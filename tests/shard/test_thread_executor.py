@@ -83,6 +83,32 @@ class TestShardMineErrors:
         with pytest.raises(ZeroDivisionError, match="shard mine bug"):
             sharded.mine()
 
+    @pytest.mark.parametrize("failing", (0, 1, 2))
+    def test_a_failure_in_any_shard_propagates_and_retries(
+            self, monkeypatch, failing):
+        """The loop stops at the shard that fails, whichever it is;
+        the shards mined before it leave nothing a retry trips on."""
+        relation = make_relation()
+        mono = mined_monolithic(relation.copy())
+        sharded = ShardedEngine(relation, SHARDED)
+        real_mine = CorrelationEngine.mine
+        calls = []
+
+        def mine_failing_once(self, **kwargs):
+            calls.append(self)
+            if len(calls) == failing + 1:
+                raise ZeroDivisionError("shard mine bug")
+            return real_mine(self, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CorrelationEngine, "mine", mine_failing_once)
+            with pytest.raises(ZeroDivisionError, match="shard mine bug"):
+                sharded.mine()
+        assert len(calls) == failing + 1
+        sharded.mine()
+        assert sharded.signature() == mono.signature()
+        assert_equivalent_to_remine(sharded)
+
     def test_failed_mine_can_be_retried(self, monkeypatch):
         relation = make_relation()
         mono = mined_monolithic(relation.copy())

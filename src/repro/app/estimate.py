@@ -30,7 +30,7 @@ adversarial.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.events import (
     AddAnnotatedTuples,
@@ -218,6 +218,8 @@ class EstimateSnapshot:
     z: float
     ordered_by: str
     rules: tuple[EstimatedRule, ...]
+    #: The vocabulary the rules' item ids render through.
+    vocabulary: ItemVocabulary = field(repr=False, compare=False)
     #: Always True — the discriminator callers switch on.
     estimated: bool = True
 
@@ -319,4 +321,5 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
         z=z_value,
         ordered_by=by,
         rules=tuple(estimated),
+        vocabulary=engine.vocabulary,
     )

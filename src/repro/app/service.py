@@ -22,14 +22,19 @@ Concurrency model, per session:
   one invariant check and one revision bump per flush — so readers
   observe either the pre-batch or the post-batch rule set, never a
   half-applied one;
-* :class:`RuleSnapshot` results are frozen views — they stay valid
-  (and stale) after the lock is released, which is the point.  They
-  are *memoized per revision*: while no flush intervenes, repeated
-  ``snapshot()`` calls return the same object (sharing one rules tuple
-  and one :class:`~repro.core.catalog.RuleCatalog`), so a hot
-  unchanged-revision read path copies nothing and serves indexed
-  queries (top-k by metric, by-item, by-RHS) straight from the
-  catalog.
+* one commit path: a flush compiles the queue up to its first poison
+  event (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`),
+  journals that prefix, applies it as one batch (one revision bump),
+  drops the poison event and re-queues the tail;
+* every write-locked step that commits (create, mine, flush, rebalance
+  cutover, restore) ends by publishing one frozen
+  :class:`RuleSnapshot`.  Reads (:meth:`~CorrelationService.snapshot`,
+  ``rules``, ``catalog``, ``query``, ``top_rules`` and ``estimate``)
+  return the published snapshot without any session lock — only the
+  queue mutex, for the pending count — so a flush never stalls a
+  reader, and readers see the last committed state until the next
+  publication.  Its ``revision`` is the engine's own, persisted with
+  every snapshot, so it never goes backwards across a restart.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import os
 import threading
 import time
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -48,11 +53,13 @@ from repro.app.estimate import EstimateSnapshot, estimate_snapshot
 from repro.core import persistence
 from repro.core.catalog import CatalogQuery, RuleCatalog
 from repro.core.config import EngineConfig
+from repro.core.deltas import CompiledPrefix
 from repro.core.engine import (
     CorrelationEngine,
     RuleSignature,
     VerificationResult,
     engine as build_engine,
+    rule_signature,
 )
 from repro.core.events import UpdateEvent
 from repro.core.journal import (
@@ -85,24 +92,37 @@ class RuleSnapshot:
     :class:`~repro.core.catalog.RuleCatalog`: ``rules`` *is* the
     catalog's rule tuple (shared, never re-copied per snapshot), and
     indexed lookups / composable queries go through :attr:`catalog`.
+    It carries the vocabulary its item ids render through, so a reader
+    never pairs one engine's rules with another engine's vocabulary.
     """
 
     session: str
     db_size: int
-    #: Monotone per-session *flush* counter: bumped by ``mine`` and
-    #: each flush.  Not the engine's rule revision — a per-event
-    #: fallback flush bumps this once while the engine advances once
-    #: per applied event.  For comparisons against
-    #: ``Recommendation.revision`` / ``AuditEntry.revision`` (which
-    #: carry the engine number) use ``snapshot.catalog.revision``.
+    #: The engine's rule revision: bumped once by each mine, each
+    #: non-empty flush and each rebalance cutover, and persisted with
+    #: every journal snapshot.
     revision: int
     rules: tuple[AssociationRule, ...]
-    signature: frozenset[RuleSignature]
     #: Events queued but not yet applied when the snapshot was taken.
     pending_events: int
+    #: The vocabulary the rules' item ids render through.
+    vocabulary: ItemVocabulary = field(repr=False, compare=False)
     #: The indexed query view this snapshot serves from (``None`` only
     #: for a session created with ``mine=False`` and never mined).
     catalog: RuleCatalog | None = None
+    #: Shared by the copies that differ only in ``pending_events``, so
+    #: the signature is derived at most once per publication.
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def signature(self) -> frozenset[RuleSignature]:
+        """Vocabulary-independent fingerprint of ``rules``, derived on
+        first access."""
+        signature = self._memo.get("signature")
+        if signature is None:
+            signature = rule_signature(self.rules, self.vocabulary)
+            self._memo["signature"] = signature
+        return signature
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -123,36 +143,17 @@ class RuleSnapshot:
         return self.catalog.query()
 
 
-def isolate_poison_event(apply, batch, *, requeue, describe,
-                         noun: str = "event") -> None:
-    """Shared batch-failure fallback: apply ``batch`` one event at a
-    time after a compile-rejected (provably unmutated) ``apply_batch``.
-
-    The documented semantics live here once for every front-end: the
-    valid prefix stays applied, the poison event is dropped (retrying
-    it would fail every flush), and ``requeue(remainder, applied)`` is
-    handed the unapplied tail to put back at the front of its queue.
-    Always raises :class:`SessionError` — naming the poison event, or
-    the compiler/per-event disagreement if everything applied.
-    """
-    applied = 0
-    for position, event in enumerate(batch):
-        try:
-            apply(event)
-            applied += 1
-        except Exception as error:
-            remainder = list(batch[position + 1:])
-            requeue(remainder, applied)
-            raise SessionError(
-                f"{describe} failed on {noun} {position + 1} of "
-                f"{len(batch)} ({event!r}); {applied} applied, "
-                f"{len(remainder)} re-queued, the failing {noun} "
-                f"dropped") from error
-    requeue([], applied)
-    raise SessionError(
-        f"{describe}: batch compilation failed but every {noun} applied "
-        f"individually — plan compiler and per-event application "
-        f"disagree")
+def poison_error(prefix: CompiledPrefix, describe: str, *,
+                 noun: str = "event") -> SessionError:
+    """The error every flush path raises after committing the valid
+    prefix of a batch, dropping its poison event and re-queueing the
+    tail."""
+    position = prefix.applied + 1
+    size = position + len(prefix.tail)
+    return SessionError(
+        f"{describe} failed on {noun} {position} of {size} "
+        f"({prefix.poison!r}); {prefix.applied} applied, "
+        f"{len(prefix.tail)} re-queued, the failing {noun} dropped")
 
 
 class ReadWriteLock:
@@ -213,7 +214,6 @@ class _Hosted:
     lock: ReadWriteLock = field(default_factory=ReadWriteLock)
     queue_lock: threading.Lock = field(default_factory=threading.Lock)
     queue: deque[UpdateEvent] = field(default_factory=deque)
-    revision: int = 0
     #: Token of the writer holding the inline auto-flush duty (None when
     #: unclaimed).  Set under ``queue_lock`` by the submit that crosses
     #: the threshold, cleared under ``queue_lock`` when a flush drains
@@ -222,9 +222,9 @@ class _Hosted:
     #: failed claimant release only its *own* claim, never one a later
     #: writer legitimately took after the drain.
     flush_claim: object | None = None
-    #: The last snapshot built, reused verbatim while the revision (and
-    #: queue depth) hold still — unchanged-revision reads are O(1).
-    snapshot_cache: RuleSnapshot | None = None
+    #: The read view of the last commit, replaced (never mutated) under
+    #: the write lock; readers take it without any session lock.
+    published: RuleSnapshot | None = None
     #: Durability store (``None`` for non-journaled sessions).
     journal: JournalStore | None = None
     #: Journal sequence of the last record this engine consumed: every
@@ -245,7 +245,7 @@ class RebalanceReport:
     #: Journal records replayed into the new engine while catching up
     #: with live traffic (0 for non-journaled or dry runs).
     caught_up_records: int = 0
-    #: Session revision after the cutover (the single bump readers see).
+    #: Engine revision after the cutover (the single bump readers see).
     revision: int = 0
 
     def as_dict(self) -> dict:
@@ -285,11 +285,9 @@ class CorrelationService:
                              if journal_dir is not None else None)
         self._journal_fsync = journal_fsync
         self._journal_snapshot_every = journal_snapshot_every
-        #: Optional metric sink (the serving tier threads in a
-        #: :class:`repro.server.metrics.ServiceInstrumentation`); the
-        #: service only ever calls ``inc``/``observe`` on it, so any
-        #: object with that surface works and ``None`` costs one
-        #: branch per instrumented operation.
+        #: Optional metric sink (the serving tier threads in its
+        #: :class:`repro.server.metrics.ServiceInstrumentation`);
+        #: ``None`` costs one branch per instrumented operation.
         self._instrumentation = instrumentation
         self._registry_lock = threading.Lock()
         self._hosted: dict[str, _Hosted] = {}
@@ -323,14 +321,14 @@ class CorrelationService:
         # write lock is needed).
         if mine:
             hosted.engine.mine()
-            hosted.revision += 1
         if self._journal_dir is not None:
             self._attach_journal(hosted)
+        self._publish(hosted)
         with self._registry_lock:
             if name in self._hosted:
                 raise SessionError(f"session {name!r} already exists")
             self._hosted[name] = hosted
-        return self._snapshot_locked(hosted)
+        return hosted.published
 
     def sessions(self) -> tuple[str, ...]:
         with self._registry_lock:
@@ -391,8 +389,13 @@ class CorrelationService:
     # -- durability ------------------------------------------------------------
 
     def _session_journal_path(self, name: str) -> str:
-        assert self._journal_dir is not None
-        if os.sep in name or name.startswith("."):
+        if self._journal_dir is None:
+            raise SessionError(
+                "session journals need a service constructed with "
+                "journal_dir")
+        separators = [sep for sep in (os.sep, os.altsep) if sep]
+        if (not name or name.startswith(".")
+                or any(sep in name for sep in separators)):
             raise SessionError(
                 f"journaled session names must be plain directory "
                 f"names, got {name!r}")
@@ -420,20 +423,14 @@ class CorrelationService:
             store.ensure_base_snapshot(hosted.engine)
 
     def _journal_append(self, hosted: _Hosted,
-                        batch: list[UpdateEvent]) -> int:
+                        batch: Sequence[UpdateEvent]) -> int:
         started = time.perf_counter()
         seq = hosted.journal.append_batch(batch)
         instrumentation = self._instrumentation
         if instrumentation is not None:
-            # Duck-typed like observe_phases: minimal sinks may lack
-            # the journal instruments.
-            appends = getattr(instrumentation, "journal_appends", None)
-            if appends is not None:
-                appends.inc()
-            seconds = getattr(instrumentation,
-                              "journal_append_seconds", None)
-            if seconds is not None:
-                seconds.observe(time.perf_counter() - started)
+            instrumentation.journal_appends.inc()
+            instrumentation.journal_append_seconds.observe(
+                time.perf_counter() - started)
         return seq
 
     def restore_session(self, name: str, *, upto: int | None = None,
@@ -444,12 +441,9 @@ class CorrelationService:
         journal suffix (point-in-time when ``upto`` is given — note the
         store then keeps appending *after* that seq, so a later full
         recovery still sees the complete history).  The hosted config
-        is the engine's restored config.
+        is the engine's restored config, and its revision the restored
+        engine's, so it never goes backwards across a restart.
         """
-        if self._journal_dir is None:
-            raise SessionError(
-                "restore_session needs a service constructed with "
-                "journal_dir")
         with self._registry_lock:
             if name in self._hosted:
                 raise SessionError(f"session {name!r} already exists")
@@ -469,7 +463,7 @@ class CorrelationService:
         hosted = _Hosted(name=name, engine=result.engine,
                          config=result.engine.config,
                          journal=store, applied_seq=result.last_seq)
-        hosted.revision += 1
+        self._publish(hosted)
         with self._registry_lock:
             if name in self._hosted:
                 store.close()
@@ -530,7 +524,7 @@ class CorrelationService:
         locks from a consistent snapshot, catches it up by streaming
         the journal slice written since, then takes the write lock for
         the final slice and the cutover: signature equality is checked
-        before the swap, the session revision bumps exactly once, and
+        before the swap, the engine revision bumps exactly once, and
         readers observe either the old engine or the fully caught-up
         new one.  Non-journaled sessions have no stream to catch up
         from, so they rebuild while holding the write lock (offline
@@ -539,10 +533,10 @@ class CorrelationService:
         hosted = self._session(name)
         with hosted.lock.read():
             plan = plan_rebalance(hosted.engine, target_shards=shards)
+            revision = hosted.engine.revision
         if dry_run:
             return RebalanceReport(session=name, plan=plan,
-                                   applied=False,
-                                   revision=hosted.revision)
+                                   applied=False, revision=revision)
         store = hosted.journal
         if store is None:
             with hosted.lock.write():
@@ -581,7 +575,8 @@ class CorrelationService:
                  base_seq: int, caught_up: int,
                  new_engine: CorrelationEngine | None = None
                  ) -> RebalanceReport:
-        """Swap in the rebuilt engine (write lock held by the caller).
+        """Swap in the rebuilt engine (write lock held by the caller)
+        and publish it.
 
         The old engine stays untouched until the replacement proves
         signature equality — an aborted rebalance leaves the session
@@ -597,21 +592,22 @@ class CorrelationService:
                 f"rebalance of session {hosted.name!r} aborted before "
                 f"cutover: rebuilt engine's rule signature diverged "
                 f"from the live one")
-        new_engine.adopt_revision(old.revision)
+        new_engine.adopt_revision(old.revision + 1)
         hosted.engine = new_engine
         if hosted.config is not None:
             hosted.config = hosted.config.replace(
                 shards=plan.target_shards)
-        hosted.revision += 1
-        hosted.snapshot_cache = None
-        if hosted.journal is not None:
-            # The new layout must be the one recovery rebuilds: anchor
-            # it with a snapshot at the caught-up seq.
-            hosted.journal.write_snapshot(hosted.engine,
-                                          hosted.applied_seq)
+        try:
+            if hosted.journal is not None:
+                # The new layout must be the one recovery rebuilds:
+                # anchor it with a snapshot at the caught-up seq.
+                hosted.journal.write_snapshot(hosted.engine,
+                                              hosted.applied_seq)
+        finally:
+            self._publish(hosted)
         return RebalanceReport(
             session=hosted.name, plan=plan, applied=True,
-            caught_up_records=caught_up, revision=hosted.revision)
+            caught_up_records=caught_up, revision=new_engine.revision)
 
     def skew(self, name: str):
         """Live-tuple shard balance of the session (read lock)."""
@@ -671,76 +667,57 @@ class CorrelationService:
         """Apply every queued event as **one** coalesced batch,
         atomically with respect to readers.
 
-        The whole drain is a single write-lock critical section and a
-        single revision bump: the engine compiles the queue into a
-        delta plan (:meth:`~repro.core.engine.CorrelationEngine.apply_batch`)
-        and runs one maintenance pass, one rule refresh and one
-        invariant check however deep the queue was.  The returned
-        :class:`~repro.core.maintenance.BatchReport` still carries one
-        audit row per submitted event.
+        The whole drain is a single write-lock critical section and one
+        commit: the engine compiles the queue into a delta plan
+        (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`),
+        the plan is journaled, then applied with one maintenance pass,
+        one rule refresh, one invariant check and one revision bump
+        however deep the queue was, and the new snapshot is published.
+        The returned :class:`~repro.core.maintenance.BatchReport` still
+        carries one audit row per applied event.
 
-        Poison-event isolation is preserved: plan compilation fails
-        *before* any mutation, so on a compile-rejected batch (or any
-        batch failure that provably mutated nothing) the flush falls
-        back to applying the events one at a time.  That fallback keeps
-        the documented semantics — events before the poison stay
-        applied, the poison event is dropped (retrying it would fail
-        every flush), the unapplied remainder is re-queued at the front
-        in order, and a :class:`SessionError` names the poison event.
-        Call :meth:`CorrelationService.mine` if the engine reports its
-        incremental state as stale.
+        A poison event splits the batch: the events before it are
+        journaled and applied as one batch, the poison event is dropped
+        (retrying it would fail every flush), the events after it are
+        re-queued at the front in order, and a :class:`SessionError`
+        names the poison event.  A failure tied to no event (an engine
+        whose incremental state is stale or that was never mined) puts
+        the whole batch back, journals nothing and re-raises — call
+        :meth:`CorrelationService.mine`, then flush again.
         """
         hosted = self._session(name)
         instrumentation = self._instrumentation
         started = time.perf_counter()
         try:
             with hosted.lock.write():
-                with hosted.queue_lock:
-                    batch = list(hosted.queue)
-                    hosted.queue.clear()
-                    # The backlog this claim covered is drained; the
-                    # next threshold crossing may claim a fresh inline
-                    # flush.
-                    hosted.flush_claim = None
-                if not batch:
-                    return BatchReport(db_size=hosted.engine.db_size,
-                                       event="apply-batch[0]")
-                if hosted.journal is not None:
-                    # Write-ahead: the batch is durable *before* any
-                    # mutation.  If the append itself fails (disk full,
-                    # injected crash) nothing was applied — put the
-                    # batch back in order and surface the error.
-                    try:
-                        seq = self._journal_append(hosted, batch)
-                    except Exception:
-                        with hosted.queue_lock:
-                            hosted.queue.extendleft(reversed(batch))
-                        raise
-                    # From here on the record replays on recovery with
-                    # the same poison semantics the live path has, so
-                    # the engine's outcome below — success, fallback,
-                    # or mid-batch failure — is what replay reproduces.
-                    hosted.applied_seq = seq
-                version_before = hosted.engine.relation.version
                 try:
-                    report = hosted.engine.apply_batch(batch)
-                except Exception:
-                    if hosted.engine.relation.version != version_before:
-                        # The batch died mid-application; per-event
-                        # replay would double-apply the prefix.  Bump
-                        # the revision (readers must notice the mutated
-                        # state) and surface the error — the engine's
-                        # version guard forces a re-mine before further
-                        # incremental updates.
-                        hosted.revision += 1
-                        raise
-                    self._flush_per_event(name, hosted, batch)
-                hosted.revision += 1
-                if hosted.journal is not None:
-                    # Periodic compacted snapshot, inside the write
-                    # lock so the state it captures is the flushed one.
-                    hosted.journal.maybe_snapshot(hosted.engine,
-                                                  hosted.applied_seq)
+                    with hosted.queue_lock:
+                        batch = list(hosted.queue)
+                        hosted.queue.clear()
+                        # The backlog this claim covered is drained;
+                        # the next threshold crossing may claim a fresh
+                        # inline flush.
+                        hosted.flush_claim = None
+                    if not batch:
+                        return BatchReport(db_size=hosted.engine.db_size,
+                                           event="apply-batch[0]")
+                    prefix = self._journal_prefix(hosted, batch)
+                    if prefix.tail:
+                        self._requeue(hosted, prefix.tail)
+                    if prefix.plan is not None:
+                        report = hosted.engine.apply_plan(prefix.plan)
+                        if hosted.journal is not None:
+                            # Periodic compacted snapshot, inside the
+                            # write lock so the state it captures is the
+                            # flushed one.
+                            hosted.journal.maybe_snapshot(
+                                hosted.engine, hosted.applied_seq)
+                    if prefix.poison is not None:
+                        raise poison_error(
+                            prefix, f"flush of session {name!r}"
+                        ) from prefix.error
+                finally:
+                    self._publish(hosted)
         except Exception:
             if instrumentation is not None:
                 instrumentation.flush_failures.inc()
@@ -753,27 +730,31 @@ class CorrelationService:
             self._observe_phases(report)
         return report
 
+    def _journal_prefix(self, hosted: _Hosted,
+                        batch: list[UpdateEvent]) -> CompiledPrefix:
+        """Compile ``batch`` up to its first poison event and journal
+        the valid prefix — write-ahead, before any mutation.  If either
+        step fails nothing was journaled or applied, so the whole batch
+        goes back to the front of the queue in order."""
+        try:
+            prefix = hosted.engine.compile_prefix(batch)
+            if prefix.plan is not None and hosted.journal is not None:
+                hosted.applied_seq = self._journal_append(
+                    hosted, prefix.plan.events)
+        except Exception:
+            self._requeue(hosted, batch)
+            raise
+        return prefix
+
+    @staticmethod
+    def _requeue(hosted: _Hosted, events: Sequence[UpdateEvent]) -> None:
+        with hosted.queue_lock:
+            hosted.queue.extendleft(reversed(events))
+
     def _observe_phases(self, report) -> None:
-        """Feed a report's phase breakdown to the metric sink (the sink
-        is duck-typed; older/minimal sinks simply lack the hook)."""
-        observe = getattr(self._instrumentation, "observe_phases", None)
-        if observe is not None and report.phases:
-            observe(report.phases)
-
-    def _flush_per_event(self, name: str, hosted: _Hosted,
-                         batch: list[UpdateEvent]) -> None:
-        """Fallback path isolating a poison event (documented semantics:
-        prefix stays applied, poison dropped, remainder re-queued)."""
-        def requeue(remainder: list[UpdateEvent], applied: int) -> None:
-            with hosted.queue_lock:
-                hosted.queue.extendleft(reversed(remainder))
-            if applied:
-                hosted.revision += 1
-
-        isolate_poison_event(
-            hosted.engine.apply, batch,
-            requeue=requeue,
-            describe=f"flush of session {name!r}")
+        """Feed a report's phase breakdown to the metric sink."""
+        if self._instrumentation is not None and report.phases:
+            self._instrumentation.observe_phases(report.phases)
 
     def flush_async(self, name: str) -> "Future[BatchReport]":
         """Start :meth:`flush` on a background worker and return its
@@ -799,35 +780,44 @@ class CorrelationService:
         """(Re-)run the initial from-scratch pass for ``name``."""
         hosted = self._session(name)
         with hosted.lock.write():
-            if hosted.journal is not None and hosted.journal.has_snapshot:
-                # A re-mine is a state transition recovery must repeat
-                # (it un-stales an engine after a failed batch), so it
-                # is journaled like any write — before it runs.
-                hosted.applied_seq = hosted.journal.append_mine()
-            report = hosted.engine.mine()
-            hosted.revision += 1
-            if hosted.journal is not None \
-                    and not hosted.journal.has_snapshot:
-                # A session created with ``mine=False`` could not take
-                # its base snapshot at attach time; the first mine is
-                # the first snapshot-able state.
-                hosted.journal.ensure_base_snapshot(hosted.engine)
-        if self._instrumentation is not None:
-            self._observe_phases(report)
+            try:
+                if (hosted.journal is not None
+                        and hosted.journal.has_snapshot):
+                    # A re-mine is a state transition recovery must
+                    # repeat (it un-stales an engine after a failed
+                    # batch), so it is journaled like any write —
+                    # before it runs.
+                    hosted.applied_seq = hosted.journal.append_mine()
+                report = hosted.engine.mine()
+                if hosted.journal is not None \
+                        and not hosted.journal.has_snapshot:
+                    # A session created with ``mine=False`` could not
+                    # take its base snapshot at attach time; the first
+                    # mine is the first snapshot-able state.
+                    hosted.journal.ensure_base_snapshot(hosted.engine)
+            finally:
+                # A mine that committed its rules and then failed its
+                # invariant check still published them.
+                self._publish(hosted)
+        self._observe_phases(report)
         return report
 
     # -- reads ----------------------------------------------------------------
 
     def snapshot(self, name: str) -> RuleSnapshot:
-        """A frozen view of the current rules (shared read lock).
+        """The session's last published snapshot (no session lock).
 
-        Memoized per revision: while nothing flushed, repeated calls
-        return the *same* snapshot object (or, if only the pending
-        count moved, a copy that still shares the rules tuple and
-        catalog) — an unchanged-revision read copies no rules.
+        Between commits every call returns the *same* snapshot object,
+        or, if only the pending count moved, a copy that shares its
+        rules tuple, catalog and signature — a read copies no rules.
         """
         hosted = self._session(name)
-        return self._snapshot_locked(hosted)
+        snap = self._published(hosted)
+        with hosted.queue_lock:
+            pending = len(hosted.queue)
+        if snap.pending_events != pending:
+            snap = replace(snap, pending_events=pending)
+        return snap
 
     def rules(self, name: str,
               kind: RuleKind | None = None) -> tuple[AssociationRule, ...]:
@@ -835,15 +825,14 @@ class CorrelationService:
         return snap.rules if kind is None else snap.of_kind(kind)
 
     def catalog(self, name: str) -> RuleCatalog:
-        """The session's indexed query view (shared read lock); at an
-        unchanged revision this is a cache hit, not a rebuild."""
-        hosted = self._session(name)
-        with hosted.lock.read():
-            if not hosted.engine.is_mined:
-                raise SessionError(
-                    f"session {name!r} has no mined rules to query — "
-                    f"call mine() first")
-            return hosted.engine.catalog()
+        """The published snapshot's indexed query view (no session
+        lock)."""
+        catalog = self._published(self._session(name)).catalog
+        if catalog is None:
+            raise SessionError(
+                f"session {name!r} has no mined rules to query — "
+                f"call mine() first")
+        return catalog
 
     def query(self, name: str) -> CatalogQuery:
         """A composable rule query over the session's catalog."""
@@ -866,30 +855,23 @@ class CorrelationService:
                  confidence_level: float | None = None) -> EstimateSnapshot:
         """An approximate snapshot that never waits for a flush.
 
-        ``mode=estimate`` in one call: candidates come from the last
-        *published* catalog (immutable — read without the session
-        lock), counts come from the engine's maintenance-fresh sketch
-        registries plus an exact overlay of still-queued insert events,
-        and every metric carries its error bound.  The only lock taken
-        on the hot path is the queue mutex (one list copy); the session
-        read lock is touched once ever, to build the sketches without
-        racing a writer.  Contrast :meth:`snapshot`, which serves exact
-        numbers but queues behind an in-flight flush.
+        ``mode=estimate`` in one call: candidates come from the
+        published catalog, counts come from the engine's
+        maintenance-fresh sketch registries plus an exact overlay of
+        still-queued insert events, and every metric carries its error
+        bound.  The only lock taken on the hot path is the queue mutex
+        (one list copy); the session read lock is touched once ever, to
+        build the sketches without racing a writer, and when a
+        rebalance swapped the engine between the two unlocked reads.
         """
         hosted = self._session(name)
+        snap = self._published(hosted)
         engine = hosted.engine
-        snap = hosted.snapshot_cache
-        if snap is None or snap.catalog is None \
-                or snap.revision != hosted.revision:
-            # Cold path: no published snapshot yet, or a completed
-            # flush already bumped the revision past the cache — build
-            # the fresh one the exact way.  The revision compare is
-            # lock-free, and a flush bumps it only *after* applying,
-            # so an in-flight flush never drags an estimate onto this
-            # path: stale-by-revision means the new catalog is already
-            # published and the read lock is (briefly) contended at
-            # worst.
-            snap = self._snapshot_locked(hosted)
+        if engine.vocabulary is not snap.vocabulary:
+            # A cutover published between the two reads; under the
+            # read lock the engine and its snapshot match.
+            with hosted.lock.read():
+                snap, engine = hosted.published, hosted.engine
         if snap.catalog is None:
             raise SessionError(
                 f"session {name!r} has no mined rules to estimate — "
@@ -907,14 +889,9 @@ class CorrelationService:
             confidence_level=confidence_level)
         instrumentation = self._instrumentation
         if instrumentation is not None:
-            # Duck-typed like observe_phases: minimal sinks may lack
-            # the estimate-tier instruments.
-            reads = getattr(instrumentation, "estimate_reads", None)
-            if reads is not None:
-                reads.inc()
-            seconds = getattr(instrumentation, "estimate_seconds", None)
-            if seconds is not None:
-                seconds.observe(time.perf_counter() - started)
+            instrumentation.estimate_reads.inc()
+            instrumentation.estimate_seconds.observe(
+                time.perf_counter() - started)
         return result
 
     def pending(self, name: str) -> int:
@@ -922,15 +899,6 @@ class CorrelationService:
         hosted = self._session(name)
         with hosted.queue_lock:
             return len(hosted.queue)
-
-    def vocabulary(self, name: str) -> ItemVocabulary:
-        """The session engine's item vocabulary.
-
-        The vocabulary is append-only for the engine's lifetime, so
-        callers may render item ids from *older* snapshots through it
-        without holding any session lock.
-        """
-        return self._session(name).engine.vocabulary
 
     def config_of(self, name: str) -> EngineConfig:
         """The config the session's engine was built from."""
@@ -946,47 +914,39 @@ class CorrelationService:
         with hosted.lock.read():
             return hosted.engine.verify_against_remine()
 
-    def _snapshot_locked(self, hosted: _Hosted) -> RuleSnapshot:
-        with hosted.lock.read():
-            engine = hosted.engine
-            mined = engine.is_mined
-            # The engine-side memo is the staleness authority: a rule
-            # set replaced by a mine/flush that later failed validation
-            # changes the engine's catalog identity without bumping the
-            # session revision, and the cached snapshot must not
-            # outlive it.  On the hot path this is one memo hit and an
-            # identity compare.
-            current = engine.catalog() if mined else None
-            instrumentation = self._instrumentation
-            with hosted.queue_lock:
-                pending = len(hosted.queue)
-                cached = hosted.snapshot_cache
-                if (cached is not None
-                        and cached.revision == hosted.revision
-                        and cached.catalog is current):
-                    if instrumentation is not None:
-                        instrumentation.snapshot_hits.inc()
-                    if cached.pending_events != pending:
-                        # Only the queue depth moved: refresh that one
-                        # field; the rules tuple, signature and catalog
-                        # are shared with the cached snapshot, not
-                        # copied.
-                        cached = replace(cached, pending_events=pending)
-                        hosted.snapshot_cache = cached
-                    return cached
-            if instrumentation is not None:
-                instrumentation.snapshot_misses.inc()
-            snap = RuleSnapshot(
-                session=hosted.name,
-                db_size=engine.db_size,
-                revision=hosted.revision,
-                # The catalog's canonical tuple is the snapshot's rule
-                # view — shared, never re-copied per call.
-                rules=current.rules if mined else (),
-                signature=engine.signature() if mined else frozenset(),
-                pending_events=pending,
-                catalog=current,
-            )
-            with hosted.queue_lock:
-                hosted.snapshot_cache = snap
-            return snap
+    def _published(self, hosted: _Hosted) -> RuleSnapshot:
+        if self._instrumentation is not None:
+            self._instrumentation.snapshot_hits.inc()
+        return hosted.published
+
+    def _publish(self, hosted: _Hosted) -> None:
+        """Publish the engine's committed state as the session's read
+        snapshot (write lock held, or the session not yet visible).
+
+        The engine's catalog is the commit marker: it changes identity
+        with every revision bump and every rule-set replacement, so a
+        step that committed nothing — an empty flush, a batch that
+        failed before its rules were refreshed — leaves the last
+        snapshot, which stays consistent with itself, in place.
+        """
+        engine = hosted.engine
+        catalog = engine.catalog() if engine.is_mined else None
+        published = hosted.published
+        if (published is not None and published.catalog is catalog
+                and published.vocabulary is engine.vocabulary):
+            return
+        with hosted.queue_lock:
+            pending = len(hosted.queue)
+        hosted.published = RuleSnapshot(
+            session=hosted.name,
+            db_size=engine.db_size,
+            revision=engine.revision,
+            # The catalog's canonical tuple is the snapshot's rule view
+            # — shared, never re-copied.
+            rules=catalog.rules if catalog is not None else (),
+            pending_events=pending,
+            vocabulary=engine.vocabulary,
+            catalog=catalog,
+        )
+        if self._instrumentation is not None:
+            self._instrumentation.snapshot_misses.inc()

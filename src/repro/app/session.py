@@ -23,7 +23,7 @@ from repro.core.events import (
 )
 from repro.core.maintenance import BatchReport, MaintenanceReport
 from repro.app.estimate import EstimateSnapshot, estimate_snapshot
-from repro.app.service import isolate_poison_event
+from repro.app.service import poison_error
 from repro.core.rules import AssociationRule, RuleKind
 from repro.core.stats import DEFAULT_MARGIN
 from repro.errors import ItemKindError, SessionError, VocabularyError
@@ -248,31 +248,31 @@ class Session:
         """Apply every queued update as one coalesced batch.
 
         Returns ``None`` when nothing was queued.  Poison isolation
-        mirrors the serving facade: batch compilation fails before any
-        mutation, so on a rejected batch the events are applied one at
-        a time — the valid prefix stays applied, the poison event is
-        dropped, and the unapplied remainder returns to the front of
-        the queue with the raised :class:`SessionError` naming it.
+        mirrors the serving facade: the batch is compiled up to its
+        first poison update before any mutation, the valid prefix is
+        applied as one batch, the poison update is dropped, and the
+        rest returns to the front of the queue with the raised
+        :class:`SessionError` naming it.  A failure tied to no update
+        (stale engine) puts the whole batch back and re-raises.
         """
         manager = self._require_manager()
         if not self.pending_updates:
             return None
         batch, self.pending_updates = self.pending_updates, []
-        version_before = manager.relation.version
         try:
-            report = manager.apply_batch(batch)
-            self.last_phases = dict(report.phases.wall)
-            return report
+            prefix = manager.compile_prefix(batch)
         except Exception:
-            if manager.relation.version != version_before:
-                raise  # mutated mid-batch: replay would double-apply
-
-        def requeue(remainder: list[UpdateEvent], applied: int) -> None:
-            self.pending_updates = remainder + self.pending_updates
-
-        isolate_poison_event(manager.apply, batch, requeue=requeue,
-                             describe="flush", noun="update")
-        raise AssertionError("unreachable")  # pragma: no cover
+            self.pending_updates = batch + self.pending_updates
+            raise
+        self.pending_updates = list(prefix.tail) + self.pending_updates
+        report = None
+        if prefix.plan is not None:
+            report = manager.apply_plan(prefix.plan)
+            self.last_phases = dict(report.phases.wall)
+        if prefix.poison is not None:
+            raise poison_error(prefix, "flush",
+                               noun="update") from prefix.error
+        return report
 
     def pending(self) -> int:
         """Updates queued but not yet flushed."""

@@ -19,16 +19,18 @@ the queue depth.  :func:`compile_plan` instead folds an ordered
   identical tids to every other row) but never reaches the mining
   substrate;
 * per-event provenance survives as :class:`EventAudit` rows, so the
-  event log and the serving layer can still account for each submitted
-  event individually.
+  serving layer can still account for each submitted event
+  individually.
 
 Compilation is **pure**: it reads batch-local state plus two optional
 oracles describing the current relation, and mutates nothing.  Every
 condition that would make per-event application fail on some event —
-an unknown tid, a dead target, an event of unknown type — is detected
-here and raised as :class:`~repro.errors.DeltaPlanError` *before* the
-engine touches any state, which is what lets the serving facade fall
-back to per-event application with intact poison-isolation semantics.
+an unknown tid, a dead target, an event of unknown type, a malformed
+row — is detected here and raised *before* the engine touches any
+state, with the failing event's 1-based position recorded as the
+error's ``event_position``.  That is what lets every flush path
+compile the longest valid prefix (:class:`CompiledPrefix`), journal
+and apply it as one batch, and drop only the poison event.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.core.events import (
     RemoveTuples,
     UpdateEvent,
 )
-from repro.errors import DeltaPlanError
+from repro.errors import DeltaPlanError, ReproError
 
 #: Human-readable labels, matching the per-event MaintenanceReport names.
 EVENT_LABELS = {
@@ -142,6 +144,27 @@ class DeltaPlan:
         return [planned for planned in self.inserts if not planned.elided]
 
 
+@dataclass(frozen=True)
+class CompiledPrefix:
+    """A batch split at its first poison event.
+
+    ``plan`` covers the longest valid prefix (``None`` when the first
+    event is the poison); ``poison`` is the event the compiler rejected
+    with ``error`` (``None`` when the whole batch compiled), and
+    ``tail`` holds the events after it, which were never looked at.
+    """
+
+    plan: DeltaPlan | None
+    poison: UpdateEvent | None = None
+    tail: tuple[UpdateEvent, ...] = ()
+    error: Exception | None = None
+
+    @property
+    def applied(self) -> int:
+        """Events in the valid prefix."""
+        return 0 if self.plan is None else len(self.plan.events)
+
+
 def compile_plan(events: Sequence[UpdateEvent],
                  *,
                  next_tid: int,
@@ -166,7 +189,9 @@ def compile_plan(events: Sequence[UpdateEvent],
     per-event application would have raised.
 
     Raises :class:`DeltaPlanError` — without any side effect — whenever
-    sequential per-event application would raise on one of the events.
+    sequential per-event application would raise on one of the events;
+    every error raised for an event carries its 1-based position as
+    ``event_position``.
     """
     if not events:
         raise DeltaPlanError("cannot compile an empty event batch")
@@ -192,83 +217,90 @@ def compile_plan(events: Sequence[UpdateEvent],
                 f"event {position} {verb}s tuple {tid}, which does not "
                 f"exist or is deleted")
 
-    for position, event in enumerate(events, start=1):
-        label = event_label(event)
-        coalesced = 0
-        if isinstance(event, (AddAnnotatedTuples, AddUnannotatedTuples)):
-            payload = len(event.rows)
-            for row in event.rows:
-                if isinstance(event, AddAnnotatedTuples):
-                    values, annotations = row
-                else:
-                    values, annotations = row, frozenset()
-                if validate_row is not None:
-                    validate_row(values)
-                if validate_annotation is not None:
-                    for annotation_id in annotations:
+    position = 0
+    try:
+        for position, event in enumerate(events, start=1):
+            label = event_label(event)
+            coalesced = 0
+            if isinstance(event, (AddAnnotatedTuples, AddUnannotatedTuples)):
+                payload = len(event.rows)
+                for row in event.rows:
+                    if isinstance(event, AddAnnotatedTuples):
+                        values, annotations = row
+                    else:
+                        values, annotations = row, frozenset()
+                    if validate_row is not None:
+                        validate_row(values)
+                    if validate_annotation is not None:
+                        for annotation_id in annotations:
+                            validate_annotation(annotation_id)
+                    plan.inserts.append(PlannedInsert(
+                        tid=next_tid + len(plan.inserts),
+                        values=tuple(values),
+                        annotations=set(annotations)))
+            elif isinstance(event, AddAnnotations):
+                payload = len(event.additions)
+                for tid, annotation_id in event.additions:
+                    check_target(tid, position, "annotate")
+                    if validate_annotation is not None:
                         validate_annotation(annotation_id)
-                plan.inserts.append(PlannedInsert(
-                    tid=next_tid + len(plan.inserts),
-                    values=tuple(values),
-                    annotations=set(annotations)))
-        elif isinstance(event, AddAnnotations):
-            payload = len(event.additions)
-            for tid, annotation_id in event.additions:
-                check_target(tid, position, "annotate")
-                if validate_annotation is not None:
-                    validate_annotation(annotation_id)
-                if tid >= next_tid:
-                    row = plan.inserts[tid - next_tid]
-                    coalesced += 1
-                    plan.stats.pairs_folded_into_inserts += 1
-                    if annotation_id not in row.annotations:
-                        row.annotations.add(annotation_id)
-                    continue
-                key = (tid, annotation_id)
-                if key in pair_ops:
-                    coalesced += 1
-                    plan.stats.pairs_collapsed += 1
-                pair_ops[key] = True
-                pairs_by_tid.setdefault(tid, set()).add(key)
-        elif isinstance(event, RemoveAnnotations):
-            payload = len(event.removals)
-            for tid, annotation_id in event.removals:
-                check_target(tid, position, "detache")
-                if tid >= next_tid:
-                    row = plan.inserts[tid - next_tid]
-                    coalesced += 1
-                    plan.stats.pairs_folded_into_inserts += 1
-                    row.annotations.discard(annotation_id)
-                    continue
-                key = (tid, annotation_id)
-                if key in pair_ops:
-                    coalesced += 1
-                    plan.stats.pairs_collapsed += 1
-                pair_ops[key] = False
-                pairs_by_tid.setdefault(tid, set()).add(key)
-        elif isinstance(event, RemoveTuples):
-            payload = len(event.tids)
-            for tid in event.tids:
-                check_target(tid, position, "delete")
-                deleted.add(tid)
-                if tid >= next_tid:
-                    row = plan.inserts[tid - next_tid]
-                    row.elided = True
-                    coalesced += 1
-                    plan.stats.inserts_elided += 1
-                    continue
-                plan.deletions.append(tid)
-                # Annotation ops that preceded the delete are absorbed:
-                # the decay walk over the tuple's pre-batch item set is
-                # their exact net effect.
-                for key in pairs_by_tid.pop(tid, ()):
-                    del pair_ops[key]
-                    plan.stats.pairs_cancelled += 1
-        else:
-            raise DeltaPlanError(f"unknown update event {event!r}")
-        plan.audits.append(EventAudit(
-            position=position, event=label,
-            payload=payload, coalesced=coalesced))
+                    if tid >= next_tid:
+                        row = plan.inserts[tid - next_tid]
+                        coalesced += 1
+                        plan.stats.pairs_folded_into_inserts += 1
+                        if annotation_id not in row.annotations:
+                            row.annotations.add(annotation_id)
+                        continue
+                    key = (tid, annotation_id)
+                    if key in pair_ops:
+                        coalesced += 1
+                        plan.stats.pairs_collapsed += 1
+                    pair_ops[key] = True
+                    pairs_by_tid.setdefault(tid, set()).add(key)
+            elif isinstance(event, RemoveAnnotations):
+                payload = len(event.removals)
+                for tid, annotation_id in event.removals:
+                    check_target(tid, position, "detache")
+                    if tid >= next_tid:
+                        row = plan.inserts[tid - next_tid]
+                        coalesced += 1
+                        plan.stats.pairs_folded_into_inserts += 1
+                        row.annotations.discard(annotation_id)
+                        continue
+                    key = (tid, annotation_id)
+                    if key in pair_ops:
+                        coalesced += 1
+                        plan.stats.pairs_collapsed += 1
+                    pair_ops[key] = False
+                    pairs_by_tid.setdefault(tid, set()).add(key)
+            elif isinstance(event, RemoveTuples):
+                payload = len(event.tids)
+                for tid in event.tids:
+                    check_target(tid, position, "delete")
+                    deleted.add(tid)
+                    if tid >= next_tid:
+                        row = plan.inserts[tid - next_tid]
+                        row.elided = True
+                        coalesced += 1
+                        plan.stats.inserts_elided += 1
+                        continue
+                    plan.deletions.append(tid)
+                    # Annotation ops that preceded the delete are absorbed:
+                    # the decay walk over the tuple's pre-batch item set is
+                    # their exact net effect.
+                    for key in pairs_by_tid.pop(tid, ()):
+                        del pair_ops[key]
+                        plan.stats.pairs_cancelled += 1
+            else:
+                raise DeltaPlanError(f"unknown update event {event!r}")
+            plan.audits.append(EventAudit(
+                position=position, event=label,
+                payload=payload, coalesced=coalesced))
+    except ReproError as error:
+        # Whatever the event raised (plan, schema or annotation error)
+        # names it, so a caller can split the batch around it.
+        error.event_position = position
+        raise
 
     # Net the surviving pair ops against the pre-batch state.
     for (tid, annotation_id), is_add in pair_ops.items():

@@ -13,7 +13,10 @@ exposes exactly the lifecycle of the paper's application:
   into one :class:`~repro.core.deltas.DeltaPlan` and run it through
   the incremental algorithms of Figures 12 and 13 with **one**
   relation/index update, one maintenance walk per case, one
-  (dirty-scoped) rule refresh and one invariant check;
+  (dirty-scoped) rule refresh and one invariant check.  It is two
+  steps — :meth:`compile_batch` (side-effect free) and
+  :meth:`apply_plan` — so the flush paths can split a batch at its
+  first poison event (:meth:`compile_prefix`) before journaling it;
 * :meth:`apply` — the single-event case of :meth:`apply_batch`,
   returning the per-event :class:`MaintenanceReport` shape;
 * :meth:`rules` / :meth:`rules_of_kind` — the current correlations;
@@ -45,6 +48,7 @@ from repro.core.candidate_store import CandidateRuleStore
 from repro.core.catalog import RuleCatalog
 from repro.core.config import EngineConfig
 from repro.core.deltas import (
+    CompiledPrefix,
     DeltaPlan,
     PlannedInsert,
     compile_plan,
@@ -75,7 +79,7 @@ from repro.core.maintenance import (
 )
 from repro.core.pattern_table import FrequentPatternTable
 from repro.core.rules import AssociationRule, RuleKey, RuleKind, RuleSet
-from repro.errors import MaintenanceError, SchemaError
+from repro.errors import MaintenanceError, ReproError, SchemaError
 from repro.mining.constraints import CombinedRelevanceConstraint
 from repro.mining.eclat import mine_frequent_itemsets_vertical
 from repro.mining.fup import fup_update
@@ -122,6 +126,20 @@ def engine(relation: AnnotatedRelation | None = None,
 
         return ShardedEngine(relation, config)
     return CorrelationEngine(relation, config)
+
+
+def rule_signature(rules: Iterable[AssociationRule],
+                   vocabulary: ItemVocabulary) -> frozenset[RuleSignature]:
+    """The vocabulary-independent fingerprint of ``rules``: each rule
+    as its kind, sorted LHS tokens, RHS token and counts."""
+    out = set()
+    for rule in rules:
+        lhs_tokens = tuple(sorted(vocabulary.item(item).token
+                                  for item in rule.lhs))
+        rhs_token = vocabulary.item(rule.rhs).token
+        out.add((rule.kind.value, lhs_tokens, rhs_token,
+                 rule.union_count, rule.lhs_count, rule.db_size))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -472,10 +490,17 @@ class CorrelationEngine:
         The plan is compiled — and every compile-detectable failure
         raised — *before* any state is mutated, so a
         :class:`~repro.errors.DeltaPlanError` from this method leaves
-        the engine untouched (the serving facade relies on this to fall
-        back to per-event application around poison events).  The batch
-        runs one maintenance walk per case over the merged deltas, then
-        **one** dirty-scoped rule refresh and **one** invariant check.
+        the engine untouched.  The batch runs one maintenance walk per
+        case over the merged deltas, then **one** dirty-scoped rule
+        refresh and **one** invariant check.
+        """
+        return self._apply_plan(self.compile_batch(events))
+
+    def compile_batch(self, events: Sequence[UpdateEvent]) -> DeltaPlan:
+        """The compile step of :meth:`apply_batch`: the mined check,
+        the relation-version guard and :func:`compile_plan`, with no
+        side effect.  An error raised for one event carries its
+        position as ``event_position``; the guards' errors carry none.
         """
         self._require_mined()
         if not events:
@@ -484,7 +509,7 @@ class CorrelationEngine:
             raise MaintenanceError(
                 "relation was modified outside the engine; incremental "
                 "state is stale — re-run mine()")
-        plan = compile_plan(
+        return compile_plan(
             events,
             next_tid=self.relation.tid_range,
             is_live=self.relation.is_live,
@@ -492,6 +517,37 @@ class CorrelationEngine:
             validate_row=self._validate_insert_row,
             validate_annotation=Annotation,
         )
+
+    def compile_prefix(self, events: Sequence[UpdateEvent]) -> CompiledPrefix:
+        """Compile ``events`` up to their first poison event.
+
+        Every flush path (the service, the standalone session and
+        journal replay) commits through this: it journals and applies
+        ``plan`` as one batch, drops ``poison`` and re-queues ``tail``.
+        An error tied to no event (a stale or unmined engine) is raised
+        unchanged: no event of the batch can apply.
+        """
+        try:
+            return CompiledPrefix(plan=self.compile_batch(events))
+        except ReproError as error:
+            position = error.event_position
+            if position is None:
+                raise
+            prefix = events[:position - 1]
+            return CompiledPrefix(
+                plan=self.compile_batch(prefix) if prefix else None,
+                poison=events[position - 1],
+                tail=tuple(events[position:]),
+                error=error)
+
+    def apply_plan(self, plan: DeltaPlan) -> BatchReport:
+        """The application step of :meth:`apply_batch`, for a plan
+        :meth:`compile_batch` or :meth:`compile_prefix` built against
+        the engine's current state."""
+        if (self.relation.version != self._relation_version
+                or plan.base_tid != self.relation.tid_range):
+            raise MaintenanceError(
+                "delta plan was compiled against another relation state")
         return self._apply_plan(plan)
 
     def close(self) -> None:
@@ -818,14 +874,7 @@ class CorrelationEngine:
         re-mine of the same relation) agree iff their signatures are
         equal — the comparison the paper's three "Results" sections run.
         """
-        out = set()
-        for rule in self.rules:
-            lhs_tokens = tuple(sorted(self.vocabulary.item(item).token
-                                      for item in rule.lhs))
-            rhs_token = self.vocabulary.item(rule.rhs).token
-            out.add((rule.kind.value, lhs_tokens, rhs_token,
-                     rule.union_count, rule.lhs_count, rule.db_size))
-        return frozenset(out)
+        return rule_signature(self.rules, self.vocabulary)
 
     def verify_against_remine(self) -> "VerificationResult":
         """Re-mine the relation from scratch and compare rule sets."""

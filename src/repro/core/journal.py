@@ -21,10 +21,11 @@ serving stack flushes through:
   delta-plan compiler.  ``upto`` gives point-in-time recovery to any
   journaled flush boundary still covered by a retained snapshot.
 
-Replay mirrors the service's flush semantics exactly, including the
-poison-event fallback: a batch whose plan compilation fails (provably
-unmutated) replays per-event with the valid prefix applied, the poison
-dropped, and the remainder *skipped* — live, that remainder was
+Replay commits each record the way a live flush does: the record's
+longest valid prefix applies as one batch.  A live flush journals only
+that prefix, so every record it writes replays whole; a record written
+before it did holds the submitted batch, and replay applies its prefix
+and *skips* the poison event and the rest — live, the rest was
 re-queued and therefore appears again in a later journal record.
 
 Crash injection hooks: both classes accept a ``fault_hook`` callable
@@ -425,7 +426,8 @@ class ReplayStats:
     records: int = 0
     events: int = 0
     mines: int = 0
-    #: Batch records that hit the poison-event fallback during replay.
+    #: Batch records replay could not apply whole (a poison event, or
+    #: a failure repaired by a re-mine).
     poisoned: int = 0
 
 
@@ -433,15 +435,15 @@ def replay_into(engine: CorrelationEngine,
                 records: Iterable[JournalRecord]) -> ReplayStats:
     """Apply journal records to ``engine``, mirroring flush semantics.
 
-    Each batch record goes through the delta-plan compiler
-    (``apply_batch``); a compile-rejected batch (provably unmutated)
-    falls back to per-event application with the poison event dropped
-    and the remainder skipped — live, that remainder was re-queued and
-    shows up in a later record, so skipping it here is what keeps
-    replay equivalent.  A failure that mutated mid-batch is repaired
-    the way the live system's version guard forces: a full re-mine
-    (the live operator had to ``mine()`` before further updates too,
-    which journaled a ``mine`` record).
+    Each batch record goes through the same commit step as a live
+    flush (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`):
+    the valid prefix applies as one batch and the rest is skipped (see
+    the module docstring for why that matches older journals too).  A
+    record no event of which can apply (stale or unmined engine) is
+    skipped whole.  A failure that mutated mid-batch is repaired the
+    way the live system's version guard forces: a full re-mine (the
+    live operator had to ``mine()`` before further updates too, which
+    journaled a ``mine`` record).
     """
     stats = ReplayStats()
     for record in records:
@@ -453,18 +455,16 @@ def replay_into(engine: CorrelationEngine,
         stats.events += len(record.events)
         version_before = engine.relation.version
         try:
-            engine.apply_batch(list(record.events))
+            prefix = engine.compile_prefix(record.events)
+            if prefix.plan is not None:
+                engine.apply_plan(prefix.plan)
         except Exception:
+            stats.poisoned += 1
             if engine.relation.version != version_before:
                 engine.mine()
-                stats.poisoned += 1
-                continue
+            continue
+        if prefix.poison is not None:
             stats.poisoned += 1
-            for event in record.events:
-                try:
-                    engine.apply(event)
-                except Exception:
-                    break  # poison dropped; remainder was re-queued live
     return stats
 
 

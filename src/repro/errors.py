@@ -13,6 +13,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the library."""
 
+    #: 1-based position of the event a batch failed on, set by the
+    #: delta-plan compiler on whatever it raises for that event (``None``
+    #: when the failure is not tied to one event, e.g. a stale engine).
+    event_position: int | None = None
+
 
 class VocabularyError(ReproError):
     """An item was used with a vocabulary that does not know it."""
@@ -55,9 +60,11 @@ class DeltaPlanError(MaintenanceError):
 
     Raised by the plan compiler *before any state is mutated* — e.g. an
     event targets an unknown tuple, or annotates a tuple that an earlier
-    event in the same batch deleted.  Callers (the serving facade) use
-    this guarantee to fall back to per-event application, which isolates
-    the poison event with the documented re-queue/drop semantics.
+    event in the same batch deleted.  The compiler records the failing
+    event's position as :attr:`event_position`, so the flush paths
+    (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`)
+    journal and apply the valid prefix as one batch, drop the poison
+    event and re-queue the tail.
     """
 
 

@@ -102,7 +102,7 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
                               config=config.default_engine)
         server.tenants.adopt(name)
         print(f"preloaded tenant {name!r}: {len(relation)} tuples, "
-              f"{len(server.tenants.get(name).snapshot)} rules",
+              f"{len(server.service.snapshot(name))} rules",
               file=sys.stderr)
     return server
 

@@ -6,10 +6,12 @@ bodies, keep-alive).  The interesting part is the concurrency contract,
 not the protocol plumbing:
 
 * **reads never block on writes.**  Every read endpoint serves from
-  the tenant's cached, frozen :class:`~repro.app.service.RuleSnapshot`
-  (refreshed after each server-driven flush), so it touches no session
-  lock — a flush holding the writer-preferring lock stalls other
-  flushes, never the event loop or a read;
+  the session's published, frozen
+  :class:`~repro.app.service.RuleSnapshot` (``service.snapshot()``,
+  replaced by the service at every commit) and renders item ids
+  through the vocabulary that snapshot carries, so it touches no
+  session lock — a flush holding the writer-preferring lock stalls
+  other flushes, never the event loop or a read;
 * **writes are admitted, not buffered.**  ``POST .../events`` checks
   the per-tenant queue bound first and answers ``429`` with a
   ``Retry-After`` hint (sized from the tenant's recent flush latency)
@@ -42,7 +44,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.app.estimate import ESTIMATE_METRICS
-from repro.app.service import CorrelationService
+from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.catalog import SIGNIFICANCE_METRICS
 from repro.core.rules import RuleKind
 from repro.errors import ReproError, ServerError, SessionError
@@ -56,6 +58,7 @@ from repro.server.tenants import (
     event_from_json,
     parse_metric,
     parse_rule_kind,
+    resolve_item,
     rule_to_json,
 )
 
@@ -455,21 +458,15 @@ class CorrelationServer:
         return await self._loop.run_in_executor(self._executor, fn, *args)
 
     def _flush_blocking(self, name: str) -> Any:
-        """Executor-side flush: apply the queue, feed the admission
-        EWMA, republish the read snapshot."""
+        """Executor-side flush: apply the queue (the service publishes
+        the new snapshot), feed the admission EWMA."""
         started = time.perf_counter()
         report = self.service.flush(name)
         self.admission.record_flush_seconds(
             name, time.perf_counter() - started)
-        self.tenants.refresh(name)
         self.metrics.gauge("queue_depth", tenant=name).set(
             self.service.pending(name))
         self._publish_journal_gauges(name)
-        return report
-
-    def _mine_blocking(self, name: str) -> Any:
-        report = self.service.mine(name)
-        self.tenants.refresh(name)
         return report
 
     def _maybe_schedule_flush(self, state: TenantState, *,
@@ -524,13 +521,14 @@ class CorrelationServer:
         except ServerError as error:
             raise HttpError(404, str(error)) from None
 
-    def _snapshot_view(self, name: str) -> tuple[TenantState, Any]:
-        state = self._tenant(name)
-        snapshot = state.snapshot
+    def _snapshot_view(self, name: str) -> RuleSnapshot:
+        """The tenant's published snapshot; 409 until it is mined."""
+        self._tenant(name)
+        snapshot = self.service.snapshot(name)
         if snapshot.catalog is None:
             raise HttpError(409, f"tenant {name!r} has no mined rules "
                                  f"yet — POST /v1/{name}/mine first")
-        return state, snapshot
+        return snapshot
 
     def _reject_writes_while_draining(self) -> None:
         if self._draining:
@@ -596,7 +594,8 @@ class CorrelationServer:
         """Run the approximate read on the executor (the first call per
         engine builds the sketches) and kick the exact-behind refresh
         when anything is pending.  Returns ``(estimate, scheduled)``."""
-        state, _snapshot = self._snapshot_view(tenant)
+        state = self._tenant(tenant)
+        self._snapshot_view(tenant)  # 409 before any estimate work
         level = self._confidence_level_param(request)
         estimate = await self._run_blocking(
             lambda: self.service.estimate(
@@ -611,8 +610,7 @@ class CorrelationServer:
         return estimate, scheduled
 
     @staticmethod
-    def _estimate_payload(tenant: str, estimate,
-                          vocabulary) -> dict[str, Any]:
+    def _estimate_payload(tenant: str, estimate) -> dict[str, Any]:
         return {
             "tenant": tenant,
             "revision": estimate.revision,
@@ -624,7 +622,8 @@ class CorrelationServer:
             "z": estimate.z,
             "confidence_level": estimate.confidence_level,
             "count": len(estimate.rules),
-            "rules": [estimated_rule_to_json(estimated, vocabulary)
+            "rules": [estimated_rule_to_json(estimated,
+                                             estimate.vocabulary)
                       for estimated in estimate.rules],
         }
 
@@ -730,12 +729,12 @@ class CorrelationServer:
         self.admission.forget(tenant)
         return 200, {"dropped": tenant, "forced": force}
 
-    # -- read endpoints (lock-free: served from the cached snapshot) -----------
+    # -- read endpoints (lock-free: served from the published snapshot) --------
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/rules$", "rules")
     async def _handle_rules(self, request: Request, *,
                             tenant: str) -> tuple[int, dict]:
-        state, snapshot = self._snapshot_view(tenant)
+        snapshot = self._snapshot_view(tenant)
         kind = self._kind_param(request)
         metric = self._metric_param(request)
         offset, limit = self._page_params(request)
@@ -752,7 +751,7 @@ class CorrelationServer:
             "total": total,
             "offset": offset,
             "count": len(rules),
-            "rules": [rule_to_json(rule, state.vocabulary)
+            "rules": [rule_to_json(rule, snapshot.vocabulary)
                       for rule in rules],
         }
 
@@ -760,15 +759,14 @@ class CorrelationServer:
             "rules_top")
     async def _handle_rules_top(self, request: Request, *,
                                 tenant: str) -> tuple[int, dict]:
-        state, snapshot = self._snapshot_view(tenant)
+        snapshot = self._snapshot_view(tenant)
         n = request.int_param("n", 10, minimum=1, maximum=MAX_PAGE)
         kind = self._kind_param(request)
         if request.flag_param("estimate"):
             metric = self._estimate_metric_param(request)
             estimate, scheduled = await self._take_estimate(
                 request, tenant, n=n, metric=metric, kind=kind)
-            payload = self._estimate_payload(tenant, estimate,
-                                             state.vocabulary)
+            payload = self._estimate_payload(tenant, estimate)
             payload["metric"] = metric
             payload["flush_scheduled"] = scheduled
             return 200, payload
@@ -787,7 +785,7 @@ class CorrelationServer:
             "db_size": snapshot.db_size,
             "metric": metric,
             "count": len(rules),
-            "rules": [rule_to_json(rule, state.vocabulary, significance)
+            "rules": [rule_to_json(rule, snapshot.vocabulary, significance)
                       for rule in rules],
         }
 
@@ -795,7 +793,7 @@ class CorrelationServer:
             "rules_for_item")
     async def _handle_rules_for_item(self, request: Request, *,
                                      tenant: str) -> tuple[int, dict]:
-        state, snapshot = self._snapshot_view(tenant)
+        snapshot = self._snapshot_view(tenant)
         token = request.param("token")
         if token is None:
             raise HttpError(400, "query parameter 'token' is required")
@@ -804,7 +802,7 @@ class CorrelationServer:
             raise HttpError(400, f"role must be 'any' or 'rhs', "
                                  f"got {role!r}")
         offset, limit = self._page_params(request)
-        item = self.tenants.resolve_item(tenant, token)
+        item = resolve_item(snapshot.vocabulary, token)
         rules: tuple = ()
         total = 0
         if item is not None:
@@ -823,14 +821,14 @@ class CorrelationServer:
             "total": total,
             "offset": offset,
             "count": len(rules),
-            "rules": [rule_to_json(rule, state.vocabulary)
+            "rules": [rule_to_json(rule, snapshot.vocabulary)
                       for rule in rules],
         }
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/query$", "query")
     async def _handle_query(self, request: Request, *,
                             tenant: str) -> tuple[int, dict]:
-        state, snapshot = self._snapshot_view(tenant)
+        snapshot = self._snapshot_view(tenant)
         kind = self._kind_param(request)
         if request.flag_param("estimate"):
             return await self._handle_query_estimate(request, tenant,
@@ -855,7 +853,7 @@ class CorrelationServer:
             token = request.param(token_param)
             if token is None:
                 continue
-            item = self.tenants.resolve_item(tenant, token)
+            item = resolve_item(snapshot.vocabulary, token)
             if item is None:
                 # A token the vocabulary never interned matches nothing.
                 query = query.where(lambda rule: False,
@@ -881,7 +879,7 @@ class CorrelationServer:
             "total": total,
             "offset": offset,
             "count": len(rules),
-            "rules": [rule_to_json(rule, state.vocabulary, significance)
+            "rules": [rule_to_json(rule, snapshot.vocabulary, significance)
                       for rule in rules],
         }
         if request.flag_param("explain"):
@@ -920,11 +918,9 @@ class CorrelationServer:
                    or estimated.metric(name.removeprefix("min_")) >= value
                    for name, value in floors)
         ]
-        state = self._tenant(tenant)
-        payload = self._estimate_payload(
-            tenant, estimate, state.vocabulary)
+        payload = self._estimate_payload(tenant, estimate)
         payload["rules"] = [
-            estimated_rule_to_json(estimated, state.vocabulary)
+            estimated_rule_to_json(estimated, estimate.vocabulary)
             for estimated in matched[offset:offset + limit]]
         payload.update({
             "order_by": metric,
@@ -1019,7 +1015,7 @@ class CorrelationServer:
             report = await self._run_blocking(self._flush_blocking, tenant)
         finally:
             self.admission.release_flush()
-        snapshot = self._tenant(tenant).snapshot
+        snapshot = self.service.snapshot(tenant)
         return 200, {
             "tenant": tenant,
             "events_applied": report.events,
@@ -1038,10 +1034,10 @@ class CorrelationServer:
         self._tenant(tenant)
         self._admit_flush_slot(tenant)
         try:
-            report = await self._run_blocking(self._mine_blocking, tenant)
+            report = await self._run_blocking(self.service.mine, tenant)
         finally:
             self.admission.release_flush()
-        snapshot = self._tenant(tenant).snapshot
+        snapshot = self.service.snapshot(tenant)
         return 200, {
             "tenant": tenant,
             "duration_seconds": report.duration_seconds,
@@ -1086,9 +1082,6 @@ class CorrelationServer:
                 lambda: self.service.rebalance(tenant, shards=shards))
         finally:
             self.admission.release_flush()
-        # resync, not refresh: the engine (and its vocabulary) was
-        # replaced — snapshot and vocabulary must swap together.
-        self.tenants.resync(tenant)
         self._publish_journal_gauges(tenant)
         return 200, report.as_dict()
 

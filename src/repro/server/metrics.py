@@ -293,8 +293,8 @@ class ServiceInstrumentation:
         self.flushed_events = reg.counter(f"{prefix}_flushed_events")
         self.flush_failures = reg.counter(f"{prefix}_flush_failures")
         self.submitted_events = reg.counter(f"{prefix}_submitted_events")
-        #: Unchanged-revision snapshot reads served from the memo
-        #: (zero rules copied) vs. rebuilds.
+        #: Reads served from a session's published snapshot (zero
+        #: rules copied) vs. publications (one per commit).
         self.snapshot_hits = reg.counter(f"{prefix}_snapshot_hits")
         self.snapshot_misses = reg.counter(f"{prefix}_snapshot_misses")
         #: Approximate-tier reads (mode=estimate) and their latency —

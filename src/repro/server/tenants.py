@@ -2,16 +2,13 @@
 
 One *tenant* is one named :class:`~repro.app.service.CorrelationService`
 session — its own relation, engine config, update queue and rule
-catalog — created, listed and dropped over HTTP.  The registry adds
-what the service facade deliberately does not have:
+catalog — created, listed and dropped over HTTP.  Reads go straight to
+the session's published :class:`~repro.app.service.RuleSnapshot`,
+which the service replaces at every commit and hands out without a
+session lock.  The registry adds what the service facade deliberately
+does not have:
 
-* a **cached read snapshot** per tenant, refreshed after every
-  server-driven mutation.  Read endpoints serve rules from this frozen
-  :class:`~repro.app.service.RuleSnapshot` without touching the
-  session's read-write lock at all, so a flush holding the write side
-  can never stall the event loop or a read request — readers observe
-  the last published revision until the flush lands (and the snapshot
-  is revision-memoized upstream, so refreshing it copies zero rules);
+* tenant-name validation and the per-tenant background-flush flag;
 * the engine-config template merge for ``POST /v1/tenants`` bodies;
 * the event / rule JSON codecs shared by the endpoints, the CLI and
   the benchmark load generator.
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.app.estimate import EstimatedRule
-from repro.app.service import CorrelationService, RuleSnapshot
+from repro.app.service import CorrelationService
 from repro.core.catalog import ALL_METRICS, RuleCatalog
 from repro.core.config import EngineConfig
 from repro.core.events import (
@@ -256,13 +253,6 @@ class TenantState:
     """Loop-visible state of one tenant."""
 
     name: str
-    config: EngineConfig
-    #: The frozen snapshot read endpoints serve from — replaced (never
-    #: mutated) after each server-driven flush/mine.
-    snapshot: RuleSnapshot
-    #: The engine's vocabulary — append-only for the engine's lifetime,
-    #: so rendering an *older* snapshot's item ids through it is safe.
-    vocabulary: ItemVocabulary
     #: True while a watermark-triggered background flush is scheduled
     #: or running for this tenant (loop-thread only — coalesces
     #: triggers, the admission semaphore bounds actual concurrency).
@@ -272,9 +262,9 @@ class TenantState:
 class TenantRegistry:
     """Tenant lifecycle over one :class:`CorrelationService`.
 
-    Blocking methods (:meth:`create`, :meth:`refresh`, :meth:`drop`)
-    are called by the server inside its thread-pool executor; lookups
-    (:meth:`get`, :meth:`names`) are lock-cheap and loop-safe.
+    :meth:`create` and :meth:`drop` are called by the server inside
+    its thread-pool executor; lookups (:meth:`get`, :meth:`names`,
+    :meth:`status`) are lock-cheap and loop-safe.
     """
 
     def __init__(self, service: CorrelationService, *,
@@ -308,22 +298,13 @@ class TenantRegistry:
         if rows:
             for values, annotations in _annotated_rows(rows):
                 relation.insert(values, annotations)
-        snapshot = self._service.create(name, relation, engine_config,
-                                        mine=mine)
-        state = TenantState(
-            name=name, config=engine_config, snapshot=snapshot,
-            vocabulary=self._service.vocabulary(name))
-        with self._lock:
-            self._tenants[name] = state
-        return state
+        self._service.create(name, relation, engine_config, mine=mine)
+        return self.adopt(name)
 
     def adopt(self, name: str) -> TenantState:
-        """Register an already-created service session (CLI preload)."""
-        state = TenantState(
-            name=name,
-            config=self._service.config_of(name),
-            snapshot=self._service.snapshot(name),
-            vocabulary=self._service.vocabulary(name))
+        """Register an already-created service session (CLI preload,
+        journal recovery)."""
+        state = TenantState(name=name)
         with self._lock:
             self._tenants[name] = state
         return state
@@ -349,80 +330,37 @@ class TenantRegistry:
         with self._lock:
             return len(self._tenants)
 
-    # -- read path maintenance -------------------------------------------------
-
-    def refresh(self, name: str) -> RuleSnapshot:
-        """Re-take and publish the tenant's read snapshot (blocking:
-        briefly holds the session's read lock).
-
-        Publication is monotone by revision: two racing refreshes (say
-        the tails of two back-to-back flushes) can call ``snapshot()``
-        either side of another flush, so the later-arriving but
-        older-revision result must not clobber the newer one.
-        """
-        snapshot = self._service.snapshot(name)
-        with self._lock:
-            state = self._tenants.get(name)
-            if state is not None and (
-                    snapshot.revision >= state.snapshot.revision):
-                state.snapshot = snapshot
-        return snapshot
-
-    def resync(self, name: str) -> TenantState:
-        """Re-capture snapshot, config *and* vocabulary together.
-
-        :meth:`refresh` assumes the engine object survived the
-        mutation, which makes its cached vocabulary still valid (it is
-        append-only for the engine's lifetime).  A rebalance replaces
-        the engine — new vocabulary, new item-id assignment — so the
-        snapshot and the vocabulary it renders through must be swapped
-        atomically, or a racing read would map the new snapshot's item
-        ids through the old vocabulary and render the wrong tokens.
-        """
-        snapshot = self._service.snapshot(name)
-        config = self._service.config_of(name)
-        vocabulary = self._service.vocabulary(name)
-        with self._lock:
-            state = self._tenants.get(name)
-            if state is None:
-                raise ServerError(f"unknown tenant {name!r}")
-            if snapshot.revision >= state.snapshot.revision:
-                state.snapshot = snapshot
-                state.config = config
-                state.vocabulary = vocabulary
-        return state
-
     # -- tenant status ---------------------------------------------------------
 
     def status(self, name: str) -> dict[str, Any]:
         """One tenant's status row (loop-safe: the only lock taken is
         the session queue mutex, for the live pending depth)."""
-        state = self.get(name)
-        snapshot = state.snapshot
+        self.get(name)
+        snapshot = self._service.snapshot(name)
         status = {
             "tenant": name,
             "revision": snapshot.revision,
             "rules": len(snapshot),
             "db_size": snapshot.db_size,
-            "pending_events": self._service.pending(name),
-            "config": engine_config_to_json(state.config),
+            "pending_events": snapshot.pending_events,
+            "config": engine_config_to_json(self._service.config_of(name)),
         }
         journal = self._service.journal_status(name)
         if journal is not None:
             status["journal"] = journal
         return status
 
-    def resolve_item(self, name: str, token: str) -> int | None:
-        """Item id for ``token`` in the tenant's mined vocabulary, or
-        ``None`` when no kind of item with that token was ever interned
-        (such a token can appear in no rule)."""
-        vocabulary = self.get(name).vocabulary
-        for kind in (ItemKind.ANNOTATION, ItemKind.LABEL, ItemKind.DATA):
-            try:
-                return vocabulary.id_of(Item(kind, token))
-            except (VocabularyError, ItemKindError):
-                continue
-        return None
+
+def resolve_item(vocabulary: ItemVocabulary, token: str) -> int | None:
+    """Item id for ``token`` in a snapshot's vocabulary, or ``None``
+    when no kind of item with that token was ever interned (such a
+    token can appear in no rule)."""
+    for kind in (ItemKind.ANNOTATION, ItemKind.LABEL, ItemKind.DATA):
+        try:
+            return vocabulary.id_of(Item(kind, token))
+        except (VocabularyError, ItemKindError):
+            continue
+    return None
 
 
 __all__ = [
@@ -435,5 +373,6 @@ __all__ = [
     "event_from_json",
     "parse_metric",
     "parse_rule_kind",
+    "resolve_item",
     "rule_to_json",
 ]

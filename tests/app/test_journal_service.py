@@ -118,8 +118,8 @@ class TestRestore:
         service.close()
 
     def test_poison_flush_replays_equivalently(self, tmp_path):
-        """The journal records the batch as submitted; replay mirrors
-        the live poison semantics (prefix applied, poison dropped), so
+        """The journal records only the valid prefix of a poisoned
+        batch (the tail is journaled when its own flush commits it), so
         a restart lands on the same rules the live engine served."""
         service = journaled_service(tmp_path)
         service.create("s", make_relation())
@@ -129,6 +129,8 @@ class TestRestore:
         with pytest.raises(SessionError, match="event 2 of 3"):
             service.flush("s")
         service.flush("s")  # drain the re-queued tail
+        records = list(service._session("s").journal.records())
+        assert [len(record.events) for record in records] == [1, 1]
         live = service.snapshot("s")
         service.close()
 

@@ -134,14 +134,14 @@ class TestUpdateQueue:
         hosted = service._session("s")
         in_flush = threading.Event()
         release = threading.Event()
-        real_apply_batch = hosted.engine.apply_batch
+        real_apply_plan = hosted.engine.apply_plan
 
-        def slow_apply_batch(events):
+        def slow_apply_plan(plan):
             in_flush.set()
             assert release.wait(timeout=5)
-            return real_apply_batch(events)
+            return real_apply_plan(plan)
 
-        hosted.engine.apply_batch = slow_apply_batch
+        hosted.engine.apply_plan = slow_apply_plan
         depths: dict[str, int] = {}
 
         assert service.submit("s", AddAnnotations.build([(3, "A")])) == 1
@@ -173,7 +173,7 @@ class TestUpdateQueue:
         # bystander's event arrived meanwhile, so 0 would be a lie.
         assert depths["trigger"] == 1
 
-        hosted.engine.apply_batch = real_apply_batch
+        hosted.engine.apply_plan = real_apply_plan
         service.flush("s")
         assert service.pending("s") == 0
         assert service.verify("s").equivalent
@@ -186,14 +186,14 @@ class TestUpdateQueue:
         hosted = service._session("s")
         applied: list[object] = []
         applied_lock = threading.Lock()
-        real_apply_batch = hosted.engine.apply_batch
+        real_apply_plan = hosted.engine.apply_plan
 
-        def counting_apply_batch(events):
+        def counting_apply_plan(plan):
             with applied_lock:
-                applied.extend(events)
-            return real_apply_batch(events)
+                applied.extend(plan.events)
+            return real_apply_plan(plan)
 
-        hosted.engine.apply_batch = counting_apply_batch
+        hosted.engine.apply_plan = counting_apply_plan
         events = [AddAnnotatedTuples.build([((str(i), "2"), ("A",))])
                   for i in range(16)]
         threads = [threading.Thread(target=service.submit, args=("s", event))
@@ -280,14 +280,14 @@ class TestUpdateQueue:
         hosted = service._session("s")
         batches: list[int] = []
         batch_lock = threading.Lock()
-        real_apply_batch = hosted.engine.apply_batch
+        real_apply_plan = hosted.engine.apply_plan
 
-        def recording_apply_batch(events):
+        def recording_apply_plan(plan):
             with batch_lock:
-                batches.append(len(events))
-            return real_apply_batch(events)
+                batches.append(len(plan.events))
+            return real_apply_plan(plan)
 
-        hosted.engine.apply_batch = recording_apply_batch
+        hosted.engine.apply_plan = recording_apply_plan
         stop = threading.Event()
         submitted = []
 
@@ -519,10 +519,9 @@ class TestServiceQueries:
 class TestSnapshotCacheStaleness:
     def test_failed_remine_does_not_serve_stale_snapshots(
             self, service, monkeypatch):
-        """A re-mine that replaces the rules and then dies in the
-        invariant check bumps no revision — the cached snapshot must
-        still be dropped, or readers see rules the engine no longer
-        holds."""
+        """A re-mine that commits its rules and then dies in the
+        invariant check must still publish them, or readers see rules
+        the engine no longer holds."""
         from repro.errors import MaintenanceError
 
         service.create("main", make_relation(),
@@ -541,6 +540,9 @@ class TestSnapshotCacheStaleness:
 
         snap = service.snapshot("main")
         assert snap is not stale
+        # The mine committed its rules before it raised: they are the
+        # published ones.
+        assert snap.catalog is engine.catalog()
         assert snap.catalog is service.catalog("main")
         assert snap.rules == service.catalog("main").rules
         assert service.snapshot("main") is snap  # memo works again
@@ -575,7 +577,7 @@ class TestDropWithPending:
 class TestServiceIntrospection:
     def test_vocabulary_is_the_engine_vocabulary(self, service):
         service.create("main", make_relation())
-        vocabulary = service.vocabulary("main")
+        vocabulary = service.snapshot("main").vocabulary
         assert vocabulary is service._session("main").engine.vocabulary
 
     def test_config_of_returns_the_effective_config(self, service):
@@ -594,7 +596,7 @@ class TestServiceInstrumentation:
         service = CorrelationService(config=CONFIG,
                                      instrumentation=bundle)
         service.create("main", make_relation())
-        assert bundle.snapshot_misses.value >= 1
+        assert bundle.snapshot_misses.value == 1   # one publication
 
         service.submit("main", AddAnnotations.build([(0, "Z1")]))
         service.submit("main", AddAnnotations.build([(1, "Z1")]))
@@ -605,11 +607,14 @@ class TestServiceInstrumentation:
         assert bundle.flushed_events.value == 2
         assert bundle.flush_seconds.count == 1
         assert bundle.flush_failures.value == 0
+        assert bundle.snapshot_misses.value == 2   # the flush published
 
-        service.snapshot("main")
         hits_before = bundle.snapshot_hits.value
-        service.snapshot("main")  # unchanged revision → memo hit
-        assert bundle.snapshot_hits.value > hits_before
+        service.snapshot("main")
+        service.catalog("main")
+        # Reads count as hits and publish nothing.
+        assert bundle.snapshot_hits.value == hits_before + 2
+        assert bundle.snapshot_misses.value == 2
 
     def test_empty_flush_records_no_batch(self):
         from repro.server.metrics import ServiceInstrumentation

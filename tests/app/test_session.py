@@ -4,7 +4,7 @@ import pytest
 
 from repro.app.session import Session
 from repro.core.rules import RuleKind
-from repro.errors import SessionError
+from repro.errors import MaintenanceError, SessionError
 
 DATASET = """\
 1 2 Annot_1
@@ -272,3 +272,35 @@ class TestSnapshotRestore:
         fresh.restore_snapshot(restored, str(path))
         assert fresh.generalizer is generalizer
         assert fresh.status()["generalizations"] is True
+
+
+class TestQueuedFlush:
+    @pytest.fixture
+    def queued(self, files):
+        session = Session(auto_flush_every=10)
+        session.load_dataset(files["data.txt"])
+        session.mine(0.25, 0.6)
+        return session
+
+    def test_poison_update_splits_the_batch(self, queued, files, tmp_path):
+        poison = tmp_path / "poison.txt"
+        poison.write_text("9999: Annot_9\n")
+        queued.add_annotations_from_file(files["updates.txt"])
+        queued.add_annotations_from_file(poison)
+        queued.add_annotations_from_file(files["updates.txt"])
+        revision = queued.manager.revision
+        with pytest.raises(SessionError, match="update 2 of 3"):
+            queued.flush()
+        assert queued.manager.revision == revision + 1
+        assert queued.pending() == 1
+        queued.flush()
+        assert queued.manager.verify_against_remine().equivalent
+
+    def test_a_stale_engine_requeues_the_whole_batch(self, queued, files):
+        queued.add_annotations_from_file(files["updates.txt"])
+        queued.add_annotations_from_file(files["updates.txt"])
+        batch = list(queued.pending_updates)
+        queued.relation.insert(["1", "2"], ["Annot_1"])  # behind its back
+        with pytest.raises(MaintenanceError, match="stale"):
+            queued.flush()
+        assert queued.pending_updates == batch

@@ -187,3 +187,50 @@ class TestBatchPoisonSafety:
         with pytest.raises(MaintenanceError, match="mine"):
             eng.apply_batch([AddAnnotations.build([(3, "A")])])
 
+
+class TestCompilePrefix:
+    def test_a_valid_batch_compiles_whole(self):
+        eng = mined()
+        prefix = eng.compile_prefix(MIXED_BATCH)
+        assert prefix.plan.events == tuple(MIXED_BATCH)
+        assert prefix.poison is None and prefix.tail == ()
+
+    def test_the_batch_splits_at_its_first_poison(self):
+        eng = mined()
+        poison = AddAnnotations.build([(999, "A")])
+        events = [*MIXED_BATCH[:2], poison, *MIXED_BATCH[2:]]
+        version = eng.relation.version
+        prefix = eng.compile_prefix(events)
+        assert eng.relation.version == version   # compiling is pure
+        assert prefix.plan.events == tuple(MIXED_BATCH[:2])
+        assert prefix.poison is poison
+        assert prefix.tail == tuple(MIXED_BATCH[2:])
+        assert prefix.applied == 2
+        assert isinstance(prefix.error, DeltaPlanError)
+        eng.apply_plan(prefix.plan)
+        assert_equivalent_to_remine(eng)
+
+    def test_a_leading_poison_leaves_no_plan(self):
+        eng = mined()
+        poison = AddUnannotatedTuples(rows=((),))   # empty row
+        prefix = eng.compile_prefix([poison, *MIXED_BATCH])
+        assert prefix.plan is None and prefix.poison is poison
+        assert isinstance(prefix.error, SchemaError)
+        assert prefix.tail == tuple(MIXED_BATCH)
+
+    def test_errors_tied_to_no_event_propagate(self):
+        eng = engine(make_relation(), min_support=0.25, min_confidence=0.6)
+        with pytest.raises(MaintenanceError, match="mine"):
+            eng.compile_prefix(MIXED_BATCH)
+        eng = mined()
+        eng.relation.insert(("1", "2"), ("A",))   # behind its back
+        with pytest.raises(MaintenanceError, match="stale"):
+            eng.compile_prefix(MIXED_BATCH)
+
+    def test_a_plan_applies_only_to_the_state_it_was_compiled_on(self):
+        eng = mined()
+        plan = eng.compile_batch(MIXED_BATCH)
+        eng.apply_batch([AddAnnotatedTuples.build([(("1", "2"), ())])])
+        with pytest.raises(MaintenanceError, match="another relation"):
+            eng.apply_plan(plan)
+

@@ -10,7 +10,8 @@ from repro.core.events import (
     RemoveAnnotations,
     RemoveTuples,
 )
-from repro.errors import DeltaPlanError
+from repro.errors import DeltaPlanError, SchemaError, UnknownAnnotationError
+from repro.relation.annotation import Annotation
 
 
 def compile_over(events, *, next_tid=10, dead=(), annotations=None):
@@ -147,6 +148,40 @@ class TestPoisonDetection:
     def test_empty_batch_rejected(self):
         with pytest.raises(DeltaPlanError, match="empty"):
             compile_plan([], next_tid=1, is_live=lambda tid: True)
+
+
+class TestFailurePosition:
+    """Whatever the compiler raises for an event names its position."""
+
+    def test_plan_errors_carry_the_position(self):
+        with pytest.raises(DeltaPlanError) as caught:
+            compile_over([AddAnnotations.build([(1, "A")]),
+                          RemoveTuples.build([3]),
+                          AddAnnotations.build([(3, "A")])])
+        assert caught.value.event_position == 3
+
+    def test_validator_errors_carry_the_position(self):
+        def reject(values):
+            raise SchemaError(f"bad row {values!r}")
+
+        with pytest.raises(SchemaError) as caught:
+            compile_plan([AddAnnotations.build([(0, "A")]),
+                          AddUnannotatedTuples.build([("1", "2")])],
+                         next_tid=1, is_live=lambda tid: True,
+                         validate_row=reject)
+        assert caught.value.event_position == 2
+
+    def test_annotation_validator_errors_carry_the_position(self):
+        with pytest.raises(UnknownAnnotationError) as caught:
+            compile_plan([AddAnnotations(additions=((0, ""),))],
+                         next_tid=1, is_live=lambda tid: True,
+                         validate_annotation=Annotation)
+        assert caught.value.event_position == 1
+
+    def test_an_empty_batch_names_no_event(self):
+        with pytest.raises(DeltaPlanError) as caught:
+            compile_plan([], next_tid=1, is_live=lambda tid: True)
+        assert caught.value.event_position is None
 
 
 class TestProvenance:

@@ -98,6 +98,29 @@ class TestRecovery:
         store.close()
         manager.close()
 
+    def test_an_old_style_poison_record_replays_its_prefix(
+            self, tmp_path):
+        """Journals written before a flush journaled only its valid
+        prefix hold the batch as submitted.  Live, the prefix applied,
+        the poison was dropped and the tail was re-queued into a later
+        record — replay must land on the same state."""
+        manager = mined_engine()
+        store = JournalStore(tmp_path / "store")
+        store.ensure_base_snapshot(manager)
+        good = AddAnnotations.build([(3, "A")])
+        poison = AddAnnotations.build([(999, "A")])
+        tail = RemoveAnnotations.build([(0, "A")])
+        store.append_batch([good, poison, tail])
+        manager.apply_batch([good])
+        store.append_batch([poison, tail])   # poison first: nothing applies
+        store.append_batch([tail])
+        manager.apply_batch([tail])
+        result = store.recover()
+        assert result.engine.signature() == manager.signature()
+        assert result.engine.db_size == manager.db_size
+        assert result.replay.poisoned == 2
+        store.close()
+
     def test_mine_records_replay(self, tmp_path):
         store = JournalStore(tmp_path / "s")
         manager = mined_engine()

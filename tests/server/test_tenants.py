@@ -19,6 +19,7 @@ from repro.server.tenants import (
     event_from_json,
     parse_metric,
     parse_rule_kind,
+    resolve_item,
     rule_to_json,
 )
 
@@ -127,10 +128,11 @@ class TestParsers:
 
 class TestRegistry:
     def test_create_publishes_snapshot_and_vocabulary(self, registry):
-        state = registry.create("demo", columns=["c1", "c2"], rows=ROWS)
-        assert state.snapshot.revision == 1
-        assert len(state.snapshot) > 0
-        rendered = rule_to_json(state.snapshot.rules[0], state.vocabulary)
+        registry.create("demo", columns=["c1", "c2"], rows=ROWS)
+        snapshot = registry.service.snapshot("demo")
+        assert snapshot.revision == 1
+        assert len(snapshot) > 0
+        rendered = rule_to_json(snapshot.rules[0], snapshot.vocabulary)
         assert set(rendered) >= {"kind", "lhs", "rhs", "support",
                                  "confidence", "lift", "rendered"}
 
@@ -160,21 +162,19 @@ class TestRegistry:
         registry.drop("demo", force=True)
         assert registry.names() == ()
 
-    def test_refresh_is_monotone_by_revision(self, registry, monkeypatch):
-        state = registry.create("demo", rows=ROWS)
-        first = state.snapshot
+    def test_status_reads_each_commit_without_a_refresh(self, registry):
+        """A flush driven straight through the service, not the
+        server, is visible in the status row: the registry keeps no
+        copy of the snapshot to go stale."""
+        registry.create("demo", rows=ROWS)
+        before = registry.status("demo")
         registry.service.submit("demo", event_from_json(
             {"type": "add_annotations", "additions": [[2, "A1"]]}))
+        assert registry.status("demo")["pending_events"] == 1
         registry.service.flush("demo")
-        refreshed = registry.refresh("demo")
-        assert refreshed.revision > first.revision
-        assert registry.get("demo").snapshot is refreshed
-        # A refresh that lost a race arrives carrying an older
-        # revision; publication must not regress the read path.
-        monkeypatch.setattr(registry.service, "snapshot",
-                            lambda name: first)
-        assert registry.refresh("demo") is first
-        assert registry.get("demo").snapshot is refreshed
+        after = registry.status("demo")
+        assert after["revision"] == before["revision"] + 1
+        assert after["pending_events"] == 0
 
     def test_status_row(self, registry):
         registry.create("demo", columns=["c1", "c2"], rows=ROWS)
@@ -187,5 +187,6 @@ class TestRegistry:
 
     def test_resolve_item(self, registry):
         registry.create("demo", columns=["c1", "c2"], rows=ROWS)
-        assert registry.resolve_item("demo", "A1") is not None
-        assert registry.resolve_item("demo", "nope") is None
+        vocabulary = registry.service.snapshot("demo").vocabulary
+        assert resolve_item(vocabulary, "A1") is not None
+        assert resolve_item(vocabulary, "nope") is None

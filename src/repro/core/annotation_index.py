@@ -50,14 +50,13 @@ class VerticalIndex:
         self._observer = observer
 
     @classmethod
-    def from_transactions(cls, vocabulary: ItemVocabulary,
-                          transactions) -> "VerticalIndex":
-        """Bulk-build from a transaction list (tid == position) via the
-        bitmap substrate's one-pass constructor — the partitioned
-        encode path uses this instead of per-tuple ``add_transaction``
-        calls."""
+    def from_bitmaps(cls, vocabulary: ItemVocabulary,
+                     bitmaps: BitmapIndex) -> "VerticalIndex":
+        """Adopt a bitmap index already built over the transactions —
+        what :func:`~repro.relation.transactions.encode_relation`
+        emits beside them."""
         index = cls(vocabulary)
-        index._bitmaps = BitmapIndex.from_transactions(transactions)
+        index._bitmaps = bitmaps
         return index
 
     # -- maintenance --------------------------------------------------------

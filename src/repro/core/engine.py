@@ -81,6 +81,7 @@ from repro.core.pattern_table import FrequentPatternTable
 from repro.core.rules import AssociationRule, RuleKey, RuleKind, RuleSet
 from repro.errors import MaintenanceError, ReproError, SchemaError
 from repro.mining.constraints import CombinedRelevanceConstraint
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.eclat import mine_frequent_itemsets_vertical
 from repro.mining.fup import fup_update
 from repro.mining.sketch import Estimate, RuleEstimate, SketchIndex
@@ -93,6 +94,7 @@ from repro.mining.itemsets import (
 from repro.relation.annotation import Annotation
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.transactions import (
+    EncodedRelation,
     TokenInterner,
     encode_relation,
     encode_tuple,
@@ -156,22 +158,31 @@ class EncodedSubstrate:
     transactions, index covering exactly the database's transactions).
     ``mine`` verifies the vocabulary identity of both halves and the
     database/relation alignment; index/database agreement is the
-    builder's contract (:meth:`from_transactions` derives both from one
-    transaction list).
+    builder's contract (:meth:`from_encoded` adopts both halves of one
+    :func:`~repro.relation.transactions.encode_relation` pass, and
+    :meth:`from_transactions` derives both from one transaction list).
     """
 
     database: TransactionDatabase
     index: VerticalIndex
 
     @classmethod
+    def from_encoded(cls, vocabulary: ItemVocabulary,
+                     encoded: EncodedRelation) -> "EncodedSubstrate":
+        """Wrap the output of one bulk encoding pass."""
+        return cls(
+            database=TransactionDatabase.from_encoded(
+                vocabulary, encoded.transactions),
+            index=VerticalIndex.from_bitmaps(vocabulary, encoded.bitmaps))
+
+    @classmethod
     def from_transactions(cls, vocabulary: ItemVocabulary,
                           transactions: list[Transaction]
                           ) -> "EncodedSubstrate":
         """Materialize a substrate from pre-encoded transactions."""
-        return cls(
-            database=TransactionDatabase.from_encoded(vocabulary,
-                                                      transactions),
-            index=VerticalIndex.from_transactions(vocabulary, transactions))
+        return cls.from_encoded(vocabulary, EncodedRelation(
+            [tuple(items) for items in transactions],
+            BitmapIndex.from_transactions(transactions)))
 
 
 class CorrelationEngine:
@@ -376,7 +387,7 @@ class CorrelationEngine:
         with phases.timed("encode"):
             if substrate is None:
                 self._apply_generalizer()
-                substrate = EncodedSubstrate.from_transactions(
+                substrate = EncodedSubstrate.from_encoded(
                     self.vocabulary,
                     encode_relation(self.relation,
                                     TokenInterner(self.vocabulary)))
@@ -683,7 +694,7 @@ class CorrelationEngine:
                 fresh_labels = self.relation.add_labels(
                     tid, self.generalizer.labels_for(row.annotation_ids))
                 new_items |= {self.vocabulary.intern_label(label)
-                              for label in fresh_labels}
+                              for label in sorted(fresh_labels)}
             if not new_items:
                 continue  # every annotation was already present
             self.database.extend_transaction(tid, new_items)
@@ -730,7 +741,7 @@ class CorrelationEngine:
                 if lost_labels:
                     self.relation.set_labels(tid, kept_labels)
                     removed_items |= {self.vocabulary.intern_label(label)
-                                      for label in lost_labels}
+                                      for label in sorted(lost_labels)}
             if not removed_items:
                 continue
             self.database.shrink_transaction(tid, removed_items)

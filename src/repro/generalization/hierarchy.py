@@ -4,17 +4,16 @@ Section 2.2 of the paper recalls Han & Fu's multi-level association
 rules: given a domain generalization hierarchy, "some rules may hold at
 the higher level(s) of the hierarchy which may not be true for the
 lower more-detailed levels".  The hierarchy here is a DAG of labels
-(networkx underneath); when the engine assigns a label it also assigns
-every ancestor, so one mining pass discovers rules at all levels
-simultaneously.  Per-level thresholds (coarser levels usually warrant
-higher support) are supported through :meth:`ConceptHierarchy.level_of`.
+held as a plain child -> parents map; when the engine assigns a label
+it also assigns every ancestor, so one mining pass discovers rules at
+all levels simultaneously.  Per-level thresholds (coarser levels
+usually warrant higher support) are supported through
+:meth:`ConceptHierarchy.level_of`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import networkx as nx
 
 from repro.errors import GeneralizationError
 
@@ -23,23 +22,28 @@ class ConceptHierarchy:
     """A DAG of labels; edges point child -> parent (more general)."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        #: Every label maps to its direct parents (empty for a root).
+        self._parents: dict[str, set[str]] = {}
 
     def add_label(self, label: str) -> None:
         if not label:
             raise GeneralizationError("hierarchy labels must be non-empty")
-        self._graph.add_node(label)
+        self._parents.setdefault(label, set())
 
     def add_edge(self, child: str, parent: str) -> None:
-        """Declare ``parent`` a generalization of ``child``."""
+        """Declare ``parent`` a generalization of ``child``.
+
+        The edge closes a cycle exactly when ``child`` is already an
+        ancestor of ``parent``; such an edge is rejected and not kept.
+        """
         if child == parent:
             raise GeneralizationError(
                 f"label {child!r} cannot generalize itself")
-        self._graph.add_edge(child, parent)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(child, parent)
+        if child in self.ancestors(parent):
             raise GeneralizationError(
                 f"edge {child!r} -> {parent!r} would create a cycle")
+        self._parents.setdefault(child, set()).add(parent)
+        self._parents.setdefault(parent, set())
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "ConceptHierarchy":
@@ -51,16 +55,21 @@ class ConceptHierarchy:
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, label: str) -> bool:
-        return label in self._graph
+        return label in self._parents
 
     def labels(self) -> frozenset[str]:
-        return frozenset(self._graph.nodes)
+        return frozenset(self._parents)
 
     def ancestors(self, label: str) -> frozenset[str]:
         """Every more-general label reachable from ``label``."""
-        if label not in self._graph:
-            return frozenset()
-        return frozenset(nx.descendants(self._graph, label))
+        seen: set[str] = set()
+        frontier = list(self._parents.get(label, ()))
+        while frontier:
+            parent = frontier.pop()
+            if parent not in seen:
+                seen.add(parent)
+                frontier.extend(self._parents[parent])
+        return frozenset(seen)
 
     def closure(self, labels: Iterable[str]) -> frozenset[str]:
         """The labels plus all their ancestors — what a tuple receives."""
@@ -72,8 +81,8 @@ class ConceptHierarchy:
 
     def roots(self) -> frozenset[str]:
         """Most general labels (no outgoing generalization edge)."""
-        return frozenset(node for node in self._graph
-                         if self._graph.out_degree(node) == 0)
+        return frozenset(label for label, parents in self._parents.items()
+                         if not parents)
 
     def level_of(self, label: str) -> int:
         """Distance to the farthest root (0 == most general).
@@ -81,13 +90,12 @@ class ConceptHierarchy:
         Coarse levels get small numbers so that per-level minimum
         supports can decrease with detail, as in Han & Fu.
         """
-        if label not in self._graph:
+        if label not in self._parents:
             raise GeneralizationError(f"label {label!r} not in hierarchy")
-        ancestors = self.ancestors(label)
-        if not ancestors:
+        parents = self._parents[label]
+        if not parents:
             return 0
-        return 1 + max(self.level_of(parent)
-                       for parent in self._graph.successors(label))
+        return 1 + max(self.level_of(parent) for parent in parents)
 
     def support_for_level(self, base_support: float, label: str,
                           decay: float = 0.5) -> float:

@@ -123,8 +123,6 @@ def write_generalization_rules(rules: GeneralizationRuleSet,
 
 
 def _direct_edges(hierarchy: ConceptHierarchy) -> list[str]:
-    edges = []
-    graph = hierarchy._graph  # same package boundary: io renders internals
-    for child, parent in sorted(graph.edges):
-        edges.append(f"{child} -> {parent}")
-    return edges
+    parents = hierarchy._parents  # same package boundary: io renders internals
+    return [f"{child} -> {parent}"
+            for child in sorted(parents) for parent in sorted(parents[child])]

@@ -160,7 +160,6 @@ class BitmapIndex:
         would copy each item's whole vector per transaction, which is
         quadratic at million-tuple scale.
         """
-        index = cls()
         buffers: dict[int, bytearray] = {}
         for tid, transaction in enumerate(transactions):
             byte, mask = tid >> 3, 1 << (tid & 7)
@@ -171,8 +170,16 @@ class BitmapIndex:
                 if byte >= len(buf):
                     buf.extend(bytes(max(byte + 1, len(buf) * 2) - len(buf)))
                 buf[byte] |= mask
-        index._bits = {item: int.from_bytes(buf, "little")
-                       for item, buf in buffers.items()}
+        return cls.from_pages(buffers)
+
+    @classmethod
+    def from_pages(cls, pages: Mapping[int, bytearray]) -> "BitmapIndex":
+        """Adopt per-item bit pages (bit ``t`` of the little-endian page
+        set iff tid ``t`` holds the item), each converted to a big int
+        once.  Every page must have at least one bit set."""
+        index = cls()
+        index._bits = {item: int.from_bytes(page, "little")
+                       for item, page in pages.items()}
         return index
 
     # -- maintenance ---------------------------------------------------------

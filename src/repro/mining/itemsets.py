@@ -4,7 +4,8 @@ The paper's dataset (its Figure 4) represents every tuple as a line of
 opaque tokens: numeric ids for data values and ``Annot_k`` ids for
 annotations.  Mining never needs the true values — only co-occurrence —
 so the library interns every token into a compact integer id through an
-:class:`ItemVocabulary` and represents transactions as frozensets of ids.
+:class:`ItemVocabulary` and represents transactions as frozensets of ids
+(stored packed as tuples by :class:`TransactionDatabase`).
 
 Three item kinds exist:
 
@@ -158,25 +159,33 @@ class TransactionDatabase:
     This is the neutral container that all miners consume.  Transaction
     index == tuple id (tid) for databases built from a relation, which is
     what lets the incremental layer talk about "newly annotated tuples".
+
+    Storage is tuple-packed: each transaction is kept as a tuple of its
+    distinct item ids (a tombstone as ``()``), a seventh of a small
+    frozenset's footprint.  Every accessor still hands out frozensets,
+    so no consumer sees the packing.
     """
 
     def __init__(self, vocabulary: ItemVocabulary | None = None) -> None:
         self.vocabulary = vocabulary if vocabulary is not None else ItemVocabulary()
-        self._transactions: list[Transaction] = []
+        self._transactions: list[tuple[int, ...]] = []
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_encoded(cls, vocabulary: ItemVocabulary,
-                     transactions: Iterable[Transaction]
+                     transactions: Iterable[tuple[int, ...]]
                      ) -> "TransactionDatabase":
-        """Trusted bulk constructor for already-encoded transactions.
+        """Trusted bulk constructor for already-packed transactions.
 
         The caller guarantees every id was issued by ``vocabulary`` and
-        every transaction is a frozenset — the contract of a bulk
-        encoder that interned the ids itself.  Skipping the per-id
-        validation of :meth:`add` is what makes partition-substrate
-        construction scale with tokens, not with vocabulary probes.
+        every transaction is a tuple of *distinct* ids (``()`` for a
+        tombstone) — the contract of
+        :func:`~repro.relation.transactions.encode_relation`, which
+        interned the ids itself.  The tuples are stored as given;
+        skipping the per-id validation of :meth:`add` is what makes
+        substrate construction scale with tokens, not with vocabulary
+        probes.
         """
         database = cls(vocabulary)
         database._transactions = list(transactions)
@@ -184,7 +193,7 @@ class TransactionDatabase:
 
     def add(self, item_ids: Iterable[int]) -> int:
         """Append a transaction of already-interned ids; returns its tid."""
-        transaction = frozenset(item_ids)
+        transaction = tuple(frozenset(item_ids))
         for item_id in transaction:
             # Raises VocabularyError on ids the vocabulary never issued.
             self.vocabulary.item(item_id)
@@ -197,42 +206,68 @@ class TransactionDatabase:
         ids = [self.vocabulary.intern_data(token) for token in data_tokens]
         ids += [self.vocabulary.intern_annotation(token)
                 for token in annotation_tokens]
-        self._transactions.append(frozenset(ids))
+        self._transactions.append(tuple(frozenset(ids)))
         return len(self._transactions) - 1
 
     def extend_transaction(self, tid: int, item_ids: Iterable[int]) -> None:
         """Add items to an existing transaction (Case 3 annotation adds)."""
-        self._transactions[tid] = self._transactions[tid] | frozenset(item_ids)
+        old = self._transactions[tid]
+        self._transactions[tid] = old + tuple(frozenset(item_ids)
+                                              .difference(old))
 
     def shrink_transaction(self, tid: int, item_ids: Iterable[int]) -> None:
         """Remove items from a transaction (annotation detachment)."""
-        self._transactions[tid] = self._transactions[tid] - frozenset(item_ids)
+        removed = frozenset(item_ids)
+        self._transactions[tid] = tuple(
+            item for item in self._transactions[tid] if item not in removed)
 
     def clear_transaction(self, tid: int) -> Transaction:
         """Empty a transaction (tuple deletion); returns the old items."""
         old = self._transactions[tid]
-        self._transactions[tid] = frozenset()
-        return old
+        self._transactions[tid] = ()
+        return frozenset(old)
 
     # -- access ------------------------------------------------------------
 
     def transaction(self, tid: int) -> Transaction:
-        return self._transactions[tid]
+        return frozenset(self._transactions[tid])
 
     @property
     def transactions(self) -> Sequence[Transaction]:
-        return self._transactions
+        """Live read-only view; each element is unpacked on access."""
+        return _FrozensetView(self._transactions)
 
     def annotation_projection(self) -> list[Transaction]:
         """Transactions restricted to annotation-like items (A2A mining)."""
         keep = self.vocabulary.annotation_like_ids()
-        return [transaction & keep for transaction in self._transactions]
+        return [keep.intersection(transaction)
+                for transaction in self._transactions]
 
     def __len__(self) -> int:
         return len(self._transactions)
 
     def __iter__(self) -> Iterator[Transaction]:
-        return iter(self._transactions)
+        return map(frozenset, self._transactions)
+
+
+class _FrozensetView(Sequence):
+    """A list of packed transactions seen as a sequence of frozensets."""
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, packed: list[tuple[int, ...]]) -> None:
+        self._packed = packed
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [frozenset(packed) for packed in self._packed[index]]
+        return frozenset(self._packed[index])
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return map(frozenset, self._packed)
 
 
 def canonical(items: Iterable[int]) -> Itemset:

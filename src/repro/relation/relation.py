@@ -14,6 +14,7 @@ never the tid range.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError, UnknownTupleError
@@ -93,11 +94,11 @@ class AnnotatedRelation:
         """Append a tuple; returns its tid.  Fires ``on_insert``."""
         self.triggers.guard()
         if self.schema is not None:
-            row_values = self.schema.validate_row(values)
-        else:
-            if not values:
-                raise SchemaError("a tuple needs at least one data value")
-            row_values = tuple(str(value) for value in values)
+            values = self.schema.validate_row(values)
+        elif not values:
+            raise SchemaError("a tuple needs at least one data value")
+        # Values repeat across tuples: every row shares one copy of each.
+        row_values = tuple(sys.intern(str(value)) for value in values)
         tid = len(self._tuples)
         row = AnnotatedTuple(tid=tid, values=row_values)
         for annotation_id in annotations:
@@ -189,7 +190,7 @@ class AnnotatedRelation:
     def set_labels(self, tid: int, labels: Iterable[str]) -> None:
         """Replace the generalization labels of a tuple (no-op safe)."""
         row = self.tuple(tid)
-        new_labels = set(labels)
+        new_labels = frozenset(labels)
         if new_labels != row.labels:
             row.labels = new_labels
             self.version += 1
@@ -199,7 +200,7 @@ class AnnotatedRelation:
         row = self.tuple(tid)
         new = frozenset(labels) - row.labels
         if new:
-            row.labels |= new
+            row.labels = row.labels | new
             self.version += 1
         return new
 
@@ -222,7 +223,7 @@ class AnnotatedRelation:
                 tid=local_tid,
                 values=row.values,
                 annotations=dict(row.annotations),
-                labels=set(row.labels),
+                labels=row.labels,
                 alive=True,
             ))
         clone._live = len(clone._tuples)
@@ -242,7 +243,7 @@ class AnnotatedRelation:
                 tid=row.tid,
                 values=row.values,
                 annotations=dict(row.annotations),
-                labels=set(row.labels),
+                labels=row.labels,
                 alive=row.alive,
             )
             clone._tuples.append(copied)

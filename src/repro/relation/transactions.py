@@ -11,7 +11,13 @@ Two encoders produce the same transactions:
 * :func:`encode_tuple` encodes one tuple — the incremental update
   path, the audit and the re-mine oracle use it;
 * :func:`encode_relation` encodes a whole relation in one bulk pass
-  through a :class:`TokenInterner` — every from-scratch mine uses it.
+  through a :class:`TokenInterner`, emitting the packed transactions
+  and their bitmap index together — every from-scratch mine uses it.
+
+Both intern a tuple's tokens in one fixed order: data values by
+position, then annotations, then labels, each in sorted token order.
+Item ids therefore never depend on set iteration order, which varies
+with the interpreter's hash seed.
 
 Column-anchored annotations are *not* folded into row transactions by
 default: a column annotation holds for the attribute, not for any
@@ -23,6 +29,9 @@ specific row, and folding it in would make it co-occur with everything
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.itemsets import ItemVocabulary, Transaction
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import opaque_token
@@ -37,13 +46,15 @@ def encode_tuple(relation: AnnotatedRelation, tid: int,
     ids = [vocabulary.intern_data(token)
            for token in relation.data_tokens(tid)]
     ids += [vocabulary.intern_annotation(annotation_id)
-            for annotation_id in row.annotation_ids]
+            for annotation_id in sorted(row.annotations)]
     if include_labels:
-        ids += [vocabulary.intern_label(label) for label in row.labels]
+        ids += [vocabulary.intern_label(label)
+                for label in sorted(row.labels)]
     if include_column_annotations:
         for column in range(len(row.values)):
             ids += [vocabulary.intern_annotation(annotation_id)
-                    for annotation_id in relation.column_annotations(column)]
+                    for annotation_id
+                    in sorted(relation.column_annotations(column))]
     return frozenset(ids)
 
 
@@ -86,18 +97,32 @@ class TokenInterner:
         return item_id
 
 
+class EncodedRelation(NamedTuple):
+    """What :func:`encode_relation` emits: list index == tid."""
+
+    #: Each tuple's distinct item ids; ``()`` for a tombstone.
+    transactions: list[tuple[int, ...]]
+    #: The item -> tidset index over exactly those transactions.
+    bitmaps: BitmapIndex
+
+
 def encode_relation(relation: AnnotatedRelation,
                     interner: TokenInterner,
                     *,
-                    include_labels: bool = True) -> list[Transaction]:
-    """Bulk-encode every tuple of ``relation``; list index == tid.
+                    include_labels: bool = True) -> EncodedRelation:
+    """Bulk-encode every tuple of ``relation`` and index it, in one pass.
 
-    Produces exactly the transactions a per-tuple :func:`encode_tuple`
-    loop would (same items, vocabulary interned in the same order), but
-    interns each distinct token once and resolves every later
-    occurrence through the interner's plain ``str -> int`` caches.
-    Tombstoned tuples encode as empty transactions; they contribute to
-    no pattern count, and |DB| for support purposes must be taken from
+    Yields exactly the items a per-tuple :func:`encode_tuple` loop
+    would (vocabulary interned in the same order), but interns each
+    distinct token once and resolves every later occurrence through
+    the interner's plain ``str -> int`` caches.  Each transaction is
+    packed as a tuple of distinct ids, and while its ids are at hand
+    the pass sets tid's bit in every item's ``bytearray`` page; the
+    pages become the bitmap index at the end, so no frozenset is built
+    and the transactions are never walked twice.
+
+    Tombstoned tuples encode as ``()``; they contribute to no pattern
+    count, and |DB| for support purposes must be taken from
     ``relation.live_count``.  Tuple-order interning keeps vocabulary
     ids deterministic, which is why this pass stays sequential.
     """
@@ -105,21 +130,38 @@ def encode_relation(relation: AnnotatedRelation,
     data = interner.data
     annotation = interner.annotation
     label = interner.label
-    empty: Transaction = frozenset()
-    transactions = [empty] * relation.tid_range
+    transactions: list[tuple[int, ...]] = [()] * relation.tid_range
+    pages: dict[int, bytearray] = {}
     for row in relation:
         if schema is None:
             ids = [data(opaque_token(value)) for value in row.values]
         else:
             ids = [data(schema.data_token(position, value))
                    for position, value in enumerate(row.values)]
-        for annotation_id in row.annotation_ids:
-            ids.append(annotation(annotation_id))
-        if include_labels:
-            for label_token in row.labels:
-                ids.append(label(label_token))
-        transactions[row.tid] = frozenset(ids)
-    return transactions
+        if row.annotations:
+            ids += map(annotation, sorted(row.annotations))
+        if include_labels and row.labels:
+            ids += map(label, sorted(row.labels))
+        tid = row.tid
+        byte, mask = tid >> 3, 1 << (tid & 7)
+        repeated = False
+        for item in ids:
+            page = pages.get(item)
+            if page is None:
+                pages[item] = page = bytearray(byte + 8)
+            try:
+                bits = page[byte]
+            except IndexError:
+                page.extend(bytes(max(byte + 1, len(page) * 2) - len(page)))
+                bits = 0
+            if bits & mask:
+                # A value repeated within a schema-less row: one item.
+                repeated = True
+            else:
+                page[byte] = bits | mask
+        transactions[tid] = (tuple(dict.fromkeys(ids)) if repeated
+                             else tuple(ids))
+    return EncodedRelation(transactions, BitmapIndex.from_pages(pages))
 
 
 def annotation_item_ids(relation: AnnotatedRelation,
@@ -128,4 +170,4 @@ def annotation_item_ids(relation: AnnotatedRelation,
     """Interned ids of the raw annotations currently on a tuple."""
     row = relation.tuple(tid)
     return frozenset(vocabulary.intern_annotation(annotation_id)
-                     for annotation_id in row.annotation_ids)
+                     for annotation_id in sorted(row.annotations))

@@ -40,7 +40,9 @@ class AnnotationAnchor:
 
     @classmethod
     def row(cls) -> "AnnotationAnchor":
-        return cls(AnchorScope.ROW)
+        """The row anchor — one shared instance, since anchors are
+        immutable and almost every attachment is row-scoped."""
+        return _ROW_ANCHOR
 
     @classmethod
     def cell(cls, column: int) -> "AnnotationAnchor":
@@ -51,7 +53,10 @@ class AnnotationAnchor:
         return cls(AnchorScope.COLUMN, column)
 
 
-@dataclass
+_ROW_ANCHOR = AnnotationAnchor(AnchorScope.ROW)
+
+
+@dataclass(slots=True)
 class AnnotatedTuple:
     """One row: immutable data values plus a mutable annotation set.
 
@@ -59,13 +64,15 @@ class AnnotatedTuple:
     with; mining cares only about the key set.  ``labels`` holds
     generalization labels (section 4.1), kept separate from raw
     annotations so re-labelling can be recomputed without touching
-    curator-provided annotations.
+    curator-provided annotations.  It is an immutable set, rebound on
+    every change, so unlabelled tuples all share the one empty
+    frozenset.
     """
 
     tid: int
     values: tuple[str, ...]
     annotations: dict[str, AnnotationAnchor] = field(default_factory=dict)
-    labels: set[str] = field(default_factory=set)
+    labels: frozenset[str] = frozenset()
     alive: bool = True
 
     @property

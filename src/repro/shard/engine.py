@@ -146,13 +146,12 @@ class ShardedEngine(CorrelationEngine):
         # All interning happens in this pass; the builds and phase-1
         # mines below only read the shared vocabulary.
         with phases.timed("encode"):
-            transactions_per_shard = encode_shards(relations, self.vocabulary)
+            encoded_per_shard = encode_shards(relations, self.vocabulary)
 
         with phases.timed("build"):
             substrates = [
-                EncodedSubstrate.from_transactions(self.vocabulary,
-                                                   transactions)
-                for transactions in transactions_per_shard
+                EncodedSubstrate.from_encoded(self.vocabulary, encoded)
+                for encoded in encoded_per_shard
             ]
         with phases.timed("mine"):
             reports = [

@@ -21,7 +21,11 @@ from repro.core.engine import EncodedSubstrate
 from repro.errors import MaintenanceError
 from repro.mining.itemsets import ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
-from repro.relation.transactions import TokenInterner, encode_relation
+from repro.relation.transactions import (
+    EncodedRelation,
+    TokenInterner,
+    encode_relation,
+)
 
 #: Maps a global tid to the shard that owns it.
 Partitioner = Callable[[int], int]
@@ -70,20 +74,17 @@ def build_substrate(relation: AnnotatedRelation,
 
     The interner's vocabulary becomes the substrate's.
     """
-    return EncodedSubstrate.from_transactions(
+    return EncodedSubstrate.from_encoded(
         interner.vocabulary,
         encode_relation(relation, interner, include_labels=include_labels))
 
 
 def encode_shards(shards: Iterable[AnnotatedRelation],
-                  vocabulary: ItemVocabulary) -> list[list[frozenset[int]]]:
-    """Encoded transactions per shard, sharing one interning pass.
+                  vocabulary: ItemVocabulary) -> list[EncodedRelation]:
+    """Packed transactions and bitmaps per shard, sharing one interner.
 
-    This is the parent-side half of worker-built substrates: interning
-    is ordered (shard 0 first, tuple order within a shard) so the
-    vocabulary is byte-identical to the sequential path, while the
-    O(occurrences) bitmap builds the transactions feed can run
-    anywhere.
+    Interning is ordered (shard 0 first, tuple order within a shard)
+    so the vocabulary is the same on every run of the same layout.
     """
     interner = TokenInterner(vocabulary)
     return [encode_relation(shard, interner) for shard in shards]

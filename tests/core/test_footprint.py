@@ -1,0 +1,117 @@
+"""Resident footprint of a mined engine, and the packed store's answers.
+
+A relation plus a mined engine over the paper workload must retain at
+most 1 KB per tuple: tuples are slotted and share their empty label
+set and their row anchor, data values are interned once per relation,
+and the transaction store packs each transaction as a tuple of ids.
+The packing must stay invisible: after a mixed flush, after a copy
+and re-mine, and after a snapshot restore, the store answers exactly
+what encoding the tuple afresh gives.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.core import persistence
+from repro.core.engine import CorrelationEngine
+from repro.generalization.engine import Generalizer
+from repro.generalization.hierarchy import ConceptHierarchy
+from repro.generalization.rules import (
+    GeneralizationRule,
+    GeneralizationRuleSet,
+    IdMatcher,
+)
+from repro.relation.transactions import encode_tuple
+from repro.relation.tuples import AnnotationAnchor
+from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
+from repro.synth.workloads import paper_scale
+
+N_TUPLES = 4000
+MAX_BYTES_PER_TUPLE = 1000
+
+
+def test_relation_and_mined_engine_retain_at_most_1kb_per_tuple():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload = paper_scale(N_TUPLES)
+        engine = CorrelationEngine(workload.relation,
+                                   min_support=workload.min_support,
+                                   min_confidence=workload.min_confidence)
+        del workload
+        engine.mine()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(engine.rules) > 0
+    assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
+        f"{retained / N_TUPLES:.0f} B retained per tuple")
+
+
+def assert_store_matches_relation(engine: CorrelationEngine) -> None:
+    relation = engine.relation
+    for tid in range(relation.tid_range):
+        stored = engine.database.transaction(tid)
+        if relation.is_live(tid):
+            assert stored == encode_tuple(relation, tid, engine.vocabulary), \
+                f"tid {tid}"
+        else:
+            assert stored == frozenset(), f"dead tid {tid}"
+
+
+def assert_compact(engine: CorrelationEngine) -> None:
+    row_anchor = AnnotationAnchor.row()
+    for row in engine.relation:
+        assert not hasattr(row, "__dict__")
+        assert type(row.labels) is frozenset
+        assert all(anchor is row_anchor
+                   for anchor in row.annotations.values())
+
+
+@pytest.fixture
+def flushed(seeds):
+    """A labelled paper-scale engine after one mixed 64-event flush."""
+    relation = paper_scale(N_TUPLES).relation
+    generalizer = Generalizer(
+        relation.registry,
+        GeneralizationRuleSet([
+            GeneralizationRule("Planted",
+                               IdMatcher(frozenset({"Annot_1", "Annot_2"}))),
+            GeneralizationRule("Streamed",
+                               IdMatcher(frozenset({"Annot_s0", "Annot_s1"}))),
+        ]),
+        ConceptHierarchy.from_edges([("Planted", "Curated"),
+                                     ("Streamed", "Curated")]))
+    engine = CorrelationEngine(relation, min_support=0.4,
+                               min_confidence=0.8, generalizer=generalizer)
+    engine.mine()
+    shadow = relation.copy()
+    stream = EventStream(shadow, StreamConfig(
+        seed=seeds.seed(16), batch_size=3, n_columns=6,
+        values_per_column=40, annotation_pool_size=3))
+    events = list(stream.take(
+        64, apply=lambda event: apply_to_relation(shadow, event)))
+    engine.apply_batch(events)
+    return engine
+
+
+def test_packed_store_matches_fresh_encoding_after_a_mixed_flush(flushed):
+    assert any(row.labels for row in flushed.relation)
+    assert flushed.relation.tid_range > flushed.db_size  # deletes landed
+    assert_store_matches_relation(flushed)
+    assert_compact(flushed)
+    assert flushed.verify_against_remine().equivalent
+
+
+def test_copy_and_restore_stay_compact_and_consistent(flushed):
+    remined = CorrelationEngine(flushed.relation.copy(), flushed.config)
+    remined.mine()
+    restored = persistence.restore(persistence.snapshot(flushed),
+                                   generalizer=flushed.generalizer)
+    for engine in (remined, restored):
+        assert_store_matches_relation(engine)
+        assert_compact(engine)
+        assert engine.signature() == flushed.signature()

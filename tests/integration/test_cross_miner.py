@@ -22,7 +22,8 @@ def encoded():
     vocabulary = ItemVocabulary()
     return TransactionDatabase.from_encoded(
         vocabulary,
-        encode_relation(workload.relation, TokenInterner(vocabulary)))
+        encode_relation(workload.relation,
+                        TokenInterner(vocabulary)).transactions)
 
 
 @pytest.mark.parametrize("task", [

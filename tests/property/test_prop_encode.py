@@ -6,13 +6,14 @@ updates, the audit and the re-mine oracle encode one tuple at a time
 (:func:`~repro.relation.transactions.encode_tuple`).  The two must be
 interchangeable: on random relations with tombstones, with and without
 a schema, and with generalization labels, the bulk pass yields
-``encode_tuple``'s transaction for every live tid, an empty
-transaction for every dead tid, and a vocabulary interned in the same
-order.
+``encode_tuple``'s items (packed as a tuple of distinct ids) for every
+live tid, ``()`` for every dead tid, a bitmap index over exactly those
+transactions, and a vocabulary interned in the same order.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.itemsets import ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
@@ -57,15 +58,23 @@ def relations(draw):
 @settings(max_examples=120, deadline=None)
 def test_bulk_encoder_matches_encode_tuple(relation, include_labels):
     bulk_vocabulary = ItemVocabulary()
-    transactions = encode_relation(relation, TokenInterner(bulk_vocabulary),
-                                   include_labels=include_labels)
+    encoded = encode_relation(relation, TokenInterner(bulk_vocabulary),
+                              include_labels=include_labels)
+    transactions = encoded.transactions
     tuple_vocabulary = ItemVocabulary()
     assert len(transactions) == relation.tid_range
     for tid, transaction in enumerate(transactions):
+        assert isinstance(transaction, tuple), f"tid {tid}"
+        assert len(set(transaction)) == len(transaction), f"tid {tid}"
         if relation.is_live(tid):
-            assert transaction == encode_tuple(
+            assert frozenset(transaction) == encode_tuple(
                 relation, tid, tuple_vocabulary,
                 include_labels=include_labels), f"tid {tid}"
         else:
-            assert transaction == frozenset(), f"dead tid {tid}"
+            assert transaction == (), f"dead tid {tid}"
     assert list(bulk_vocabulary) == list(tuple_vocabulary)
+    # The bitmaps the same pass emitted index exactly those transactions.
+    rebuilt = BitmapIndex.from_transactions(transactions)
+    assert encoded.bitmaps.items() == rebuilt.items()
+    assert all(encoded.bitmaps.tidset(item) == rebuilt.tidset(item)
+               for item in rebuilt.items())

@@ -70,7 +70,8 @@ class TestEncodeRelation:
     def test_tid_alignment(self):
         relation = build_relation()
         vocabulary = ItemVocabulary()
-        transactions = encode_relation(relation, TokenInterner(vocabulary))
+        transactions = encode_relation(
+            relation, TokenInterner(vocabulary)).transactions
         assert len(transactions) == 2
         tokens_0 = {vocabulary.item(item).token for item in transactions[0]}
         assert tokens_0 == {"1", "2", "A"}
@@ -78,16 +79,18 @@ class TestEncodeRelation:
     def test_tombstones_encode_empty(self):
         relation = build_relation()
         relation.delete(0)
-        transactions = encode_relation(relation,
-                                       TokenInterner(ItemVocabulary()))
-        assert transactions[0] == frozenset()
-        assert transactions[1] != frozenset()
+        encoded = encode_relation(relation, TokenInterner(ItemVocabulary()))
+        assert encoded.transactions[0] == ()
+        assert encoded.transactions[1] != ()
+        assert all(0 not in encoded.bitmaps.tidset(item)
+                   for item in encoded.bitmaps.items())
 
     def test_existing_vocabulary_reused(self):
         relation = build_relation()
         vocabulary = ItemVocabulary()
         pre_interned = vocabulary.intern_data("1")
-        transactions = encode_relation(relation, TokenInterner(vocabulary))
+        transactions = encode_relation(
+            relation, TokenInterner(vocabulary)).transactions
         assert pre_interned in transactions[0]
 
     def test_labels_can_be_excluded(self):
@@ -95,9 +98,38 @@ class TestEncodeRelation:
         relation.set_labels(0, {"L"})
         vocabulary = ItemVocabulary()
         transactions = encode_relation(relation, TokenInterner(vocabulary),
-                                       include_labels=False)
+                                       include_labels=False).transactions
         assert {vocabulary.item(item).token
                 for item in transactions[0]} == {"1", "2", "A"}
+
+    def test_repeated_values_pack_once(self):
+        relation = AnnotatedRelation()
+        relation.insert(("1", "1", "2"), ("A",))
+        encoded = encode_relation(relation, TokenInterner(ItemVocabulary()))
+        assert len(encoded.transactions[0]) == 3
+        assert encoded.bitmaps.count(encoded.transactions[0]) == 1
+
+    def test_bitmaps_index_the_transactions(self):
+        relation = build_relation()
+        relation.insert(("1", "4"), ("A", "B"))
+        encoded = encode_relation(relation, TokenInterner(ItemVocabulary()))
+        for item in encoded.bitmaps.items():
+            assert set(encoded.bitmaps.tidset(item)) == {
+                tid for tid, transaction in enumerate(encoded.transactions)
+                if item in transaction}
+
+    def test_annotations_and_labels_intern_in_sorted_order(self):
+        relation = AnnotatedRelation()
+        relation.insert(("1",), ("Annot_b", "Annot_c", "Annot_a"))
+        relation.set_labels(0, {"L2", "L1"})
+        for encode in (
+                lambda vocabulary: encode_tuple(relation, 0, vocabulary),
+                lambda vocabulary: encode_relation(
+                    relation, TokenInterner(vocabulary))):
+            vocabulary = ItemVocabulary()
+            encode(vocabulary)
+            assert [item.token for item in vocabulary] == [
+                "1", "Annot_a", "Annot_b", "Annot_c", "L1", "L2"]
 
 
 class TestAnnotationItemIds:

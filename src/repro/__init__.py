@@ -1,10 +1,25 @@
 """Reproduction of *Discovering Correlations in Annotated Databases*.
 
 Public API re-exported here; see DESIGN.md for the system inventory and
-EXPERIMENTS.md for the paper-vs-measured record.
+the committed ``BENCH_*.json`` rows at the repository root for the
+measured record.
+
+Only the core that :func:`repro.engine` needs is imported with the
+package: the relation, the mining items and constraints, rules, stats,
+events, the catalog, the engine config, delta plans, the engine and its
+maintenance reports.  Every other public name (the service, session and
+server, the journal, sharding, audit and explain, multi-level mining,
+the timeline, persistence, the re-mine oracle, closed itemsets, query,
+generalization and exploitation) is imported on first access through
+``_LAZY`` (PEP 562), so ``import repro; repro.engine(...)`` loads
+neither asyncio nor the HTTP server.  ``from repro import X``,
+``from repro import *`` and ``repro.X`` behave as if every name were
+imported eagerly.
 """
 
-from repro.errors import ReproError
+import importlib
+
+from repro.errors import CatalogError, DeltaPlanError, ReproError
 from repro.mining.itemsets import (
     Item,
     ItemKind,
@@ -32,7 +47,6 @@ from repro.core.catalog import (
     RuleCatalog,
 )
 from repro.core.config import EngineConfig
-from repro.errors import CatalogError
 from repro.core.deltas import DeltaPlan, EventAudit, compile_plan
 from repro.core.engine import (
     CorrelationEngine,
@@ -40,67 +54,71 @@ from repro.core.engine import (
     VerificationResult,
     engine,
 )
-from repro.core.journal import (
-    EventJournal,
-    JournalStore,
-    RecoveryResult,
-    ReplayStats,
-)
-from repro.shard import (
-    RebalancePlan,
-    ShardSkew,
-    ShardedEngine,
-    modulo_partitioner,
-    plan_rebalance,
-    shard_skew,
-)
 from repro.core.maintenance import BatchReport, MaintenanceReport
-from repro.errors import DeltaPlanError
-from repro.app.service import (
-    CorrelationService,
-    RebalanceReport,
-    RuleSnapshot,
-)
-from repro.core.audit import AuditReport, audit
-from repro.core.explain import RuleEvidence, explain_rule, render_evidence
-from repro.core.multilevel import LeveledRule, MultiLevelMiner
-from repro.core.timeline import Direction, TimelineRecorder
-from repro.core import persistence
-from repro.baselines.remine import remine
-from repro.mining.closed import (
-    closed_itemsets,
-    compress_rules,
-    maximal_itemsets,
-)
-from repro.mining.interest import RuleCounts, evaluate as evaluate_rule
-from repro.relation import query
-from repro.generalization.engine import Generalizer
-from repro.generalization.hierarchy import ConceptHierarchy
-from repro.generalization.rules import (
-    GeneralizationRule,
-    GeneralizationRuleSet,
-    IdMatcher,
-    KeywordMatcher,
-)
-from repro.exploitation.recommender import (
-    MissingAnnotationRecommender,
-    Recommendation,
-)
-from repro.exploitation.insert_advisor import InsertAdvisor
-from repro.exploitation.curation import CurationSession
-from repro.exploitation.quality import (
-    QualityReport,
-    rule_yield,
-    score_recommendations,
-)
-from repro.exploitation.removal import (
-    RemovalSuggestion,
-    UnexplainedAnnotationFinder,
-)
-from repro.app.session import Session
-from repro.server import CorrelationServer, ServerConfig
 
 __version__ = "1.0.0"
+
+#: Public names outside the core: name -> (defining module, attribute),
+#: where an attribute of ``None`` exports the module itself.
+_LAZY: dict[str, tuple[str, str | None]] = {
+    name: (module, name)
+    for module, names in {
+        "repro.core.journal": (
+            "EventJournal", "JournalStore", "RecoveryResult", "ReplayStats"),
+        "repro.shard": (
+            "RebalancePlan", "ShardSkew", "ShardedEngine",
+            "modulo_partitioner", "plan_rebalance", "shard_skew"),
+        "repro.app.service": (
+            "CorrelationService", "RebalanceReport", "RuleSnapshot"),
+        "repro.app.session": ("Session",),
+        "repro.server": ("CorrelationServer", "ServerConfig"),
+        "repro.core.audit": ("AuditReport", "audit"),
+        "repro.core.explain": (
+            "RuleEvidence", "explain_rule", "render_evidence"),
+        "repro.core.multilevel": ("LeveledRule", "MultiLevelMiner"),
+        "repro.core.timeline": ("Direction", "TimelineRecorder"),
+        "repro.baselines.remine": ("remine",),
+        "repro.mining.closed": (
+            "closed_itemsets", "compress_rules", "maximal_itemsets"),
+        "repro.mining.interest": ("RuleCounts",),
+        "repro.generalization.engine": ("Generalizer",),
+        "repro.generalization.hierarchy": ("ConceptHierarchy",),
+        "repro.generalization.rules": (
+            "GeneralizationRule", "GeneralizationRuleSet", "IdMatcher",
+            "KeywordMatcher"),
+        "repro.exploitation.recommender": (
+            "MissingAnnotationRecommender", "Recommendation"),
+        "repro.exploitation.insert_advisor": ("InsertAdvisor",),
+        "repro.exploitation.curation": ("CurationSession",),
+        "repro.exploitation.quality": (
+            "QualityReport", "rule_yield", "score_recommendations"),
+        "repro.exploitation.removal": (
+            "RemovalSuggestion", "UnexplainedAnnotationFinder"),
+    }.items()
+    for name in names
+}
+_LAZY.update({
+    "evaluate_rule": ("repro.mining.interest", "evaluate"),
+    "persistence": ("repro.core.persistence", None),
+    "query": ("repro.relation.query", None),
+})
+
+
+def __getattr__(name: str):
+    try:
+        module_name, attribute = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(module_name)
+    value = module if attribute is None else getattr(module, attribute)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AddAnnotatedTuples",
@@ -172,7 +190,6 @@ __all__ = [
     "TransactionDatabase",
     "audit",
     "closed_itemsets",
-    "compile_plan",
     "compress_rules",
     "engine",
     "evaluate_rule",

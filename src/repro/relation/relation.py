@@ -97,22 +97,27 @@ class AnnotatedRelation:
             values = self.schema.validate_row(values)
         elif not values:
             raise SchemaError("a tuple needs at least one data value")
-        # Values repeat across tuples: every row shares one copy of each.
+        # Values and annotation ids repeat across tuples: every row
+        # shares one copy of each.
         row_values = tuple(sys.intern(str(value)) for value in values)
         tid = len(self._tuples)
         row = AnnotatedTuple(tid=tid, values=row_values)
         for annotation_id in annotations:
             self.registry.ensure(annotation_id)
-            row.attach(annotation_id)
+            row.attach(sys.intern(str(annotation_id)))
         self._tuples.append(row)
         self._live += 1
         self.version += 1
-        self.triggers.fire_insert(tid, row_values, row.annotation_ids)
+        if self.triggers.on_insert:
+            self.triggers.fire_insert(tid, row_values, row.annotation_ids)
         return tid
 
     def insert_many(self, rows: Iterable[tuple[Sequence[str], Iterable[str]]]
                     ) -> list[int]:
-        """Insert ``(values, annotations)`` pairs; returns their tids."""
+        """Insert ``(values, annotations)`` pairs; returns their tids.
+
+        ``rows`` is consumed one pair at a time, so a generator loads a
+        relation without a second copy of the batch."""
         return [self.insert(values, annotations)
                 for values, annotations in rows]
 
@@ -131,6 +136,7 @@ class AnnotatedRelation:
         else:
             self.registry.ensure(annotation)
             annotation_id = annotation
+        annotation_id = sys.intern(str(annotation_id))
         anchor = anchor or AnnotationAnchor.row()
         if anchor.scope is AnchorScope.COLUMN:
             raise SchemaError(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -106,10 +107,13 @@ def _pairs(raw: Any, noun: str) -> list[tuple[int, str]]:
     return pairs
 
 
-def _annotated_rows(raw: Any) -> list[tuple[list[str], list[str]]]:
+def _annotated_rows(raw: Any) -> Iterator[tuple[list[str], list[str]]]:
+    """Check and yield each ``[[value, ...], [annotation, ...]]`` row as
+    ``(values, annotations)`` strings, one row at a time: a consumer
+    such as :meth:`AnnotatedRelation.insert_many` never holds a second
+    copy of the batch.  ``raw`` is left as it was."""
     if not isinstance(raw, list):
         raise ServerError(f"rows must be a list, got {type(raw).__name__}")
-    rows = []
     for entry in raw:
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                 or not isinstance(entry[0], (list, tuple))
@@ -118,9 +122,8 @@ def _annotated_rows(raw: Any) -> list[tuple[list[str], list[str]]]:
                 f"each row must be [[value, ...], [annotation, ...]], "
                 f"got {entry!r}")
         values, annotations = entry
-        rows.append(([str(value) for value in values],
-                     [str(annotation) for annotation in annotations]))
-    return rows
+        yield ([str(value) for value in values],
+               [str(annotation) for annotation in annotations])
 
 
 def event_from_json(obj: Any) -> UpdateEvent:
@@ -295,9 +298,8 @@ class TenantRegistry:
         engine_config = engine_config_from_json(config, self._default_engine)
         relation = AnnotatedRelation(
             Schema([str(column) for column in columns]) if columns else None)
-        if rows:
-            for values, annotations in _annotated_rows(rows):
-                relation.insert(values, annotations)
+        if rows is not None:
+            relation.insert_many(_annotated_rows(rows))
         self._service.create(name, relation, engine_config, mine=mine)
         return self.adopt(name)
 

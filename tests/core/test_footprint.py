@@ -2,19 +2,24 @@
 
 A relation plus a mined engine over the paper workload must retain at
 most 1 KB per tuple: tuples are slotted and share their empty label
-set and their row anchor, data values are interned once per relation,
+set and their row anchor, data values and annotation ids are interned,
 and the transaction store packs each transaction as a tuple of ids.
+The bound covers the served path too: a tenant created from the
+JSON-decoded rows of a create body, once the body is gone.
 The packing must stay invisible: after a mixed flush, after a copy
 and re-mine, and after a snapshot restore, the store answers exactly
 what encoding the tuple afresh gives.
 """
 
 import gc
+import json
 import tracemalloc
 
 import pytest
 
+from repro.app.service import CorrelationService
 from repro.core import persistence
+from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine
 from repro.generalization.engine import Generalizer
 from repro.generalization.hierarchy import ConceptHierarchy
@@ -25,6 +30,7 @@ from repro.generalization.rules import (
 )
 from repro.relation.transactions import encode_tuple
 from repro.relation.tuples import AnnotationAnchor
+from repro.server.tenants import TenantRegistry
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from repro.synth.workloads import paper_scale
 
@@ -47,6 +53,30 @@ def test_relation_and_mined_engine_retain_at_most_1kb_per_tuple():
     finally:
         tracemalloc.stop()
     assert len(engine.rules) > 0
+    assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
+        f"{retained / N_TUPLES:.0f} B retained per tuple")
+
+
+def test_a_tenant_created_from_decoded_json_retains_at_most_1kb_per_tuple():
+    workload = paper_scale(N_TUPLES)
+    body = json.dumps([[list(row.values), sorted(row.annotation_ids)]
+                       for row in workload.relation])
+    config = EngineConfig(min_support=workload.min_support,
+                          min_confidence=workload.min_confidence)
+    registry = TenantRegistry(CorrelationService(), default_engine=config)
+    del workload
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = json.loads(body)
+        registry.create("paper", rows=rows)
+        del rows
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    status = registry.status("paper")
+    assert status["db_size"] == N_TUPLES and status["rules"] > 0
     assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
         f"{retained / N_TUPLES:.0f} B retained per tuple")
 

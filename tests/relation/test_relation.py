@@ -1,12 +1,14 @@
 """Unit tests for the annotated relation storage engine."""
 
+import sys
+
 import pytest
 
 from repro.errors import SchemaError, UnknownTupleError
 from repro.relation.annotation import Annotation
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
-from repro.relation.tuples import AnnotationAnchor
+from repro.relation.tuples import AnnotatedTuple, AnnotationAnchor
 
 
 class TestInsert:
@@ -37,6 +39,17 @@ class TestInsert:
         tids = relation.insert_many([(("1",), ("A",)), (("2",), ())])
         assert tids == [0, 1]
 
+    def test_rows_share_interned_values_and_annotation_ids(self):
+        relation = AnnotatedRelation()
+        # Built at run time, so neither is the interned constant.
+        value, annotation_id = "".join(["v", "1"]), "".join(["A", "1"])
+        relation.insert_many([([value], [annotation_id]),
+                              (["v1"], ["A1"])])
+        first, second = relation.tuple(0), relation.tuple(1)
+        assert first.values[0] is second.values[0] is sys.intern("v1")
+        (key,) = first.annotations
+        assert key is next(iter(second.annotations)) is sys.intern("A1")
+
     def test_version_bumps_on_mutation(self):
         relation = AnnotatedRelation()
         v0 = relation.version
@@ -51,6 +64,15 @@ class TestAnnotate:
         assert relation.annotate(tid, "A")
         assert not relation.annotate(tid, "A")
         assert relation.tuple(tid).annotation_ids == {"A"}
+
+    def test_annotate_interns_the_annotation_id(self):
+        relation = AnnotatedRelation()
+        tid = relation.insert(("1",))
+        relation.annotate(tid, "".join(["A", "9"]))
+        relation.annotate(tid, Annotation("".join(["B", "9"]), text="x"))
+        first, second = relation.tuple(tid).annotations
+        assert first is sys.intern("A9")
+        assert second is sys.intern("B9")
 
     def test_annotate_with_rich_annotation(self):
         relation = AnnotatedRelation()
@@ -157,8 +179,24 @@ class TestTriggers:
         relation.triggers.on_insert.append(
             lambda tid, values, annotations: fired.append(
                 (tid, values, annotations)))
-        relation.insert(("1",), ("A",))
-        assert fired == [(0, ("1",), frozenset({"A"}))]
+        relation.insert(("1", "2"), ("A", "B", "A"))
+        relation.insert_many([(("3",), ()), (("4",), ["C"])])
+        assert fired == [(0, ("1", "2"), frozenset({"A", "B"})),
+                         (1, ("3",), frozenset()),
+                         (2, ("4",), frozenset({"C"}))]
+        assert all(type(annotation_ids) is frozenset
+                   for _, _, annotation_ids in fired)
+
+    def test_insert_without_listeners_builds_no_annotation_set(
+            self, monkeypatch):
+        def unexpected(row):
+            raise AssertionError("annotation_ids built with no listener")
+
+        monkeypatch.setattr(AnnotatedTuple, "annotation_ids",
+                            property(unexpected))
+        relation = AnnotatedRelation()
+        relation.insert_many([(("1",), ("A",)), (("2",), ("A", "B"))])
+        assert relation.tuple(1).has_annotation("B")
 
     def test_annotate_trigger_fires_only_when_new(self):
         relation = AnnotatedRelation()

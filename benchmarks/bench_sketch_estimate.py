@@ -1,21 +1,24 @@
-"""E12 — approximate-first serving: estimate reads vs exact refresh.
+"""E12 — estimate reads vs exact refresh.
 
-The approximate tier's claim is *latency*, bought with *bounded*
-error: immediately after a write burst is queued (and its exact SON
-re-merge kicked off in the background), ``mode=estimate`` must answer
-a top-k read from the bottom-k sketches plus the pending overlay in
-less than 1/20 of the exact leg's wall time (queue -> flush -> read)
-at fig7 scale — and every estimated figure must sit inside its error
-bound once the exact refresh lands.
+The estimate tier's claim is *latency*: immediately after a write
+burst is queued (and its exact SON re-merge kicked off in the
+background), ``mode=estimate`` must answer a top-k read — the
+published rules re-counted from the engine's bitmap index plus the
+pending overlay — in less than 1/20 of the exact leg's wall time
+(queue -> flush -> read) at fig7 scale, and every estimated figure
+must equal the exact catalog once the exact refresh lands (zero
+bounds, so "inside the bound" means equal).
 
 Two scenarios: the monolithic fig7 workload and a 4-shard engine fed
 an insert-heavy (hot-shard) stream — the layout where exact re-merges
 hurt most.  Both record estimate/exact wall times, the achieved
 speedup, and the empirical error/bound-coverage of the estimates in
-``benchmarks/out/BENCH_sketch.json``.  The 20x target binds at full
-scale only; the CI smoke lane shrinks via ``REPRO_SKETCH_TUPLES`` and
-still records its row (tiny engines flush in microseconds, so a ratio
-there measures scheduler noise, not the tier).
+``benchmarks/out/BENCH_sketch.json``.  The 20x target binds in both
+scenarios at full scale only; the CI smoke lane shrinks via
+``REPRO_SKETCH_TUPLES`` and still records its rows (tiny engines flush
+in microseconds, so a ratio there measures scheduler noise, not the
+tier).  The file, env var and JSON names predate the index-backed
+tier and are kept so existing rows and lanes stay comparable.
 """
 
 from __future__ import annotations
@@ -31,12 +34,8 @@ from benchmarks._harness import OUT_DIR, fmt_ms, record, time_once
 
 N_TUPLES = int(os.environ.get("REPRO_SKETCH_TUPLES", "8000"))
 FULL_SCALE = N_TUPLES >= 4000
-#: The acceptance ratio: estimate < exact / 20 at full scale.  It
-#: binds on the headline (monolithic fig7) scenario; the sharded
-#: scenario records its ratio but does not gate — on a 1-cpu runner
-#: the shard pool's flush workers starve a concurrent reader of the
-#: GIL, which measures the box, not the tier (the JSON row carries
-#: ``cpus`` so those readings are identifiable).
+#: The acceptance ratio: estimate < exact / 20 at full scale, in both
+#: scenarios.
 TARGET_RATIO = 20.0
 TOP_K = 10
 EVENTS = 256 if FULL_SCALE else 8
@@ -117,7 +116,6 @@ def _scenario(benchmark, *, scenario, shards,
     service = CorrelationService(config=config)
     try:
         service.create("bench", workload.relation.copy())
-        service.estimate("bench")   # warm the sketch registries
         burst = _event_source(workload.relation, seed=29,
                               insert_heavy=insert_heavy)
 
@@ -147,7 +145,7 @@ def _scenario(benchmark, *, scenario, shards,
 
         ratio = (exact_seconds / estimate_seconds
                  if estimate_seconds else float("inf"))
-        binding = FULL_SCALE and headline
+        binding = FULL_SCALE
         record(f"E12_sketch_estimate:{scenario}", [
             f"tuples={N_TUPLES} shards={shards} "
             f"events={EVENTS} top_k={TOP_K}",

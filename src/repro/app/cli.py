@@ -43,7 +43,7 @@ Please select an operation:
 16. Flush queued updates (coalesced batch)
 17. Show top rules by a metric (paged)
 18. Show rules predicting an annotation
-19. Show estimated top rules (sketch tier, error bounds)
+19. Show estimated top rules (queued updates folded in)
 20. Show significant rules (chi-square / p-value tier)
  0. Exit
 """.rstrip()
@@ -246,9 +246,9 @@ class CommandLoop:
                         f"{catalog.metric_value(rule, metric):.4f}]")
 
     def _estimate_rules(self) -> None:
-        """Menu option 19: approximate top rules from the sketch tier,
-        each metric shown with its error bound; queued updates are
-        folded in without waiting for a flush."""
+        """Menu option 19: estimated top rules, each metric shown with
+        its error bound; queued updates are folded in without waiting
+        for a flush."""
         from repro.app.estimate import ESTIMATE_METRICS
 
         manager = self.session.manager

@@ -1,36 +1,39 @@
-"""Approximate-first reads: estimate snapshots with error bounds.
+"""Approximate-first reads: estimate snapshots that never wait for a flush.
 
 The exact read path answers from the engine's mined rule catalog —
 after a write burst that means waiting for the next flush (and, on a
 sharded engine, its SON re-merge) before the numbers move.  This module
-is the approximate tier in front of it:
+is the read tier in front of it:
 
 * the *candidate* rules come from the last **published** catalog (an
   immutable object, readable without any session lock);
-* their counts are re-scored from the engine's bottom-k
-  :mod:`~repro.mining.sketch` registries, which the index maintenance
-  observer keeps fresh at O(delta) per applied batch;
+* their counts are re-read from the engine's vertical index — one
+  bitmap AND chain plus a popcount per itemset, summed across the
+  partitions of a sharded engine by its index view — so the substrate
+  part of every figure is exact;
 * events still queued (or draining in an in-flight flush) are layered
   on as a **pending overlay**: inserted rows are fully described by
   their event, so their contribution is exact — encoded against the
   engine vocabulary without interning anything (an unseen token cannot
   match an existing rule, so it is skipped, not added).
 
-Every estimate carries the bound of its sketch intersection; overlay
-contributions add no bound (they are exact).  Annotation add/remove
-events reference tuples by tid and need engine state to score, so they
-are *deferred*: counted in :attr:`EstimateSnapshot.deferred_events` and
+Every figure therefore carries a zero bound and ``exact=True``; the
+bound fields and ``z`` / ``confidence_level`` stay on the wire so
+estimate clients keep one shape.  Annotation add/remove events
+reference tuples by tid and need engine state to score, so they are
+*deferred*: counted in :attr:`EstimateSnapshot.deferred_events` and
 reflected as soon as the flush that is already under way lands.
-Estimate reads are racy by design — a concurrent flush may be mid-way
-through the substrate — which is exactly the trade the caller makes by
-asking for ``mode=estimate``; the bounds are statistical, not
-adversarial.
+Estimate reads take no session lock, so a concurrent flush may be
+mid-way through the substrate — the trade the caller makes by asking
+for ``mode=estimate``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 from repro.core.events import (
     AddAnnotatedTuples,
@@ -39,15 +42,8 @@ from repro.core.events import (
     UpdateEvent,
 )
 from repro.core.rules import AssociationRule, RuleKind
-from repro.errors import SessionError, VocabularyError
+from repro.errors import MiningError, SessionError, VocabularyError
 from repro.mining.itemsets import Item, ItemKind, ItemVocabulary
-from repro.mining.sketch import (
-    Estimate,
-    RuleEstimate,
-    combine_rule_estimate,
-    sum_estimates,
-    z_score,
-)
 from repro.relation.schema import SchemaError, opaque_token
 
 #: Metrics an estimate snapshot can rank by.  Significance metrics are
@@ -56,13 +52,77 @@ from repro.relation.schema import SchemaError, opaque_token
 ESTIMATE_METRICS = ("support", "confidence", "lift")
 
 
+def z_score(confidence_level: float) -> float:
+    """Two-sided normal quantile for a coverage target in (0, 1)."""
+    if not 0.0 < confidence_level < 1.0:
+        raise MiningError(
+            f"confidence level must be in (0, 1), got {confidence_level}")
+    return NormalDist().inv_cdf((1.0 + confidence_level) / 2.0)
+
+
+@dataclass(frozen=True, slots=True)
+class Estimate:
+    """A point estimate with a symmetric error bound (same units)."""
+
+    value: float
+    bound: float
+    exact: bool
+
+    def __post_init__(self) -> None:
+        if self.bound < 0.0:
+            raise MiningError(f"bound must be >= 0, got {self.bound}")
+
+    @classmethod
+    def exactly(cls, value: float) -> "Estimate":
+        return cls(value=value, bound=0.0, exact=True)
+
+
+@dataclass(frozen=True, slots=True)
+class RuleEstimate:
+    """Support/confidence/lift for one rule, with bounds."""
+
+    support: float
+    support_bound: float
+    confidence: float
+    confidence_bound: float
+    lift: float
+    lift_bound: float
+    count: float
+    exact: bool
+
+
+def combine_rule_estimate(both: Estimate, lhs: Estimate, rhs_count: int,
+                          db_size: int) -> RuleEstimate:
+    """Assemble rule metrics from count estimates.
+
+    ``rhs_count`` is the *exact* RHS marginal, so the lift denominator
+    contributes no extra error; confidence propagates the ratio bound
+    ``|d(a/b)| <= (da + (a/b)·db) / b``.
+    """
+    n = max(db_size, 0)
+    support = both.value / n if n else 0.0
+    support_bound = min(both.bound / n, 1.0) if n else 0.0
+    lhs_floor = max(lhs.value, 1.0)
+    confidence = min(both.value / lhs_floor, 1.0) if lhs.value > 0 else 0.0
+    confidence_bound = min(
+        (both.bound + confidence * lhs.bound) / lhs_floor, 1.0)
+    p_rhs = rhs_count / n if n else 0.0
+    lift = confidence / p_rhs if p_rhs else 0.0
+    lift_bound = confidence_bound / p_rhs if p_rhs else 0.0
+    return RuleEstimate(
+        support=support, support_bound=support_bound,
+        confidence=confidence, confidence_bound=confidence_bound,
+        lift=lift, lift_bound=lift_bound,
+        count=both.value, exact=both.exact and lhs.exact)
+
+
 @dataclass(frozen=True, slots=True)
 class EstimatedRule:
-    """One catalog rule re-scored through the approximate tier."""
+    """One catalog rule re-scored through the estimate tier."""
 
     #: The rule as last published (its counts are the *flushed* state).
     rule: AssociationRule
-    #: Sketch + overlay statistics with their error bounds.
+    #: Index + overlay statistics with their (zero) error bounds.
     estimate: RuleEstimate
 
     def metric(self, name: str) -> float:
@@ -239,7 +299,12 @@ def _resolve_z(z: float | None, confidence_level: float | None) -> float:
             "pass either z or confidence_level, not both")
     if confidence_level is not None:
         return z_score(confidence_level)
-    return 2.0 if z is None else float(z)
+    if z is None:
+        return 2.0
+    value = float(z)
+    if not (math.isfinite(value) and value > 0.0):
+        raise SessionError(f"z must be a finite number > 0, got {z!r}")
+    return value
 
 
 def estimate_snapshot(engine, rules: Sequence[AssociationRule],
@@ -251,8 +316,8 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
                       z: float | None = None,
                       confidence_level: float | None = None
                       ) -> EstimateSnapshot:
-    """Re-score ``rules`` through the engine's sketches + the pending
-    overlay and rank them by an estimated metric.
+    """Re-score ``rules`` from the engine's vertical index + the
+    pending overlay and rank them by a metric.
 
     Shared by the serving facade and the standalone session; the caller
     owns whatever locking discipline its queue needs — this function
@@ -267,29 +332,27 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
         pending, relation=engine.relation, vocabulary=engine.vocabulary,
         generalizer=engine.generalizer)
     db_size = max(engine.db_size + overlay.inserts - overlay.removals, 0)
+    index = engine.index
 
-    itemset_cache: dict[tuple[int, ...], Estimate] = {}
-    rhs_cache: dict[int, int] = {}
+    counts: dict[tuple[int, ...], Estimate] = {}
+    rhs_counts: dict[int, int] = {}
 
-    def itemset_estimate(items: tuple[int, ...]) -> Estimate:
-        found = itemset_cache.get(items)
+    def count(items: tuple[int, ...]) -> Estimate:
+        found = counts.get(items)
         if found is None:
-            found = engine.estimate_itemset(items, z=z_value)
+            value = index.count(items)
             if overlay.rows:
-                pending_hits = overlay.count_containing(frozenset(items))
-                if pending_hits:
-                    found = sum_estimates(
-                        [found, Estimate(float(pending_hits), 0.0, True)])
-            itemset_cache[items] = found
+                value += overlay.count_containing(frozenset(items))
+            found = counts[items] = Estimate.exactly(float(value))
         return found
 
     def rhs_count(item: int) -> int:
-        found = rhs_cache.get(item)
+        found = rhs_counts.get(item)
         if found is None:
-            found = engine.sketch_cardinality(item)
+            found = index.frequency(item)
             if overlay.rows:
                 found += overlay.count_item(item)
-            rhs_cache[item] = found
+            rhs_counts[item] = found
         return found
 
     estimated: list[EstimatedRule] = []
@@ -298,10 +361,7 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
             continue
         union = tuple(sorted(rule.lhs + (rule.rhs,)))
         rule_estimate = combine_rule_estimate(
-            itemset_estimate(union),
-            itemset_estimate(rule.lhs),
-            rhs_count(rule.rhs),
-            db_size)
+            count(union), count(rule.lhs), rhs_count(rule.rhs), db_size)
         estimated.append(EstimatedRule(rule=rule, estimate=rule_estimate))
 
     estimated.sort(key=lambda er: (-er.metric(by),

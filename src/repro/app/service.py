@@ -9,15 +9,16 @@ a flush is pending.
 
 Concurrency model, per session:
 
-* a read-write lock (:class:`ReadWriteLock`, writer-preferring)
-  guards the engine — queries share the read side, ``mine``/``flush``
-  take the write side;
+* one session lock (a plain mutex) guards the engine — ``mine``,
+  ``flush``, checkpoints and rebalance cutovers take it, and so do the
+  few reads that walk engine state (``verify``, ``skew``, rebalance
+  planning);
 * :meth:`CorrelationService.submit` appends to a queue under a cheap
   mutex and never touches the engine, so producers are not blocked by
   readers (set ``auto_flush_every`` to bound queue growth by flushing
   inline once the queue reaches that depth);
 * :meth:`CorrelationService.flush` drains the queue inside one
-  write-lock hold and applies it as **one coalesced delta plan**
+  session-lock hold and applies it as **one coalesced delta plan**
   (``engine.apply_batch``) — one maintenance pass, one rule refresh,
   one invariant check and one revision bump per flush — so readers
   observe either the pre-batch or the post-batch rule set, never a
@@ -26,7 +27,7 @@ Concurrency model, per session:
   event (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`),
   journals that prefix, applies it as one batch (one revision bump),
   drops the poison event and re-queues the tail;
-* every write-locked step that commits (create, mine, flush, rebalance
+* every locked step that commits (create, mine, flush, rebalance
   cutover, restore) ends by publishing one frozen
   :class:`RuleSnapshot`.  Reads (:meth:`~CorrelationService.snapshot`,
   ``rules``, ``catalog``, ``query``, ``top_rules`` and ``estimate``)
@@ -45,7 +46,6 @@ import time
 from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -156,52 +156,6 @@ def poison_error(prefix: CompiledPrefix, describe: str, *,
         f"{len(prefix.tail)} re-queued, the failing {noun} dropped")
 
 
-class ReadWriteLock:
-    """Writer-preferring read-write lock.
-
-    Any number of readers may hold the lock together; a writer holds it
-    alone.  Arriving writers block *new* readers, so a steady read load
-    cannot starve flushes.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._active_readers = 0
-        self._active_writer = False
-        self._waiting_writers = 0
-
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._condition:
-            while self._active_writer or self._waiting_writers:
-                self._condition.wait()
-            self._active_readers += 1
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._active_readers -= 1
-                if self._active_readers == 0:
-                    self._condition.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        with self._condition:
-            self._waiting_writers += 1
-            try:
-                while self._active_writer or self._active_readers:
-                    self._condition.wait()
-                self._active_writer = True
-            finally:
-                self._waiting_writers -= 1
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._active_writer = False
-                self._condition.notify_all()
-
-
 @dataclass
 class _Hosted:
     """One named session: an engine plus its locks and update queue."""
@@ -211,7 +165,7 @@ class _Hosted:
     #: The config the engine was built from (per-session override or
     #: the service default) — surfaced to status consumers.
     config: EngineConfig | None = None
-    lock: ReadWriteLock = field(default_factory=ReadWriteLock)
+    lock: threading.Lock = field(default_factory=threading.Lock)
     queue_lock: threading.Lock = field(default_factory=threading.Lock)
     queue: deque[UpdateEvent] = field(default_factory=deque)
     #: Token of the writer holding the inline auto-flush duty (None when
@@ -223,13 +177,13 @@ class _Hosted:
     #: writer legitimately took after the drain.
     flush_claim: object | None = None
     #: The read view of the last commit, replaced (never mutated) under
-    #: the write lock; readers take it without any session lock.
+    #: the session lock; readers take it without any session lock.
     published: RuleSnapshot | None = None
     #: Durability store (``None`` for non-journaled sessions).
     journal: JournalStore | None = None
     #: Journal sequence of the last record this engine consumed: every
     #: flush appends *before* applying and advances this under the
-    #: write lock, so ``journal.last_seq - applied_seq`` is the
+    #: session lock, so ``journal.last_seq - applied_seq`` is the
     #: recovery lag an observer would replay.
     applied_seq: int = 0
 
@@ -318,7 +272,7 @@ class CorrelationService:
                          config=config)
         # Mine before publishing: a failed mine must not leave a broken
         # session squatting on the name (nobody can reach it yet, so no
-        # write lock is needed).
+        # session lock is needed).
         if mine:
             hosted.engine.mine()
         if self._journal_dir is not None:
@@ -508,7 +462,7 @@ class CorrelationService:
         if store is None:
             raise SessionError(f"session {name!r} has no journal to "
                                f"checkpoint")
-        with hosted.lock.write():
+        with hosted.lock:
             store.write_snapshot(hosted.engine, hosted.applied_seq)
         return self.journal_status(name)
 
@@ -522,16 +476,16 @@ class CorrelationService:
         tuples, optionally to a new shard count) without acting.
         Applying builds the replacement engine *outside* the session
         locks from a consistent snapshot, catches it up by streaming
-        the journal slice written since, then takes the write lock for
+        the journal slice written since, then takes the session lock for
         the final slice and the cutover: signature equality is checked
         before the swap, the engine revision bumps exactly once, and
         readers observe either the old engine or the fully caught-up
         new one.  Non-journaled sessions have no stream to catch up
-        from, so they rebuild while holding the write lock (offline
+        from, so they rebuild while holding the session lock (offline
         but still atomic).
         """
         hosted = self._session(name)
-        with hosted.lock.read():
+        with hosted.lock:
             plan = plan_rebalance(hosted.engine, target_shards=shards)
             revision = hosted.engine.revision
         if dry_run:
@@ -539,10 +493,10 @@ class CorrelationService:
                                    applied=False, revision=revision)
         store = hosted.journal
         if store is None:
-            with hosted.lock.write():
+            with hosted.lock:
                 return self._cutover(hosted, plan,
                                      base_seq=0, caught_up=0)
-        with hosted.lock.read():
+        with hosted.lock:
             document = persistence.snapshot(
                 hosted.engine, journal_seq=hosted.applied_seq)
             base_seq = hosted.applied_seq
@@ -550,7 +504,7 @@ class CorrelationService:
         # Catch up on traffic that flushed while we rebuilt — without
         # any session lock, racing the live appender, until the lag is
         # gone (bounded: give up the lock-free chase after a few laps
-        # and let the write-lock pass below absorb the rest).
+        # and let the locked pass below absorb the rest).
         caught = base_seq
         caught_up = 0
         for _lap in range(8):
@@ -561,7 +515,7 @@ class CorrelationService:
             replay_into(new_engine, records)
             caught_up += len(records)
             caught = records[-1].seq
-        with hosted.lock.write():
+        with hosted.lock:
             records = list(store.records(after=caught,
                                          tolerate_torn_tail=True))
             if records:
@@ -575,7 +529,7 @@ class CorrelationService:
                  base_seq: int, caught_up: int,
                  new_engine: CorrelationEngine | None = None
                  ) -> RebalanceReport:
-        """Swap in the rebuilt engine (write lock held by the caller)
+        """Swap in the rebuilt engine (session lock held by the caller)
         and publish it.
 
         The old engine stays untouched until the replacement proves
@@ -610,9 +564,9 @@ class CorrelationService:
             caught_up_records=caught_up, revision=new_engine.revision)
 
     def skew(self, name: str):
-        """Live-tuple shard balance of the session (read lock)."""
+        """Live-tuple shard balance of the session (session lock)."""
         hosted = self._session(name)
-        with hosted.lock.read():
+        with hosted.lock:
             return shard_skew(hosted.engine)
 
     # -- writes ---------------------------------------------------------------
@@ -667,7 +621,7 @@ class CorrelationService:
         """Apply every queued event as **one** coalesced batch,
         atomically with respect to readers.
 
-        The whole drain is a single write-lock critical section and one
+        The whole drain is a single session-lock critical section and one
         commit: the engine compiles the queue into a delta plan
         (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`),
         the plan is journaled, then applied with one maintenance pass,
@@ -689,7 +643,7 @@ class CorrelationService:
         instrumentation = self._instrumentation
         started = time.perf_counter()
         try:
-            with hosted.lock.write():
+            with hosted.lock:
                 try:
                     with hosted.queue_lock:
                         batch = list(hosted.queue)
@@ -708,7 +662,7 @@ class CorrelationService:
                         report = hosted.engine.apply_plan(prefix.plan)
                         if hosted.journal is not None:
                             # Periodic compacted snapshot, inside the
-                            # write lock so the state it captures is the
+                            # session lock so the state it captures is the
                             # flushed one.
                             hosted.journal.maybe_snapshot(
                                 hosted.engine, hosted.applied_seq)
@@ -763,8 +717,8 @@ class CorrelationService:
         This is the "exact refresh behind the estimate" write path:
         the caller queues events, kicks the flush here, and serves
         :meth:`estimate` reads immediately — the pending overlay covers
-        the queue until the batch reaches the substrate, the sketch
-        observers cover it from then on, and the Future resolves when
+        the queue until the batch reaches the substrate, the vertical
+        index covers it from then on, and the Future resolves when
         the exact rules (and the next exact snapshot) are published.
         """
         hosted = self._session(name)  # fail fast on unknown sessions
@@ -779,7 +733,7 @@ class CorrelationService:
     def mine(self, name: str) -> MaintenanceReport:
         """(Re-)run the initial from-scratch pass for ``name``."""
         hosted = self._session(name)
-        with hosted.lock.write():
+        with hosted.lock:
             try:
                 if (hosted.journal is not None
                         and hosted.journal.has_snapshot):
@@ -853,32 +807,28 @@ class CorrelationService:
                  kind: RuleKind | None = None,
                  z: float | None = None,
                  confidence_level: float | None = None) -> EstimateSnapshot:
-        """An approximate snapshot that never waits for a flush.
+        """A snapshot that never waits for a flush.
 
         ``mode=estimate`` in one call: candidates come from the
-        published catalog, counts come from the engine's
-        maintenance-fresh sketch registries plus an exact overlay of
-        still-queued insert events, and every metric carries its error
-        bound.  The only lock taken on the hot path is the queue mutex
-        (one list copy); the session read lock is touched once ever, to
-        build the sketches without racing a writer, and when a
-        rebalance swapped the engine between the two unlocked reads.
+        published catalog, counts come from the engine's vertical
+        index plus an exact overlay of still-queued insert events, and
+        every metric carries its (zero) error bound.  The only lock
+        taken is the queue mutex (one list copy); the session lock is
+        touched only when a rebalance swapped the engine between the
+        two unlocked reads.
         """
         hosted = self._session(name)
         snap = self._published(hosted)
         engine = hosted.engine
         if engine.vocabulary is not snap.vocabulary:
             # A cutover published between the two reads; under the
-            # read lock the engine and its snapshot match.
-            with hosted.lock.read():
+            # session lock the engine and its snapshot match.
+            with hosted.lock:
                 snap, engine = hosted.published, hosted.engine
         if snap.catalog is None:
             raise SessionError(
                 f"session {name!r} has no mined rules to estimate — "
                 f"call mine() first")
-        if not engine.sketches_ready:
-            with hosted.lock.read():
-                engine.warm_sketches()
         with hosted.queue_lock:
             pending = list(hosted.queue)
         started = time.perf_counter()
@@ -909,9 +859,10 @@ class CorrelationService:
         return hosted.config
 
     def verify(self, name: str) -> VerificationResult:
-        """Re-mine from scratch and compare (read lock: no mutation)."""
+        """Re-mine from scratch and compare (session lock: no
+        mutation, but no concurrent flush either)."""
         hosted = self._session(name)
-        with hosted.lock.read():
+        with hosted.lock:
             return hosted.engine.verify_against_remine()
 
     def _published(self, hosted: _Hosted) -> RuleSnapshot:
@@ -921,7 +872,7 @@ class CorrelationService:
 
     def _publish(self, hosted: _Hosted) -> None:
         """Publish the engine's committed state as the session's read
-        snapshot (write lock held, or the session not yet visible).
+        snapshot (session lock held, or the session not yet visible).
 
         The engine's catalog is the commit marker: it changes identity
         with every revision bump and every rule-set replacement, so a

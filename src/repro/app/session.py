@@ -170,11 +170,11 @@ class Session:
                        z: float | None = None,
                        confidence_level: float | None = None
                        ) -> EstimateSnapshot:
-        """Approximate rule ranking with error bounds (menu option 19).
+        """Estimated rule ranking (menu option 19).
 
-        Re-scores the current catalog through the engine's bottom-k
-        sketches and folds queued-but-unflushed insert updates in
-        exactly — the standalone twin of the serving facade's
+        Re-counts the current catalog's rules from the engine's
+        vertical index and folds queued-but-unflushed insert updates
+        in exactly — the standalone twin of the serving facade's
         ``mode=estimate`` read.
         """
         manager = self._require_manager()

@@ -28,26 +28,15 @@ from repro.mining.itemsets import ItemVocabulary, Itemset, Transaction
 class VerticalIndex:
     """Maintained item -> tidset map over the live transactions.
 
-    An optional *observer* (the sketch registry of
-    :mod:`repro.mining.sketch`) rides along on the four maintenance
-    methods — the single choke point every engine mutation path funnels
-    through — so derived structures stay fresh at O(delta) cost without
-    a second walk over the batch.
+    The four maintenance methods are the single choke point every
+    engine mutation path funnels through; the read side answers
+    frequencies and itemset counts straight from the bitmaps, which
+    is also how estimate reads count (:mod:`repro.app.estimate`).
     """
 
     def __init__(self, vocabulary: ItemVocabulary) -> None:
         self._vocabulary = vocabulary
         self._bitmaps = BitmapIndex()
-        self._observer = None
-
-    def set_observer(self, observer) -> None:
-        """Attach (or detach with ``None``) a maintenance observer.
-
-        The observer must expose ``on_add(item, tid)`` and
-        ``on_discard(item, tid, remaining_tids)``; callbacks fire only
-        for deltas that actually changed the bitmap state.
-        """
-        self._observer = observer
 
     @classmethod
     def from_bitmaps(cls, vocabulary: ItemVocabulary,
@@ -62,27 +51,18 @@ class VerticalIndex:
     # -- maintenance --------------------------------------------------------
 
     def add_transaction(self, tid: int, items: Transaction) -> None:
-        observer = self._observer
         for item in items:
-            if observer is not None and tid not in self._bitmaps.tidset(item):
-                observer.on_add(item, tid)
             self._bitmaps.add(item, tid)
 
     def extend_transaction(self, tid: int, new_items: Iterable[int]) -> None:
-        observer = self._observer
         for item in new_items:
-            if observer is not None and tid not in self._bitmaps.tidset(item):
-                observer.on_add(item, tid)
             self._bitmaps.add(item, tid)
 
     def shrink_transaction(self, tid: int, removed_items: Iterable[int]) -> None:
-        observer = self._observer
         for item in removed_items:
             if not self._bitmaps.discard(item, tid):
                 raise MaintenanceError(
                     f"index does not record item {item} on tid {tid}")
-            if observer is not None:
-                observer.on_discard(item, tid, self._bitmaps.tidset(item))
 
     def remove_transaction(self, tid: int, items: Transaction) -> None:
         self.shrink_transaction(tid, items)

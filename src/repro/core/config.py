@@ -44,12 +44,6 @@ class EngineConfig:
     #: are byte-identical to the monolithic ones (SON-style exact
     #: merge).
     shards: int = 1
-    #: Bottom-k sample size of the approximate read tier
-    #: (:mod:`repro.mining.sketch`): each item keeps the ``sketch_k``
-    #: smallest tid hashes, giving estimate relative error around
-    #: ``1/sqrt(sketch_k)``.  Sketches are built lazily on the first
-    #: estimate read, so exact-only workloads pay nothing.
-    sketch_k: int = 256
 
     def __post_init__(self) -> None:
         # Thresholds shares its validation; a bad fraction raises here.
@@ -62,8 +56,7 @@ class EngineConfig:
                 raise InvalidThresholdError(
                     f"{name} must be a bool, got {value!r}")
         for name, least, optional in (("max_length", 1, True),
-                                      ("shards", 1, False),
-                                      ("sketch_k", 8, False)):
+                                      ("shards", 1, False)):
             value = getattr(self, name)
             if optional and value is None:
                 continue

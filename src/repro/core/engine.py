@@ -84,7 +84,6 @@ from repro.mining.constraints import CombinedRelevanceConstraint
 from repro.mining.bitmap import BitmapIndex
 from repro.mining.eclat import mine_frequent_itemsets_vertical
 from repro.mining.fup import fup_update
-from repro.mining.sketch import Estimate, RuleEstimate, SketchIndex
 from repro.mining.itemsets import (
     Itemset,
     ItemVocabulary,
@@ -232,13 +231,6 @@ class CorrelationEngine:
         #: the memo, or reads would serve rules the engine no longer
         #: holds.
         self._catalog_base: RuleCatalog | None = None
-        #: Approximate read tier (built lazily; ``None`` until the
-        #: first estimate read, so exact-only workloads never pay for
-        #: sketch maintenance).  ``_sketch_source`` records which index
-        #: object the registry observes — a wholesale index replacement
-        #: (``mine()`` adopting a substrate) invalidates it.
-        self._sketches: SketchIndex | None = None
-        self._sketch_source: VerticalIndex | None = None
 
     # -- properties ----------------------------------------------------------
 
@@ -308,54 +300,6 @@ class CorrelationEngine:
         revision (the catalog memoizes the enriched clone)."""
         index = self.index
         return {rhs: index.frequency(rhs) for rhs in base.rhs_items()}
-
-    # -- the approximate read tier ------------------------------------------
-
-    def sketches(self) -> SketchIndex:
-        """The bottom-k sketch registry over the live vertical index.
-
-        Built lazily in one sweep on first use, then kept fresh by the
-        index's maintenance observer at O(delta) per applied batch —
-        never a re-mine.  A wholesale index replacement (a fresh
-        ``mine()`` adopting a substrate) is detected by identity and
-        triggers a rebuild on the next estimate read.
-        """
-        if self._sketches is None or self._sketch_source is not self.index:
-            self._sketches = SketchIndex.from_mapping(
-                self.index.as_mapping(), k=self.config.sketch_k)
-            self.index.set_observer(self._sketches)
-            self._sketch_source = self.index
-        return self._sketches
-
-    @property
-    def sketches_ready(self) -> bool:
-        """True when the registry is built and tracking the live index."""
-        return (self._sketches is not None
-                and self._sketch_source is self.index)
-
-    def warm_sketches(self) -> None:
-        """Force the lazy sketch build.  Callers that must not race a
-        concurrent writer (the serving facade) run this once under
-        their read lock; after that, estimate reads are lock-free."""
-        self.sketches()
-
-    def sketch_cardinality(self, item: int) -> int:
-        """Exact live occurrence count of one item (the sketch tracks
-        the full cardinality even when it samples the tidset)."""
-        self._require_mined()
-        return self.sketches().cardinality(item)
-
-    def estimate_itemset(self, items: Itemset | Iterable[int], *,
-                         z: float = 2.0) -> Estimate:
-        """Approximate ``count(items)`` with an error bound."""
-        self._require_mined()
-        return self.sketches().itemset_estimate(items, z=z)
-
-    def estimate_rule(self, lhs: Itemset | Iterable[int], rhs: int, *,
-                      z: float = 2.0) -> RuleEstimate:
-        """Approximate support/confidence/lift of ``lhs -> rhs``."""
-        self._require_mined()
-        return self.sketches().rule_estimate(lhs, rhs, self.db_size, z=z)
 
     def adopt_revision(self, revision: int) -> None:
         """Install a restored revision counter (persistence only):

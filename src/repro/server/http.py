@@ -591,9 +591,9 @@ class CorrelationServer:
     async def _take_estimate(self, request: Request, tenant: str, *,
                              n: int | None, metric: str,
                              kind: RuleKind | None):
-        """Run the approximate read on the executor (the first call per
-        engine builds the sketches) and kick the exact-behind refresh
-        when anything is pending.  Returns ``(estimate, scheduled)``."""
+        """Run the estimate read on the executor and kick the
+        exact-behind refresh when anything is pending.  Returns
+        ``(estimate, scheduled)``."""
         state = self._tenant(tenant)
         self._snapshot_view(tenant)  # 409 before any estimate work
         level = self._confidence_level_param(request)
@@ -899,7 +899,7 @@ class CorrelationServer:
             raise HttpError(
                 400, "min_chi_square / max_p_value need exact mode — "
                      "significance is computed from exact contingency "
-                     "tables, not sketch estimates")
+                     "tables, not estimates")
         for unsupported in ("mentioning", "rhs"):
             if request.param(unsupported) is not None:
                 raise HttpError(

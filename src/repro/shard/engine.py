@@ -51,13 +51,6 @@ from repro.core.maintenance import (
     PhaseTimings,
 )
 from repro.errors import MaintenanceError
-from repro.mining.sketch import (
-    Estimate,
-    RuleEstimate,
-    SketchIndex,
-    combine_rule_estimate,
-    sum_estimates,
-)
 from repro.mining.son import candidate_union, merge_counts
 from repro.relation.relation import AnnotatedRelation
 from repro.shard.partition import (
@@ -171,50 +164,6 @@ class ShardedEngine(CorrelationEngine):
         report.duration_seconds = time.perf_counter() - started
         self._finish(report)
         return report
-
-    # -- the approximate read tier ----------------------------------------------
-
-    def sketches(self) -> SketchIndex:
-        raise MaintenanceError(
-            "a sharded engine has no single sketch registry — estimates "
-            "compose per-shard; use estimate_itemset / estimate_rule")
-
-    @property
-    def sketches_ready(self) -> bool:
-        return all(shard.sketches_ready for shard in self._shards)
-
-    def warm_sketches(self) -> None:
-        for shard in self._shards:
-            shard.warm_sketches()
-
-    def sketch_cardinality(self, item: int) -> int:
-        self._require_mined()
-        return sum(shard.sketch_cardinality(item)
-                   for shard in self._shards)
-
-    def estimate_itemset(self, items, *, z: float = 2.0) -> Estimate:
-        """Approximate global count: shard-local KMV estimates summed
-        (tid spaces are disjoint, so values and bounds both add)."""
-        self._require_mined()
-        itemset = tuple(items)
-        return sum_estimates(
-            shard.estimate_itemset(itemset, z=z) for shard in self._shards)
-
-    def estimate_rule(self, lhs, rhs: int, *, z: float = 2.0) -> RuleEstimate:
-        """Approximate support/confidence/lift of ``lhs -> rhs`` from
-        the per-shard registries (shared vocabulary: item ids need no
-        translation; only tids are shard-local, and counts compose)."""
-        self._require_mined()
-        lhs_items = tuple(lhs)
-        both = sum_estimates(
-            shard.estimate_itemset(lhs_items + (rhs,), z=z)
-            for shard in self._shards)
-        lhs_estimate = sum_estimates(
-            shard.estimate_itemset(lhs_items, z=z) for shard in self._shards)
-        rhs_count = sum(shard.sketches().cardinality(rhs)
-                        for shard in self._shards)
-        return combine_rule_estimate(both, lhs_estimate, rhs_count,
-                                     self.db_size)
 
     # -- the SON merge ----------------------------------------------------------
 

@@ -203,13 +203,12 @@ class TestLockFreeReads:
     def test_reads_return_while_a_writer_holds_the_session(self):
         service = CorrelationService(config=ENGINE)
         service.create("s", make_relation())
-        service.estimate("s")   # build the sketches before the hold
         hosted = service._session("s")
         held = threading.Event()
         release = threading.Event()
 
         def writer():
-            with hosted.lock.write():
+            with hosted.lock:
                 held.set()
                 release.wait(timeout=10)
 
@@ -229,7 +228,7 @@ class TestLockFreeReads:
             thread.start()
             thread.join(timeout=2)
             assert not thread.is_alive(), \
-                "a read waited for the session's write lock"
+                "a read waited for the session lock"
         finally:
             release.set()
             holder.join(timeout=5)
@@ -244,6 +243,53 @@ class TestLockFreeReads:
         assert after.vocabulary is not before.vocabulary
         assert after.vocabulary is service._session("s").engine.vocabulary
         assert after.signature == before.signature
+
+
+class TestSessionLock:
+    """One plain lock per session: the operations that take it wait for
+    an active writer, then complete once it lets go."""
+
+    OPERATIONS = {
+        "flush": lambda service: service.flush("s"),
+        "verify": lambda service: service.verify("s"),
+        "skew": lambda service: service.skew("s"),
+        "plan": lambda service: service.rebalance("s", dry_run=True),
+        "rebalance": lambda service: service.rebalance("s", shards=2),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_waits_for_an_active_writer(self, operation):
+        service = CorrelationService(config=ENGINE)
+        service.create("s", make_relation())
+        service.submit("s", AddAnnotations.build([(3, "A")]))
+        hosted = service._session("s")
+        held = threading.Event()
+        release = threading.Event()
+        done = threading.Event()
+
+        def writer():
+            with hosted.lock:
+                held.set()
+                release.wait(timeout=10)
+
+        def locked_call():
+            self.OPERATIONS[operation](service)
+            done.set()
+
+        holder = threading.Thread(target=writer)
+        holder.start()
+        assert held.wait(timeout=5)
+        caller = threading.Thread(target=locked_call)
+        try:
+            caller.start()
+            assert not done.wait(timeout=0.1), \
+                f"{operation} ran alongside the writer"
+        finally:
+            release.set()
+            holder.join(timeout=5)
+        assert done.wait(timeout=10), f"{operation} never completed"
+        caller.join(timeout=5)
+        assert service.verify("s").equivalent
 
 
 class TestJournalNames:

@@ -1,19 +1,22 @@
-"""The approximate read tier: overlays, estimate snapshots, serving.
+"""The estimate read tier: metrics, overlays, snapshots, serving.
 
-Covers the three layers of ``mode=estimate``: event-queue overlay
-encoding (:mod:`repro.app.estimate`), the estimate snapshot itself
-(exact at reference scale, bounded everywhere), and the serving
-facade's lock-light read + async exact-refresh write path.
+Covers the layers of ``mode=estimate``: the count-to-metric arithmetic
+and event-queue overlay encoding (:mod:`repro.app.estimate`), the
+estimate snapshot itself (exact counts, zero bounds), and the serving
+facade's lock-free read + async exact-refresh write path.
 """
 
 import pytest
 
 from repro.app.estimate import (
     ESTIMATE_METRICS,
+    Estimate,
     EstimateSnapshot,
     PendingOverlay,
+    combine_rule_estimate,
     estimate_snapshot,
     overlay_from_events,
+    z_score,
 )
 from repro.app.service import CorrelationService
 from repro.app.session import Session
@@ -27,7 +30,8 @@ from repro.core.events import (
     RemoveTuples,
 )
 from repro.core.rules import RuleKind
-from repro.errors import SessionError
+from repro.errors import MiningError, SessionError
+from repro.synth.workloads import paper_scale
 from tests.conftest import make_relation
 
 CONFIG = EngineConfig(min_support=0.25, min_confidence=0.6)
@@ -46,6 +50,70 @@ def overlay_for(manager, events):
         events, relation=manager.relation,
         vocabulary=manager.vocabulary,
         generalizer=manager.generalizer)
+
+
+class TestZScore:
+    def test_standard_levels(self):
+        assert z_score(0.95) == pytest.approx(1.959964, abs=1e-5)
+        assert z_score(0.99) == pytest.approx(2.575829, abs=1e-5)
+
+    def test_monotone_in_the_level(self):
+        assert z_score(0.99) > z_score(0.95) > z_score(0.5)
+
+    @pytest.mark.parametrize("level", (0.0, 1.0, -0.5, 1.5))
+    def test_out_of_range_rejected(self, level):
+        with pytest.raises(MiningError, match=r"\(0, 1\)"):
+            z_score(level)
+
+
+class TestEstimate:
+    def test_negative_bound_rejected(self):
+        with pytest.raises(MiningError, match=">= 0"):
+            Estimate(value=1.0, bound=-0.1, exact=False)
+
+    def test_exactly(self):
+        estimate = Estimate.exactly(4.0)
+        assert estimate == Estimate(value=4.0, bound=0.0, exact=True)
+
+
+class TestCombineRuleEstimate:
+    def test_arithmetic(self):
+        combined = combine_rule_estimate(
+            both=Estimate(3.0, 0.5, False),
+            lhs=Estimate(6.0, 0.25, False),
+            rhs_count=4, db_size=10)
+        assert combined.support == pytest.approx(0.3)
+        assert combined.support_bound == pytest.approx(0.05)
+        assert combined.confidence == pytest.approx(0.5)
+        # Ratio propagation: (d_both + conf * d_lhs) / lhs.
+        assert combined.confidence_bound == pytest.approx(
+            (0.5 + 0.5 * 0.25) / 6.0)
+        assert combined.lift == pytest.approx(0.5 / 0.4)
+        assert combined.lift_bound == pytest.approx(
+            combined.confidence_bound / 0.4)
+        assert combined.count == pytest.approx(3.0)
+        assert not combined.exact
+
+    def test_exact_inputs_give_exact_output(self):
+        combined = combine_rule_estimate(
+            both=Estimate.exactly(3.0), lhs=Estimate.exactly(6.0),
+            rhs_count=4, db_size=10)
+        assert combined.exact
+        assert combined.confidence_bound == 0.0
+
+    def test_bounds_clamped_into_unit_range(self):
+        combined = combine_rule_estimate(
+            both=Estimate(5.0, 100.0, False),
+            lhs=Estimate(5.0, 100.0, False),
+            rhs_count=5, db_size=10)
+        assert combined.support_bound <= 1.0
+        assert combined.confidence_bound <= 1.0
+
+    def test_empty_database_yields_zeros(self):
+        combined = combine_rule_estimate(
+            both=Estimate.exactly(0.0), lhs=Estimate.exactly(0.0),
+            rhs_count=0, db_size=0)
+        assert combined.support == combined.confidence == combined.lift == 0.0
 
 
 class TestPendingOverlay:
@@ -310,6 +378,41 @@ class TestServiceEstimate:
             assert bundle.estimate_seconds.count == 2
         finally:
             service.close()
+
+
+class TestZValidation:
+    """``z`` must be a finite number > 0 whatever the tenant's size —
+    it used to pass or crash depending on whether any count was
+    sampled."""
+
+    @pytest.fixture(scope="class", params=(200, 8000),
+                    ids=("paper200", "paper8000"))
+    def paper_service(self, request):
+        workload = paper_scale(request.param)
+        service = CorrelationService(config=EngineConfig(
+            min_support=workload.min_support,
+            min_confidence=workload.min_confidence))
+        service.create("t", workload.relation)
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize("z", (-1.0, float("nan"), 0.0, float("inf")))
+    def test_bad_z_rejected(self, paper_service, z):
+        with pytest.raises(SessionError, match="z must be a finite"):
+            paper_service.estimate("t", z=z)
+
+    def test_good_z_echoed(self, paper_service):
+        snap = paper_service.estimate("t", z=1.5)
+        assert snap.z == 1.5 and len(snap) > 0
+        assert all(er.bound(metric) == 0.0 for er in snap
+                   for metric in ESTIMATE_METRICS)
+
+    def test_confidence_level_echoed(self, paper_service):
+        snap = paper_service.estimate("t", confidence_level=0.95)
+        assert snap.confidence_level == 0.95
+        assert snap.z == z_score(0.95) and len(snap) > 0
+        assert all(er.bound(metric) == 0.0 for er in snap
+                   for metric in ESTIMATE_METRICS)
 
 
 class TestSessionEstimate:

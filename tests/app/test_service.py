@@ -1,11 +1,10 @@
 """CorrelationService: named sessions, batched updates, concurrency."""
 
 import threading
-import time
 
 import pytest
 
-from repro.app.service import CorrelationService, ReadWriteLock, RuleSnapshot
+from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.config import EngineConfig
 from repro.core.events import (
     AddAnnotatedTuples,
@@ -335,71 +334,6 @@ class TestUpdateQueue:
         service.create("s", make_relation())
         for rule in service.rules("s", RuleKind.DATA_TO_ANNOTATION):
             assert rule.kind is RuleKind.DATA_TO_ANNOTATION
-
-
-class TestReadWriteLock:
-    def test_readers_share_writers_exclude(self):
-        lock = ReadWriteLock()
-        entered = threading.Event()
-        release = threading.Event()
-        writer_done = threading.Event()
-
-        def slow_reader():
-            with lock.read():
-                entered.set()
-                release.wait(timeout=5)
-
-        def writer():
-            with lock.write():
-                writer_done.set()
-
-        reader_thread = threading.Thread(target=slow_reader)
-        reader_thread.start()
-        assert entered.wait(timeout=5)
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        time.sleep(0.05)
-        assert not writer_done.is_set(), "writer entered alongside a reader"
-        release.set()
-        assert writer_done.wait(timeout=5)
-        reader_thread.join(timeout=5)
-        writer_thread.join(timeout=5)
-
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = ReadWriteLock()
-        first_reader_in = threading.Event()
-        first_reader_release = threading.Event()
-        second_reader_in = threading.Event()
-        writer_in = threading.Event()
-
-        def first_reader():
-            with lock.read():
-                first_reader_in.set()
-                first_reader_release.wait(timeout=5)
-
-        def writer():
-            with lock.write():
-                writer_in.set()
-
-        def second_reader():
-            with lock.read():
-                second_reader_in.set()
-
-        threads = [threading.Thread(target=first_reader)]
-        threads[0].start()
-        assert first_reader_in.wait(timeout=5)
-        threads.append(threading.Thread(target=writer))
-        threads[1].start()
-        time.sleep(0.05)  # let the writer start waiting
-        threads.append(threading.Thread(target=second_reader))
-        threads[2].start()
-        time.sleep(0.05)
-        assert not second_reader_in.is_set(), "reader overtook waiting writer"
-        first_reader_release.set()
-        assert writer_in.wait(timeout=5)
-        assert second_reader_in.wait(timeout=5)
-        for thread in threads:
-            thread.join(timeout=5)
 
 
 class TestConcurrentReadsDuringFlush:

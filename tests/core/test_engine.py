@@ -26,10 +26,10 @@ class TestEngineConfig:
     def test_fields(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "min_support", "min_confidence", "margin", "generalizer",
-            "max_length", "track_candidates", "validate", "shards",
-            "sketch_k"]
+            "max_length", "track_candidates", "validate", "shards"]
 
-    @pytest.mark.parametrize("field", ["max_log_events", "shard_workers"])
+    @pytest.mark.parametrize("field", ["max_log_events", "shard_workers",
+                                       "sketch_k"])
     def test_removed_options_fail_at_construction(self, field):
         with pytest.raises(TypeError, match=field):
             EngineConfig(min_support=0.2, min_confidence=0.6,
@@ -38,7 +38,6 @@ class TestEngineConfig:
     @pytest.mark.parametrize("field,value", [
         ("max_length", 0), ("max_length", 2.5), ("max_length", True),
         ("shards", 0), ("shards", True),
-        ("sketch_k", 4), ("sketch_k", 16.0),
         ("track_candidates", "no"), ("validate", 1),
     ])
     def test_bad_field_value_rejected(self, field, value):

@@ -5,7 +5,8 @@ most 1 KB per tuple: tuples are slotted and share their empty label
 set and their row anchor, data values and annotation ids are interned,
 and the transaction store packs each transaction as a tuple of ids.
 The bound covers the served path too: a tenant created from the
-JSON-decoded rows of a create body, once the body is gone.
+JSON-decoded rows of a create body, once the body is gone.  A first
+estimate read on a mined tenant adds next to nothing on top.
 The packing must stay invisible: after a mixed flush, after a copy
 and re-mine, and after a snapshot restore, the store answers exactly
 what encoding the tuple afresh gives.
@@ -79,6 +80,31 @@ def test_a_tenant_created_from_decoded_json_retains_at_most_1kb_per_tuple():
     assert status["db_size"] == N_TUPLES and status["rules"] > 0
     assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
         f"{retained / N_TUPLES:.0f} B retained per tuple")
+
+
+#: What a first estimate read may leave behind on a mined tenant: it
+#: counts from the engine's own index, so it builds nothing to keep.
+MAX_ESTIMATE_RETAINED = 16 * 1024
+
+
+def test_a_first_estimate_retains_no_second_index():
+    workload = paper_scale(N_TUPLES)
+    service = CorrelationService(config=EngineConfig(
+        min_support=workload.min_support,
+        min_confidence=workload.min_confidence))
+    service.create("paper", workload.relation)
+    del workload
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(service.estimate("paper")) > 0
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        service.close()
+    assert retained <= MAX_ESTIMATE_RETAINED, (
+        f"a first estimate retained {retained} B")
 
 
 def assert_store_matches_relation(engine: CorrelationEngine) -> None:

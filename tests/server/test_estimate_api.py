@@ -1,7 +1,8 @@
 """HTTP surface of the approximate tier and the significance tier.
 
-``estimate=true`` turns the read endpoints into sketch-backed answers
-with error bounds plus an automatic exact-refresh flush behind them;
+``estimate=true`` turns the read endpoints into answers counted from
+the engine's index plus the pending queue, with (zero) error bounds and
+an automatic exact-refresh flush behind them;
 ``chi_square`` / ``p_value`` floors and orderings stay exact-mode and
 carry the significance figures in every rule payload.
 """
@@ -39,8 +40,11 @@ class TestEstimateTop:
                 assert f"{metric}_bound" in rule
                 assert rule[f"{metric}_bound"] >= 0.0
             assert "rendered" in rule and "±" in rule["rendered"]
-        # Reference scale: every sketch is exhaustive, answers exact.
+        # Counts come from the index itself: every answer is exact.
         assert all(rule["exact"] for rule in body["rules"])
+        assert all(rule[f"{metric}_bound"] == 0.0
+                   for rule in body["rules"]
+                   for metric in ("support", "confidence", "lift"))
 
     def test_estimate_agrees_with_exact_at_small_scale(self, served_tenant):
         _, exact, _ = served_tenant.request(
@@ -189,13 +193,15 @@ class TestSignificanceTier:
 
 
 class TestTenantConfig:
-    def test_sketch_k_round_trips_through_tenant_config(self, served):
+    def test_sketch_k_is_an_unknown_config_field(self, served):
+        """Estimates count from the engine's own index, so the old
+        sample-size knob names nothing: 400, and no tenant appears."""
         status, body, _ = served.request(
             "POST", "/v1/tenants",
             {"name": "k64", "columns": ["c1", "c2"], "rows": ROWS,
              "config": {"sketch_k": 64}})
-        assert status == 201
-        assert body["tenant"]["config"]["sketch_k"] == 64
-        status, body, _ = served.request(
-            "GET", "/v1/k64/rules/top?estimate=true")
-        assert status == 200
+        assert status == 400
+        assert "unknown engine config field" in body["error"]
+        assert "sketch_k" in body["error"]
+        status, _, _ = served.request("GET", "/v1/k64")
+        assert status == 404

@@ -180,7 +180,7 @@ class TestTenantLifecycle:
         assert config["track_candidates"] is False
         assert sorted(config) == sorted([
             "min_support", "min_confidence", "margin", "max_length",
-            "track_candidates", "validate", "shards", "sketch_k"])
+            "track_candidates", "validate", "shards"])
 
     @pytest.mark.parametrize("config,field", [
         ({"max_length": 2.5}, "max_length"),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.errors import MaintenanceError
-from repro.mining.bitmap import BitmapIndex, BitTidset
+from repro.mining.bitmap import BitmapIndex, tids_from_bits
 from repro.mining.itemsets import ItemVocabulary, Itemset, Transaction
 
 
@@ -75,7 +75,7 @@ class VerticalIndex:
         return self._vocabulary
 
     def tids(self, item: int) -> frozenset[int]:
-        return frozenset(self._bitmaps.tidset(item))
+        return frozenset(tids_from_bits(self._bitmaps.bits(item)))
 
     def frequency(self, item: int) -> int:
         """The annotation frequency table entry for ``item``."""
@@ -104,11 +104,12 @@ class VerticalIndex:
     def items(self) -> list[int]:
         return self._bitmaps.items()
 
-    def as_mapping(self) -> Mapping[int, BitTidset]:
-        """Read-only view handed to the vertical miners.
+    def as_mapping(self) -> Mapping[int, int]:
+        """Read-only item -> bit vector view handed to the vertical miners.
 
-        The view is live but cannot corrupt the index: it exposes no
-        mutators and its values are immutable :class:`BitTidset`\\ s.
+        The view is live but cannot corrupt the index: it is a
+        :class:`types.MappingProxyType` and its values are immutable
+        ints (bit ``t`` set iff tid ``t`` holds the item).
         """
         return self._bitmaps.as_mapping()
 

@@ -9,137 +9,67 @@ item.  Intersection is ``a & b`` (one C-level word-parallel pass) and
 support is ``(a & b).bit_count()``, both orders of magnitude cheaper
 than hashing every tid through ``set`` intersection on dense tidsets.
 
-Two layers live here:
+The miners work on those ints directly.  What lives here:
 
-* :class:`BitTidset` — an immutable set-of-tids value wrapping one such
-  integer.  It implements just enough of the set protocol (``&``,
-  ``|``, ``-``, ``len``, ``in``, iteration, truthiness) that the
-  generic vertical miners in :mod:`repro.mining.eclat` run unchanged on
-  either representation.
 * :class:`BitmapIndex` — the maintained item -> bitmap map.  It is the
   storage engine behind :class:`~repro.core.annotation_index.VerticalIndex`,
   the index every from-scratch mine runs over.  Buckets whose last
   tid is discarded are dropped immediately, so delete-heavy streams
   never iterate dead items.
+* :func:`bits_from_tids` and :func:`tids_from_bits` — the two
+  conversions between a tid collection and its bit vector, both
+  linear in the vector's length.
 
-The index exposes its contents only through :meth:`BitmapIndex.as_mapping`,
-a read-only :class:`~collections.abc.Mapping` view whose values are
-immutable :class:`BitTidset` objects — a consumer cannot corrupt the
-incrementally maintained state through it.
+The index exposes its contents to the miners only through
+:meth:`BitmapIndex.as_mapping`, a read-only live
+:class:`types.MappingProxyType` over the item -> int dict.  Python ints
+are immutable, so a consumer cannot corrupt the incrementally
+maintained state through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import re
+from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from repro.mining.itemsets import Itemset, Transaction
 
 
-class BitTidset:
-    """An immutable set of transaction ids stored as one big integer."""
+def bits_from_tids(tids: Iterable[int]) -> int:
+    """The bit vector of a tid iterable (bit ``t`` set iff ``t`` occurs).
 
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: int = 0) -> None:
-        if bits < 0:
-            raise ValueError(f"tidset bits must be non-negative, got {bits}")
-        self._bits = bits
-
-    @classmethod
-    def from_tids(cls, tids: Iterable[int]) -> "BitTidset":
-        """Bulk-build from a tid iterable.
-
-        Sets bits in a ``bytearray`` (amortized-doubling growth) and
-        converts once with ``int.from_bytes``: O(tids + max_tid/8)
-        total.  The obvious per-tid ``bits |= 1 << tid`` rebuilds the
-        whole big int on every insertion — quadratic on large sparse
-        tid ranges (see ``bench_counting_substrate.py``).
-        """
-        buf = bytearray(8)
-        size = 8
-        for tid in tids:
-            if tid < 0:
-                raise ValueError(f"tids must be non-negative, got {tid}")
-            byte = tid >> 3
-            if byte >= size:
-                size = max(byte + 1, size * 2)
-                buf.extend(bytes(size - len(buf)))
-            buf[byte] |= 1 << (tid & 7)
-        return cls(int.from_bytes(buf, "little"))
-
-    @property
-    def bits(self) -> int:
-        """The raw bit vector (bit ``t`` set iff tid ``t`` is present)."""
-        return self._bits
-
-    # -- set protocol (the subset the vertical miners rely on) ---------------
-
-    def __and__(self, other: "BitTidset") -> "BitTidset":
-        return BitTidset(self._bits & other._bits)
-
-    def __or__(self, other: "BitTidset") -> "BitTidset":
-        return BitTidset(self._bits | other._bits)
-
-    def __sub__(self, other: "BitTidset") -> "BitTidset":
-        return BitTidset(self._bits & ~other._bits)
-
-    def __len__(self) -> int:
-        return self._bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self._bits != 0
-
-    def __contains__(self, tid: int) -> bool:
-        return tid >= 0 and (self._bits >> tid) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitTidset):
-            return self._bits == other._bits
-        if isinstance(other, (set, frozenset)):
-            return self._bits == BitTidset.from_tids(other)._bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._bits)
-
-    def isdisjoint(self, other: "BitTidset") -> bool:
-        return self._bits & other._bits == 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BitTidset({{{', '.join(map(str, self))}}})"
-
-
-class _TidsetView(Mapping):
-    """Read-only item -> :class:`BitTidset` view over a raw bitmap dict.
-
-    The view is live (it reflects later index maintenance) but cannot
-    mutate the underlying state: the Mapping ABC exposes no setters and
-    every value handed out is an immutable :class:`BitTidset`.
+    Sets bits in a ``bytearray`` (amortized-doubling growth) and
+    converts once with ``int.from_bytes``: O(tids + max_tid/8) total.
+    The obvious per-tid ``bits |= 1 << tid`` rebuilds the whole big int
+    on every insertion, which is quadratic on large sparse tid ranges
+    (see ``bench_counting_substrate.py``).
     """
+    buf = bytearray(8)
+    size = 8
+    for tid in tids:
+        if tid < 0:
+            raise ValueError(f"tids must be non-negative, got {tid}")
+        byte = tid >> 3
+        if byte >= size:
+            size = max(byte + 1, size * 2)
+            buf.extend(bytes(size - len(buf)))
+        buf[byte] |= 1 << (tid & 7)
+    return int.from_bytes(buf, "little")
 
-    __slots__ = ("_bits",)
 
-    def __init__(self, bits: dict[int, int]) -> None:
-        self._bits = bits
+_ONE = re.compile("1")
 
-    def __getitem__(self, item: int) -> BitTidset:
-        return BitTidset(self._bits[item])
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._bits)
+def tids_from_bits(bits: int) -> list[int]:
+    """The tids of a non-negative bit vector, ascending.
 
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._bits
+    One ``bin()`` conversion and one regex scan over the reversed digit
+    string: linear in the vector's length.  Peeling the lowest set bit
+    off the big int one tid at a time copies the whole int per tid,
+    which is quadratic on dense vectors.
+    """
+    return [match.start() for match in _ONE.finditer(bin(bits)[:1:-1])]
 
 
 class BitmapIndex:
@@ -206,8 +136,9 @@ class BitmapIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def tidset(self, item: int) -> BitTidset:
-        return BitTidset(self._bits.get(item, 0))
+    def bits(self, item: int) -> int:
+        """``item``'s bit vector; 0 when the item has no live tid."""
+        return self._bits.get(item, 0)
 
     def frequency(self, item: int) -> int:
         return self._bits.get(item, 0).bit_count()
@@ -236,15 +167,15 @@ class BitmapIndex:
             if not bits:
                 return set()
             result &= bits
-        return set(BitTidset(result))
+        return set(tids_from_bits(result))
 
     def items(self) -> list[int]:
         """All items with at least one live tid, sorted."""
         return sorted(self._bits)
 
-    def as_mapping(self) -> Mapping[int, BitTidset]:
-        """Read-only live view handed to the vertical miners."""
-        return _TidsetView(self._bits)
+    def as_mapping(self) -> Mapping[int, int]:
+        """Read-only live item -> bit vector view handed to the miners."""
+        return MappingProxyType(self._bits)
 
     def __contains__(self, item: int) -> bool:
         return item in self._bits

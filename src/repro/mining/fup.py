@@ -18,10 +18,9 @@ The table therefore stays exactly equal to "all admitted itemsets with
 support >= keep_fraction" after any insert batch — the property every
 equivalence test in this repository checks.
 
-The exact global count in step 2 runs through whatever vertical index
-the engine maintains; with the bitmap substrate
-(:mod:`repro.mining.bitmap`) each such count is one big-int AND chain
-plus a popcount, never a database scan.
+The exact global count in step 2 runs through the engine's maintained
+bitmap index (:mod:`repro.mining.bitmap`): each such count is one
+big-int AND chain plus a popcount, never a database scan.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro._util import min_count_for
 from repro.errors import MaintenanceError
-from repro.mining.bitmap import BitTidset
 from repro.mining.constraints import CandidateConstraint
 from repro.mining.eclat import count_itemset
 from repro.mining.itemsets import Itemset, Transaction
@@ -56,15 +54,17 @@ class FupReport:
 def fup_update(table: dict[Itemset, int],
                increment: Sequence[Transaction],
                *,
-               index: Mapping[int, "set[int] | frozenset[int] | BitTidset"],
+               index: Mapping[int, int],
                new_size: int,
                keep_fraction: float,
                constraint: CandidateConstraint,
                max_length: int | None = None) -> FupReport:
     """Update ``table`` in place for ``increment`` newly inserted tuples.
 
-    ``index`` must be the vertical index of the **already updated**
-    database (increment included); ``new_size`` its transaction count.
+    ``index`` must be the item -> bit vector view
+    (:meth:`~repro.mining.bitmap.BitmapIndex.as_mapping`) of the
+    **already updated** database (increment included); ``new_size`` its
+    transaction count.
     ``keep_fraction`` is the support floor the table maintains.  The
     increment-local candidates come from the paper's Apriori pass.
     """

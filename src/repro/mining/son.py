@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.mining.eclat import Tidset, count_itemset
+from repro.mining.eclat import count_itemset
 from repro.mining.itemsets import Itemset
 
 
@@ -51,7 +51,7 @@ def candidate_union(tables: Iterable[Iterable[Itemset]]) -> set[Itemset]:
     return union
 
 
-def count_across(indexes: Iterable[Mapping[int, Tidset]],
+def count_across(indexes: Iterable[Mapping[int, int]],
                  itemset: Itemset) -> int:
     """Exact global count of ``itemset``: one tidset intersection per
     shard index, summed.  Partitions are disjoint by construction, so
@@ -60,7 +60,7 @@ def count_across(indexes: Iterable[Mapping[int, Tidset]],
 
 
 def merge_counts(union: Iterable[Itemset],
-                 indexes: list[Mapping[int, Tidset]],
+                 indexes: list[Mapping[int, int]],
                  *,
                  floor: int) -> dict[Itemset, int]:
     """Phase 2: the exact global table from a phase-1 candidate union.

@@ -52,11 +52,22 @@ class TestCorruptionDetection:
     def test_detects_corrupted_index(self):
         manager = mined_manager()
         item = manager.index.items()[0]
-        # as_mapping() is read-only now, so corrupt the storage directly.
+        # The miners' view is a read-only proxy, so corrupt the storage
+        # directly.
         manager.index._bitmaps.add(item, 9999)
         report = audit(manager)
         assert not report.consistent
         assert any("index" in finding for finding in report.findings)
+
+    def test_detects_a_tid_missing_from_the_index(self):
+        manager = mined_manager()
+        item = manager.index.items()[0]
+        tid = min(manager.index.tids(item))
+        manager.index._bitmaps.discard(item, tid)
+        report = audit(manager)
+        assert not report.consistent
+        assert any("missing/incomplete in the index" in finding
+                   for finding in report.findings)
 
     def test_detects_corrupted_transaction(self):
         manager = mined_manager()

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.mining.bitmap import BitmapIndex, BitTidset
+from repro.mining.bitmap import BitmapIndex, bits_from_tids, tids_from_bits
 
 TRANSACTIONS = [
     frozenset({1, 3, 4}),
@@ -13,80 +13,70 @@ TRANSACTIONS = [
 ]
 
 
-class TestBitTidset:
+def shifted_bits(tids):
+    """The per-tid ``1 << tid`` reference the bulk builder replaces."""
+    bits = 0
+    for tid in tids:
+        bits |= 1 << tid
+    return bits
+
+
+class TestBitConversions:
     def test_from_tids_round_trip(self):
         tids = {0, 3, 17, 200}
-        tidset = BitTidset.from_tids(tids)
-        assert set(tidset) == tids
-        assert len(tidset) == 4
-        assert tidset == tids
-
-    def test_membership(self):
-        tidset = BitTidset.from_tids({2, 5})
-        assert 2 in tidset and 5 in tidset
-        assert 0 not in tidset and 64 not in tidset
-        assert -1 not in tidset
-
-    def test_set_algebra_matches_sets(self, seeds):
-        rng = seeds.rng(5)
-        for _ in range(20):
-            left = set(rng.sample(range(130), rng.randint(0, 40)))
-            right = set(rng.sample(range(130), rng.randint(0, 40)))
-            bit_left = BitTidset.from_tids(left)
-            bit_right = BitTidset.from_tids(right)
-            assert set(bit_left & bit_right) == left & right
-            assert set(bit_left | bit_right) == left | right
-            assert set(bit_left - bit_right) == left - right
-            assert bit_left.isdisjoint(bit_right) == left.isdisjoint(right)
-
-    def test_truthiness_and_equality(self):
-        assert not BitTidset()
-        assert BitTidset.from_tids({0})
-        assert BitTidset.from_tids({1, 2}) == BitTidset.from_tids({2, 1})
-        assert BitTidset.from_tids({1}) != BitTidset.from_tids({2})
-        assert hash(BitTidset.from_tids({7})) == hash(BitTidset.from_tids({7}))
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            BitTidset(-1)
+        bits = bits_from_tids(tids)
+        assert tids_from_bits(bits) == sorted(tids)
+        assert bits.bit_count() == 4
 
     def test_from_tids_negative_tid_rejected(self):
         with pytest.raises(ValueError):
-            BitTidset.from_tids([3, -1])
+            bits_from_tids([3, -1])
 
     def test_from_tids_word_boundaries(self):
         """The bulk (bytearray) build is exact at every byte/word seam
         and for duplicates — same bits as the per-tid reference."""
         edge_tids = [0, 7, 8, 63, 64, 65, 127, 128, 511, 512, 4096, 0, 64]
-        bulk = BitTidset.from_tids(edge_tids)
-        reference = 0
-        for tid in edge_tids:
-            reference |= 1 << tid
-        assert bulk.bits == reference
-        assert set(bulk) == set(edge_tids)
+        bulk = bits_from_tids(edge_tids)
+        assert bulk == shifted_bits(edge_tids)
+        assert tids_from_bits(bulk) == sorted(set(edge_tids))
 
     def test_from_tids_matches_shift_reference_randomized(self, seeds):
         rng = seeds.rng(61)
         for _ in range(25):
             tids = [rng.randrange(0, rng.choice((9, 65, 1025, 70_000)))
                     for _ in range(rng.randint(0, 60))]
-            reference = 0
-            for tid in tids:
-                reference |= 1 << tid
-            assert BitTidset.from_tids(tids).bits == reference
+            assert bits_from_tids(tids) == shifted_bits(tids)
 
     def test_from_tids_empty_and_singleton(self):
-        assert BitTidset.from_tids([]).bits == 0
-        assert not BitTidset.from_tids([])
-        assert BitTidset.from_tids([0]).bits == 1
-        assert BitTidset.from_tids(iter([70_001])).bits == 1 << 70_001
+        assert bits_from_tids([]) == 0
+        assert bits_from_tids([0]) == 1
+        assert bits_from_tids(iter([70_001])) == 1 << 70_001
+
+    @pytest.mark.parametrize("tids", [
+        set(), {0}, {7}, {8}, {7, 8}, {63}, {64}, {63, 64, 65},
+        {0, 127, 128}, set(range(64)), set(range(0, 513, 8)),
+        {70_001}, {0, 70_001}, set(range(69_990, 70_010)),
+    ])
+    def test_tids_from_bits_matches_set_reference(self, tids):
+        """Every tid comes back once, ascending, across the byte (8)
+        and word (64) seams and at tid 70,001."""
+        assert tids_from_bits(shifted_bits(tids)) == sorted(tids)
+
+    def test_tids_from_bits_randomized_dense_and_sparse(self, seeds):
+        rng = seeds.rng(67)
+        for _ in range(20):
+            span = rng.choice((9, 64, 65, 1025, 70_002))
+            density = rng.choice((0.01, 0.5, 0.99))
+            tids = {tid for tid in range(span) if rng.random() < density}
+            assert tids_from_bits(bits_from_tids(tids)) == sorted(tids)
 
 
 class TestBitmapIndex:
     def test_from_transactions(self):
         index = BitmapIndex.from_transactions(TRANSACTIONS)
-        assert index.tidset(3) == {0, 1, 2}
-        assert index.tidset(4) == {0}
+        assert tids_from_bits(index.bits(3)) == [0, 1, 2]
+        assert index.bits(4) == 0b1
+        assert index.bits(99) == 0
         assert index.frequency(2) == 3
         assert index.frequency(99) == 0
 
@@ -119,14 +109,14 @@ class TestBitmapIndex:
         index = BitmapIndex.from_transactions(TRANSACTIONS)
         view = index.as_mapping()
         with pytest.raises(TypeError):
-            view[1] = BitTidset.from_tids({0})
+            view[1] = 0b1
         with pytest.raises(AttributeError):
-            view[1].add(9)  # values expose no mutators
+            view[1].add(9)  # values are ints: no mutators
         index.add(1, 3)
-        assert 3 in view[1]  # live view reflects maintenance
+        assert tids_from_bits(view[1]) == [0, 2, 3]  # live view
 
     def test_matches_set_reference_on_random_databases(self, seeds):
-        from repro.mining.eclat import build_vertical_index, count_itemset
+        from repro.mining.eclat import build_vertical_index
 
         rng = seeds.rng(29)
         for _ in range(10):
@@ -137,9 +127,10 @@ class TestBitmapIndex:
             sets = build_vertical_index(transactions)
             bitmaps = BitmapIndex.from_transactions(transactions)
             for item, tids in sets.items():
-                assert bitmaps.tidset(item) == tids
+                assert tids_from_bits(bitmaps.bits(item)) == sorted(tids)
             items = sorted(sets)
             for _ in range(25):
                 itemset = tuple(sorted(
                     rng.sample(items, rng.randint(1, min(4, len(items))))))
-                assert bitmaps.count(itemset) == count_itemset(sets, itemset)
+                assert bitmaps.count(itemset) == len(
+                    set.intersection(*(sets[item] for item in itemset)))

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.mining.apriori import mine_frequent_itemsets
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.constraints import CombinedRelevanceConstraint
 from repro.mining.eclat import (
     build_vertical_index,
@@ -22,6 +23,10 @@ TRANSACTIONS = [
 ]
 
 
+def bitmap_view(transactions):
+    return BitmapIndex.from_transactions(transactions).as_mapping()
+
+
 class TestVerticalIndex:
     def test_build(self):
         index = build_vertical_index(TRANSACTIONS)
@@ -29,20 +34,20 @@ class TestVerticalIndex:
         assert index[4] == {0}
 
     def test_count_itemset(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         assert count_itemset(index, (2, 5)) == 3
         assert count_itemset(index, (1, 4)) == 1
         assert count_itemset(index, (4, 5)) == 0
         assert count_itemset(index, (9,)) == 0
 
     def test_count_empty_itemset_needs_universe(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         assert count_itemset(index, (), universe_size=4) == 4
         with pytest.raises(ValueError):
             count_itemset(index, ())
 
     def test_tids_of(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         assert tids_of(index, (2, 5)) == {1, 2, 3}
         with pytest.raises(ValueError):
             tids_of(index, ())
@@ -79,7 +84,7 @@ class TestEclatAgreesWithApriori:
 
 class TestMineContaining:
     def test_counts_are_global(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         mined = mine_containing(index, 5, min_count=2)
         assert mined[(5,)] == 3
         assert mined[(2, 5)] == 3
@@ -89,7 +94,7 @@ class TestMineContaining:
         assert all(5 in itemset for itemset in mined)
 
     def test_equals_filtered_global_mining(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         full = mine_frequent_itemsets(TRANSACTIONS, min_count=2)
         for seed in (1, 2, 3, 5):
             seeded = mine_containing(index, seed, min_count=2)
@@ -98,17 +103,17 @@ class TestMineContaining:
             assert seeded == expected, f"seed {seed}"
 
     def test_infrequent_seed_returns_nothing(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         assert mine_containing(index, 4, min_count=2) == {}
         assert mine_containing(index, 99, min_count=1) == {}
 
     def test_max_length_one_keeps_only_the_seed(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         assert mine_containing(index, 5, min_count=2, max_length=1) == {
             (5,): 3}
 
     def test_candidate_items_restriction(self):
-        index = build_vertical_index(TRANSACTIONS)
+        index = bitmap_view(TRANSACTIONS)
         mined = mine_containing(index, 5, min_count=2,
                                 candidate_items=[2])
         assert set(mined) == {(5,), (2, 5)}
@@ -121,7 +126,7 @@ class TestMineContaining:
         annotation_b = vocabulary.intern_annotation("B")
         transactions = [frozenset({data_x, data_y, annotation_a,
                                    annotation_b})] * 3
-        index = build_vertical_index(transactions)
+        index = bitmap_view(transactions)
         constraint = CombinedRelevanceConstraint(vocabulary)
         mined = mine_containing(index, annotation_a, min_count=2,
                                 constraint=constraint)

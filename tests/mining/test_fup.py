@@ -6,9 +6,13 @@ import pytest
 from repro.errors import MaintenanceError
 from repro.mining.apriori import mine_frequent_itemsets
 from repro.mining.constraints import UnrestrictedConstraint
-from repro.mining.eclat import build_vertical_index
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.fup import fup_update
 from repro._util import min_count_for
+
+
+def bitmap_view(transactions):
+    return BitmapIndex.from_transactions(transactions).as_mapping()
 
 
 def apply_fup(base, increment, keep_fraction):
@@ -16,7 +20,7 @@ def apply_fup(base, increment, keep_fraction):
     table = mine_frequent_itemsets(
         base, min_count=min_count_for(keep_fraction, len(base)))
     full = list(base) + list(increment)
-    index = build_vertical_index(full)
+    index = bitmap_view(full)
     fup_update(table, increment, index=index, new_size=len(full),
                keep_fraction=keep_fraction,
                constraint=UnrestrictedConstraint())
@@ -63,7 +67,7 @@ class TestFupEquivalence:
     def test_empty_increment_only_prunes(self):
         base = [frozenset({1, 2})] * 3
         table = mine_frequent_itemsets(base, min_count=2)
-        index = build_vertical_index(base)
+        index = bitmap_view(base)
         report = fup_update(table, [], index=index, new_size=3,
                             keep_fraction=0.5,
                             constraint=UnrestrictedConstraint())
@@ -75,7 +79,7 @@ class TestFupReport:
         base = [frozenset({1, 2})] * 3
         increment = [frozenset({1, 2}), frozenset({7})]
         table = mine_frequent_itemsets(base, min_count=2)
-        index = build_vertical_index(base + increment)
+        index = bitmap_view(base + increment)
         report = fup_update(table, increment, index=index, new_size=5,
                             keep_fraction=0.4,
                             constraint=UnrestrictedConstraint())

@@ -2,9 +2,10 @@
 
 Every vertical miner and the SON phase-2 merge count through
 :mod:`repro.mining.bitmap`, so its answers must be indistinguishable
-from the obvious set-of-tids reference: every tidset operation the
-miners use, every index query, the maintained index against a rebuild,
-and the merge against a recount of the whole database.  Randomized
+from the obvious set-of-tids reference: the conversions between tids
+and bits and the ``&``/popcount the miners apply to them, every index
+query, the maintained index against a rebuild, and the merge against a
+recount of the whole database.  Randomized
 sequences are seeded through the session router (replay any failure
 with ``--seed``); fixed cases pin the byte (8) and word (64) seams,
 tid 0 and the maximum tid.
@@ -13,11 +14,12 @@ tid 0 and the maximum tid.
 import pytest
 
 from repro.mining.apriori import mine_frequent_itemsets
-from repro.mining.bitmap import BitmapIndex, BitTidset
+from repro.mining.bitmap import BitmapIndex, bits_from_tids, tids_from_bits
 from repro.mining.eclat import (
     build_vertical_index,
     count_itemset,
     mine_frequent_itemsets_vertical,
+    tids_of,
 )
 from repro.mining.son import merge_counts
 
@@ -46,33 +48,28 @@ FIXED_CASES = [
     [set(range(64))],                        # dense full word
     [set(range(130)), {129}],                # max tid at an odd width
     [{0}, set(), {70_000}],                  # empty tidset between others
+    [{70_001}, set(range(69_995, 70_002))],  # far tid, odd offset
 ]
 
 
-class TestBitTidsetDifferential:
+class TestBitConversionDifferential:
     @pytest.mark.parametrize("tid_sets", FIXED_CASES)
     def test_fixed_edge_cases(self, tid_sets):
-        tidsets = [BitTidset.from_tids(tids) for tids in tid_sets]
-        for tidset, tids in zip(tidsets, tid_sets):
-            assert set(tidset) == tids
-            assert list(tidset) == sorted(tids)
-            assert len(tidset) == len(tids)
-            assert bool(tidset) == bool(tids)
-            assert tidset.bits == shifted_bits(tids)
-            assert tidset == tids and tidset == frozenset(tids)
-            top = max(tids, default=0)
-            for probe in (0, 1, 7, 8, 63, 64, 65, top, top + 1):
-                assert (probe in tidset) == (probe in tids), probe
-        for left, left_tids in zip(tidsets, tid_sets):
-            for right, right_tids in zip(tidsets, tid_sets):
-                assert set(left & right) == left_tids & right_tids
-                assert set(left | right) == left_tids | right_tids
-                assert set(left - right) == left_tids - right_tids
-                assert left.isdisjoint(right) == left_tids.isdisjoint(
-                    right_tids)
+        vectors = [bits_from_tids(tids) for tids in tid_sets]
+        for bits, tids in zip(vectors, tid_sets):
+            assert bits == shifted_bits(tids)
+            assert tids_from_bits(bits) == sorted(tids)
+            assert bits.bit_count() == len(tids)
+            assert bool(bits) == bool(tids)
+        for left, left_tids in zip(vectors, tid_sets):
+            for right, right_tids in zip(vectors, tid_sets):
+                assert tids_from_bits(left & right) == sorted(
+                    left_tids & right_tids)
+                assert (left & right).bit_count() == len(
+                    left_tids & right_tids)
 
     def test_randomized_op_sequences(self, seeds):
-        """Random ``&``/``|``/``-``/len/in/iter/truthiness programs,
+        """Random ``&`` chains, popcounts, truthiness and tid listings,
         including results fed back in as operands, agree with sets."""
         rng = seeds.rng(83)
         for _ in range(15):
@@ -82,35 +79,24 @@ class TestBitTidsetDifferential:
                                rng.randint(0, universe // 2)))
                 for _ in range(rng.randint(1, 6))
             ]
-            bitmaps = [BitTidset.from_tids(tids) for tids in reference]
+            vectors = [bits_from_tids(tids) for tids in reference]
             for _ in range(40):
                 left = rng.randrange(len(reference))
                 right = rng.randrange(len(reference))
-                op = rng.choice(("&", "|", "-", "len", "in", "iter",
-                                 "bool", "disjoint"))
-                if op in ("&", "|", "-"):
-                    expected = {"&": reference[left] & reference[right],
-                                "|": reference[left] | reference[right],
-                                "-": reference[left] - reference[right]}[op]
-                    got = {"&": bitmaps[left] & bitmaps[right],
-                           "|": bitmaps[left] | bitmaps[right],
-                           "-": bitmaps[left] - bitmaps[right]}[op]
-                    assert set(got) == expected, op
+                op = rng.choice(("&", "count", "list", "bool"))
+                if op == "&":
+                    expected = reference[left] & reference[right]
+                    got = vectors[left] & vectors[right]
+                    assert tids_from_bits(got) == sorted(expected)
                     reference.append(expected)
-                    bitmaps.append(got)
-                elif op == "in":
-                    probe = rng.randrange(universe + 2)
-                    assert (probe in bitmaps[left]) == (
-                        probe in reference[left])
-                elif op == "len":
-                    assert len(bitmaps[left]) == len(reference[left])
-                elif op == "iter":
-                    assert list(bitmaps[left]) == sorted(reference[left])
-                elif op == "bool":
-                    assert bool(bitmaps[left]) == bool(reference[left])
+                    vectors.append(got)
+                elif op == "count":
+                    assert vectors[left].bit_count() == len(reference[left])
+                elif op == "list":
+                    assert tids_from_bits(vectors[left]) == sorted(
+                        reference[left])
                 else:
-                    assert bitmaps[left].isdisjoint(bitmaps[right]) == (
-                        reference[left].isdisjoint(reference[right]))
+                    assert bool(vectors[left]) == bool(reference[left])
 
 
 class TestBitmapIndexDifferential:
@@ -128,24 +114,27 @@ class TestBitmapIndexDifferential:
             for item, tids in reference.items():
                 assert item in index
                 assert index.frequency(item) == len(tids)
-                assert index.tidset(item) == tids
+                assert tids_from_bits(index.bits(item)) == sorted(tids)
             items = index.items()
+            view = index.as_mapping()
             for _ in range(20):
                 itemset = tuple(sorted(rng.sample(
                     items, rng.randint(1, min(4, len(items))))))
-                assert index.count(itemset) == count_itemset(reference,
-                                                             itemset)
                 expected_tids = set.intersection(
                     *(reference[item] for item in itemset))
+                assert index.count(itemset) == len(expected_tids)
+                assert count_itemset(view, itemset) == len(expected_tids)
                 assert index.tids_of(itemset) == expected_tids
+                assert tids_of(view, itemset) == expected_tids
             assert index.count((99,)) == 0
             assert index.frequency(99) == 0
             assert index.tids_of((99,)) == set()
 
-    def test_vertical_mine_identical_over_bitmaps_and_sets(self, seeds):
+    def test_vertical_mine_matches_apriori_and_set_recount(self, seeds):
         """The eclat search itself — extension order, DFS, floors —
-        returns the identical table over bitmaps, over set tidsets and
-        from the horizontal Apriori miner."""
+        returns the identical table over a bitmap view, from its own
+        index build and from the horizontal Apriori miner; every count
+        equals a set-intersection recount."""
         rng = seeds.rng(97)
         for _ in range(5):
             transactions = [
@@ -157,13 +146,16 @@ class TestBitmapIndexDifferential:
                 (), min_count=floor,
                 index=BitmapIndex.from_transactions(transactions)
                 .as_mapping())
-            over_sets = mine_frequent_itemsets_vertical(
-                (), min_count=floor,
-                index=build_vertical_index(transactions))
+            self_indexed = mine_frequent_itemsets_vertical(
+                transactions, min_count=floor)
             horizontal = mine_frequent_itemsets(transactions,
                                                 min_count=floor)
-            assert over_bitmaps == over_sets
+            assert over_bitmaps == self_indexed
             assert over_bitmaps == horizontal
+            reference = build_vertical_index(transactions)
+            for itemset, count in over_bitmaps.items():
+                assert count == len(set.intersection(
+                    *(reference[item] for item in itemset)))
 
     def test_merge_counts_equal_a_whole_database_recount(self, seeds):
         """SON phase 2 over per-shard bitmap indexes returns exactly the
@@ -191,7 +183,8 @@ class TestBitmapIndexDifferential:
                                                 min_count=global_floor)
         reference = build_vertical_index(whole)
         for itemset, count in merged.items():
-            assert count == count_itemset(reference, itemset)
+            assert count == len(set.intersection(
+                *(reference[item] for item in itemset)))
 
     def test_maintained_index_matches_a_rebuild(self, seeds):
         """Random add/discard streams leave the index equal to one built
@@ -216,7 +209,7 @@ class TestBitmapIndexDifferential:
                 [frozenset(t) for t in transactions])
             assert index.items() == rebuilt.items()
             for item in rebuilt.items():
-                assert index.tidset(item).bits == rebuilt.tidset(item).bits
+                assert index.bits(item) == rebuilt.bits(item)
 
 
 def assert_index_matches_shift_reference(transactions):
@@ -231,10 +224,10 @@ def assert_index_matches_shift_reference(transactions):
     assert bulk.items() == sorted(reference) == incremental.items()
     for item, tids in reference.items():
         expected = shifted_bits(tids)
-        assert bulk.tidset(item).bits == expected, (
+        assert bulk.bits(item) == expected, (
             f"item {item} bits diverged at {len(transactions)} tuples")
-        assert incremental.tidset(item).bits == expected
-        assert bulk.as_mapping()[item] == tids
+        assert incremental.bits(item) == expected
+        assert tids_from_bits(bulk.as_mapping()[item]) == sorted(tids)
 
 
 class TestSeamCounts:

@@ -76,5 +76,5 @@ def test_bulk_encoder_matches_encode_tuple(relation, include_labels):
     # The bitmaps the same pass emitted index exactly those transactions.
     rebuilt = BitmapIndex.from_transactions(transactions)
     assert encoded.bitmaps.items() == rebuilt.items()
-    assert all(encoded.bitmaps.tidset(item) == rebuilt.tidset(item)
+    assert all(encoded.bitmaps.bits(item) == rebuilt.bits(item)
                for item in rebuilt.items())

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mining.apriori import mine_frequent_itemsets
 from repro.mining.closed import closed_itemsets, maximal_itemsets
+from repro.mining.bitmap import BitmapIndex
 from repro.mining.eclat import build_vertical_index, count_itemset
 from repro.mining.interest import (
     RuleCounts,
@@ -93,8 +94,15 @@ def test_maximal_within_closed(transactions, min_count):
 @given(transactions=transactions_strategy)
 @settings(max_examples=60, deadline=None)
 def test_vertical_counts_match_horizontal(transactions):
-    index = build_vertical_index(transactions)
+    index = BitmapIndex.from_transactions(transactions).as_mapping()
+    assert sorted(index) == sorted(build_vertical_index(transactions))
     for item in index:
         expected = sum(1 for transaction in transactions
                        if item in transaction)
         assert count_itemset(index, (item,)) == expected
+    items = sorted(index)
+    for position, first in enumerate(items):
+        for second in items[position + 1:]:
+            expected = sum(1 for transaction in transactions
+                           if first in transaction and second in transaction)
+            assert count_itemset(index, (first, second)) == expected

@@ -1,5 +1,6 @@
 """Unit tests for relation -> transaction encoding."""
 
+from repro.mining.bitmap import tids_from_bits
 from repro.mining.itemsets import ItemKind, ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
@@ -82,7 +83,7 @@ class TestEncodeRelation:
         encoded = encode_relation(relation, TokenInterner(ItemVocabulary()))
         assert encoded.transactions[0] == ()
         assert encoded.transactions[1] != ()
-        assert all(0 not in encoded.bitmaps.tidset(item)
+        assert all(not encoded.bitmaps.bits(item) & 1
                    for item in encoded.bitmaps.items())
 
     def test_existing_vocabulary_reused(self):
@@ -114,9 +115,9 @@ class TestEncodeRelation:
         relation.insert(("1", "4"), ("A", "B"))
         encoded = encode_relation(relation, TokenInterner(ItemVocabulary()))
         for item in encoded.bitmaps.items():
-            assert set(encoded.bitmaps.tidset(item)) == {
+            assert tids_from_bits(encoded.bitmaps.bits(item)) == [
                 tid for tid, transaction in enumerate(encoded.transactions)
-                if item in transaction}
+                if item in transaction]
 
     def test_annotations_and_labels_intern_in_sorted_order(self):
         relation = AnnotatedRelation()

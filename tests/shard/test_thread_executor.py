@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine
-from repro.mining.bitmap import BitmapIndex
+from repro.mining.bitmap import BitmapIndex, tids_from_bits
 from repro.shard import ShardedEngine
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from tests.conftest import assert_equivalent_to_remine, make_relation
@@ -67,7 +67,7 @@ class TestShardLoopExactness:
             assert shard_engine.index.items() == rebuilt.items()
             for item in rebuilt.items():
                 assert (shard_engine.index.tids(item)
-                        == frozenset(rebuilt.tidset(item)))
+                        == frozenset(tids_from_bits(rebuilt.bits(item))))
 
 
 class TestShardMineErrors:

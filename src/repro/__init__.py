@@ -65,11 +65,8 @@ _LAZY: dict[str, tuple[str, str | None]] = {
     for module, names in {
         "repro.core.journal": (
             "EventJournal", "JournalStore", "RecoveryResult", "ReplayStats"),
-        "repro.shard": (
-            "RebalancePlan", "ShardSkew", "ShardedEngine",
-            "modulo_partitioner", "plan_rebalance", "shard_skew"),
-        "repro.app.service": (
-            "CorrelationService", "RebalanceReport", "RuleSnapshot"),
+        "repro.shard": ("ShardedEngine", "modulo_partitioner"),
+        "repro.app.service": ("CorrelationService", "RuleSnapshot"),
         "repro.app.session": ("Session",),
         "repro.server": ("CorrelationServer", "ServerConfig"),
         "repro.core.audit": ("AuditReport", "audit"),
@@ -145,13 +142,10 @@ __all__ = [
     "EventJournal",
     "JournalStore",
     "QueryExplain",
-    "RebalancePlan",
-    "RebalanceReport",
     "RecoveryResult",
     "ReplayStats",
     "RuleCatalog",
     "RuleSnapshot",
-    "ShardSkew",
     "VerificationResult",
     "ConceptHierarchy",
     "CurationSession",
@@ -197,11 +191,9 @@ __all__ = [
     "maximal_itemsets",
     "modulo_partitioner",
     "persistence",
-    "plan_rebalance",
     "query",
     "remine",
     "render_evidence",
     "rule_yield",
     "score_recommendations",
-    "shard_skew",
 ]

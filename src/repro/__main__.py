@@ -1,14 +1,14 @@
 """``python -m repro`` — dispatch to a sub-command.
 
-``serve`` starts the HTTP serving tier; ``journal`` / ``recover`` /
-``rebalance`` are the offline durability operations on a journal
-store; anything else goes to the interactive menu application (the
-paper's Figure 5 CLI), preserving its existing argument surface.
+``serve`` starts the HTTP serving tier; ``journal`` / ``recover`` are
+the offline durability operations on a journal store; anything else
+goes to the interactive menu application (the paper's Figure 5 CLI),
+preserving its existing argument surface.
 """
 
 import sys
 
-_OPS_COMMANDS = ("journal", "recover", "rebalance")
+_OPS_COMMANDS = ("journal", "recover")
 
 
 def main(argv: list[str] | None = None) -> int:

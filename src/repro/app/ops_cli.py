@@ -1,4 +1,4 @@
-"""Offline durability operations: ``repro journal | recover | rebalance``.
+"""Offline durability operations: ``repro journal | recover``.
 
 These commands operate directly on one session's journal store
 directory (``<journal-root>/<name>`` under a server, or any directory
@@ -7,15 +7,14 @@ they are what an operator reaches for when the process is *down*.
 
 ::
 
-    python -m repro journal   runs/demo --records
-    python -m repro recover   runs/demo --upto 41 --snapshot-out s.json
-    python -m repro rebalance runs/demo --shards 4
+    python -m repro journal runs/demo --records
+    python -m repro recover runs/demo --upto 41 --snapshot-out s.json
 
 ``journal`` is the audit surface (store status, record-by-record
-listing); ``recover`` rebuilds the engine from snapshot + replay and
-reports exactly what it recovered; ``rebalance`` re-layouts the
-recovered state and anchors the new layout back into the store as a
-snapshot, so the next recovery (or server start) comes up balanced.
+listing): it only reads, so auditing a store never changes it, not
+even by truncating a torn tail.  ``recover`` rebuilds the engine from
+snapshot + replay and reports exactly what it recovered, including
+the torn-tail bytes it truncated.
 """
 
 from __future__ import annotations
@@ -26,9 +25,14 @@ import json
 import os
 import sys
 
-from repro.core.journal import JournalStore, WAL_NAME, event_to_json
+from repro.core.journal import (
+    JournalStore,
+    WAL_NAME,
+    event_to_json,
+    list_snapshots,
+    scan_journal,
+)
 from repro.errors import ReproError
-from repro.shard.rebalance import plan_rebalance, rebuild_with_plan, shard_skew
 
 
 def signature_digest(engine) -> str:
@@ -67,17 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--verify", action="store_true",
                          help="re-mine from scratch and check the "
                               "recovered rules match exactly")
-
-    rebalance = commands.add_parser(
-        "rebalance", help="re-layout a recovered store's shards")
-    rebalance.add_argument("directory", help="journal store directory")
-    rebalance.add_argument("--shards", type=int, default=None,
-                           metavar="N",
-                           help="target shard count (default: keep the "
-                                "current count, just even the layout)")
-    rebalance.add_argument("--dry-run", action="store_true",
-                           help="print the plan without writing "
-                                "anything")
     return parser
 
 
@@ -86,37 +79,50 @@ def _print(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _open_store(directory: str) -> JournalStore:
-    """Open an *existing* store: opening a typo'd path must inspect an
-    error, not scaffold an empty journal there."""
-    if not os.path.isfile(os.path.join(directory, WAL_NAME)):
+def _wal_path(directory: str) -> str:
+    """The store's WAL path: a typo'd directory is an error, never an
+    empty journal scaffolded there."""
+    path = os.path.join(directory, WAL_NAME)
+    if not os.path.isfile(path):
         raise ReproError(
             f"{directory!r} is not a journal store (no {WAL_NAME})")
-    return JournalStore(directory)
+    return path
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
-    store = _open_store(args.directory)
-    try:
-        payload: dict = {"status": store.status()}
-        if args.records:
-            listing = []
-            for record in store.records(after=args.after,
-                                        tolerate_torn_tail=True):
-                entry: dict = {"seq": record.seq, "kind": record.kind}
-                if record.kind == "batch":
-                    entry["events"] = [event_to_json(event)["type"]
-                                       for event in record.events]
-                listing.append(entry)
-            payload["records"] = listing
-        _print(payload)
-    finally:
-        store.close()
+    """Audit a store without writing to it: the WAL is scanned, never
+    opened for append, so a torn tail is reported, not truncated."""
+    scan = scan_journal(_wal_path(args.directory))
+    snapshots = [seq for seq, _path in list_snapshots(args.directory)]
+    last_seq, floor_seq = scan.last_seq, scan.floor_seq
+    if not scan.records and snapshots:
+        # A fully compacted journal continues from its newest snapshot.
+        last_seq = floor_seq = snapshots[-1]
+    payload: dict = {"status": {
+        "directory": args.directory,
+        "last_seq": last_seq,
+        "floor_seq": floor_seq,
+        "snapshots": snapshots,
+        "torn_bytes": scan.torn_bytes,
+    }}
+    if args.records:
+        listing = []
+        for record in scan.records:
+            if record.seq <= args.after:
+                continue
+            entry: dict = {"seq": record.seq, "kind": record.kind}
+            if record.kind == "batch":
+                entry["events"] = [event_to_json(event)["type"]
+                                   for event in record.events]
+            listing.append(entry)
+        payload["records"] = listing
+    _print(payload)
     return 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    store = _open_store(args.directory)
+    _wal_path(args.directory)
+    store = JournalStore(args.directory)
     try:
         result = store.recover(upto=args.upto)
     finally:
@@ -152,45 +158,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rebalance(args: argparse.Namespace) -> int:
-    store = _open_store(args.directory)
-    try:
-        result = store.recover()
-        engine = result.engine
-        plan = plan_rebalance(engine, target_shards=args.shards)
-        payload = {
-            "recovered_seq": result.last_seq,
-            "plan": plan.as_dict(),
-            "skew_before": shard_skew(engine).as_dict(),
-            "applied": False,
-        }
-        if not args.dry_run and not plan.noop:
-            from repro.core import persistence
-
-            document = persistence.snapshot(
-                engine, journal_seq=result.last_seq)
-            rebuilt = rebuild_with_plan(document, plan)
-            if rebuilt.signature() != engine.signature():
-                raise ReproError(
-                    "rebalanced engine diverged from the "
-                    "recovered state; store left untouched")
-            payload["skew_after"] = shard_skew(rebuilt).as_dict()
-            # Anchor the new layout: the next recovery (or the server's
-            # startup pass) loads this snapshot and comes up already
-            # balanced.
-            store.write_snapshot(rebuilt, result.last_seq)
-            payload["applied"] = True
-        _print(payload)
-    finally:
-        store.close()
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {"journal": _cmd_journal, "recover": _cmd_recover,
-               "rebalance": _cmd_rebalance}[args.command]
+    handler = {"journal": _cmd_journal,
+               "recover": _cmd_recover}[args.command]
     try:
         return handler(args)
     except (ReproError, OSError) as error:

@@ -10,9 +10,8 @@ a flush is pending.
 Concurrency model, per session:
 
 * one session lock (a plain mutex) guards the engine — ``mine``,
-  ``flush``, checkpoints and rebalance cutovers take it, and so do the
-  few reads that walk engine state (``verify``, ``skew``, rebalance
-  planning);
+  ``flush`` and checkpoints take it, and so does ``verify``, the one
+  read that walks engine state;
 * :meth:`CorrelationService.submit` appends to a queue under a cheap
   mutex and never touches the engine, so producers are not blocked by
   readers (set ``auto_flush_every`` to bound queue growth by flushing
@@ -27,8 +26,8 @@ Concurrency model, per session:
   event (:meth:`~repro.core.engine.CorrelationEngine.compile_prefix`),
   journals that prefix, applies it as one batch (one revision bump),
   drops the poison event and re-queues the tail;
-* every locked step that commits (create, mine, flush, rebalance
-  cutover, restore) ends by publishing one frozen
+* every locked step that commits (create, mine, flush, restore) ends
+  by publishing one frozen
   :class:`RuleSnapshot`.  Reads (:meth:`~CorrelationService.snapshot`,
   ``rules``, ``catalog``, ``query``, ``top_rules`` and ``estimate``)
   return the published snapshot without any session lock — only the
@@ -50,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.app.estimate import EstimateSnapshot, estimate_snapshot
-from repro.core import persistence
 from repro.core.catalog import CatalogQuery, RuleCatalog
 from repro.core.config import EngineConfig
 from repro.core.deltas import CompiledPrefix
@@ -62,23 +60,12 @@ from repro.core.engine import (
     rule_signature,
 )
 from repro.core.events import UpdateEvent
-from repro.core.journal import (
-    JournalStore,
-    RecoveryResult,
-    WAL_NAME,
-    replay_into,
-)
+from repro.core.journal import JournalStore, RecoveryResult, WAL_NAME
 from repro.core.maintenance import BatchReport, MaintenanceReport
 from repro.core.rules import AssociationRule, RuleKind
 from repro.errors import SessionError
 from repro.mining.itemsets import ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
-from repro.shard.rebalance import (
-    RebalancePlan,
-    plan_rebalance,
-    rebuild_with_plan,
-    shard_skew,
-)
 
 if TYPE_CHECKING:  # the app layer never imports the server at runtime
     from repro.server.metrics import ServiceInstrumentation
@@ -92,15 +79,13 @@ class RuleSnapshot:
     :class:`~repro.core.catalog.RuleCatalog`: ``rules`` *is* the
     catalog's rule tuple (shared, never re-copied per snapshot), and
     indexed lookups / composable queries go through :attr:`catalog`.
-    It carries the vocabulary its item ids render through, so a reader
-    never pairs one engine's rules with another engine's vocabulary.
+    It carries the vocabulary its item ids render through.
     """
 
     session: str
     db_size: int
-    #: The engine's rule revision: bumped once by each mine, each
-    #: non-empty flush and each rebalance cutover, and persisted with
-    #: every journal snapshot.
+    #: The engine's rule revision: bumped once by each mine and each
+    #: non-empty flush, and persisted with every journal snapshot.
     revision: int
     rules: tuple[AssociationRule, ...]
     #: Events queued but not yet applied when the snapshot was taken.
@@ -161,6 +146,8 @@ class _Hosted:
     """One named session: an engine plus its locks and update queue."""
 
     name: str
+    #: Set at create or restore and never swapped, so a published
+    #: snapshot and this engine always share one vocabulary.
     engine: CorrelationEngine
     #: The config the engine was built from (per-session override or
     #: the service default) — surfaced to status consumers.
@@ -186,30 +173,6 @@ class _Hosted:
     #: session lock, so ``journal.last_seq - applied_seq`` is the
     #: recovery lag an observer would replay.
     applied_seq: int = 0
-
-
-@dataclass(frozen=True)
-class RebalanceReport:
-    """Outcome of :meth:`CorrelationService.rebalance`."""
-
-    session: str
-    plan: RebalancePlan
-    #: False for a dry run (plan only, nothing changed).
-    applied: bool
-    #: Journal records replayed into the new engine while catching up
-    #: with live traffic (0 for non-journaled or dry runs).
-    caught_up_records: int = 0
-    #: Engine revision after the cutover (the single bump readers see).
-    revision: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "session": self.session,
-            "plan": self.plan.as_dict(),
-            "applied": self.applied,
-            "caught_up_records": self.caught_up_records,
-            "revision": self.revision,
-        }
 
 
 class CorrelationService:
@@ -466,109 +429,6 @@ class CorrelationService:
             store.write_snapshot(hosted.engine, hosted.applied_seq)
         return self.journal_status(name)
 
-    # -- rebalancing -----------------------------------------------------------
-
-    def rebalance(self, name: str, *, shards: int | None = None,
-                  dry_run: bool = False) -> RebalanceReport:
-        """Re-layout the session's shards with no torn revision.
-
-        ``dry_run`` returns the plan (balanced round-robin over live
-        tuples, optionally to a new shard count) without acting.
-        Applying builds the replacement engine *outside* the session
-        locks from a consistent snapshot, catches it up by streaming
-        the journal slice written since, then takes the session lock for
-        the final slice and the cutover: signature equality is checked
-        before the swap, the engine revision bumps exactly once, and
-        readers observe either the old engine or the fully caught-up
-        new one.  Non-journaled sessions have no stream to catch up
-        from, so they rebuild while holding the session lock (offline
-        but still atomic).
-        """
-        hosted = self._session(name)
-        with hosted.lock:
-            plan = plan_rebalance(hosted.engine, target_shards=shards)
-            revision = hosted.engine.revision
-        if dry_run:
-            return RebalanceReport(session=name, plan=plan,
-                                   applied=False, revision=revision)
-        store = hosted.journal
-        if store is None:
-            with hosted.lock:
-                return self._cutover(hosted, plan,
-                                     base_seq=0, caught_up=0)
-        with hosted.lock:
-            document = persistence.snapshot(
-                hosted.engine, journal_seq=hosted.applied_seq)
-            base_seq = hosted.applied_seq
-        new_engine = rebuild_with_plan(document, plan)
-        # Catch up on traffic that flushed while we rebuilt — without
-        # any session lock, racing the live appender, until the lag is
-        # gone (bounded: give up the lock-free chase after a few laps
-        # and let the locked pass below absorb the rest).
-        caught = base_seq
-        caught_up = 0
-        for _lap in range(8):
-            records = list(store.records(after=caught,
-                                         tolerate_torn_tail=True))
-            if not records:
-                break
-            replay_into(new_engine, records)
-            caught_up += len(records)
-            caught = records[-1].seq
-        with hosted.lock:
-            records = list(store.records(after=caught,
-                                         tolerate_torn_tail=True))
-            if records:
-                replay_into(new_engine, records)
-                caught_up += len(records)
-            return self._cutover(hosted, plan,
-                                 base_seq=base_seq, caught_up=caught_up,
-                                 new_engine=new_engine)
-
-    def _cutover(self, hosted: _Hosted, plan: RebalancePlan, *,
-                 base_seq: int, caught_up: int,
-                 new_engine: CorrelationEngine | None = None
-                 ) -> RebalanceReport:
-        """Swap in the rebuilt engine (session lock held by the caller)
-        and publish it.
-
-        The old engine stays untouched until the replacement proves
-        signature equality — an aborted rebalance leaves the session
-        exactly as it was.
-        """
-        old = hosted.engine
-        if new_engine is None:
-            document = persistence.snapshot(
-                old, journal_seq=hosted.applied_seq)
-            new_engine = rebuild_with_plan(document, plan)
-        if new_engine.signature() != old.signature():
-            raise SessionError(
-                f"rebalance of session {hosted.name!r} aborted before "
-                f"cutover: rebuilt engine's rule signature diverged "
-                f"from the live one")
-        new_engine.adopt_revision(old.revision + 1)
-        hosted.engine = new_engine
-        if hosted.config is not None:
-            hosted.config = hosted.config.replace(
-                shards=plan.target_shards)
-        try:
-            if hosted.journal is not None:
-                # The new layout must be the one recovery rebuilds:
-                # anchor it with a snapshot at the caught-up seq.
-                hosted.journal.write_snapshot(hosted.engine,
-                                              hosted.applied_seq)
-        finally:
-            self._publish(hosted)
-        return RebalanceReport(
-            session=hosted.name, plan=plan, applied=True,
-            caught_up_records=caught_up, revision=new_engine.revision)
-
-    def skew(self, name: str):
-        """Live-tuple shard balance of the session (session lock)."""
-        hosted = self._session(name)
-        with hosted.lock:
-            return shard_skew(hosted.engine)
-
     # -- writes ---------------------------------------------------------------
 
     def submit(self, name: str, event: UpdateEvent) -> int:
@@ -813,18 +673,10 @@ class CorrelationService:
         published catalog, counts come from the engine's vertical
         index plus an exact overlay of still-queued insert events, and
         every metric carries its (zero) error bound.  The only lock
-        taken is the queue mutex (one list copy); the session lock is
-        touched only when a rebalance swapped the engine between the
-        two unlocked reads.
+        taken is the queue mutex (one list copy).
         """
         hosted = self._session(name)
         snap = self._published(hosted)
-        engine = hosted.engine
-        if engine.vocabulary is not snap.vocabulary:
-            # A cutover published between the two reads; under the
-            # session lock the engine and its snapshot match.
-            with hosted.lock:
-                snap, engine = hosted.published, hosted.engine
         if snap.catalog is None:
             raise SessionError(
                 f"session {name!r} has no mined rules to estimate — "
@@ -833,7 +685,7 @@ class CorrelationService:
             pending = list(hosted.queue)
         started = time.perf_counter()
         result = estimate_snapshot(
-            engine, snap.catalog.rules, pending,
+            hosted.engine, snap.catalog.rules, pending,
             session=name, revision=snap.revision,
             n=n, by=by, kind=kind, z=z,
             confidence_level=confidence_level)
@@ -883,8 +735,7 @@ class CorrelationService:
         engine = hosted.engine
         catalog = engine.catalog() if engine.is_mined else None
         published = hosted.published
-        if (published is not None and published.catalog is catalog
-                and published.vocabulary is engine.vocabulary):
+        if published is not None and published.catalog is catalog:
             return
         with hosted.queue_lock:
             pending = len(hosted.queue)

@@ -57,7 +57,7 @@ from repro.core.events import (
     RemoveTuples,
     UpdateEvent,
 )
-from repro.errors import FormatError, MaintenanceError
+from repro.errors import FormatError, MaintenanceError, ReproError
 
 #: File magic: identifies a journal and its record format revision.
 MAGIC = b"RPJRNL1\n"
@@ -85,11 +85,11 @@ class CrashInjected(RuntimeError):
 
 # -- event codec ---------------------------------------------------------------
 #
-# The journal trusts its own records (they were encoded here), so this
-# codec's decode side raises FormatError — corruption, not user input.
-# The wire ``type`` names intentionally match the server's public event
-# codec (repro.server.tenants.event_from_json) so journal dumps and
-# HTTP payloads read the same.
+# The one wire form of an update event, ``{"type": <kind>, ...payload}``:
+# the journal writes it, and the server's event endpoints read it.  The
+# decoder validates every field, so the caller picks the error a
+# malformed event raises — FormatError (corruption) for journal
+# records, ServerError (a 400) for HTTP bodies.
 
 def event_to_json(event: UpdateEvent) -> dict:
     """One update event as a deterministic JSON-able dict."""
@@ -113,31 +113,99 @@ def event_to_json(event: UpdateEvent) -> dict:
     raise MaintenanceError(f"cannot journal unknown event {event!r}")
 
 
-def event_from_json(obj: object) -> UpdateEvent:
-    """Decode one journaled event; corruption raises FormatError."""
+def _pairs(raw: object, noun: str,
+           error: type[ReproError]) -> list[tuple[int, str]]:
+    if not isinstance(raw, list):
+        raise error(f"{noun} must be a list of [tid, annotation] "
+                    f"pairs, got {type(raw).__name__}")
+    pairs = []
+    for entry in raw:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[0], int)
+                or not isinstance(entry[1], str)):
+            raise error(
+                f"each {noun} entry must be [tid:int, annotation:str], "
+                f"got {entry!r}")
+        pairs.append((entry[0], entry[1]))
+    return pairs
+
+
+def annotated_rows(raw: object, error: type[ReproError]
+                   ) -> Iterator[tuple[list[str], list[str]]]:
+    """Check and yield each ``[[value, ...], [annotation, ...]]`` row as
+    ``(values, annotations)`` strings, one row at a time: a consumer
+    such as :meth:`AnnotatedRelation.insert_many` never holds a second
+    copy of the batch.  ``raw`` is left as it was."""
+    if not isinstance(raw, list):
+        raise error(f"rows must be a list, got {type(raw).__name__}")
+    for entry in raw:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[0], (list, tuple))
+                or not isinstance(entry[1], (list, tuple))):
+            raise error(
+                f"each row must be [[value, ...], [annotation, ...]], "
+                f"got {entry!r}")
+        values, annotations = entry
+        yield ([str(value) for value in values],
+               [str(annotation) for annotation in annotations])
+
+
+def event_from_json(obj: object, error: type[ReproError] = FormatError
+                    ) -> UpdateEvent:
+    """Decode one update event from its wire form.
+
+    Anything malformed raises ``error``: an envelope that is not an
+    object, an unknown ``type``, a field the type does not take, a
+    payload of the wrong shape, and an event the constructors reject
+    (e.g. an empty batch).
+    """
     if not isinstance(obj, dict):
-        raise FormatError(f"journaled event must be an object, "
-                          f"got {type(obj).__name__}")
+        raise error(f"event must be a JSON object, "
+                    f"got {type(obj).__name__}")
     kind = obj.get("type")
+    payload = {key: value for key, value in obj.items() if key != "type"}
+
+    def _only(*fields: str) -> None:
+        extra = sorted(set(payload) - set(fields))
+        if extra:
+            raise error(
+                f"unexpected field(s) {', '.join(extra)} for event "
+                f"type {kind!r}")
+
     try:
-        if kind == "add_annotated_tuples":
-            return AddAnnotatedTuples.build(
-                (values, annotations)
-                for values, annotations in obj["rows"])
-        if kind == "add_unannotated_tuples":
-            return AddUnannotatedTuples.build(obj["rows"])
         if kind == "add_annotations":
+            _only("additions")
             return AddAnnotations.build(
-                (tid, annotation) for tid, annotation in obj["additions"])
+                _pairs(payload.get("additions"), "additions", error))
         if kind == "remove_annotations":
+            _only("removals")
             return RemoveAnnotations.build(
-                (tid, annotation) for tid, annotation in obj["removals"])
+                _pairs(payload.get("removals"), "removals", error))
+        if kind == "add_annotated_tuples":
+            _only("rows")
+            return AddAnnotatedTuples.build(
+                annotated_rows(payload.get("rows"), error))
+        if kind == "add_unannotated_tuples":
+            _only("rows")
+            raw = payload.get("rows")
+            if not isinstance(raw, list) or not all(
+                    isinstance(row, (list, tuple)) for row in raw):
+                raise error("rows must be a list of [value, ...] lists")
+            return AddUnannotatedTuples.build(
+                [[str(value) for value in row] for row in raw])
         if kind == "remove_tuples":
-            return RemoveTuples.build(obj["tids"])
-    except (KeyError, TypeError, ValueError, MaintenanceError) as error:
-        raise FormatError(
-            f"corrupt journaled {kind!r} event: {error}") from None
-    raise FormatError(f"unknown journaled event type {kind!r}")
+            _only("tids")
+            raw = payload.get("tids")
+            if not isinstance(raw, list) or not all(
+                    isinstance(tid, int) for tid in raw):
+                raise error("tids must be a list of integers")
+            return RemoveTuples.build(raw)
+    except MaintenanceError as failure:
+        raise error(f"invalid {kind} event: {failure}") from None
+    raise error(
+        f"unknown event type {kind!r}; expected one of add_annotations, "
+        f"remove_annotations, add_annotated_tuples, "
+        f"add_unannotated_tuples, remove_tuples")
 
 
 # -- records -------------------------------------------------------------------
@@ -164,6 +232,17 @@ class JournalScan:
     valid_bytes: int
     #: Bytes past ``valid_bytes`` that form a torn (incomplete) tail.
     torn_bytes: int
+
+    @property
+    def last_seq(self) -> int:
+        """Seq of the newest record (0 = none on disk)."""
+        return self.records[-1].seq if self.records else 0
+
+    @property
+    def floor_seq(self) -> int:
+        """Seq of the record before the first on-disk one — the
+        compaction floor (records below it were trimmed)."""
+        return self.records[0].seq - 1 if self.records else 0
 
 
 def _decode_payload(payload: bytes, offset: int,
@@ -281,12 +360,8 @@ class EventJournal:
                     handle.flush()
                     os.fsync(handle.fileno())
                 self.truncated_bytes = scan.torn_bytes
-            self._last_seq = (scan.records[-1].seq
-                              if scan.records else 0)
-            #: Seq of the record before the first on-disk one — the
-            #: compaction floor (records below it were trimmed).
-            self._floor_seq = (scan.records[0].seq - 1
-                               if scan.records else self._last_seq)
+            self._last_seq = scan.last_seq
+            self._floor_seq = scan.floor_seq
             self._handle = open(self.path, "ab")
             if scan.valid_bytes == 0:
                 self._handle.write(MAGIC)
@@ -395,9 +470,9 @@ class EventJournal:
         """Records with ``seq > after``, re-read from disk.
 
         ``tolerate_torn_tail=True`` stops silently at an incomplete
-        tail instead of raising — for readers racing a live appender
-        (the online-rebalance catch-up loop), where a half-written
-        final record is an in-flight append, not damage.
+        tail instead of raising — for readers (compaction) that keep
+        only whole records anyway, where a half-written final record is
+        an interrupted append, not damage.
         """
         self.sync()
         scan = scan_journal(self.path)
@@ -470,6 +545,19 @@ def replay_into(engine: CorrelationEngine,
 
 # -- the store: journal + snapshots --------------------------------------------
 
+def list_snapshots(directory: str | os.PathLike) -> list[tuple[int, str]]:
+    """``(seq, path)`` of every snapshot file in a store directory,
+    oldest first (a read-only listing; opens nothing)."""
+    directory = os.fspath(directory)
+    found = []
+    for name in os.listdir(directory):
+        match = _SNAPSHOT_NAME.match(name)
+        if match:
+            found.append((int(match.group(1)),
+                          os.path.join(directory, name)))
+    return sorted(found)
+
+
 @dataclass
 class RecoveryResult:
     """Outcome of :meth:`JournalStore.recover`."""
@@ -480,7 +568,7 @@ class RecoveryResult:
     #: Seq of the last record replayed (== snapshot_seq when none).
     last_seq: int
     replay: ReplayStats = field(default_factory=ReplayStats)
-    #: Torn-tail bytes truncated when the journal was opened.
+    #: Torn-tail bytes truncated since the store was opened.
     truncated_bytes: int = 0
 
 
@@ -512,6 +600,9 @@ class JournalStore:
         self.journal = EventJournal(
             os.path.join(self.directory, WAL_NAME),
             fsync=fsync, fault_hook=fault_hook)
+        #: Torn-tail bytes truncated by every journal open since the
+        #: store was opened (the constructor's open included).
+        self.truncated_bytes = self.journal.truncated_bytes
         self._align_journal()
 
     def _align_journal(self) -> None:
@@ -569,13 +660,7 @@ class JournalStore:
 
     def snapshots(self) -> list[tuple[int, str]]:
         """``(seq, path)`` of every snapshot file, oldest first."""
-        found = []
-        for name in os.listdir(self.directory):
-            match = _SNAPSHOT_NAME.match(name)
-            if match:
-                found.append((int(match.group(1)),
-                              os.path.join(self.directory, name)))
-        return sorted(found)
+        return list_snapshots(self.directory)
 
     @property
     def has_snapshot(self) -> bool:
@@ -698,8 +783,8 @@ class JournalStore:
         self.journal.close()
         self.journal = EventJournal(
             self.journal.path, fsync=fsync, fault_hook=self.fault_hook)
+        self.truncated_bytes += self.journal.truncated_bytes
         self._align_journal()
-        truncated = self.journal.truncated_bytes
 
         target = self.journal.last_seq if upto is None else upto
         if upto is not None and upto < self.journal.floor_seq:
@@ -733,7 +818,7 @@ class JournalStore:
             return RecoveryResult(
                 engine=engine, snapshot_seq=seq,
                 last_seq=records[-1].seq if records else seq,
-                replay=stats, truncated_bytes=truncated)
+                replay=stats, truncated_bytes=self.truncated_bytes)
         raise FormatError(
             f"no snapshot in {self.directory!r} restores cleanly: "
             f"{'; '.join(errors)}")
@@ -746,7 +831,7 @@ class JournalStore:
             "last_seq": self.journal.last_seq,
             "floor_seq": self.journal.floor_seq,
             "snapshots": [seq for seq, _path in snapshots],
-            "truncated_bytes": self.journal.truncated_bytes,
+            "truncated_bytes": self.truncated_bytes,
         }
 
     # -- plumbing --------------------------------------------------------------
@@ -793,8 +878,10 @@ __all__ = [
     "RecoveryResult",
     "ReplayStats",
     "WAL_NAME",
+    "annotated_rows",
     "event_from_json",
     "event_to_json",
+    "list_snapshots",
     "replay_into",
     "scan_journal",
     "snapshot_journal_seq",

@@ -46,6 +46,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.app.estimate import ESTIMATE_METRICS
 from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.catalog import SIGNIFICANCE_METRICS
+from repro.core.journal import event_from_json
 from repro.core.rules import RuleKind
 from repro.errors import ReproError, ServerError, SessionError
 from repro.server.admission import AdmissionController, retry_after_header
@@ -55,7 +56,6 @@ from repro.server.tenants import (
     TenantRegistry,
     TenantState,
     estimated_rule_to_json,
-    event_from_json,
     parse_metric,
     parse_rule_kind,
     resolve_item,
@@ -980,7 +980,7 @@ class CorrelationServer:
                              tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         try:
-            event = event_from_json(request.json())
+            event = event_from_json(request.json(), ServerError)
         except ServerError as error:
             raise HttpError(400, str(error)) from None
         return self._submit_events(tenant, [event])
@@ -1000,7 +1000,8 @@ class CorrelationServer:
             raise HttpError(400, "batch body must contain at least one "
                                  "event")
         try:
-            events = [event_from_json(raw) for raw in raw_events]
+            events = [event_from_json(raw, ServerError)
+                      for raw in raw_events]
         except ServerError as error:
             raise HttpError(400, str(error)) from None
         return self._submit_events(tenant, events)
@@ -1046,44 +1047,7 @@ class CorrelationServer:
             "rules": len(snapshot),
         }
 
-    # -- durability / layout endpoints -----------------------------------------
-
-    @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/rebalance$",
-            "rebalance")
-    async def _handle_rebalance(self, request: Request, *,
-                                tenant: str) -> tuple[int, dict]:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "rebalance body must be a JSON object")
-        unknown = sorted(set(body) - {"shards", "dry_run"})
-        if unknown:
-            raise HttpError(400, f"unknown rebalance field(s): "
-                                 f"{', '.join(unknown)}")
-        shards = body.get("shards")
-        if shards is not None and (not isinstance(shards, int)
-                                   or isinstance(shards, bool)
-                                   or shards < 1):
-            raise HttpError(400, "'shards' must be an integer >= 1")
-        dry_run = body.get("dry_run", False)
-        if not isinstance(dry_run, bool):
-            raise HttpError(400, "'dry_run' must be a boolean")
-        self._tenant(tenant)
-        if dry_run:
-            report = await self._run_blocking(
-                lambda: self.service.rebalance(tenant, shards=shards,
-                                               dry_run=True))
-            return 200, report.as_dict()
-        # Applying rebuilds the engine — blocking work on a flush lane,
-        # and a write as far as draining is concerned.
-        self._reject_writes_while_draining()
-        self._admit_flush_slot(tenant)
-        try:
-            report = await self._run_blocking(
-                lambda: self.service.rebalance(tenant, shards=shards))
-        finally:
-            self.admission.release_flush()
-        self._publish_journal_gauges(tenant)
-        return 200, report.as_dict()
+    # -- durability endpoints --------------------------------------------------
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/checkpoint$",
             "checkpoint")

@@ -10,8 +10,9 @@ does not have:
 
 * tenant-name validation and the per-tenant background-flush flag;
 * the engine-config template merge for ``POST /v1/tenants`` bodies;
-* the event / rule JSON codecs shared by the endpoints, the CLI and
-  the benchmark load generator.
+* the rule JSON codec shared by the endpoints, the CLI and the
+  benchmark load generator (events decode through the journal's
+  codec, :func:`repro.core.journal.event_from_json`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import re
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,18 +27,10 @@ from repro.app.estimate import EstimatedRule
 from repro.app.service import CorrelationService
 from repro.core.catalog import ALL_METRICS, RuleCatalog
 from repro.core.config import EngineConfig
-from repro.core.events import (
-    AddAnnotatedTuples,
-    AddAnnotations,
-    AddUnannotatedTuples,
-    RemoveAnnotations,
-    RemoveTuples,
-    UpdateEvent,
-)
+from repro.core.journal import annotated_rows
 from repro.core.rules import AssociationRule, RuleKind
 from repro.errors import (
     ItemKindError,
-    MaintenanceError,
     ServerError,
     VocabularyError,
 )
@@ -87,101 +79,6 @@ def engine_config_from_json(overrides: dict[str, Any] | None,
 
 def engine_config_to_json(config: EngineConfig) -> dict[str, Any]:
     return {name: getattr(config, name) for name in ENGINE_CONFIG_FIELDS}
-
-
-# -- event codec ---------------------------------------------------------------
-
-def _pairs(raw: Any, noun: str) -> list[tuple[int, str]]:
-    if not isinstance(raw, list):
-        raise ServerError(f"{noun} must be a list of [tid, annotation] "
-                          f"pairs, got {type(raw).__name__}")
-    pairs = []
-    for entry in raw:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], str)):
-            raise ServerError(
-                f"each {noun} entry must be [tid:int, annotation:str], "
-                f"got {entry!r}")
-        pairs.append((entry[0], entry[1]))
-    return pairs
-
-
-def _annotated_rows(raw: Any) -> Iterator[tuple[list[str], list[str]]]:
-    """Check and yield each ``[[value, ...], [annotation, ...]]`` row as
-    ``(values, annotations)`` strings, one row at a time: a consumer
-    such as :meth:`AnnotatedRelation.insert_many` never holds a second
-    copy of the batch.  ``raw`` is left as it was."""
-    if not isinstance(raw, list):
-        raise ServerError(f"rows must be a list, got {type(raw).__name__}")
-    for entry in raw:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], (list, tuple))
-                or not isinstance(entry[1], (list, tuple))):
-            raise ServerError(
-                f"each row must be [[value, ...], [annotation, ...]], "
-                f"got {entry!r}")
-        values, annotations = entry
-        yield ([str(value) for value in values],
-               [str(annotation) for annotation in annotations])
-
-
-def event_from_json(obj: Any) -> UpdateEvent:
-    """Decode one update event from its wire form.
-
-    The envelope is ``{"type": <kind>, ...payload}``; payload shapes
-    mirror the event constructors.  Malformed envelopes raise
-    :class:`~repro.errors.ServerError` (mapped to 400), including
-    events the constructors themselves reject (e.g. empty batches).
-    """
-    if not isinstance(obj, dict):
-        raise ServerError(f"event must be a JSON object, "
-                          f"got {type(obj).__name__}")
-    kind = obj.get("type")
-    payload = {key: value for key, value in obj.items() if key != "type"}
-
-    def _only(*fields: str) -> None:
-        extra = sorted(set(payload) - set(fields))
-        if extra:
-            raise ServerError(
-                f"unexpected field(s) {', '.join(extra)} for event "
-                f"type {kind!r}")
-
-    try:
-        if kind == "add_annotations":
-            _only("additions")
-            return AddAnnotations.build(
-                _pairs(payload.get("additions"), "additions"))
-        if kind == "remove_annotations":
-            _only("removals")
-            return RemoveAnnotations.build(
-                _pairs(payload.get("removals"), "removals"))
-        if kind == "add_annotated_tuples":
-            _only("rows")
-            return AddAnnotatedTuples.build(
-                _annotated_rows(payload.get("rows")))
-        if kind == "add_unannotated_tuples":
-            _only("rows")
-            raw = payload.get("rows")
-            if not isinstance(raw, list) or not all(
-                    isinstance(row, (list, tuple)) for row in raw):
-                raise ServerError(
-                    "rows must be a list of [value, ...] lists")
-            return AddUnannotatedTuples.build(
-                [[str(value) for value in row] for row in raw])
-        if kind == "remove_tuples":
-            _only("tids")
-            raw = payload.get("tids")
-            if not isinstance(raw, list) or not all(
-                    isinstance(tid, int) for tid in raw):
-                raise ServerError("tids must be a list of integers")
-            return RemoveTuples.build(raw)
-    except MaintenanceError as error:
-        raise ServerError(f"invalid {kind} event: {error}") from None
-    raise ServerError(
-        f"unknown event type {kind!r}; expected one of add_annotations, "
-        f"remove_annotations, add_annotated_tuples, "
-        f"add_unannotated_tuples, remove_tuples")
 
 
 # -- rule codec ----------------------------------------------------------------
@@ -299,7 +196,7 @@ class TenantRegistry:
         relation = AnnotatedRelation(
             Schema([str(column) for column in columns]) if columns else None)
         if rows is not None:
-            relation.insert_many(_annotated_rows(rows))
+            relation.insert_many(annotated_rows(rows, ServerError))
         self._service.create(name, relation, engine_config, mine=mine)
         return self.adopt(name)
 
@@ -372,7 +269,6 @@ __all__ = [
     "engine_config_from_json",
     "engine_config_to_json",
     "estimated_rule_to_json",
-    "event_from_json",
     "parse_metric",
     "parse_rule_kind",
     "resolve_item",

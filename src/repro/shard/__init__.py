@@ -31,20 +31,10 @@ from repro.shard.partition import (
     modulo_partitioner,
     partition_relation,
 )
-from repro.shard.rebalance import (
-    RebalancePlan,
-    ShardSkew,
-    plan_rebalance,
-    shard_skew,
-)
 from repro.shard.views import ShardDatabaseView, ShardIndexView
 
 __all__ = [
     "Partitioner",
-    "RebalancePlan",
-    "ShardSkew",
-    "plan_rebalance",
-    "shard_skew",
     "ShardDatabaseView",
     "ShardIndexView",
     "ShardedEngine",

@@ -184,8 +184,6 @@ class TestOneRevision:
         assert revision() == start + 3
         service.mine("s")
         assert revision() == start + 4
-        report = service.rebalance("s", shards=2)
-        assert report.revision == revision() == start + 5
         service.close()
 
     def test_the_snapshot_carries_the_engine_revision(self):
@@ -234,16 +232,6 @@ class TestLockFreeReads:
             holder.join(timeout=5)
         assert results["catalog"] is results["snapshot"].catalog
 
-    def test_a_snapshot_renders_through_its_own_vocabulary(self):
-        service = CorrelationService(config=ENGINE)
-        service.create("s", make_relation())
-        before = service.snapshot("s")
-        service.rebalance("s", shards=2)
-        after = service.snapshot("s")
-        assert after.vocabulary is not before.vocabulary
-        assert after.vocabulary is service._session("s").engine.vocabulary
-        assert after.signature == before.signature
-
 
 class TestSessionLock:
     """One plain lock per session: the operations that take it wait for
@@ -252,9 +240,6 @@ class TestSessionLock:
     OPERATIONS = {
         "flush": lambda service: service.flush("s"),
         "verify": lambda service: service.verify("s"),
-        "skew": lambda service: service.skew("s"),
-        "plan": lambda service: service.rebalance("s", dry_run=True),
-        "rebalance": lambda service: service.rebalance("s", shards=2),
     }
 
     @pytest.mark.parametrize("operation", sorted(OPERATIONS))

@@ -1,7 +1,7 @@
 """Journaled service behavior: WAL-before-mutate, restore, lazy-journal
-sync on close and drop, checkpoint, and online rebalancing under live writes."""
+sync on close and drop, and checkpoint."""
 
-import threading
+import struct
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core.config import EngineConfig
 from repro.core.events import AddAnnotations, RemoveAnnotations
 from repro.errors import SessionError
 from tests.conftest import make_relation
-from tests.property.test_prop_shard import drawn_events
 
 ENGINE = EngineConfig(min_support=0.25, min_confidence=0.6)
 
@@ -140,6 +139,28 @@ class TestRestore:
         assert reborn.verify("s").equivalent
         reborn.close()
 
+    def test_restore_reports_the_torn_tail_it_truncated(self, tmp_path):
+        """Opening the store truncates a torn tail; recovery must report
+        those bytes, not the zero a second open finds."""
+        service = journaled_service(tmp_path)
+        service.create("s", make_relation())
+        service.submit("s", AddAnnotations.build([(3, "A")]))
+        service.flush("s")
+        live = service.snapshot("s")
+        service.drop("s")  # closes the store; its files stay
+        wal = tmp_path / "journal" / "s" / "events.wal"
+        intact = wal.read_bytes()
+        # A header promising 100 payload bytes, then only 13 of them.
+        wal.write_bytes(intact + struct.pack("<II", 100, 0) + b"x" * 13)
+
+        reborn = journaled_service(tmp_path)
+        result = reborn.restore_session("s")
+        assert result.truncated_bytes == 21
+        assert reborn.journal_status("s")["truncated_bytes"] == 21
+        assert wal.read_bytes() == intact
+        assert reborn.snapshot("s").signature == live.signature
+        reborn.drop("s")
+
     def test_journal_status_none_without_a_journal(self):
         service = CorrelationService(config=ENGINE)
         service.create("s", make_relation())
@@ -196,79 +217,4 @@ class TestLazyJournal:
         result = service.restore_session("s")
         assert result.replay.records == 1
         assert service.snapshot("s").signature == signature
-        service.close()
-
-
-class TestOnlineRebalance:
-    def test_dry_run_changes_nothing(self, tmp_path):
-        service = journaled_service(tmp_path)
-        service.create("s", make_relation())
-        before = service.snapshot("s")
-        report = service.rebalance("s", shards=4, dry_run=True)
-        assert not report.applied
-        assert report.plan.target_shards == 4
-        assert service.snapshot("s") is before   # not even a new view
-        service.close()
-
-    def test_rebalance_under_concurrent_writes(self, tmp_path):
-        """Writers keep flushing while the rebalance builds, catches up
-        from the journal and cuts over: no torn revision (exactly one
-        bump for the cutover), no lost write, exact rules throughout."""
-        service = journaled_service(tmp_path)
-        relation = make_relation()
-        service.create("s", relation)
-        events = drawn_events(relation, count=12, seed=23)
-        errors = []
-
-        def writer():
-            try:
-                for event in events:
-                    service.submit("s", event)
-                    service.flush("s")
-            except Exception as error:  # pragma: no cover — fail below
-                errors.append(error)
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        report = service.rebalance("s", shards=4)
-        thread.join()
-        assert not errors
-        assert report.applied
-        assert report.plan.target_shards == 4
-        skew = service.skew("s")
-        assert skew.shard_count == 4
-        # Every write survived the cutover and the rules stay exact.
-        assert service.journal_status("s")["last_seq"] >= len(events)
-        assert service.verify("s").equivalent
-        # The anchored layout is what a restart comes back with.
-        live = service.snapshot("s")
-        service.close()
-        reborn = journaled_service(tmp_path)
-        reborn.restore_sessions()
-        assert reborn.snapshot("s").signature == live.signature
-        assert reborn.skew("s").shard_count == 4
-        reborn.close()
-
-    def test_aborted_rebalance_leaves_the_session_untouched(
-            self, tmp_path, monkeypatch):
-        service = journaled_service(tmp_path)
-        service.create("s", make_relation())
-        before = service.snapshot("s")
-
-        from repro.app import service as service_module
-
-        class Diverged:
-            def signature(self):
-                return frozenset()
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(service_module, "rebuild_with_plan",
-                            lambda *args, **kwargs: Diverged())
-        with pytest.raises(SessionError, match="diverged"):
-            service.rebalance("s", shards=2)
-        after = service.snapshot("s")
-        assert after.revision == before.revision
-        assert after.signature == before.signature
         service.close()

@@ -27,7 +27,7 @@ from repro.core.journal import (
     event_to_json,
     scan_journal,
 )
-from repro.errors import FormatError, MaintenanceError
+from repro.errors import FormatError, MaintenanceError, ServerError
 
 EVENTS = [
     AddAnnotations.build([(0, "A1"), (2, "A2")]),
@@ -51,23 +51,77 @@ class TestEventCodec:
 
     def test_wire_names_match_server_codec(self):
         # Journal dumps and HTTP payloads must read the same.
-        from repro.server.tenants import event_from_json as server_decode
-
         for event in EVENTS:
-            assert server_decode(event_to_json(event)) == event
+            assert event_from_json(event_to_json(event), ServerError) \
+                == event
 
     def test_decode_rejects_unknown_type(self):
-        with pytest.raises(FormatError, match="unknown journaled event"):
+        with pytest.raises(FormatError, match="unknown event type"):
             event_from_json({"type": "explode"})
 
     def test_decode_rejects_mangled_payload(self):
-        with pytest.raises(FormatError, match="corrupt journaled"):
+        with pytest.raises(FormatError, match="additions must be a list"):
             event_from_json({"type": "add_annotations",
                              "additions": "not-a-list"})
 
     def test_decode_rejects_non_object(self):
         with pytest.raises(FormatError):
             event_from_json(["add_annotations"])
+
+    def test_decode_rejects_extra_fields(self):
+        with pytest.raises(FormatError, match="unexpected field"):
+            event_from_json({"type": "remove_tuples", "tids": [0],
+                             "cascade": True})
+
+    def test_decode_type_checks_tids(self):
+        with pytest.raises(FormatError, match="list of integers"):
+            event_from_json({"type": "remove_tuples", "tids": ["0"]})
+
+    #: Every malformed shape the one decoder refuses, with the message
+    #: the HTTP endpoints answer 400 with.
+    MALFORMED = {
+        "missing-type": ({"additions": [[0, "A"]]}, "unknown event type"),
+        "additions-not-list": ({"type": "add_annotations",
+                                "additions": {"0": "A"}},
+                               "additions must be a list"),
+        "addition-one-element": ({"type": "add_annotations",
+                                  "additions": [[0]]},
+                                 r"tid:int, annotation:str"),
+        "addition-string-tid": ({"type": "add_annotations",
+                                 "additions": [["0", "A"]]},
+                                r"tid:int, annotation:str"),
+        "removal-int-annotation": ({"type": "remove_annotations",
+                                    "removals": [[0, 7]]},
+                                   r"tid:int, annotation:str"),
+        "empty-additions": ({"type": "add_annotations", "additions": []},
+                            "invalid add_annotations event"),
+        "annotated-rows-not-list": ({"type": "add_annotated_tuples",
+                                     "rows": "a,x"},
+                                    "rows must be a list"),
+        "annotated-row-flat": ({"type": "add_annotated_tuples",
+                                "rows": [["a", "x"]]},
+                               r"each row must be"),
+        "unannotated-row-scalar": ({"type": "add_unannotated_tuples",
+                                    "rows": ["a"]},
+                                   r"rows must be a list of \[value"),
+        "unannotated-extra-field": ({"type": "add_unannotated_tuples",
+                                     "rows": [["a"]], "annotations": []},
+                                    "unexpected field"),
+        "tids-not-list": ({"type": "remove_tuples", "tids": 3},
+                          "list of integers"),
+        "empty-tids": ({"type": "remove_tuples", "tids": []},
+                       "invalid remove_tuples event"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_event_raises_the_callers_error(self, case):
+        obj, message = self.MALFORMED[case]
+        # A journal record decodes as corruption, an HTTP body as a 400,
+        # with the same message either way.
+        with pytest.raises(FormatError, match=message):
+            event_from_json(obj)
+        with pytest.raises(ServerError, match=message):
+            event_from_json(obj, ServerError)
 
 
 class TestAppendAndRead:
@@ -203,6 +257,20 @@ class TestTornTail:
         assert scan.torn_bytes == 3
         assert [r.seq for r in scan.records] == [1, 2]
 
+    def test_scan_reports_the_tail_an_open_would_truncate(self, tmp_path):
+        path = self._journal_with_two_records(tmp_path)
+        intact = path.read_bytes()
+        path.write_bytes(intact + _HEADER.pack(100, 0) + b"x" * 13)
+        scan = scan_journal(path)
+        assert scan.torn_bytes == 21
+        assert (scan.last_seq, scan.floor_seq) == (2, 0)
+        # Scanning is read-only; only an open truncates.
+        assert len(path.read_bytes()) == len(intact) + 21
+        reopened = EventJournal(path)
+        assert reopened.truncated_bytes == 21
+        reopened.close()
+        assert path.read_bytes() == intact
+
     def test_corrupt_final_record_that_checksums_is_truncated(self, tmp_path):
         path = self._journal_with_two_records(tmp_path)
         # Append a record whose checksum is valid but whose seq breaks
@@ -246,6 +314,22 @@ class TestMidFileCorruption:
                 handle.write(_HEADER.pack(len(payload),
                                           zlib.crc32(payload)) + payload)
         with pytest.raises(FormatError, match="sequence break"):
+            scan_journal(path)
+
+    def test_malformed_event_mid_file_is_corruption(self, tmp_path):
+        path = wal(tmp_path)
+        EventJournal(path).close()
+        # Two records that checksum, the first carrying an event field
+        # no writer emits: the decoder's refusal is mid-file damage.
+        for document in ({"seq": 1, "kind": "batch",
+                          "events": [{"type": "remove_tuples",
+                                      "tids": [0], "cascade": True}]},
+                         {"seq": 2, "kind": "mine"}):
+            payload = json.dumps(document, separators=(",", ":")).encode()
+            with open(path, "ab") as handle:
+                handle.write(_HEADER.pack(len(payload),
+                                          zlib.crc32(payload)) + payload)
+        with pytest.raises(FormatError, match="unexpected field"):
             scan_journal(path)
 
     def test_bad_magic_refused(self, tmp_path):

@@ -8,12 +8,13 @@ snapshot, a compacted one, or falls back past a rotted file.
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.core.engine import engine
 from repro.core.events import AddAnnotations, RemoveAnnotations, RemoveTuples
-from repro.core.journal import JournalStore
+from repro.core.journal import JournalStore, list_snapshots, scan_journal
 from repro.errors import FormatError
 from tests.conftest import make_relation
 
@@ -325,5 +326,72 @@ class TestStatus:
         assert status["snapshots"] == [0, 2, 4]
         assert status["truncated_bytes"] == 0
         assert status["directory"] == store.directory
+        store.close()
+        manager.close()
+
+    def test_recover_reports_the_tail_the_open_truncated(self, tmp_path):
+        store = JournalStore(tmp_path / "s")
+        manager = mined_engine()
+        store.ensure_base_snapshot(manager)
+        boundaries = drive(store, manager)
+        store.close()
+        wal = tmp_path / "s" / "events.wal"
+        intact = wal.read_bytes()
+        # A record header promising 100 payload bytes, then only 13.
+        wal.write_bytes(intact + struct.pack("<II", 100, 0) + b"x" * 13)
+        reopened = JournalStore(tmp_path / "s")
+        assert wal.read_bytes() == intact   # the constructor truncated
+        result = reopened.recover()
+        assert result.truncated_bytes == 21
+        assert result.last_seq == len(BATCHES)
+        assert result.engine.signature() == boundaries[len(BATCHES)]
+        assert reopened.status()["truncated_bytes"] == 21
+        result.engine.close()
+        reopened.close()
+        manager.close()
+
+    def test_an_intact_store_reports_no_truncation(self, tmp_path):
+        store = JournalStore(tmp_path / "s")
+        manager = mined_engine()
+        store.ensure_base_snapshot(manager)
+        drive(store, manager)
+        store.close()
+        reopened = JournalStore(tmp_path / "s")
+        result = reopened.recover()
+        assert result.truncated_bytes == 0
+        assert reopened.status()["truncated_bytes"] == 0
+        result.engine.close()
+        reopened.close()
+        manager.close()
+
+
+class TestReadOnlyListing:
+    def test_list_snapshots_orders_by_seq_and_skips_strangers(
+            self, tmp_path):
+        store = JournalStore(tmp_path / "s", snapshot_every=1)
+        manager = mined_engine()
+        store.ensure_base_snapshot(manager)
+        drive(store, manager)
+        for stray in ("snapshot-12.json", "snapshot-0000000009.json.tmp",
+                      "notes.txt"):
+            (tmp_path / "s" / stray).write_text("{}")
+        listed = list_snapshots(tmp_path / "s")
+        assert [seq for seq, _ in listed] == list(range(len(BATCHES) + 1))
+        assert listed == store.snapshots()
+        store.close()
+        manager.close()
+
+    def test_a_scan_of_a_compacted_journal_reads_its_floor(self, tmp_path):
+        store = JournalStore(tmp_path / "s", snapshot_every=2)
+        manager = mined_engine()
+        store.ensure_base_snapshot(manager)
+        drive(store, manager)
+        store.compact(manager, store.last_seq, keep_snapshots=2)
+        floor = store.snapshots()[0][0]
+        scan = scan_journal(tmp_path / "s" / "events.wal")
+        assert [record.seq for record in scan.records] == list(
+            range(floor + 1, len(BATCHES) + 1))
+        assert scan.floor_seq == store.journal.floor_seq == floor
+        assert scan.last_seq == store.last_seq == len(BATCHES)
         store.close()
         manager.close()

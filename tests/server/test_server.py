@@ -34,6 +34,12 @@ class TestOperational:
         assert status == 404
         assert "no route" in body["error"]
 
+    def test_rebalance_is_not_a_route(self, served_tenant):
+        status, body, _ = served_tenant.request(
+            "POST", "/v1/demo/rebalance", {"shards": 2})
+        assert status == 404
+        assert "no route" in body["error"]
+
     def test_wrong_method_405(self, served):
         status, body, _ = served.request("PUT", "/healthz")
         assert status == 405

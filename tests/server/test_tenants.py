@@ -1,4 +1,4 @@
-"""Tenant registry and the JSON wire codecs."""
+"""Tenant registry and the JSON wire codecs the endpoints use."""
 
 import pytest
 
@@ -11,12 +11,12 @@ from repro.core.events import (
     RemoveAnnotations,
     RemoveTuples,
 )
+from repro.core.journal import event_from_json as decode_event
 from repro.errors import ServerError, SessionError
 from repro.server.tenants import (
     TenantRegistry,
     engine_config_from_json,
     engine_config_to_json,
-    event_from_json,
     parse_metric,
     parse_rule_kind,
     resolve_item,
@@ -24,6 +24,12 @@ from repro.server.tenants import (
 )
 
 ENGINE = EngineConfig(min_support=0.25, min_confidence=0.6)
+
+
+def event_from_json(obj):
+    """Decode an event the way the event endpoints do."""
+    return decode_event(obj, ServerError)
+
 
 ROWS = [
     [["a", "x"], ["A1"]],

@@ -44,6 +44,25 @@ repro.engine
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+SERVICE_PROBE = """\
+import json, sys
+import repro
+from repro.core.events import AddAnnotations
+relation = repro.AnnotatedRelation()
+for values, annotations in [(["a", "x"], ["A"]), (["a", "y"], ["A"]),
+                            (["b", "x"], []), (["a", "x"], ["A", "B"])]:
+    relation.insert(values, annotations)
+service = repro.CorrelationService(
+    config=repro.EngineConfig(min_support=0.25, min_confidence=0.6))
+service.create("s", relation)
+service.submit("s", AddAnnotations.build([(2, "A")]))
+service.flush("s")
+service.estimate("s")
+service.close()
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("repro.shard"))))
+"""
+
 RESOLVE_PROBE = """\
 import json, sys, types
 import repro
@@ -96,6 +115,10 @@ def test_the_engine_loads_without_the_serving_and_exploitation_tiers():
     added = set(run_probe(CORE_PROBE))
     assert "repro.core.engine" in added
     assert sorted(name for name in NOT_CORE if name in added) == []
+
+
+def test_a_monolithic_service_never_loads_the_shard_package():
+    assert run_probe(SERVICE_PROBE) == []
 
 
 def test_every_export_is_its_defining_modules_object():

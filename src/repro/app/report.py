@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.maintenance import MaintenanceReport
 from repro.core.engine import CorrelationEngine
-from repro.core.rules import RuleKind
+from repro.core.rules import AssociationRule, RuleKind
 from repro.mining.closed import compress_rules
 
 
@@ -34,26 +34,49 @@ def rules_report(manager: CorrelationEngine, *,
     return "\n".join(lines)
 
 
+def closest_to_valid(manager: CorrelationEngine, *, limit: int = 10
+                     ) -> list[tuple[AssociationRule, float, float]]:
+    """The near-miss rules closest to promotion, each with its support
+    and confidence gaps below the user thresholds.
+
+    Ranked by the summed gap; ties break on kind, sorted LHS tokens and
+    RHS token, so the ranking depends on the relation alone, not on the
+    order maintenance left the near-misses in.
+    """
+    thresholds = manager.thresholds
+    vocabulary = manager.vocabulary
+
+    def token(item: int) -> str:
+        return vocabulary.item(item).token
+
+    gapped = []
+    for rule in manager.candidates.values():
+        support_gap = max(0.0, thresholds.min_support - rule.support)
+        confidence_gap = max(0.0,
+                             thresholds.min_confidence - rule.confidence)
+        order = (support_gap + confidence_gap, rule.kind.value,
+                 tuple(sorted(map(token, rule.lhs))), token(rule.rhs))
+        gapped.append((order, (rule, support_gap, confidence_gap)))
+    gapped.sort(key=lambda pair: pair[0])
+    return [entry for _, entry in gapped[:limit]]
+
+
 def candidates_report(manager: CorrelationEngine, *,
                       limit: int = 10) -> str:
     """The near-miss rules closest to promotion, with their gaps."""
-    thresholds = manager.thresholds
-    closest = manager.candidates.closest_to_valid(thresholds, limit=limit)
+    closest = closest_to_valid(manager, limit=limit)
     if not closest:
         return "no candidate rules in the margin band"
+    thresholds = manager.thresholds
     lines = [f"candidate rules (margin band "
              f"[{thresholds.keep_support:.3f}, "
              f"{thresholds.min_support:.3f}) support / "
              f"[{thresholds.keep_confidence:.3f}, "
              f"{thresholds.min_confidence:.3f}) confidence):"]
-    for rule in closest:
-        support_gap = max(0.0, thresholds.min_support - rule.support)
-        confidence_gap = max(0.0,
-                             thresholds.min_confidence - rule.confidence)
-        lines.append(
-            f"  {rule.render(manager.vocabulary)}  "
-            f"needs +{support_gap:.3f} support, "
-            f"+{confidence_gap:.3f} confidence")
+    lines.extend(f"  {rule.render(manager.vocabulary)}  "
+                 f"needs +{support_gap:.3f} support, "
+                 f"+{confidence_gap:.3f} confidence"
+                 for rule, support_gap, confidence_gap in closest)
     return "\n".join(lines)
 
 

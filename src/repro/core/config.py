@@ -2,7 +2,7 @@
 
 :class:`EngineConfig` gathers every knob the correlation engine takes —
 thresholds, the near-miss margin, generalization, search limits,
-sharding, observability toggles.  It is frozen, so a config can be
+sharding and post-update validation.  It is frozen, so a config can be
 shared between engines, stored on a service, or used as a template
 (:meth:`EngineConfig.replace`) without aliasing bugs.
 
@@ -34,7 +34,6 @@ class EngineConfig:
     margin: float = DEFAULT_MARGIN
     generalizer: Any = None
     max_length: int | None = None
-    track_candidates: bool = True
     validate: bool = False
     #: Number of hash partitions the relation is mined and maintained
     #: in.  1 (the default) builds the classic monolithic
@@ -50,11 +49,9 @@ class EngineConfig:
         self.thresholds()
         # Tenant-create bodies reach this constructor straight from
         # JSON, so types are checked here, not where a value is used.
-        for name in ("track_candidates", "validate"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise InvalidThresholdError(
-                    f"{name} must be a bool, got {value!r}")
+        if not isinstance(self.validate, bool):
+            raise InvalidThresholdError(
+                f"validate must be a bool, got {self.validate!r}")
         for name, least, optional in (("max_length", 1, True),
                                       ("shards", 1, False)):
             value = getattr(self, name)

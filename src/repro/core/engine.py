@@ -3,7 +3,7 @@
 :class:`CorrelationEngine` owns an annotated relation together with all
 maintained state the paper describes: the transaction encoding, the
 annotation (vertical) index and frequency table, the frequent-pattern
-table, the valid rule set, and the near-miss candidate store.  It
+table, the valid rule set, and the near-miss candidate rules.  It
 exposes exactly the lifecycle of the paper's application:
 
 * :meth:`mine` — the initial, from-scratch pass: bulk-encode the
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Iterable, Sequence
+import types
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.annotation_index import VerticalIndex
-from repro.core.candidate_store import CandidateRuleStore
 from repro.core.catalog import RuleCatalog
 from repro.core.config import EngineConfig
 from repro.core.deltas import (
@@ -211,12 +211,10 @@ class CorrelationEngine:
         self.index = VerticalIndex(self.vocabulary)
         self.table = FrequentPatternTable(self.vocabulary)
         self.constraint = CombinedRelevanceConstraint(self.vocabulary)
-        self.candidates = CandidateRuleStore(enabled=config.track_candidates)
         self._rules = RuleSet()
         #: Full current near-miss set, keyed — maintained alongside the
         #: rules so the dirty-scoped refresh can revalidate untouched
-        #: near misses arithmetically (independent of the candidate
-        #: store, which may be disabled).
+        #: near misses arithmetically; :attr:`candidates` serves it.
         self._near_misses: dict[RuleKey, AssociationRule] = {}
         self._mined = False
         self._relation_version = -1
@@ -255,6 +253,17 @@ class CorrelationEngine:
     def rules(self) -> RuleSet:
         self._require_mined()
         return self._rules
+
+    @property
+    def candidates(self) -> Mapping[RuleKey, AssociationRule]:
+        """The near-miss rules, keyed, as a read-only view.
+
+        Section 4.3 (Case 3): "storing the existing rules and candidate
+        rules (rules slightly below the minimum support and confidence
+        requirements)" — rules failing a user threshold but inside the
+        ``margin`` band, with their exact counts.
+        """
+        return types.MappingProxyType(self._near_misses)
 
     def rules_of_kind(self, kind: RuleKind) -> list[AssociationRule]:
         return list(self.catalog().of_kind(kind))
@@ -434,7 +443,6 @@ class CorrelationEngine:
         report.rules_dropped = batch.rules_dropped
         report.rules_updated = batch.rules_updated
         report.table_size = batch.table_size
-        report.candidate_count = batch.candidate_count
         report.duration_seconds = batch.duration_seconds
         report.validation_seconds = batch.validation_seconds
         return report
@@ -788,15 +796,9 @@ class CorrelationEngine:
         report.rules_updated = sum(
             1 for rule in new_rules
             if rule.key not in added_keys and old_rules.get(rule.key) != rule)
-
-        demoted = [rule for rule in near_misses if rule.key in dropped_keys]
-        promoted = [key for key in added_keys if key in self.candidates]
-        self.candidates.refresh(near_misses, promoted_keys=promoted,
-                                demoted=demoted)
         self._rules = new_rules
         self._near_misses = {rule.key: rule for rule in near_misses}
         report.table_size = len(self.table)
-        report.candidate_count = len(self.candidates)
 
     def _finish(self, report: MaintenanceReport) -> None:
         """Post-event validation; timing and failure context land on

@@ -105,7 +105,6 @@ class MaintenanceReport:
     rules_dropped: list[RuleKey] = field(default_factory=list)
     rules_updated: int = 0
     table_size: int = 0
-    candidate_count: int = 0
     tuples_scanned: int = 0
     #: Phase-level wall/per-shard timing breakdown (empty when the
     #: operation predates phase instrumentation, e.g. per-case reports).
@@ -158,7 +157,6 @@ class BatchReport:
     rules_dropped: list[RuleKey] = field(default_factory=list)
     rules_updated: int = 0
     table_size: int = 0
-    candidate_count: int = 0
     #: Phase-level wall/per-shard timing breakdown of this flush.
     phases: PhaseTimings = field(default_factory=PhaseTimings)
 

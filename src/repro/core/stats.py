@@ -11,8 +11,9 @@ The *margin* implements the paper's candidate-rule idea: "storing the
 existing rules and candidate rules (rules slightly below the minimum
 support and confidence requirements)".  The pattern table keeps every
 itemset with support >= ``margin * min_support``; rules in the band
-between the margined and the real thresholds live in the candidate
-store, ready for cheap promotion.
+between the margined and the real thresholds are the engine's
+near-miss candidates (``CorrelationEngine.candidates``), ready for cheap
+promotion.
 """
 
 from __future__ import annotations

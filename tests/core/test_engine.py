@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.derive import derive_rules
 from repro.core.engine import CorrelationEngine, engine
 from repro.errors import InvalidThresholdError, MaintenanceError
 from tests.conftest import make_relation
@@ -26,10 +27,10 @@ class TestEngineConfig:
     def test_fields(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
             "min_support", "min_confidence", "margin", "generalizer",
-            "max_length", "track_candidates", "validate", "shards"]
+            "max_length", "validate", "shards"]
 
     @pytest.mark.parametrize("field", ["max_log_events", "shard_workers",
-                                       "sketch_k"])
+                                       "sketch_k", "track_candidates"])
     def test_removed_options_fail_at_construction(self, field):
         with pytest.raises(TypeError, match=field):
             EngineConfig(min_support=0.2, min_confidence=0.6,
@@ -38,7 +39,7 @@ class TestEngineConfig:
     @pytest.mark.parametrize("field,value", [
         ("max_length", 0), ("max_length", 2.5), ("max_length", True),
         ("shards", 0), ("shards", True),
-        ("track_candidates", "no"), ("validate", 1),
+        ("validate", 1),
     ])
     def test_bad_field_value_rejected(self, field, value):
         with pytest.raises(InvalidThresholdError, match=field):
@@ -78,6 +79,44 @@ class TestEngineFactory:
     def test_default_relation_is_empty(self):
         eng = engine(min_support=0.5, min_confidence=0.5)
         assert eng.db_size == 0
+
+
+class TestCandidatesView:
+    """``engine.candidates`` is the engine's own near-miss set: after
+    every kind of batch it equals what a fresh derivation over the
+    maintained table classifies as near-miss."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_equals_fresh_derivation_after_every_case(self, shards):
+        eng = engine(make_relation(), min_support=0.3, min_confidence=0.7,
+                     margin=0.5, shards=shards)
+        steps = [
+            eng.mine,
+            lambda: eng.insert_annotated([(("1", "2"), ("A",)),
+                                          (("4", "3"), ("B",))]),
+            lambda: eng.add_annotations([(3, "A"), (5, "A"), (0, "B")]),
+            lambda: eng.remove_annotations([(5, "A"), (1, "B")]),
+            lambda: eng.remove_tuples([7, 2]),
+        ]
+        sizes = []
+        for step in steps:
+            step()
+            _, near_misses = derive_rules(eng.table, eng.thresholds,
+                                          eng.db_size)
+            assert dict(eng.candidates) == {
+                rule.key: rule for rule in near_misses}
+            sizes.append(len(eng.candidates))
+        assert all(sizes)
+
+    def test_view_is_read_only(self):
+        eng = engine(make_relation(), min_support=0.3, min_confidence=0.7,
+                     margin=0.5)
+        eng.mine()
+        [key] = list(eng.candidates)[:1]
+        with pytest.raises(TypeError):
+            eng.candidates[key] = None
+        with pytest.raises(TypeError):
+            del eng.candidates[key]
 
 
 class TestValidationReporting:

@@ -64,17 +64,29 @@ class TestWorkloadLifecycle:
         large.add_annotations(batch)
         assert small.signature() == large.signature()
 
-    def test_candidate_store_promotion_happens(self, manager):
-        # Push near-misses over the line with a targeted batch and check
-        # the store records promotions.
-        relation = manager.relation
-        before = manager.candidates.stats.promotions
-        for seed in range(3, 10):
-            manager.add_annotations(
-                generate_annotation_batch(relation, size=30, seed=seed))
-        # Promotions are workload-dependent; the loop above adds enough
-        # annotations that at least one near-miss should have crossed.
-        assert manager.candidates.stats.promotions >= before
+    def test_near_miss_promoted_by_annotations(self, manager):
+        # A data-to-annotation near-miss whose LHS alone meets support
+        # becomes valid once enough LHS tuples carry its RHS annotation.
+        thresholds = manager.thresholds
+        promotable = sorted(
+            (rule for rule in manager.candidates.values()
+             if rule.kind is RuleKind.DATA_TO_ANNOTATION
+             and thresholds.meets_support(rule.lhs_count, rule.db_size)),
+            key=lambda rule: rule.lhs_count - rule.union_count)
+        assert promotable, "workload has no promotable near-miss"
+        target = promotable[0]
+        token = manager.vocabulary.item(target.rhs).token
+        lacking = sorted(manager.index.tids_of_itemset(target.lhs)
+                         - manager.index.tids(target.rhs))
+        added = 0
+        while target.key not in manager.rules:
+            assert target.key in manager.candidates
+            manager.add_annotations([(lacking[added], token)])
+            added += 1
+        assert added > 0
+        assert target.key not in manager.candidates
+        assert manager.rules.get(target.key).union_count == (
+            target.union_count + added)
         assert_equivalent_to_remine(manager)
 
 

@@ -171,27 +171,37 @@ class TestTenantLifecycle:
         status, _, _ = served.request("GET", "/v1/x")
         assert status == 404
 
+    def test_removed_track_candidates_field_400(self, served):
+        """Near-miss rules are the engine's own state, not an option; a
+        body that still switches them off names an unknown field."""
+        status, body, _ = served.request(
+            "POST", "/v1/tenants",
+            {"name": "x", "rows": ROWS,
+             "config": {"track_candidates": False}})
+        assert status == 400
+        assert "unknown engine config field" in body["error"]
+        assert "track_candidates" in body["error"]
+        status, _, _ = served.request("GET", "/v1/x")
+        assert status == 404
+
     def test_status_reports_every_engine_field(self, served):
         """Tenant status echoes every JSON-able EngineConfig field the
-        body set, including the two booleans."""
+        body set, including the boolean."""
         status, _, _ = served.request(
             "POST", "/v1/tenants",
-            {"name": "flags", "rows": ROWS,
-             "config": {"validate": True, "track_candidates": False}})
+            {"name": "flags", "rows": ROWS, "config": {"validate": True}})
         assert status == 201
         status, body, _ = served.request("GET", "/v1/flags")
         assert status == 200
         config = body["config"]
         assert config["validate"] is True
-        assert config["track_candidates"] is False
         assert sorted(config) == sorted([
             "min_support", "min_confidence", "margin", "max_length",
-            "track_candidates", "validate", "shards"])
+            "validate", "shards"])
 
     @pytest.mark.parametrize("config,field", [
         ({"max_length": 2.5}, "max_length"),
         ({"max_length": True}, "max_length"),
-        ({"track_candidates": "no"}, "track_candidates"),
         ({"validate": 1}, "validate"),
     ])
     def test_badly_typed_config_400(self, served, config, field):

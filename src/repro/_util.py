@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -15,6 +16,23 @@ from repro.errors import InvalidThresholdError
 #: maintenance path use the same helpers below, so thresholding is applied
 #: identically on both sides of every equivalence check.
 EPSILON = 1e-9
+
+
+def fsync_directory(directory: str) -> None:
+    """fsync a directory so a rename inside it is durable.
+
+    Best effort: some platforms refuse ``O_RDONLY`` directory fds.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover — platform-dependent
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover — platform-dependent
+        pass
+    finally:
+        os.close(fd)
 
 
 def validate_fraction(value: float, name: str) -> float:

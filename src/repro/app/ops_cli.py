@@ -147,10 +147,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if args.snapshot_out is not None:
         from repro.core import persistence
 
-        document = persistence.snapshot(
-            engine, journal_seq=result.last_seq)
-        with open(args.snapshot_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
+        persistence.save(engine, args.snapshot_out,
+                         journal_seq=result.last_seq)
         payload["snapshot_out"] = args.snapshot_out
     _print(payload)
     if args.verify and not payload["verified"]:

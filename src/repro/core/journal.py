@@ -48,6 +48,7 @@ import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
+from repro._util import fsync_directory
 from repro.core.engine import CorrelationEngine
 from repro.core.events import (
     AddAnnotatedTuples,
@@ -677,15 +678,11 @@ class JournalStore:
 
         path = self.snapshot_path(seq)
         tmp = path + ".tmp"
-        document = persistence.snapshot(engine, journal_seq=seq)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
+        persistence.write_synced(engine, tmp, journal_seq=seq)
         self._fault("snapshot.written")
         os.replace(tmp, path)
         self._fault("snapshot.renamed")
-        self._sync_directory()
+        fsync_directory(self.directory)
         return path
 
     def ensure_base_snapshot(self, engine: CorrelationEngine) -> bool:
@@ -758,7 +755,7 @@ class JournalStore:
         self._fault("compact.trim")
         self.journal.close()
         os.replace(tmp, self.journal.path)
-        self._sync_directory()
+        fsync_directory(self.directory)
         self.journal = EventJournal(self.journal.path,
                                     fsync=self.journal._fsync,
                                     fault_hook=self.fault_hook)
@@ -839,20 +836,6 @@ class JournalStore:
     def _fault(self, point: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(point)
-
-    def _sync_directory(self) -> None:
-        # Directory fsync makes the rename itself durable; some
-        # platforms refuse O_RDONLY directory fds — best effort there.
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover — platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover — platform-dependent
-            pass
-        finally:
-            os.close(fd)
 
 
 def snapshot_journal_seq(document: dict) -> int | None:

@@ -29,12 +29,13 @@ specific row, and folding it in would make it co-occur with everything
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from repro.mining.bitmap import BitmapIndex
 from repro.mining.itemsets import ItemVocabulary, Transaction
 from repro.relation.relation import AnnotatedRelation
-from repro.relation.schema import opaque_token
+from repro.relation.schema import Schema, opaque_token
 
 
 def encode_tuple(relation: AnnotatedRelation, tid: int,
@@ -58,43 +59,58 @@ def encode_tuple(relation: AnnotatedRelation, tid: int,
     return frozenset(ids)
 
 
-class TokenInterner:
-    """Plain-dict token caches in front of an :class:`ItemVocabulary`.
+class _TokenCache(dict):
+    """``key -> item id``, filled on a key's first lookup.
 
-    Resolving a token costs one string-dict lookup; only the first
+    Reads are plain C-level dict lookups (``map(cache.__getitem__,
+    keys)``); only a miss runs Python code: ``__missing__`` turns the
+    key into its token and interns it through the vocabulary.
+    """
+
+    __slots__ = ("_intern", "_token")
+
+    def __init__(self, intern, token=None) -> None:
+        super().__init__()
+        self._intern = intern
+        self._token = token
+
+    def __missing__(self, key) -> int:
+        token = key if self._token is None else self._token(key)
+        item_id = self[key] = self._intern(token)
+        return item_id
+
+
+class TokenInterner:
+    """Token caches in front of an :class:`ItemVocabulary`.
+
+    Resolving a token costs one C-level dict lookup; only the first
     occurrence of a distinct token reaches the vocabulary's
-    ``Item``-keyed interning.  Not thread-safe — the sharded engine
+    ``Item``-keyed interning.  Schema-less values resolve through one
+    value cache; a schema's values resolve through one cache per
+    column, keyed by the raw value, so the ``"name=value"`` token is
+    only formatted on a miss.  Not thread-safe — the sharded engine
     completes all interning before its concurrent mining phase.
     """
 
-    __slots__ = ("vocabulary", "_data", "_annotations", "_labels")
+    __slots__ = ("vocabulary", "values", "annotations", "labels",
+                 "_columns")
 
     def __init__(self, vocabulary: ItemVocabulary) -> None:
         self.vocabulary = vocabulary
-        self._data: dict[str, int] = {}
-        self._annotations: dict[str, int] = {}
-        self._labels: dict[str, int] = {}
+        self.values = _TokenCache(vocabulary.intern_data, opaque_token)
+        self.annotations = _TokenCache(vocabulary.intern_annotation)
+        self.labels = _TokenCache(vocabulary.intern_label)
+        self._columns: dict[Schema, list[_TokenCache]] = {}
 
-    def data(self, token: str) -> int:
-        item_id = self._data.get(token)
-        if item_id is None:
-            item_id = self.vocabulary.intern_data(token)
-            self._data[token] = item_id
-        return item_id
-
-    def annotation(self, token: str) -> int:
-        item_id = self._annotations.get(token)
-        if item_id is None:
-            item_id = self.vocabulary.intern_annotation(token)
-            self._annotations[token] = item_id
-        return item_id
-
-    def label(self, token: str) -> int:
-        item_id = self._labels.get(token)
-        if item_id is None:
-            item_id = self.vocabulary.intern_label(token)
-            self._labels[token] = item_id
-        return item_id
+    def columns(self, schema: Schema) -> list[_TokenCache]:
+        """One raw-value cache per column of ``schema``."""
+        caches = self._columns.get(schema)
+        if caches is None:
+            caches = self._columns[schema] = [
+                _TokenCache(self.vocabulary.intern_data,
+                            partial(schema.data_token, position))
+                for position in range(schema.arity)]
+        return caches
 
 
 class EncodedRelation(NamedTuple):
@@ -114,8 +130,8 @@ def encode_relation(relation: AnnotatedRelation,
 
     Yields exactly the items a per-tuple :func:`encode_tuple` loop
     would (vocabulary interned in the same order), but interns each
-    distinct token once and resolves every later occurrence through
-    the interner's plain ``str -> int`` caches.  Each transaction is
+    distinct token once and resolves every later occurrence with a
+    C-level ``map`` over the interner's dict caches.  Each transaction is
     packed as a tuple of distinct ids, and while its ids are at hand
     the pass sets tid's bit in every item's ``bytearray`` page; the
     pages become the bitmap index at the end, so no frozenset is built
@@ -126,18 +142,18 @@ def encode_relation(relation: AnnotatedRelation,
     ``relation.live_count``.  Tuple-order interning keeps vocabulary
     ids deterministic, which is why this pass stays sequential.
     """
-    schema = relation.schema
-    data = interner.data
-    annotation = interner.annotation
-    label = interner.label
+    values = interner.values.__getitem__
+    annotation = interner.annotations.__getitem__
+    label = interner.labels.__getitem__
+    columns = (None if relation.schema is None
+               else interner.columns(relation.schema))
     transactions: list[tuple[int, ...]] = [()] * relation.tid_range
     pages: dict[int, bytearray] = {}
     for row in relation:
-        if schema is None:
-            ids = [data(opaque_token(value)) for value in row.values]
+        if columns is None:
+            ids = list(map(values, row.values))
         else:
-            ids = [data(schema.data_token(position, value))
-                   for position, value in enumerate(row.values)]
+            ids = list(map(dict.__getitem__, columns, row.values))
         if row.annotations:
             ids += map(annotation, sorted(row.annotations))
         if include_labels and row.labels:

@@ -3,10 +3,11 @@
 :class:`ShardedEngine` is a drop-in :class:`~repro.core.engine.CorrelationEngine`
 whose relation is hash-partitioned by tid into N shard-local engines.
 Each shard maintains its own substrate (relation slice, transaction
-store, bitmap index, pattern table) with the ordinary engine machinery;
-the sharded engine owns the *global* state every consumer reads — the
-authoritative relation, the merged pattern table, the rule set, the
-revision counter and the catalog — plus tid-translating views
+store, bitmap index, pattern table) with the ordinary engine machinery
+but derives no rules of its own; the sharded engine owns the *global*
+state every consumer reads — the authoritative relation, the merged
+pattern table, the rule set, the revision counter and the catalog —
+plus tid-translating views
 (:mod:`repro.shard.views`) standing in for the monolithic
 ``engine.index`` / ``engine.database`` attributes.
 
@@ -62,6 +63,18 @@ from repro.shard.partition import (
 from repro.shard.views import ShardDatabaseView, ShardIndexView
 
 
+class _ShardEngine(CorrelationEngine):
+    """A shard-local engine: it keeps its substrate and pattern table
+    exact and derives no rules.  Only the rules of the merged global
+    table are served, so shard-local derivation would be thrown away."""
+
+    def _refresh_rules(self, report) -> None:
+        pass
+
+    def _refresh_rules_scoped(self, report, dirty) -> None:
+        pass
+
+
 class ShardedEngine(CorrelationEngine):
     """Partitioned engines behind the monolithic engine's interface."""
 
@@ -115,7 +128,7 @@ class ShardedEngine(CorrelationEngine):
         return out
 
     def _shard_config(self) -> EngineConfig:
-        """Shard engines are ordinary monolithic engines."""
+        """Shard engines are monolithic engines (minus rule derivation)."""
         return self.config.replace(shards=1)
 
     # -- initial (partitioned) mining -------------------------------------------
@@ -132,7 +145,7 @@ class ShardedEngine(CorrelationEngine):
             relations, self._global_of, self._local_of = partition_relation(
                 self.relation, self._partitioner, self.shard_count)
             self._shards = [
-                CorrelationEngine(shard_relation, self._shard_config(),
+                _ShardEngine(shard_relation, self._shard_config(),
                                   vocabulary=self.vocabulary)
                 for shard_relation in relations
             ]

@@ -1,9 +1,11 @@
 """Unit tests for manager snapshots (save/load)."""
 
+import errno
 import json
 
 import pytest
 
+from repro.core import persistence
 from repro.core.engine import CorrelationEngine
 from repro.core.persistence import load, restore, save, snapshot
 from repro.errors import FormatError, MaintenanceError
@@ -126,6 +128,42 @@ class TestFiles:
         restored = load(path)
         assert restored.signature() == manager.signature()
         assert restored.thresholds == manager.thresholds
+
+    def test_a_failed_save_leaves_the_previous_file_intact(
+            self, tmp_path, monkeypatch):
+        """A save that dies mid-write (here: the disk fills after the
+        first 100 characters) must not tear the snapshot it replaces."""
+        manager = mined_manager()
+        path = tmp_path / "state.json"
+        save(manager, path)
+        before = path.read_bytes()
+        manager.add_annotations([(1, "B")])
+
+        real_open = open
+
+        def filling_open(file, mode="r", **kwargs):
+            handle = real_open(file, mode, **kwargs)
+            if "w" in mode:
+                real_write = handle.write
+                written = 0
+
+                def write(text):
+                    nonlocal written
+                    if written > 100:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    written += len(text)
+                    return real_write(text)
+
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(persistence, "open", filling_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save(manager, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["state.json"]
+        assert json.loads(before) != snapshot(manager)
 
 
 class TestRevisionRoundTrip:

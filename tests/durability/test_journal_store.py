@@ -12,10 +12,11 @@ import struct
 
 import pytest
 
+from repro.core import persistence
 from repro.core.engine import engine
 from repro.core.events import AddAnnotations, RemoveAnnotations, RemoveTuples
 from repro.core.journal import JournalStore, list_snapshots, scan_journal
-from repro.errors import FormatError
+from repro.errors import FormatError, MaintenanceError
 from tests.conftest import make_relation
 
 #: A deterministic flush history over the reference relation: each
@@ -60,6 +61,15 @@ class TestBaseSnapshot:
         store.close()
         manager.close()
 
+    def test_a_failed_snapshot_write_leaves_no_tmp_file(self, tmp_path):
+        store = JournalStore(tmp_path / "s")
+        unmined = engine(make_relation(), min_support=0.25,
+                         min_confidence=0.6)
+        with pytest.raises(MaintenanceError, match="unmined"):
+            store.write_snapshot(unmined, 0)
+        assert sorted(os.listdir(tmp_path / "s")) == ["events.wal"]
+        store.close()
+
     def test_recover_without_any_snapshot_refuses(self, tmp_path):
         store = JournalStore(tmp_path / "s")
         store.append_batch(BATCHES[0])
@@ -96,6 +106,24 @@ class TestRecovery:
             assert result.engine.signature() == signature, (
                 f"point-in-time recovery to seq {seq} diverged")
             result.engine.close()
+        store.close()
+        manager.close()
+
+    def test_a_store_with_an_indented_snapshot_still_recovers(
+            self, tmp_path):
+        """Older writers saved snapshots as indented JSON; the compact
+        streamed form is the same format v4, and stores written either
+        way recover to the same signature."""
+        store = JournalStore(tmp_path / "s")
+        manager = mined_engine()
+        with open(store.snapshot_path(0), "w", encoding="utf-8") as handle:
+            json.dump(persistence.snapshot(manager, journal_seq=0), handle,
+                      indent=1)
+        drive(store, manager)
+        result = store.recover()
+        assert result.snapshot_seq == 0
+        assert result.engine.signature() == manager.signature()
+        result.engine.close()
         store.close()
         manager.close()
 

@@ -110,6 +110,43 @@ class TestEncodeRelation:
         assert len(encoded.transactions[0]) == 3
         assert encoded.bitmaps.count(encoded.transactions[0]) == 1
 
+    def test_schema_value_in_two_columns_is_two_items(self):
+        relation = AnnotatedRelation(Schema(("a", "b")))
+        relation.insert(("x", "x"), ("A",))
+        relation.insert(("x", "y"))
+        vocabulary = ItemVocabulary()
+        encoded = encode_relation(relation, TokenInterner(vocabulary))
+        assert [vocabulary.item(item).token
+                for item in encoded.transactions[0]] == ["a=x", "b=x", "A"]
+        assert encoded.transactions[1][0] == encoded.transactions[0][0]
+        assert encoded.bitmaps.count(encoded.transactions[0][:2]) == 1
+
+    def test_repeated_schemaless_value_matches_encode_tuple(self):
+        relation = AnnotatedRelation()
+        relation.insert(("2", "1", "2", "1"), ("A",))
+        bulk, single = ItemVocabulary(), ItemVocabulary()
+        encoded = encode_relation(relation, TokenInterner(bulk))
+        assert encoded.transactions[0] == (0, 1, 2)
+        assert frozenset(encoded.transactions[0]) == encode_tuple(
+            relation, 0, single)
+        assert list(bulk) == list(single)
+
+    def test_one_interner_across_two_schemas(self):
+        """Shards share one interner; relations with different schemas
+        must not share per-column caches."""
+        first = AnnotatedRelation(Schema(("a", "b")))
+        first.insert(("x", "y"))
+        second = AnnotatedRelation(Schema(("c", "a")))
+        second.insert(("x", "y"))
+        interner = TokenInterner(ItemVocabulary())
+        bulk = [encode_relation(relation, interner).transactions[0]
+                for relation in (first, second)]
+        single_vocabulary = ItemVocabulary()
+        single = [encode_tuple(relation, 0, single_vocabulary)
+                  for relation in (first, second)]
+        assert list(map(frozenset, bulk)) == single
+        assert list(interner.vocabulary) == list(single_vocabulary)
+
     def test_bitmaps_index_the_transactions(self):
         relation = build_relation()
         relation.insert(("1", "4"), ("A", "B"))

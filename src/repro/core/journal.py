@@ -59,6 +59,7 @@ from repro.core.events import (
     UpdateEvent,
 )
 from repro.errors import FormatError, MaintenanceError, ReproError
+from repro.relation.relation import interned_strs
 
 #: File magic: identifies a journal and its record format revision.
 MAGIC = b"RPJRNL1\n"
@@ -131,24 +132,31 @@ def _pairs(raw: object, noun: str,
     return pairs
 
 
+def annotated_row(entry: object, error: type[ReproError]
+                  ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Check one ``[[value, ...], [annotation, ...]]`` row and return it
+    as ``(values, annotations)`` tuples of interned strings, the form
+    :meth:`AnnotatedRelation.insert_many` keeps."""
+    if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+            or not isinstance(entry[0], (list, tuple))
+            or not isinstance(entry[1], (list, tuple))):
+        raise error(
+            f"each row must be [[value, ...], [annotation, ...]], "
+            f"got {entry!r}")
+    values, annotations = entry
+    return interned_strs(values), interned_strs(annotations)
+
+
 def annotated_rows(raw: object, error: type[ReproError]
-                   ) -> Iterator[tuple[list[str], list[str]]]:
-    """Check and yield each ``[[value, ...], [annotation, ...]]`` row as
-    ``(values, annotations)`` strings, one row at a time: a consumer
-    such as :meth:`AnnotatedRelation.insert_many` never holds a second
-    copy of the batch.  ``raw`` is left as it was."""
+                   ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Check and yield each row of the list ``raw`` as
+    :func:`annotated_row` does, one row at a time: a consumer such as
+    :meth:`AnnotatedRelation.insert_many` never holds a second copy of
+    the batch.  ``raw`` is left as it was."""
     if not isinstance(raw, list):
         raise error(f"rows must be a list, got {type(raw).__name__}")
     for entry in raw:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], (list, tuple))
-                or not isinstance(entry[1], (list, tuple))):
-            raise error(
-                f"each row must be [[value, ...], [annotation, ...]], "
-                f"got {entry!r}")
-        values, annotations = entry
-        yield ([str(value) for value in values],
-               [str(annotation) for annotation in annotations])
+        yield annotated_row(entry, error)
 
 
 def event_from_json(obj: object, error: type[ReproError] = FormatError
@@ -797,8 +805,7 @@ class JournalStore:
         errors: list[str] = []
         for seq, path in reversed(candidates):
             try:
-                with open(path, encoding="utf-8") as handle:
-                    document = json.load(handle)
+                document = persistence.read(path)
                 saved_seq = snapshot_journal_seq(document)
                 if saved_seq is not None and saved_seq != seq:
                     raise FormatError(
@@ -861,6 +868,7 @@ __all__ = [
     "RecoveryResult",
     "ReplayStats",
     "WAL_NAME",
+    "annotated_row",
     "annotated_rows",
     "event_from_json",
     "event_to_json",

@@ -42,7 +42,8 @@ is ignored); any other value is a corrupted document.
 Every writer streams the document through :func:`dump` as compact
 JSON, ``tuples`` encoded a block of rows at a time by :mod:`json`'s C
 encoder.  Whitespace is not part of the format: the indented files
-older writers produced are the same format and still load.
+older writers produced are the same format and still load.  Readers
+go through :func:`read`, which decodes ``tuples`` a row at a time.
 
 Older writers also recorded an ``events_applied`` count and the shard
 layout's ``workers`` setting.  Documents carrying them still load:
@@ -55,15 +56,18 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Iterable
 from typing import TextIO
 
 from repro._util import fsync_directory
 from repro.core.config import EngineConfig
 from repro.core.engine import CorrelationEngine
 from repro.errors import FormatError, MaintenanceError
+from repro.io.json_stream import ConvertedArray, loads_streaming
 from repro.relation.annotation import Annotation
-from repro.relation.relation import AnnotatedRelation
+from repro.relation.relation import AnnotatedRelation, interned_strs
 from repro.relation.schema import Schema
+from repro.relation.tuples import AnnotatedTuple
 
 FORMAT_VERSION = 4
 #: Versions :func:`restore` accepts; 1 lacks the revision/catalog keys,
@@ -92,8 +96,9 @@ def snapshot(manager: CorrelationEngine, *,
     document, built from the same two helpers.
     """
     document = _header(manager, journal_seq)
-    document["tuples"] = _tuple_records(manager.relation,
-                                        range(manager.relation.tid_range))
+    relation = manager.relation
+    document["tuples"] = _tuple_records(
+        relation.tid_slice(0, relation.tid_range))
     return document
 
 
@@ -116,7 +121,7 @@ def dump(manager: CorrelationEngine, handle: TextIO, *,
     tid_range = relation.tid_range
     for start in range(0, tid_range, BLOCK_ROWS):
         block = _tuple_records(
-            relation, range(start, min(start + BLOCK_ROWS, tid_range)))
+            relation.tid_slice(start, start + BLOCK_ROWS))
         if start:
             write(",")
         # "[row,...,row]" minus its brackets: the block's rows.
@@ -179,21 +184,14 @@ def _header(manager: CorrelationEngine, journal_seq: int | None) -> dict:
     return document
 
 
-def _tuple_records(relation: AnnotatedRelation,
-                   tids: range) -> list[dict | None]:
-    """The ``tuples`` entries of ``tids``: ``None`` for a tombstone."""
-    records: list[dict | None] = []
-    for tid in tids:
-        if not relation.is_live(tid):
-            records.append(None)
-            continue
-        row = relation.tuple(tid)
-        records.append({
-            "values": list(row.values),
-            "annotations": sorted(row.annotations),
-            "labels": sorted(row.labels),
-        })
-    return records
+def _tuple_records(rows: list[AnnotatedTuple]) -> list[dict | None]:
+    """The ``tuples`` entries of ``rows``: ``None`` for a tombstone."""
+    return [{"values": list(row.values),
+             "annotations": sorted(row.annotations),
+             # Almost every row shares the one empty label set.
+             "labels": sorted(row.labels) if row.labels else []}
+            if row.alive else None
+            for row in rows]
 
 
 def _token_ref(manager: CorrelationEngine, item_id: int) -> list:
@@ -233,8 +231,47 @@ def save(manager: CorrelationEngine, path: str | os.PathLike, *,
     fsync_directory(os.path.dirname(os.path.abspath(path)))
 
 
+def _tuple_row(entry: dict | None) -> tuple[tuple[str, ...], ...] | None:
+    """A ``tuples`` entry as ``(values, annotations, labels)`` tuples of
+    interned strings, ``None`` for a tombstone."""
+    if entry is None:
+        return None
+    return (interned_strs(entry["values"]),
+            interned_strs(entry["annotations"]),
+            interned_strs(entry.get("labels", ())))
+
+
+def _insert_rows(relation: AnnotatedRelation, rows: Iterable) -> None:
+    """Insert :func:`_tuple_row` rows in tid order, then label the
+    labelled ones and tombstone the tombstones."""
+    placeholder = ("__tombstone__",) * (
+        relation.schema.arity if relation.schema is not None else 1)
+    labelled: list[tuple[int, tuple[str, ...]]] = []
+    doomed: list[int] = []
+
+    def pairs():
+        for tid, row in enumerate(rows):
+            if row is None:
+                doomed.append(tid)
+                yield placeholder, ()
+                continue
+            values, annotations, labels = row
+            if labels:
+                labelled.append((tid, labels))
+            yield values, annotations
+
+    relation.insert_many(pairs())
+    for tid, labels in labelled:
+        relation.set_labels(tid, labels)
+    for tid in doomed:
+        relation.delete(tid)
+
+
 def restore(document: dict, *, generalizer=None) -> CorrelationEngine:
     """Rebuild a mined manager from a snapshot dict.
+
+    ``tuples`` is the list a snapshot stores, or the rows :func:`read`
+    already decoded it into.
 
     The pattern table is restored via a fresh ``mine()`` over the
     restored relation, then cross-checked count-by-count against the
@@ -256,17 +293,9 @@ def restore(document: dict, *, generalizer=None) -> CorrelationEngine:
             record["id"], record.get("text", ""),
             record.get("category", ""), record.get("author", ""),
             record.get("created", "")))
-    doomed = []
-    placeholder = ("__tombstone__",) * (schema.arity if schema else 1)
-    for entry in document["tuples"]:
-        if entry is None:
-            tid = relation.insert(placeholder)
-            doomed.append(tid)
-            continue
-        tid = relation.insert(entry["values"], entry["annotations"])
-        relation.set_labels(tid, entry.get("labels", ()))
-    for tid in doomed:
-        relation.delete(tid)
+    entries = document["tuples"]
+    _insert_rows(relation, entries if isinstance(entries, ConvertedArray)
+                 else map(_tuple_row, entries))
 
     backend = document.get("backend", LEGACY_BACKENDS[0])
     if backend not in LEGACY_BACKENDS:
@@ -349,12 +378,21 @@ def _restore_sharded(relation: AnnotatedRelation, config: EngineConfig,
         partitioner=partitioner)
 
 
+def read(path: str | os.PathLike) -> dict:
+    """A snapshot file's document, for :func:`restore`.
+
+    ``tuples`` is decoded a row at a time straight into interned
+    tuples, so the file's list of row dicts is never held whole.
+    """
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return loads_streaming(text, "tuples", _tuple_row)
+
+
 def load(path: str | os.PathLike, *, generalizer=None
          ) -> CorrelationEngine:
     """Read a snapshot file and rebuild the manager."""
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    return restore(document, generalizer=generalizer)
+    return restore(read(path), generalizer=generalizer)
 
 
 def _verify_catalog(manager: CorrelationEngine, document: dict) -> None:

@@ -24,6 +24,20 @@ from repro.relation.triggers import TriggerRegistry
 from repro.relation.tuples import AnchorScope, AnnotatedTuple, AnnotationAnchor
 
 
+def interned_strs(strings: Iterable[object]) -> tuple[str, ...]:
+    """``str()`` of each of ``strings``, interned, as a tuple: the form
+    a row's values and annotation ids are kept in."""
+    strings = tuple(strings)
+    # Built from a list, the tuple is allocated at its exact size and
+    # returns to the tuple free list when freed.  ``tuple(map(...))``
+    # allocates ten slots and shrinks them, so every short-lived result
+    # (an inserted row's annotation ids) was parked in a free list.
+    try:
+        return tuple([*map(sys.intern, strings)])
+    except TypeError:  # not all exact strs: coerce each first
+        return tuple([sys.intern(str(item)) for item in strings])
+
+
 class AnnotatedRelation:
     """In-memory annotated relation with trigger support."""
 
@@ -69,6 +83,11 @@ class AnnotatedRelation:
     def __iter__(self) -> Iterator[AnnotatedTuple]:
         return (row for row in self._tuples if row.alive)
 
+    def tid_slice(self, start: int, stop: int) -> list[AnnotatedTuple]:
+        """The rows of tids ``start`` to ``stop - 1``, tombstones
+        (``alive`` False) included."""
+        return self._tuples[start:stop]
+
     def tids(self) -> Iterator[int]:
         return (row.tid for row in self._tuples if row.alive)
 
@@ -91,35 +110,58 @@ class AnnotatedRelation:
 
     def insert(self, values: Sequence[str],
                annotations: Iterable[str] = ()) -> int:
-        """Append a tuple; returns its tid.  Fires ``on_insert``."""
-        self.triggers.guard()
-        if self.schema is not None:
-            values = self.schema.validate_row(values)
-        elif not values:
-            raise SchemaError("a tuple needs at least one data value")
-        # Values and annotation ids repeat across tuples: every row
-        # shares one copy of each.
-        row_values = tuple(sys.intern(str(value)) for value in values)
-        tid = len(self._tuples)
-        row = AnnotatedTuple(tid=tid, values=row_values)
-        for annotation_id in annotations:
-            self.registry.ensure(annotation_id)
-            row.attach(sys.intern(str(annotation_id)))
-        self._tuples.append(row)
-        self._live += 1
-        self.version += 1
-        if self.triggers.on_insert:
-            self.triggers.fire_insert(tid, row_values, row.annotation_ids)
-        return tid
+        """Append a tuple; returns its tid.  Fires ``on_insert``.
+
+        The one-row case of :meth:`insert_many`, which keeps ``str()``
+        of each value and annotation id."""
+        return self.insert_many(
+            ((interned_strs(values), interned_strs(annotations)),))[0]
 
     def insert_many(self, rows: Iterable[tuple[Sequence[str], Iterable[str]]]
                     ) -> list[int]:
         """Insert ``(values, annotations)`` pairs; returns their tids.
 
-        ``rows`` is consumed one pair at a time, so a generator loads a
-        relation without a second copy of the batch."""
-        return [self.insert(values, annotations)
-                for values, annotations in rows]
+        Each row is appended (and ``on_insert`` fired) before the next
+        is read, so a generator loads a relation without a second copy
+        of the batch, and a bad row fails after the rows before it.
+        Values and annotation ids repeat across tuples, so every row
+        shares one interned copy of each.  A tuple is adopted as it is:
+        it must hold interned strings, as :func:`interned_strs` makes
+        them (and :meth:`insert`, the tenant loader and the snapshot
+        reader do).  Any other sequence goes through it first.
+        """
+        self.triggers.guard()
+        schema = self.schema
+        ensure = self.registry.ensure
+        ensured: set[str] = set()
+        anchor = AnnotationAnchor.row()
+        triggers = self.triggers
+        tuples = self._tuples
+        first = len(tuples)
+        for values, annotations in rows:
+            if type(values) is not tuple:
+                values = interned_strs(values)
+            if type(annotations) is not tuple:
+                annotations = interned_strs(annotations)
+            if schema is not None:
+                if len(values) != schema.arity:
+                    schema.validate_row(values)  # raises the arity error
+            elif not values:
+                raise SchemaError("a tuple needs at least one data value")
+            # The registry sees each distinct id once per batch.
+            if not ensured.issuperset(annotations):
+                for annotation_id in annotations:
+                    ensure(annotation_id)
+                ensured.update(annotations)
+            tid = len(tuples)
+            row = AnnotatedTuple(tid, values,
+                                 dict.fromkeys(annotations, anchor))
+            tuples.append(row)
+            self._live += 1
+            self.version += 1
+            if triggers.on_insert:
+                triggers.fire_insert(tid, values, row.annotation_ids)
+        return list(range(first, len(tuples)))
 
     def annotate(self, tid: int, annotation: str | Annotation,
                  anchor: AnnotationAnchor | None = None) -> bool:

@@ -56,6 +56,7 @@ from repro.server.tenants import (
     TenantRegistry,
     TenantState,
     estimated_rule_to_json,
+    load_create_body,
     parse_metric,
     parse_rule_kind,
     resolve_item,
@@ -96,11 +97,11 @@ class Request:
         self.headers = headers
         self.body = body
 
-    def json(self) -> Any:
+    def json(self, loads: Callable[[bytes], Any] = json.loads) -> Any:
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            return loads(self.body)
         except ValueError as error:
             raise HttpError(400, f"request body is not valid JSON: "
                                  f"{error}") from None
@@ -664,7 +665,7 @@ class CorrelationServer:
     async def _handle_tenant_create(self,
                                     request: Request) -> tuple[int, dict]:
         self._reject_writes_while_draining()
-        body = request.json()
+        body = request.json(load_create_body)
         if not isinstance(body, dict):
             raise HttpError(400, "tenant create body must be a JSON "
                                  "object")

@@ -27,13 +27,14 @@ from repro.app.estimate import EstimatedRule
 from repro.app.service import CorrelationService
 from repro.core.catalog import ALL_METRICS, RuleCatalog
 from repro.core.config import EngineConfig
-from repro.core.journal import annotated_rows
+from repro.core.journal import annotated_row, annotated_rows
 from repro.core.rules import AssociationRule, RuleKind
 from repro.errors import (
     ItemKindError,
     ServerError,
     VocabularyError,
 )
+from repro.io.json_stream import ConvertedArray, loads_streaming
 from repro.mining.itemsets import Item, ItemKind, ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
@@ -185,7 +186,11 @@ class TenantRegistry:
                rows: Any = None,
                config: dict[str, Any] | None = None,
                mine: bool = True) -> TenantState:
-        """Create a tenant (blocking: runs the initial mine)."""
+        """Create a tenant (blocking: runs the initial mine).
+
+        ``rows`` is a decoded list of ``[[value, ...], [annotation,
+        ...]]`` rows, or the rows :func:`load_create_body` already
+        checked and packed."""
         if not isinstance(name, str) or not _TENANT_NAME.match(name):
             raise ServerError(
                 f"tenant name must match [A-Za-z0-9._-]{{1,64}}, "
@@ -195,7 +200,9 @@ class TenantRegistry:
         engine_config = engine_config_from_json(config, self._default_engine)
         relation = AnnotatedRelation(
             Schema([str(column) for column in columns]) if columns else None)
-        if rows is not None:
+        if isinstance(rows, ConvertedArray):
+            relation.insert_many(rows)
+        elif rows is not None:
             relation.insert_many(annotated_rows(rows, ServerError))
         self._service.create(name, relation, engine_config, mine=mine)
         return self.adopt(name)
@@ -250,6 +257,20 @@ class TenantRegistry:
         return status
 
 
+def load_create_body(body: bytes) -> Any:
+    """A ``POST /v1/tenants`` body, decoded as :func:`json.loads` would,
+    except that a top-level ``rows`` array is checked and packed a row
+    at a time (:func:`~repro.core.journal.annotated_row`), so the body's
+    tree of rows is never built.  A malformed row raises its error when
+    :meth:`TenantRegistry.create` reaches it, after the checks on the
+    other fields."""
+    return loads_streaming(body, "rows", _checked_row)
+
+
+def _checked_row(entry: object) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return annotated_row(entry, ServerError)
+
+
 def resolve_item(vocabulary: ItemVocabulary, token: str) -> int | None:
     """Item id for ``token`` in a snapshot's vocabulary, or ``None``
     when no kind of item with that token was ever interned (such a
@@ -269,6 +290,7 @@ __all__ = [
     "engine_config_from_json",
     "engine_config_to_json",
     "estimated_rule_to_json",
+    "load_create_body",
     "parse_metric",
     "parse_rule_kind",
     "resolve_item",

@@ -7,6 +7,10 @@ and the transaction store packs each transaction as a tuple of ids.
 The bound covers the served path too: a tenant created from the
 JSON-decoded rows of a create body, once the body is gone.  A first
 estimate read on a mined tenant adds next to nothing on top.
+Loading is bounded as well: a tenant created from its create body's
+bytes, and an engine restored from its snapshot file, peak at most
+1.5x what they keep, because neither builds the document's tree of
+rows.
 The packing must stay invisible: after a mixed flush, after a copy
 and re-mine, and after a snapshot restore, the store answers exactly
 what encoding the tuple afresh gives.
@@ -31,7 +35,7 @@ from repro.generalization.rules import (
 )
 from repro.relation.transactions import encode_tuple
 from repro.relation.tuples import AnnotationAnchor
-from repro.server.tenants import TenantRegistry
+from repro.server.tenants import TenantRegistry, load_create_body
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from repro.synth.workloads import paper_scale
 
@@ -80,6 +84,67 @@ def test_a_tenant_created_from_decoded_json_retains_at_most_1kb_per_tuple():
     assert status["db_size"] == N_TUPLES and status["rules"] > 0
     assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
         f"{retained / N_TUPLES:.0f} B retained per tuple")
+
+
+#: Peak over retained memory of a load: the loaded state, plus the
+#: transient of the initial mine.  Decoding the whole JSON document
+#: first peaked at about 2.5-3x.
+MAX_LOAD_PEAK_RATIO = 1.5
+
+
+def traced_load(load):
+    """``load()`` under tracemalloc: (its result, retained, peak)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return loaded, retained, peak
+
+
+def test_a_tenant_created_from_its_body_bytes_peaks_at_most_1_5x_what_it_keeps():
+    workload = paper_scale(N_TUPLES)
+    raw = json.dumps({
+        "name": "paper",
+        "rows": [[list(row.values), sorted(row.annotation_ids)]
+                 for row in workload.relation],
+        "config": {"min_support": workload.min_support,
+                   "min_confidence": workload.min_confidence},
+    }).encode()
+    del workload
+
+    def create():
+        registry = TenantRegistry(CorrelationService())
+        body = load_create_body(raw)
+        registry.create(body["name"], rows=body["rows"],
+                        config=body["config"])
+        return registry
+
+    registry, retained, peak = traced_load(create)
+    status = registry.status("paper")
+    assert status["db_size"] == N_TUPLES and status["rules"] > 0
+    assert peak <= MAX_LOAD_PEAK_RATIO * retained, (
+        f"create peaked at {peak / retained:.2f}x the {retained} B kept")
+
+
+def test_a_snapshot_load_peaks_at_most_1_5x_what_it_keeps(tmp_path):
+    workload = paper_scale(N_TUPLES)
+    engine = CorrelationEngine(workload.relation,
+                               min_support=workload.min_support,
+                               min_confidence=workload.min_confidence)
+    engine.mine()
+    path = tmp_path / "snapshot.json"
+    persistence.save(engine, path)
+    signature = engine.signature()
+    del workload, engine
+
+    restored, retained, peak = traced_load(lambda: persistence.load(path))
+    assert restored.signature() == signature
+    assert peak <= MAX_LOAD_PEAK_RATIO * retained, (
+        f"load peaked at {peak / retained:.2f}x the {retained} B kept")
 
 
 #: What a first estimate read may leave behind on a mined tenant: it

@@ -7,6 +7,13 @@ row, then one ``insert`` per row), the caller's rows must be left as
 they were, a malformed row must still fail the whole create with the
 same message, and every row must share one interned string per
 annotation id.
+
+Over HTTP the create body is decoded a row at a time
+(``load_create_body``).  Whatever the field order, layout or escaping
+of the body, the tenant must equal the one built from the whole
+decoded body; a duplicated ``rows`` key resolves last-wins; and a
+malformed row, a non-JSON or a truncated body each answer the 400 they
+answered when the body was decoded whole, registering nothing.
 """
 
 import json
@@ -19,7 +26,7 @@ from repro.core.config import EngineConfig
 from repro.errors import SchemaError, ServerError
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
-from repro.server.tenants import TenantRegistry
+from repro.server.tenants import TenantRegistry, load_create_body
 from repro.synth.workloads import paper_scale
 
 from tests.server.conftest import ROWS
@@ -139,3 +146,189 @@ def test_absent_or_null_rows_create_an_empty_tenant(served, body):
     status, created, _ = served.request("POST", "/v1/tenants", body)
     assert status == 201
     assert created["tenant"]["db_size"] == 0
+
+
+# -- the streamed create body ----------------------------------------------------
+
+#: Values and annotation ids JSON has to escape, or that are not ASCII.
+AWKWARD_ROWS = [
+    [["é", 'quote"d'], ["Annot_ü"]],
+    [["tab\there", "back\\slash"], ["Annot_ü", "Annot_😀"]],
+    [["é", "line\nbreak"], []],
+    [["\u0000nul", "é"], ["Annot_ü"]],
+]
+
+
+def body_text(fields: list[tuple[str, object]], **layout) -> str:
+    """A create body with its fields in the given order."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value, **layout)}"
+                           for key, value in fields) + "}"
+
+
+def post_raw(served, body: str | bytes) -> tuple[int, dict]:
+    connection = served.connection()
+    try:
+        connection.request(
+            "POST", "/v1/tenants",
+            body=body.encode("utf-8") if isinstance(body, str) else body,
+            headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def assert_nothing_registered(served) -> None:
+    _, listing, _ = served.request("GET", "/v1/tenants")
+    assert listing["tenants"] == []
+    assert served.server.tenants.service.sessions() == ()
+
+
+def streamed_load(text: str) -> AnnotatedRelation:
+    """The tenant the server builds from a create body's text."""
+    registry = TenantRegistry(CorrelationService(), default_engine=ENGINE)
+    body = load_create_body(text.encode("utf-8"))
+    registry.create(body["name"], columns=body.get("columns"),
+                    rows=body.get("rows"), mine=False)
+    return hosted_relation(registry, body["name"])
+
+
+def decoded_load(text: str) -> AnnotatedRelation:
+    """The tenant built from the whole decoded body, as before."""
+    registry = TenantRegistry(CorrelationService(), default_engine=ENGINE)
+    body = json.loads(text)
+    registry.create(body["name"], columns=body.get("columns"),
+                    rows=body.get("rows"), mine=False)
+    return hosted_relation(registry, body["name"])
+
+
+COLUMNS = [f"c{i}" for i in range(6)]
+
+
+@pytest.mark.parametrize("text", [
+    body_text([("name", "t"), ("rows", "ROWS"), ("columns", COLUMNS)]),
+    body_text([("rows", "ROWS"), ("name", "t"), ("columns", COLUMNS)]),
+    body_text([("columns", COLUMNS), ("rows", "ROWS"), ("name", "t")]),
+    body_text([("rows", "ROWS"), ("columns", COLUMNS), ("name", "t")],
+              indent=2),
+    body_text([("name", "t"), ("rows", "ROWS")], separators=(",", ":")),
+], ids=["name-rows-columns", "rows-first", "columns-first", "indented",
+        "compact-schemaless"])
+def test_a_streamed_create_equals_the_decoded_create(text):
+    text = text.replace('"ROWS"', json.dumps(decoded_rows(300)))
+    expected = picture(decoded_load(text))
+    assert picture(streamed_load(text)) == expected
+    columns = json.loads(text).get("columns")
+    assert expected == picture(two_pass_load(json.loads(text)["rows"],
+                                             columns))
+
+
+@pytest.mark.parametrize("layout", [{}, {"ensure_ascii": False},
+                                    {"indent": "\t"}])
+def test_escaped_and_non_ascii_strings_load_unchanged(layout):
+    text = body_text([("rows", AWKWARD_ROWS), ("name", "t"),
+                      ("columns", ["c1", "c2"])], **layout)
+    loaded = streamed_load(text)
+    assert picture(loaded) == picture(decoded_load(text))
+    assert loaded.tuple(1).values == ("tab\there", "back\\slash")
+    assert list(loaded.tuple(1).annotations) == ["Annot_ü", "Annot_😀"]
+
+
+def test_a_duplicated_rows_key_resolves_last_wins():
+    text = body_text([("name", "t"), ("rows", [["z"], ["Z"]]),
+                      ("rows", ROWS)])
+    assert picture(streamed_load(text)) == picture(two_pass_load(ROWS, None))
+    assert picture(streamed_load(text)) == picture(decoded_load(text))
+
+
+def test_a_malformed_rows_key_overridden_by_a_later_one_is_ignored(served):
+    text = body_text([("name", "dup"), ("rows", [["b", ["A2"]]]),
+                      ("columns", ["c1", "c2"]), ("rows", ROWS)])
+    status, created = post_raw(served, text)
+    assert status == 201, created
+    assert created["tenant"]["db_size"] == len(ROWS)
+
+
+def test_an_indented_body_with_rows_first_serves_the_same_rules(served):
+    status, _ = post_raw(served, body_text(
+        [("name", "compact"), ("columns", ["c1", "c2"]), ("rows", ROWS)],
+        separators=(",", ":")))
+    assert status == 201
+    status, _ = post_raw(served, body_text(
+        [("rows", ROWS), ("name", "indented"), ("columns", ["c1", "c2"])],
+        indent=4))
+    assert status == 201
+    _, compact, _ = served.request("GET", "/v1/compact/rules")
+    _, indented, _ = served.request("GET", "/v1/indented/rules")
+    assert compact["rules"] == indented["rules"] and compact["rules"]
+
+
+ROW_MESSAGE = "each row must be [[value, ...], [annotation, ...]], got "
+
+
+@pytest.mark.parametrize("columns,row,error", [
+    (None, ["b", ["A2"]], ROW_MESSAGE + "['b', ['A2']]"),
+    (None, [["b"]], ROW_MESSAGE + "[['b']]"),
+    (None, [["b"], ["A2"], []], ROW_MESSAGE + "[['b'], ['A2'], []]"),
+    (None, [["b"], "A2"], ROW_MESSAGE + "[['b'], 'A2']"),
+    (None, [{"b": 1}, ["A2"]], ROW_MESSAGE + "[{'b': 1}, ['A2']]"),
+    (None, None, ROW_MESSAGE + "None"),
+    (None, 7, ROW_MESSAGE + "7"),
+    (None, "row", ROW_MESSAGE + "'row'"),
+    (None, {"values": ["b"]}, ROW_MESSAGE + "{'values': ['b']}"),
+    (["c1", "c2"], [["b"], ["A2"]], "row has 1 values, schema expects 2"),
+    (None, [[], ["A2"]], "a tuple needs at least one data value"),
+    (None, [["b"], [""]], "annotation id must be a non-empty string, "
+                          "got ''"),
+])
+def test_every_malformed_row_answers_its_400_and_registers_nothing(
+        served, columns, row, error):
+    body = {"name": "bad", "rows": ROWS[:2] + [row] + ROWS[3:]}
+    if columns is not None:
+        body["columns"] = columns
+    for text in (json.dumps(body), json.dumps(body, indent=2)):
+        status, answer = post_raw(served, text)
+        assert (status, answer["error"]) == (400, error)
+        assert_nothing_registered(served)
+
+
+def test_the_other_fields_are_checked_before_a_malformed_row(served):
+    rows = ROWS[:2] + [["b", ["A2"]]]
+    for body, error in [
+            ({"name": 5, "rows": rows},
+             "tenant create body needs a string 'name'"),
+            ({"name": "x", "rows": rows, "extra": 1},
+             "unknown tenant create field(s): extra"),
+            ({"name": "x", "rows": rows, "mine": "yes"},
+             "'mine' must be a boolean"),
+            ({"name": "bad name", "rows": rows},
+             "tenant name must match [A-Za-z0-9._-]{1,64}, "
+             "got 'bad name'")]:
+        status, answer = post_raw(served, json.dumps(body))
+        assert (status, answer["error"]) == (400, error)
+    assert_nothing_registered(served)
+
+
+def not_valid_json(body: str | bytes) -> str:
+    with pytest.raises(ValueError) as raised:
+        json.loads(body.encode("utf-8") if isinstance(body, str) else body)
+    return f"request body is not valid JSON: {raised.value}"
+
+
+def test_non_json_bodies_answer_json_loads_400(served):
+    for body in ["{not json", "[1, 2", '{"name": "x", "rows": [1,]}',
+                 '{"name": "x"} trailing', '{"rows": [["a"], ["A"]] "x": 1}',
+                 b'{"name": "\xff"}']:
+        status, answer = post_raw(served, body)
+        assert (status, answer["error"]) == (400, not_valid_json(body))
+    assert_nothing_registered(served)
+
+
+def test_truncated_bodies_answer_json_loads_400(served):
+    text = body_text([("name", "cut"), ("rows", ROWS),
+                      ("columns", ["c1", "c2"])], indent=1)
+    for cut in range(1, len(text) - 1, 7):
+        status, answer = post_raw(served, text[:cut])
+        assert (status, answer["error"]) == (400,
+                                             not_valid_json(text[:cut]))
+    assert_nothing_registered(served)

@@ -497,7 +497,8 @@ class CorrelationService:
         names the poison event.  A failure tied to no event (an engine
         whose incremental state is stale or that was never mined) puts
         the whole batch back, journals nothing and re-raises — call
-        :meth:`CorrelationService.mine`, then flush again.
+        :meth:`CorrelationService.mine`, then flush again.  An empty
+        queue raises it too.
         """
         hosted = self._session(name)
         instrumentation = self._instrumentation
@@ -513,6 +514,9 @@ class CorrelationService:
                         # inline flush.
                         hosted.flush_claim = None
                     if not batch:
+                        # Nothing to apply, but a stale engine is
+                        # still loud.
+                        hosted.engine.require_current()
                         return BatchReport(db_size=hosted.engine.db_size,
                                            event="apply-batch[0]")
                     prefix = self._journal_prefix(hosted, batch)

@@ -468,10 +468,7 @@ class CorrelationEngine:
         self._require_mined()
         if not events:
             raise MaintenanceError("apply_batch needs at least one event")
-        if self.relation.version != self._relation_version:
-            raise MaintenanceError(
-                "relation was modified outside the engine; incremental "
-                "state is stale — re-run mine()")
+        self.require_current()
         return compile_plan(
             events,
             next_tid=self.relation.tid_range,
@@ -816,6 +813,17 @@ class CorrelationEngine:
                 f"(db_size={report.db_size}): "
                 f"{error}") from error
         report.validation_seconds = time.perf_counter() - started
+
+    def require_current(self) -> None:
+        """Raise the :class:`MaintenanceError` any batch would meet
+        when the engine was never mined, or when its relation changed
+        outside it (a batch that failed mid-way leaves it so): its
+        incremental state is stale until :meth:`mine` runs again."""
+        self._require_mined()
+        if self.relation.version != self._relation_version:
+            raise MaintenanceError(
+                "relation was modified outside the engine; incremental "
+                "state is stale — re-run mine()")
 
     def _require_mined(self) -> None:
         if not self._mined:

@@ -187,7 +187,8 @@ def _header(manager: CorrelationEngine, journal_seq: int | None) -> dict:
 def _tuple_records(rows: list[AnnotatedTuple]) -> list[dict | None]:
     """The ``tuples`` entries of ``rows``: ``None`` for a tombstone."""
     return [{"values": list(row.values),
-             "annotations": sorted(row.annotations),
+             # Already sorted: a row keeps its ids in order.
+             "annotations": list(row.annotations),
              # Almost every row shares the one empty label set.
              "labels": sorted(row.labels) if row.labels else []}
             if row.alive else None

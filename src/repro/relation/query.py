@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.errors import SchemaError
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
-from repro.relation.tuples import AnchorScope
+from repro.relation.tuples import AnchorScope, AnnotationAnchor
 
 #: Predicate over a tuple's values, e.g. ``lambda row: row[0] == "28"``.
 RowPredicate = Callable[[tuple[str, ...]], bool]
@@ -57,7 +57,9 @@ def select(relation: AnnotatedRelation,
     """σ — keep tuples satisfying ``predicate`` with all annotations.
 
     Propagation: every annotation of a surviving tuple survives with
-    its anchor (selection does not change the tuple's shape).
+    its anchor (selection does not change the tuple's shape), so an
+    output row shares its input row's values, id tuple, cell anchors
+    and labels.
     """
     out = AnnotatedRelation(relation.schema,
                             name=name or f"select({relation.name})")
@@ -66,9 +68,8 @@ def select(relation: AnnotatedRelation,
     for row in relation:
         if not predicate(row.values):
             continue
-        new_tid = out.insert(row.values)
-        for annotation_id, anchor in row.annotations.items():
-            out.annotate(new_tid, annotation_id, anchor)
+        (new_tid,) = out.insert_many(((row.values, row.annotations),))
+        out.tuple(new_tid).cell_anchors = row.cell_anchors
         out.set_labels(new_tid, row.labels)
         provenance.append((row.tid,))
     return QueryResult(out, tuple(provenance))
@@ -123,12 +124,12 @@ def project(relation: AnnotatedRelation,
             provenance.append((row.tid,))
             if distinct:
                 merged[values] = new_tid
-        for annotation_id, anchor in row.annotations.items():
+        for annotation_id in row.annotations:
+            anchor = row.anchor(annotation_id)
             if anchor.scope is AnchorScope.ROW:
                 out.annotate(new_tid, annotation_id)
             elif anchor.scope is AnchorScope.CELL \
                     and anchor.column in position_of:
-                from repro.relation.tuples import AnnotationAnchor
                 out.annotate(new_tid, annotation_id,
                              AnnotationAnchor.cell(
                                  position_of[anchor.column]))
@@ -162,8 +163,6 @@ def join(left: AnnotatedRelation,
     _copy_registry(left, out)
     _copy_registry(right, out)
 
-    from repro.relation.tuples import AnnotationAnchor
-
     by_key: dict[str, list] = {}
     for row in right:
         if right_column >= len(row.values):
@@ -178,9 +177,11 @@ def join(left: AnnotatedRelation,
                 f"left tuple {left_row.tid} has no column {left_column}")
         for right_row in by_key.get(left_row.values[left_column], ()):
             new_tid = out.insert(left_row.values + right_row.values)
-            for annotation_id, anchor in left_row.annotations.items():
-                out.annotate(new_tid, annotation_id, anchor)
-            for annotation_id, anchor in right_row.annotations.items():
+            for annotation_id in left_row.annotations:
+                out.annotate(new_tid, annotation_id,
+                             left_row.anchor(annotation_id))
+            for annotation_id in right_row.annotations:
+                anchor = right_row.anchor(annotation_id)
                 if anchor.scope is AnchorScope.CELL:
                     shifted = AnnotationAnchor.cell(
                         anchor.column + len(left_row.values))
@@ -224,8 +225,9 @@ def union(left: AnnotatedRelation,
                 provenance.append((row.tid,))
                 if distinct:
                     merged[row.values] = new_tid
-            for annotation_id, anchor in row.annotations.items():
-                out.annotate(new_tid, annotation_id, anchor)
+            for annotation_id in row.annotations:
+                out.annotate(new_tid, annotation_id,
+                             row.anchor(annotation_id))
             out.add_labels(new_tid, row.labels)
 
     absorb(left)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from operator import lt
 
 from repro.errors import SchemaError, UnknownTupleError
 from repro.relation.annotation import Annotation, AnnotationRegistry
@@ -128,13 +129,16 @@ class AnnotatedRelation:
         shares one interned copy of each.  A tuple is adopted as it is:
         it must hold interned strings, as :func:`interned_strs` makes
         them (and :meth:`insert`, the tenant loader and the snapshot
-        reader do).  Any other sequence goes through it first.
+        reader do).  Any other sequence goes through it first.  A row
+        keeps its annotation ids sorted and distinct: a tuple that
+        already is (a snapshot's rows are) becomes the row's own
+        without a copy, and any other is sorted once the registry has
+        met its new ids in the order given.
         """
         self.triggers.guard()
         schema = self.schema
         ensure = self.registry.ensure
         ensured: set[str] = set()
-        anchor = AnnotationAnchor.row()
         triggers = self.triggers
         tuples = self._tuples
         first = len(tuples)
@@ -148,14 +152,17 @@ class AnnotatedRelation:
                     schema.validate_row(values)  # raises the arity error
             elif not values:
                 raise SchemaError("a tuple needs at least one data value")
-            # The registry sees each distinct id once per batch.
+            # The registry sees each distinct id once per batch, in the
+            # order the row lists them.
             if not ensured.issuperset(annotations):
                 for annotation_id in annotations:
                     ensure(annotation_id)
                 ensured.update(annotations)
+            if len(annotations) > 1 and not all(
+                    map(lt, annotations, annotations[1:])):
+                annotations = tuple(sorted(set(annotations)))
             tid = len(tuples)
-            row = AnnotatedTuple(tid, values,
-                                 dict.fromkeys(annotations, anchor))
+            row = AnnotatedTuple(tid, values, annotations)
             tuples.append(row)
             self._live += 1
             self.version += 1
@@ -225,10 +232,14 @@ class AnnotatedRelation:
         return detached
 
     def delete(self, tid: int) -> None:
-        """Tombstone a tuple (future-work extension)."""
+        """Tombstone a tuple (future-work extension).
+
+        The tid stays taken, so later tids do not move, but the
+        tombstone keeps no values, annotations or labels: under churn
+        memory follows |DB|, not the number of inserts ever made."""
         self.triggers.guard()
         row = self.tuple(tid)
-        row.alive = False
+        row.tombstone()
         self._live -= 1
         self.version += 1
         self.triggers.fire_delete(tid)
@@ -270,15 +281,19 @@ class AnnotatedRelation:
             clone._tuples.append(AnnotatedTuple(
                 tid=local_tid,
                 values=row.values,
-                annotations=dict(row.annotations),
+                annotations=row.annotations,
                 labels=row.labels,
-                alive=True,
+                cell_anchors=row.cell_anchors,
             ))
         clone._live = len(clone._tuples)
         return clone
 
     def copy(self) -> "AnnotatedRelation":
-        """Deep copy of data, annotations and labels (not triggers).
+        """Copy of data, annotations and labels (not triggers).
+
+        Rows are new objects; they share the immutable values, id
+        tuples, label sets and cell-anchor dicts, which every mutation
+        rebinds rather than changes in place.
 
         Used by the re-mine baseline so that verification never mutates
         the relation an incremental manager is tracking.
@@ -290,9 +305,10 @@ class AnnotatedRelation:
             copied = AnnotatedTuple(
                 tid=row.tid,
                 values=row.values,
-                annotations=dict(row.annotations),
+                annotations=row.annotations,
                 labels=row.labels,
                 alive=row.alive,
+                cell_anchors=row.cell_anchors,
             )
             clone._tuples.append(copied)
         clone._live = self._live

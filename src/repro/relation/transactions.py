@@ -15,7 +15,8 @@ Two encoders produce the same transactions:
   and their bitmap index together — every from-scratch mine uses it.
 
 Both intern a tuple's tokens in one fixed order: data values by
-position, then annotations, then labels, each in sorted token order.
+position, then annotations, then labels, each in sorted token order
+(a row keeps its annotation ids sorted, so they need no sort here).
 Item ids therefore never depend on set iteration order, which varies
 with the interpreter's hash seed.
 
@@ -47,7 +48,7 @@ def encode_tuple(relation: AnnotatedRelation, tid: int,
     ids = [vocabulary.intern_data(token)
            for token in relation.data_tokens(tid)]
     ids += [vocabulary.intern_annotation(annotation_id)
-            for annotation_id in sorted(row.annotations)]
+            for annotation_id in row.annotations]
     if include_labels:
         ids += [vocabulary.intern_label(label)
                 for label in sorted(row.labels)]
@@ -155,7 +156,7 @@ def encode_relation(relation: AnnotatedRelation,
         else:
             ids = list(map(dict.__getitem__, columns, row.values))
         if row.annotations:
-            ids += map(annotation, sorted(row.annotations))
+            ids += map(annotation, row.annotations)
         if include_labels and row.labels:
             ids += map(label, sorted(row.labels))
         tid = row.tid
@@ -186,4 +187,4 @@ def annotation_item_ids(relation: AnnotatedRelation,
     """Interned ids of the raw annotations currently on a tuple."""
     row = relation.tuple(tid)
     return frozenset(vocabulary.intern_annotation(annotation_id)
-                     for annotation_id in sorted(row.annotations))
+                     for annotation_id in row.annotations)

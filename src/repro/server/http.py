@@ -154,6 +154,34 @@ def _route(method: str, pattern: str, route_id: str):
     return decorate
 
 
+def _checked_create_body(request: Request
+                         ) -> tuple[str, list[str] | None, bool, dict]:
+    """Decode a ``POST /v1/tenants`` body and check its fields, in this
+    order: a JSON object, a string ``name``, no unknown field, string
+    ``columns``, boolean ``mine``.  Returns ``(name, columns, mine,
+    body)``; its rows are checked as the create reads them."""
+    body = request.json(load_create_body)
+    if not isinstance(body, dict):
+        raise HttpError(400, "tenant create body must be a JSON object")
+    name = body.get("name")
+    if not isinstance(name, str):
+        raise HttpError(400, "tenant create body needs a string 'name'")
+    unknown = sorted(set(body) - {"name", "columns", "rows", "config",
+                                  "mine"})
+    if unknown:
+        raise HttpError(400, f"unknown tenant create field(s): "
+                             f"{', '.join(unknown)}")
+    columns = body.get("columns")
+    if columns is not None and (
+            not isinstance(columns, list)
+            or not all(isinstance(c, str) for c in columns)):
+        raise HttpError(400, "'columns' must be a list of strings")
+    mine = body.get("mine", True)
+    if not isinstance(mine, bool):
+        raise HttpError(400, "'mine' must be a boolean")
+    return name, columns, mine, body
+
+
 class CorrelationServer:
     """One serving process: tenants, endpoints, admission, metrics."""
 
@@ -665,27 +693,11 @@ class CorrelationServer:
     async def _handle_tenant_create(self,
                                     request: Request) -> tuple[int, dict]:
         self._reject_writes_while_draining()
-        body = request.json(load_create_body)
-        if not isinstance(body, dict):
-            raise HttpError(400, "tenant create body must be a JSON "
-                                 "object")
-        name = body.get("name")
-        if not isinstance(name, str):
-            raise HttpError(400, "tenant create body needs a string "
-                                 "'name'")
-        unknown = sorted(set(body) - {"name", "columns", "rows",
-                                      "config", "mine"})
-        if unknown:
-            raise HttpError(400, f"unknown tenant create field(s): "
-                                 f"{', '.join(unknown)}")
-        columns = body.get("columns")
-        if columns is not None and (
-                not isinstance(columns, list)
-                or not all(isinstance(c, str) for c in columns)):
-            raise HttpError(400, "'columns' must be a list of strings")
-        mine = body.get("mine", True)
-        if not isinstance(mine, bool):
-            raise HttpError(400, "'mine' must be a boolean")
+        # Decoding a large body takes tens of milliseconds: the executor
+        # does it, so other connections are served meanwhile.
+        name, columns, mine, body = await self._run_blocking(
+            _checked_create_body, request)
+        self._reject_writes_while_draining()  # it may have begun since
         # Tenant creation mines, which is blocking engine work: it
         # takes a flush lane and runs on the executor.
         self._admit_flush_slot(name)

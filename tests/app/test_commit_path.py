@@ -90,6 +90,33 @@ class TestStaleEngine:
         assert reborn.snapshot("s").db_size == live.db_size
         reborn.close()
 
+    def test_an_empty_flush_on_a_stale_engine_raises(self, tmp_path,
+                                                      monkeypatch):
+        service = journaled_service(tmp_path)
+        service.create("s", make_relation())
+        fail_next_refresh(monkeypatch, service._session("s").engine)
+        before = service.snapshot("s")
+        service.submit("s", AddAnnotations.build([(3, "A")]))
+        with pytest.raises(RuntimeError, match="injected"):
+            service.flush("s")
+        assert service.pending("s") == 0
+        seq = service.journal_status("s")["last_seq"]
+        with pytest.raises(MaintenanceError, match="stale"):
+            service.flush("s")
+        assert service.snapshot("s") is before
+        assert service.journal_status("s")["last_seq"] == seq
+        service.mine("s")
+        assert service.flush("s").event == "apply-batch[0]"
+        assert service.verify("s").equivalent
+        service.close()
+
+    def test_an_empty_flush_on_an_unmined_session_raises(self, tmp_path):
+        service = journaled_service(tmp_path)
+        service.create("raw", make_relation(), mine=False)
+        with pytest.raises(MaintenanceError, match="mine"):
+            service.flush("raw")
+        service.close()
+
     def test_an_unmined_session_requeues_its_batch(self, tmp_path):
         service = journaled_service(tmp_path)
         service.create("raw", make_relation(), mine=False)

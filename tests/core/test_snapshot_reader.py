@@ -25,8 +25,8 @@ from tests.core.test_snapshot_writer import engines, streamed
 
 def picture(relation: AnnotatedRelation) -> dict:
     return {
-        "rows": [(row.tid, row.values, dict(row.annotations),
-                  row.labels, row.alive)
+        "rows": [(row.tid, row.values, row.annotations,
+                  row.cell_anchors, row.labels, row.alive)
                  for row in relation.tid_slice(0, relation.tid_range)],
         "version": relation.version,
         "live_count": relation.live_count,

@@ -52,7 +52,7 @@ class TestProject:
     def test_cell_annotations_follow_their_column(self, genes):
         kept = project(genes, [1])  # the annotated cell's column
         assert "Annot_cell" in kept.relation.tuple(0).annotation_ids
-        anchor = kept.relation.tuple(0).annotations["Annot_cell"]
+        anchor = kept.relation.tuple(0).anchor("Annot_cell")
         assert anchor.column == 0  # re-anchored to the new position
         dropped = project(genes, [0])  # cell's column projected away
         assert "Annot_cell" not in dropped.relation.tuple(0).annotation_ids
@@ -93,7 +93,7 @@ class TestJoin:
         tid = experiments.insert(("BRCA1", "positive"))
         experiments.annotate(tid, "Annot_cell_r", AnnotationAnchor.cell(1))
         result = join(genes, experiments, on=(0, 0))
-        anchor = result.relation.tuple(0).annotations["Annot_cell_r"]
+        anchor = result.relation.tuple(0).anchor("Annot_cell_r")
         assert anchor.column == 3  # 1 + left arity (2)
 
     def test_join_schema_dedupes_names(self, genes):

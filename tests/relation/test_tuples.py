@@ -42,7 +42,7 @@ class TestAnnotatedTuple:
     def test_attach_with_cell_anchor(self):
         row = AnnotatedTuple(tid=0, values=("1", "2"))
         row.attach("Annot_1", AnnotationAnchor.cell(1))
-        assert row.annotations["Annot_1"].column == 1
+        assert row.anchor("Annot_1").column == 1
 
     def test_detach(self):
         row = AnnotatedTuple(tid=0, values=("1",))

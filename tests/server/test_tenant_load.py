@@ -13,11 +13,15 @@ Over HTTP the create body is decoded a row at a time
 of the body, the tenant must equal the one built from the whole
 decoded body; a duplicated ``rows`` key resolves last-wins; and a
 malformed row, a non-JSON or a truncated body each answer the 400 they
-answered when the body was decoded whole, registering nothing.
+answered when the body was decoded whole, registering nothing.  The
+body is decoded off the event loop: other connections are answered
+while it is.
 """
 
+import http.client
 import json
 import sys
+import threading
 
 import pytest
 
@@ -26,10 +30,11 @@ from repro.core.config import EngineConfig
 from repro.errors import SchemaError, ServerError
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
+from repro.server import http as server_http
 from repro.server.tenants import TenantRegistry, load_create_body
 from repro.synth.workloads import paper_scale
 
-from tests.server.conftest import ROWS
+from tests.server.conftest import ROWS, make_server
 
 ENGINE = EngineConfig(min_support=0.25, min_confidence=0.6)
 
@@ -332,3 +337,40 @@ def test_truncated_bodies_answer_json_loads_400(served):
         assert (status, answer["error"]) == (400,
                                              not_valid_json(text[:cut]))
     assert_nothing_registered(served)
+
+
+def test_a_read_is_answered_while_a_large_create_body_decodes(monkeypatch):
+    decoding, release = threading.Event(), threading.Event()
+
+    def held_decode(body):
+        decoding.set()
+        release.wait(30)
+        return load_create_body(body)
+
+    monkeypatch.setattr(server_http, "load_create_body", held_decode)
+    server = make_server()
+    created = []
+    creator = threading.Thread(target=lambda: created.append(
+        server.request("POST", "/v1/tenants",
+                       {"name": "big", "rows": ROWS * 2000})))
+    try:
+        creator.start()
+        assert decoding.wait(10)
+        reader = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=5)
+        try:
+            # A decode on the event loop would hold this read until
+            # the decode ends, and the read would time out first.
+            status, body, _ = server.request("GET", "/healthz",
+                                             conn=reader)
+        finally:
+            reader.close()
+            release.set()
+        assert status == 200 and body["status"] == "ok"
+        creator.join(60)
+        assert created[0][0] == 201
+        assert created[0][1]["tenant"]["db_size"] == 4 * 2000
+    finally:
+        release.set()
+        creator.join(60)
+        server.stop()

@@ -8,13 +8,12 @@ Only the core that :func:`repro.engine` needs is imported with the
 package: the relation, the mining items and constraints, rules, stats,
 events, the catalog, the engine config, delta plans, the engine and its
 maintenance reports.  Every other public name (the service, session and
-server, the journal, sharding, audit and explain, multi-level mining,
-the timeline, persistence, the re-mine oracle, closed itemsets, query,
-generalization and exploitation) is imported on first access through
-``_LAZY`` (PEP 562), so ``import repro; repro.engine(...)`` loads
-neither asyncio nor the HTTP server.  ``from repro import X``,
-``from repro import *`` and ``repro.X`` behave as if every name were
-imported eagerly.
+server, the journal, sharding, audit and explain, the timeline,
+persistence, the re-mine oracle, closed itemsets, generalization and
+exploitation) is imported on first access through ``_LAZY`` (PEP 562),
+so ``import repro; repro.engine(...)`` loads neither asyncio nor the
+HTTP server.  ``from repro import X``, ``from repro import *`` and
+``repro.X`` behave as if every name were imported eagerly.
 """
 
 import importlib
@@ -72,7 +71,6 @@ _LAZY: dict[str, tuple[str, str | None]] = {
         "repro.core.audit": ("AuditReport", "audit"),
         "repro.core.explain": (
             "RuleEvidence", "explain_rule", "render_evidence"),
-        "repro.core.multilevel": ("LeveledRule", "MultiLevelMiner"),
         "repro.core.timeline": ("Direction", "TimelineRecorder"),
         "repro.baselines.remine": ("remine",),
         "repro.mining.closed": (
@@ -85,10 +83,7 @@ _LAZY: dict[str, tuple[str, str | None]] = {
             "KeywordMatcher"),
         "repro.exploitation.recommender": (
             "MissingAnnotationRecommender", "Recommendation"),
-        "repro.exploitation.insert_advisor": ("InsertAdvisor",),
         "repro.exploitation.curation": ("CurationSession",),
-        "repro.exploitation.quality": (
-            "QualityReport", "rule_yield", "score_recommendations"),
         "repro.exploitation.removal": (
             "RemovalSuggestion", "UnexplainedAnnotationFinder"),
     }.items()
@@ -97,7 +92,6 @@ _LAZY: dict[str, tuple[str, str | None]] = {
 _LAZY.update({
     "evaluate_rule": ("repro.mining.interest", "evaluate"),
     "persistence": ("repro.core.persistence", None),
-    "query": ("repro.relation.query", None),
 })
 
 
@@ -154,17 +148,13 @@ __all__ = [
     "GeneralizationRuleSet",
     "Generalizer",
     "IdMatcher",
-    "InsertAdvisor",
     "Item",
     "ItemKind",
     "ItemVocabulary",
     "KeywordMatcher",
-    "LeveledRule",
     "MaintenanceReport",
     "MiningTask",
-    "MultiLevelMiner",
     "MissingAnnotationRecommender",
-    "QualityReport",
     "Recommendation",
     "RuleCounts",
     "RuleEvidence",
@@ -191,9 +181,6 @@ __all__ = [
     "maximal_itemsets",
     "modulo_partitioner",
     "persistence",
-    "query",
     "remine",
     "render_evidence",
-    "rule_yield",
-    "score_recommendations",
 ]

@@ -247,16 +247,20 @@ class Session:
     def flush(self) -> BatchReport | None:
         """Apply every queued update as one coalesced batch.
 
-        Returns ``None`` when nothing was queued.  Poison isolation
-        mirrors the serving facade: the batch is compiled up to its
-        first poison update before any mutation, the valid prefix is
-        applied as one batch, the poison update is dropped, and the
-        rest returns to the front of the queue with the raised
-        :class:`SessionError` naming it.  A failure tied to no update
-        (stale engine) puts the whole batch back and re-raises.
+        Returns ``None`` when nothing was queued on a current engine;
+        on a stale one (a failed flush left it so) even an empty flush
+        raises the stale :class:`MaintenanceError`, as the serving
+        facade's does.  Poison isolation mirrors the serving facade:
+        the batch is compiled up to its first poison update before any
+        mutation, the valid prefix is applied as one batch, the poison
+        update is dropped, and the rest returns to the front of the
+        queue with the raised :class:`SessionError` naming it.  A
+        failure tied to no update (stale engine) puts the whole batch
+        back and re-raises.
         """
         manager = self._require_manager()
         if not self.pending_updates:
+            manager.require_current()
             return None
         batch, self.pending_updates = self.pending_updates, []
         try:

@@ -575,7 +575,10 @@ class CorrelationEngine:
                       dirty: set[Itemset]) -> MaintenanceReport:
         increment = []
         for planned in inserts:
-            tid = self.relation.insert(planned.values, planned.annotations)
+            # Sorted: the registry meets new ids in this order, and a
+            # set's order would follow the hash seed into snapshots.
+            tid = self.relation.insert(planned.values,
+                                       sorted(planned.annotations))
             if tid != planned.tid:
                 raise MaintenanceError(
                     f"tid drift: plan says {planned.tid}, "

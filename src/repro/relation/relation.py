@@ -21,7 +21,6 @@ from operator import lt
 from repro.errors import SchemaError, UnknownTupleError
 from repro.relation.annotation import Annotation, AnnotationRegistry
 from repro.relation.schema import Schema, opaque_token
-from repro.relation.triggers import TriggerRegistry
 from repro.relation.tuples import AnchorScope, AnnotatedTuple, AnnotationAnchor
 
 
@@ -40,14 +39,13 @@ def interned_strs(strings: Iterable[object]) -> tuple[str, ...]:
 
 
 class AnnotatedRelation:
-    """In-memory annotated relation with trigger support."""
+    """In-memory annotated relation (Definition 4.1)."""
 
     def __init__(self, schema: Schema | None = None, *,
                  name: str = "R") -> None:
         self.name = name
         self.schema = schema
         self.registry = AnnotationRegistry()
-        self.triggers = TriggerRegistry()
         self._tuples: list[AnnotatedTuple] = []
         self._column_annotations: dict[int, set[str]] = {}
         self._live = 0
@@ -111,7 +109,7 @@ class AnnotatedRelation:
 
     def insert(self, values: Sequence[str],
                annotations: Iterable[str] = ()) -> int:
-        """Append a tuple; returns its tid.  Fires ``on_insert``.
+        """Append a tuple; returns its tid.
 
         The one-row case of :meth:`insert_many`, which keeps ``str()``
         of each value and annotation id."""
@@ -122,11 +120,11 @@ class AnnotatedRelation:
                     ) -> list[int]:
         """Insert ``(values, annotations)`` pairs; returns their tids.
 
-        Each row is appended (and ``on_insert`` fired) before the next
-        is read, so a generator loads a relation without a second copy
-        of the batch, and a bad row fails after the rows before it.
-        Values and annotation ids repeat across tuples, so every row
-        shares one interned copy of each.  A tuple is adopted as it is:
+        Each row is appended before the next is read, so a generator
+        loads a relation without a second copy of the batch, and a bad
+        row fails after the rows before it.  Values and annotation ids
+        repeat across tuples, so every row shares one interned copy of
+        each.  A tuple is adopted as it is:
         it must hold interned strings, as :func:`interned_strs` makes
         them (and :meth:`insert`, the tenant loader and the snapshot
         reader do).  Any other sequence goes through it first.  A row
@@ -135,11 +133,9 @@ class AnnotatedRelation:
         without a copy, and any other is sorted once the registry has
         met its new ids in the order given.
         """
-        self.triggers.guard()
         schema = self.schema
         ensure = self.registry.ensure
         ensured: set[str] = set()
-        triggers = self.triggers
         tuples = self._tuples
         first = len(tuples)
         for values, annotations in rows:
@@ -161,23 +157,17 @@ class AnnotatedRelation:
             if len(annotations) > 1 and not all(
                     map(lt, annotations, annotations[1:])):
                 annotations = tuple(sorted(set(annotations)))
-            tid = len(tuples)
-            row = AnnotatedTuple(tid, values, annotations)
-            tuples.append(row)
+            tuples.append(AnnotatedTuple(len(tuples), values, annotations))
             self._live += 1
             self.version += 1
-            if triggers.on_insert:
-                triggers.fire_insert(tid, values, row.annotation_ids)
         return list(range(first, len(tuples)))
 
     def annotate(self, tid: int, annotation: str | Annotation,
                  anchor: AnnotationAnchor | None = None) -> bool:
         """Attach an annotation to a live tuple; False if already present.
 
-        Fires ``on_annotate`` only when the attachment is new, so
-        downstream maintenance counts each (tuple, annotation) pair once.
+        Bumps :attr:`version` only when the attachment is new.
         """
-        self.triggers.guard()
         row = self.tuple(tid)
         if isinstance(annotation, Annotation):
             self.registry.register(annotation)
@@ -198,13 +188,11 @@ class AnnotatedRelation:
         attached = row.attach(annotation_id, anchor)
         if attached:
             self.version += 1
-            self.triggers.fire_annotate(tid, annotation_id)
         return attached
 
     def annotate_column(self, column: int,
                         annotation: str | Annotation) -> bool:
         """Attach an annotation to a whole column (relation-level)."""
-        self.triggers.guard()
         arity = self.schema.arity if self.schema is not None else None
         if column < 0 or (arity is not None and column >= arity):
             raise SchemaError(f"column {column} outside schema")
@@ -223,12 +211,10 @@ class AnnotatedRelation:
 
     def detach(self, tid: int, annotation_id: str) -> bool:
         """Remove an annotation from a tuple (future-work extension)."""
-        self.triggers.guard()
         row = self.tuple(tid)
         detached = row.detach(annotation_id)
         if detached:
             self.version += 1
-            self.triggers.fire_detach(tid, annotation_id)
         return detached
 
     def delete(self, tid: int) -> None:
@@ -237,12 +223,10 @@ class AnnotatedRelation:
         The tid stays taken, so later tids do not move, but the
         tombstone keeps no values, annotations or labels: under churn
         memory follows |DB|, not the number of inserts ever made."""
-        self.triggers.guard()
         row = self.tuple(tid)
         row.tombstone()
         self._live -= 1
         self.version += 1
-        self.triggers.fire_delete(tid)
 
     # -- labels (generalization, section 4.1) ------------------------------
 
@@ -270,8 +254,7 @@ class AnnotatedRelation:
 
         Tuples are renumbered densely in the order of ``tids`` (the
         shard-local tid space of a partitioned engine).  The annotation
-        registry is copied whole so annotation metadata survives;
-        triggers, like in :meth:`copy`, do not carry over.
+        registry is copied whole so annotation metadata survives.
         """
         clone = AnnotatedRelation(self.schema, name=self.name)
         for annotation in self.registry:
@@ -289,7 +272,7 @@ class AnnotatedRelation:
         return clone
 
     def copy(self) -> "AnnotatedRelation":
-        """Copy of data, annotations and labels (not triggers).
+        """Copy of data, annotations and labels.
 
         Rows are new objects; they share the immutable values, id
         tuples, label sets and cell-anchor dicts, which every mutation

@@ -278,7 +278,8 @@ class ShardedEngine(CorrelationEngine):
         """
         relation = self.relation
         for planned in plan.inserts:
-            tid = relation.insert(planned.values, planned.annotations)
+            tid = relation.insert(planned.values,
+                                  sorted(planned.annotations))
             if tid != planned.tid:
                 raise MaintenanceError(
                     f"tid drift: plan says {planned.tid}, "

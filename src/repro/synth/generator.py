@@ -160,7 +160,7 @@ def generate(config: SyntheticConfig) -> tuple[AnnotatedRelation, GroundTruth]:
                 annotations.add(noise_annotation_id(noise_index))
         tokens = [value_token(column, value)
                   for column, value in enumerate(values)]
-        relation.insert(tokens, annotations)
+        relation.insert(tokens, sorted(annotations))  # hash-seed free
     return relation, truth
 
 

@@ -1,8 +1,16 @@
 """End-to-end tests for the menu CLI (paper Figure 5 flow)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.app.cli import CommandLoop, main
+from repro.core.engine import CorrelationEngine
+from repro.core.events import AddAnnotations
+from repro.io import dataset_format, updates_format
+from repro.io.rules_format import parse_rules
+from repro.synth.generator import generate_annotation_batch
+from repro.synth.workloads import dev_scale
 from tests.app.test_session import (  # reuse the fixture corpus
     ANNOTATED_TUPLES,
     DATASET,
@@ -28,13 +36,20 @@ def files(tmp_path):
     return paths
 
 
-def run_cli(files, answers, **loop_kwargs):
-    """Drive the loop with scripted answers; returns printed lines."""
+def drive(files, answers, **loop_kwargs):
+    """Drive the loop with scripted answers; returns the loop, its
+    exit code and the printed lines."""
     answers = iter(answers)
     output = []
     loop = CommandLoop(lambda prompt: next(answers, "0"),
                        output.append, **loop_kwargs)
     code = loop.run(files["data.txt"])
+    return loop, code, output
+
+
+def run_cli(files, answers, **loop_kwargs):
+    """Drive the loop with scripted answers; returns printed lines."""
+    _, code, output = drive(files, answers, **loop_kwargs)
     return code, output
 
 
@@ -54,7 +69,7 @@ class TestMenuFlow:
 
     def test_full_update_cycle(self, files, tmp_path):
         rules_out = str(tmp_path / "rules_out.txt")
-        code, output = run_cli(files, [
+        loop, code, output = drive(files, [
             "1", "0.25", "0.6",
             "4", files["updates.txt"],
             "5", files["annotated.txt"],
@@ -70,6 +85,13 @@ class TestMenuFlow:
         assert "add-unannotated-tuples" in text
         assert "Wrote" in text
         assert "mined: True" in text
+        # The menu journey lands on the rules a re-mine of the final
+        # database finds, and the Figure 7 file holds every one of them.
+        manager = loop.session.manager
+        assert manager.verify_against_remine().equivalent
+        parsed = list(parse_rules(rules_out))
+        assert len(parsed) == len(manager.rules) > 0
+        assert all(entry.confidence >= 0.6 - 1e-4 for entry in parsed)
 
     def test_generalizations_option(self, files):
         code, output = run_cli(files, [
@@ -231,6 +253,54 @@ class TestBatchedUpdates:
         text = "\n".join(str(line) for line in output)
         assert "pending_updates: 1" in text
         assert "auto_flush_every: 5" in text
+
+
+class TestGeneratedFiles:
+    """The whole journey over files the generator and the format
+    writers produce: a dataset, two δ batches, and a Case 1 and a
+    Case 2 tuple file."""
+
+    def test_menu_journey_lands_on_the_library_replay(self, tmp_path):
+        relation = dev_scale(n_tuples=120, seed=3).relation
+        extra = dev_scale(n_tuples=8, seed=4).relation
+        paths = {name: str(tmp_path / name) for name in [
+            "data.txt", "updates_01.txt", "updates_02.txt",
+            "annotated.txt", "unannotated.txt"]}
+        dataset_format.write_dataset(relation, paths["data.txt"])
+        dataset_format.write_dataset(extra, paths["annotated.txt"])
+        Path(paths["unannotated.txt"]).write_text("".join(
+            dataset_format.format_row(row.values, ()) + "\n"
+            for row in extra))
+        batches = [generate_annotation_batch(relation, size=10, seed=seed)
+                   for seed in (1, 2)]
+        for number, batch in enumerate(batches, start=1):
+            updates_format.write_updates(AddAnnotations.build(batch),
+                                         paths[f"updates_0{number}.txt"])
+
+        loop, code, output = drive(paths, [
+            "1", "0.3", "0.7",
+            "4", paths["updates_01.txt"],
+            "4", paths["updates_02.txt"],
+            "5", paths["annotated.txt"],
+            "6", paths["unannotated.txt"],
+            "0",
+        ])
+        assert code == 0
+        assert not any("Error" in str(line) for line in output)
+
+        library = CorrelationEngine(
+            dataset_format.read_dataset(paths["data.txt"]),
+            min_support=0.3, min_confidence=0.7)
+        library.mine()
+        for batch in batches:
+            library.add_annotations(batch)
+        rows = [(row.values, sorted(row.annotation_ids)) for row in extra]
+        library.insert_annotated(rows)
+        library.insert_unannotated([values for values, _ in rows])
+        manager = loop.session.manager
+        assert manager.db_size == library.db_size == 120 + 8 + 8
+        assert manager.signature() == library.signature()
+        assert manager.verify_against_remine().equivalent
 
 
 class TestMainEntryPoint:

@@ -5,6 +5,7 @@ import pytest
 from repro.app.session import Session
 from repro.core.rules import RuleKind
 from repro.errors import MaintenanceError, SessionError
+from tests.app.test_commit_path import fail_next_refresh
 
 DATASET = """\
 1 2 Annot_1
@@ -294,6 +295,19 @@ class TestQueuedFlush:
         assert queued.manager.revision == revision + 1
         assert queued.pending() == 1
         queued.flush()
+        assert queued.manager.verify_against_remine().equivalent
+
+    def test_an_empty_flush_after_a_failed_flush_raises_stale(
+            self, queued, files, monkeypatch):
+        fail_next_refresh(monkeypatch, queued.manager)
+        queued.add_annotations_from_file(files["updates.txt"])
+        with pytest.raises(RuntimeError, match="injected"):
+            queued.flush()
+        assert queued.pending() == 0
+        with pytest.raises(MaintenanceError, match="stale"):
+            queued.flush()
+        queued.mine(0.25, 0.6)
+        assert queued.flush() is None
         assert queued.manager.verify_against_remine().equivalent
 
     def test_a_stale_engine_requeues_the_whole_batch(self, queued, files):

@@ -5,7 +5,6 @@ import pytest
 from repro.core.engine import CorrelationEngine
 from repro.core.rules import RuleKind
 from repro.exploitation.curation import CurationSession
-from repro.exploitation.insert_advisor import InsertAdvisor
 from repro.exploitation.ranking import rank
 from repro.exploitation.recommender import MissingAnnotationRecommender
 from repro.generalization.engine import Generalizer
@@ -137,20 +136,25 @@ class TestExploitationPipeline:
         # hidden attachments must be recommended back.
         assert len(recovered) >= len(hidden) * 0.3
 
-    def test_curation_commit_then_advisor(self):
+    def test_curation_commit_then_recommend_for_inserted_tuple(self):
         workload = workloads.dev_scale(n_tuples=400)
         manager = CorrelationEngine(workload.relation,
                                     min_support=0.25,
                                     min_confidence=0.6)
         manager.mine()
-        advisor = InsertAdvisor(manager).install()
+        recommender = MissingAnnotationRecommender(manager)
         session = CurationSession(manager)
-        recommendations = MissingAnnotationRecommender(manager).scan()
-        session.accept_all(recommendations[:20], min_confidence=0.8)
+        session.accept_all(recommender.scan()[:20], min_confidence=0.8)
         session.commit()
+        tid = manager.relation.tid_range
         manager.insert_unannotated([("c0v0", "c1v0", "c2v0", "c3v0")])
-        drained = advisor.drain()
-        assert isinstance(drained, list)
+        recommendations = recommender.for_tuple(tid)
+        assert {r.annotation_id for r in recommendations} == {
+            r.annotation_id for r in recommender.scan() if r.tid == tid}
+        for recommendation in recommendations:
+            assert recommendation.revision == manager.revision
+            assert not manager.relation.tuple(tid).has_annotation(
+                recommendation.annotation_id)
         assert_equivalent_to_remine(manager)
 
 

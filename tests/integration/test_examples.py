@@ -43,12 +43,6 @@ class TestExamplesRun:
         assert "Incremental state exact: True" in out
         assert "Wrote" in out
 
-    def test_annotated_views(self, capsys):
-        load_example("annotated_views").main()
-        out = capsys.readouterr().out
-        assert "restored: True" in out
-        assert "Annot_recall" in out
-
     def test_serving_quickstart(self, capsys):
         load_example("serving_quickstart").main()
         out = capsys.readouterr().out

@@ -172,25 +172,10 @@ class TestLabels:
         assert relation.add_labels(tid, {"L1", "L2"}) == {"L2"}
 
 
-class TestTriggers:
-    def test_insert_trigger(self):
-        relation = AnnotatedRelation()
-        fired = []
-        relation.triggers.on_insert.append(
-            lambda tid, values, annotations: fired.append(
-                (tid, values, annotations)))
-        relation.insert(("1", "2"), ("A", "B", "A"))
-        relation.insert_many([(("3",), ()), (("4",), ["C"])])
-        assert fired == [(0, ("1", "2"), frozenset({"A", "B"})),
-                         (1, ("3",), frozenset()),
-                         (2, ("4",), frozenset({"C"}))]
-        assert all(type(annotation_ids) is frozenset
-                   for _, _, annotation_ids in fired)
-
-    def test_insert_without_listeners_builds_no_annotation_set(
-            self, monkeypatch):
+class TestInsertRows:
+    def test_insert_builds_no_annotation_set(self, monkeypatch):
         def unexpected(row):
-            raise AssertionError("annotation_ids built with no listener")
+            raise AssertionError("annotation_ids built on insert")
 
         monkeypatch.setattr(AnnotatedTuple, "annotation_ids",
                             property(unexpected))
@@ -198,27 +183,58 @@ class TestTriggers:
         relation.insert_many([(("1",), ("A",)), (("2",), ("A", "B"))])
         assert relation.tuple(1).has_annotation("B")
 
-    def test_annotate_trigger_fires_only_when_new(self):
+    def test_rows_hold_their_values_and_distinct_annotation_ids(self):
+        relation = AnnotatedRelation()
+        relation.insert(("1", "2"), ("A", "B", "A"))
+        relation.insert_many([(("3",), ()), (("4",), ["C"])])
+        assert [(row.tid, row.values, row.annotation_ids)
+                for row in relation] == [(0, ("1", "2"), {"A", "B"}),
+                                         (1, ("3",), frozenset()),
+                                         (2, ("4",), {"C"})]
+
+
+class TestMutationResults:
+    def test_repeated_annotate_changes_nothing(self):
         relation = AnnotatedRelation()
         tid = relation.insert(("1",))
-        fired = []
-        relation.triggers.on_annotate.append(
-            lambda tid, annotation: fired.append(annotation))
-        relation.annotate(tid, "A")
-        relation.annotate(tid, "A")
-        assert fired == ["A"]
+        assert relation.annotate(tid, "A")
+        version = relation.version
+        assert not relation.annotate(tid, "A")
+        assert relation.version == version
 
-    def test_detach_and_delete_triggers(self):
+    def test_detach_of_an_absent_annotation_changes_nothing(self):
         relation = AnnotatedRelation()
         tid = relation.insert(("1",), ("A",))
-        events = []
-        relation.triggers.on_detach.append(
-            lambda tid, annotation: events.append(("detach", annotation)))
-        relation.triggers.on_delete.append(
-            lambda tid: events.append(("delete", tid)))
+        version = relation.version
+        assert not relation.detach(tid, "Z")
+        assert relation.version == version
+        assert relation.tuple(tid).annotation_ids == {"A"}
+
+    def test_detach_then_delete(self):
+        relation = AnnotatedRelation()
+        tid = relation.insert(("1",), ("A", "B"))
+        versions = [relation.version]
         relation.detach(tid, "A")
+        versions.append(relation.version)
+        assert relation.tuple(tid).annotation_ids == {"B"}
         relation.delete(tid)
-        assert events == [("detach", "A"), ("delete", 0)]
+        versions.append(relation.version)
+        assert not relation.is_live(tid)
+        assert versions == sorted(set(versions))
+
+    @pytest.mark.parametrize("mutation", [
+        lambda relation, tid: relation.annotate(tid, "B"),
+        lambda relation, tid: relation.detach(tid, "A"),
+        lambda relation, tid: relation.delete(tid),
+    ], ids=["annotate", "detach", "delete"])
+    def test_a_deleted_tuple_cannot_be_mutated(self, mutation):
+        relation = AnnotatedRelation()
+        tid = relation.insert(("1",), ("A",))
+        relation.delete(tid)
+        version = relation.version
+        with pytest.raises(UnknownTupleError):
+            mutation(relation, tid)
+        assert relation.version == version
 
 
 class TestCopy:

@@ -258,15 +258,18 @@ class TestExploitationParity:
             == sorted((s.tid, s.annotation_id)
                       for s in UnexplainedAnnotationFinder(mono).scan()))
 
-    def test_insert_advisor_rides_the_database_view(self):
-        from repro.exploitation.insert_advisor import InsertAdvisor
+    def test_recommending_for_an_inserted_tuple_rides_the_database_view(
+            self):
+        from repro.exploitation.recommender import (
+            MissingAnnotationRecommender,
+        )
 
         manager = sharded()
-        with InsertAdvisor(manager) as advisor:
-            tid = manager.relation.tid_range
-            manager.insert_annotated([(("1", "3"), ())])
-            recommended = {(r.tid, r.annotation_id)
-                           for r in advisor.drain()}
+        tid = manager.relation.tid_range
+        manager.insert_annotated([(("1", "3"), ())])
+        recommended = {
+            (r.tid, r.annotation_id)
+            for r in MissingAnnotationRecommender(manager).for_tuple(tid)}
         assert (tid, "A") in recommended
 
     def test_explain_rule_counts_match(self):

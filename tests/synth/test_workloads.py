@@ -89,3 +89,24 @@ class TestDenseCorrelations:
         high = mine(workload, min_support=0.4)
         low = mine(workload, min_support=0.2)
         assert len(low.rules) >= len(high.rules)
+
+
+@pytest.mark.parametrize("build", [
+    workloads.paper_scale, workloads.dev_scale,
+    workloads.sparse_annotations, workloads.dense_correlations,
+], ids=lambda build: build.__name__)
+class TestDeterminism:
+    """A workload is a function of its size and seed: the benchmarks and
+    the written datasets depend on it."""
+
+    @staticmethod
+    def rows(workload):
+        return [(row.values, row.annotations) for row in workload.relation]
+
+    def test_same_seed_same_relation(self, build):
+        assert self.rows(build(n_tuples=80, seed=3)) == \
+            self.rows(build(n_tuples=80, seed=3))
+
+    def test_seed_changes_the_relation(self, build):
+        assert self.rows(build(n_tuples=80, seed=1)) != \
+            self.rows(build(n_tuples=80, seed=2))

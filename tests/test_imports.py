@@ -30,6 +30,18 @@ added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(json.dumps(sorted(added)))
 """
 
+SERVE_PROBE = """\
+import json, sys
+before = set(sys.modules)
+import repro.server.cli
+print(json.dumps(sorted(name for name in set(sys.modules) - before
+                        if name == "repro" or name.startswith("repro."))))
+"""
+
+#: Most ``repro`` modules (the package itself included) a serve start
+#: may load: every one adds to the time before the first request.
+MAX_SERVE_MODULES = 46
+
 
 #: Modules outside the engine's core that ``repro.engine`` must not load.
 NOT_CORE = ("asyncio", "repro.server", "repro.app", "repro.shard",
@@ -77,7 +89,7 @@ for name in repro.__all__:
         wrong.append(name)
 print(json.dumps({
     "wrong": wrong,
-    "modules": [repro.persistence.__name__, repro.query.__name__],
+    "modules": [repro.persistence.__name__],
     "evaluate_rule": repro.evaluate_rule.__module__ + "."
                      + repro.evaluate_rule.__name__,
 }))
@@ -111,6 +123,12 @@ def test_package_and_server_import_only_the_standard_library():
     assert foreign == [], f"non-stdlib modules imported: {foreign}"
 
 
+def test_the_serve_entry_point_loads_a_bounded_set_of_modules():
+    loaded = run_probe(SERVE_PROBE)
+    assert "repro.server.http" in loaded
+    assert len(loaded) <= MAX_SERVE_MODULES, loaded
+
+
 def test_the_engine_loads_without_the_serving_and_exploitation_tiers():
     added = set(run_probe(CORE_PROBE))
     assert "repro.core.engine" in added
@@ -124,8 +142,7 @@ def test_a_monolithic_service_never_loads_the_shard_package():
 def test_every_export_is_its_defining_modules_object():
     resolved = run_probe(RESOLVE_PROBE)
     assert resolved["wrong"] == []
-    assert resolved["modules"] == ["repro.core.persistence",
-                                   "repro.relation.query"]
+    assert resolved["modules"] == ["repro.core.persistence"]
     assert resolved["evaluate_rule"] == "repro.mining.interest.evaluate"
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 from collections.abc import Iterable
 from typing import TextIO
 
@@ -172,9 +173,11 @@ def _header(manager: CorrelationEngine, journal_seq: int | None) -> dict:
         "engine_revision": manager.revision,
         "catalog": manager.catalog().stats.as_dict(),
     }
-    from repro.shard import ShardedEngine  # local: shard imports core
-
-    if isinstance(manager, ShardedEngine):
+    # A sharded engine exists only once its module is loaded; looking
+    # the class up keeps a monolithic write from importing the package.
+    shard_engine = sys.modules.get("repro.shard.engine")
+    if (shard_engine is not None
+            and isinstance(manager, shard_engine.ShardedEngine)):
         document["shards"] = {
             "count": manager.shard_count,
             "assignment": manager.assignment(),

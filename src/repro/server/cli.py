@@ -10,6 +10,10 @@ Tenants are usually created over HTTP (``POST /v1/tenants``);
 opens, so a scripted deployment can serve a known corpus immediately.
 The process drains on SIGINT/SIGTERM: in-flight requests finish and
 every tenant's queued events are flushed before exit.
+
+The server speaks plain HTTP; TLS belongs in a proxy in front of it.
+``python -m repro serve`` is the only shell entry point, and it keeps
+:mod:`ssl` out of the process (see ``repro/__main__.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import sys
 
 from repro.core.config import EngineConfig
 from repro.errors import ReproError
-from repro.io.dataset_format import read_dataset
 from repro.server.config import ServerConfig
 from repro.server.http import CorrelationServer
 
@@ -29,7 +32,9 @@ from repro.server.http import CorrelationServer
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="Serve annotated-correlation rule mining over HTTP.")
+        description="Serve annotated-correlation rule mining over HTTP. "
+                    "The server speaks plain HTTP; TLS belongs in a "
+                    "proxy in front of it.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8765,
                         help="TCP port (0 picks an ephemeral port and "
@@ -97,6 +102,8 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
         if not sep or not name or not path:
             raise ReproError(
                 f"--preload wants NAME=DATASET, got {spec!r}")
+        # Local: only a --preload start reads dataset files.
+        from repro.io.dataset_format import read_dataset
         relation = read_dataset(path)
         server.service.create(name, relation,
                               config=config.default_engine)
@@ -147,7 +154,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -377,7 +377,7 @@ class CorrelationServer:
 
     async def _read_request(self,
                             reader: asyncio.StreamReader) -> Request | None:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None  # clean EOF between requests
         match = _REQUEST_LINE.match(line.rstrip(b"\r\n"))
@@ -388,7 +388,7 @@ class CorrelationServer:
         target = match.group(2).decode("ascii", "replace")
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -402,8 +402,9 @@ class CorrelationServer:
             try:
                 size = int(length)
             except ValueError:
-                raise HttpError(400, f"bad Content-Length "
-                                     f"{length!r}") from None
+                size = -1
+            if size < 0:
+                raise HttpError(400, f"bad Content-Length {length!r}")
             if size > self.config.max_request_bytes:
                 raise HttpError(
                     413, f"request body of {size} bytes exceeds the "
@@ -1077,6 +1078,16 @@ class CorrelationServer:
         return 200, {"tenant": tenant, "journal": result}
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line longer than the reader's
+    buffer limit is a 431, not the ``ValueError`` ``readline`` raises."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise HttpError(431, "request line or header line exceeds "
+                             "the line length limit") from None
+
+
 def _session_error_response(error: SessionError) -> tuple[int, dict]:
     message = str(error)
     if "unknown session" in message:
@@ -1090,6 +1101,7 @@ _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted",
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    501: "Not Implemented", 503: "Service Unavailable",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable",
 }

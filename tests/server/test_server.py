@@ -5,13 +5,15 @@ the tests speak plain stdlib HTTP to it — the same wire surface the
 quickstart example and the CI smoke job use.
 """
 
+import asyncio
 import json
 import threading
 import time
 
 import pytest
 
-from tests.server.conftest import ROWS, make_server
+from repro.server import CorrelationServer, ServerConfig
+from tests.server.conftest import ENGINE, ROWS, make_server
 
 ADD = {"type": "add_annotations", "additions": [[0, "A9"]]}
 
@@ -87,6 +89,50 @@ class TestOperational:
         latency = metrics["http_request_seconds"]["series"]
         assert any(key.startswith("route=") for key in latency)
         assert 0.0 <= body["derived"]["snapshot_hit_rate"] <= 1.0
+
+
+async def exchange_raw(stream: bytes) -> tuple[bytes, list]:
+    """Send ``stream`` on one connection to a fresh server; returns the
+    reply and whatever reached the loop's exception handler."""
+    loop = asyncio.get_running_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _, context: unhandled.append(context))
+    server = CorrelationServer(ServerConfig(
+        host="127.0.0.1", port=0, default_engine=ENGINE))
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.write(stream)
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.read(), 30)
+        writer.close()
+        await writer.wait_closed()
+    finally:
+        await server.shutdown()
+    return reply, unhandled
+
+
+class TestMalformedRequests:
+    """Lines past the reader's limit and negative lengths are answered
+    and the connection closed; nothing escapes to asyncio."""
+
+    LONG = b"a" * 70_000
+
+    @pytest.mark.parametrize("stream, status", [
+        (b"GET /" + LONG + b" HTTP/1.1\r\n\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + LONG + b"\r\n\r\n", 431),
+        (b"POST /v1/tenants HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         400),
+        (b"POST /v1/tenants HTTP/1.1\r\nContent-Length: 5x\r\n\r\n",
+         400),
+    ], ids=["request-line", "header-line", "negative-length",
+            "non-integer-length"])
+    def test_answered_with_4xx_and_closed(self, stream, status):
+        reply, unhandled = asyncio.run(exchange_raw(stream))
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:200]
+        assert b"Connection: close" in reply
+        assert unhandled == []
 
 
 class TestTenantLifecycle:

@@ -40,7 +40,26 @@ print(json.dumps(sorted(name for name in set(sys.modules) - before
 
 #: Most ``repro`` modules (the package itself included) a serve start
 #: may load: every one adds to the time before the first request.
-MAX_SERVE_MODULES = 46
+MAX_SERVE_MODULES = 45
+
+#: ``python -m repro serve --help`` run in-process: the serve branch of
+#: ``repro/__main__`` loads the server (and asyncio) without ``ssl``.
+SERVE_MAIN_PROBE = """\
+import contextlib, io, json, runpy, sys
+sys.argv = ["repro", "serve", "--help"]
+with contextlib.redirect_stdout(io.StringIO()) as help_text:
+    try:
+        runpy.run_module("repro", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        code = stop.code
+print(json.dumps({
+    "code": code,
+    "help": "TLS belongs in a proxy" in help_text.getvalue(),
+    "loaded": sorted(name for name in ("asyncio", "repro.server.http",
+                                       "ssl", "_ssl")
+                     if sys.modules.get(name) is not None),
+}))
+"""
 
 
 #: Modules outside the engine's core that ``repro.engine`` must not load.
@@ -57,20 +76,24 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 SERVICE_PROBE = """\
-import json, sys
+import json, sys, tempfile
 import repro
+journal_dir = tempfile.TemporaryDirectory()
 from repro.core.events import AddAnnotations
 relation = repro.AnnotatedRelation()
 for values, annotations in [(["a", "x"], ["A"]), (["a", "y"], ["A"]),
                             (["b", "x"], []), (["a", "x"], ["A", "B"])]:
     relation.insert(values, annotations)
 service = repro.CorrelationService(
-    config=repro.EngineConfig(min_support=0.25, min_confidence=0.6))
+    config=repro.EngineConfig(min_support=0.25, min_confidence=0.6),
+    journal_dir=journal_dir.name)
 service.create("s", relation)
 service.submit("s", AddAnnotations.build([(2, "A")]))
 service.flush("s")
 service.estimate("s")
+service.checkpoint("s")
 service.close()
+journal_dir.cleanup()
 print(json.dumps(sorted(name for name in sys.modules
                         if name.startswith("repro.shard"))))
 """
@@ -127,6 +150,12 @@ def test_the_serve_entry_point_loads_a_bounded_set_of_modules():
     loaded = run_probe(SERVE_PROBE)
     assert "repro.server.http" in loaded
     assert len(loaded) <= MAX_SERVE_MODULES, loaded
+
+
+def test_the_serve_entry_point_keeps_ssl_out():
+    result = run_probe(SERVE_MAIN_PROBE)
+    assert result == {"code": 0, "help": True,
+                      "loaded": ["asyncio", "repro.server.http"]}
 
 
 def test_the_engine_loads_without_the_serving_and_exploitation_tiers():

@@ -139,7 +139,6 @@ class ServerHarness:
         for name in self.TENANTS:
             self.server.service.create(name, workload.relation.copy(),
                                        engine_config)
-            self.server.tenants.adopt(name)
         self._ready = threading.Event()
         self._stop: "asyncio.Event | None" = None
         self._loop = None

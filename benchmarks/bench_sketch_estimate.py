@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 from repro.app.service import CorrelationService
 from repro.core.config import EngineConfig
@@ -127,15 +128,17 @@ def _scenario(benchmark, *, scenario, shards,
             service.flush("bench"),
             service.top_rules("bench", TOP_K, by="confidence")))
 
-        # Estimate leg: queue an equal burst, kick the exact refresh
-        # into the background, answer immediately.
+        # Estimate leg: queue an equal burst, start the exact refresh
+        # on its own thread, answer immediately.
         for event in burst(EVENTS):
             service.submit("bench", event)
-        future = service.flush_async("bench")
+        flusher = threading.Thread(target=service.flush, args=("bench",))
+        flusher.start()
         estimate_seconds, snap = time_once(
             lambda: service.estimate("bench", n=TOP_K))
         assert len(snap) <= TOP_K and snap.estimated
-        future.result(timeout=600)
+        flusher.join(timeout=600)
+        assert not flusher.is_alive() and service.pending("bench") == 0
 
         accuracy = _estimate_accuracy(service, "bench")
         if headline:

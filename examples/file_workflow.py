@@ -2,9 +2,9 @@
 
 Writes a dataset file (Figure 4), a generalization-rules file
 (Figure 9) and an annotation-update file (Figure 14) to a temporary
-directory, then drives the :class:`repro.Session` through the same
-steps a user of the paper's menu application would take, ending with
-the Figure 7 rules output file.
+directory (removed on exit), then drives the :class:`repro.Session`
+through the same steps a user of the paper's menu application would
+take, ending with the Figure 7 rules output file.
 
 Run with:  python examples/file_workflow.py
 """
@@ -30,7 +30,12 @@ Noise -> QualityIssue
 
 
 def main() -> None:
-    workspace = Path(tempfile.mkdtemp(prefix="repro_workflow_"))
+    with tempfile.TemporaryDirectory(prefix="repro_workflow_") as workspace:
+        run(Path(workspace))
+
+
+def run(workspace: Path) -> None:
+    """The workflow, writing its files into ``workspace``."""
     workload = dev_scale()
 
     dataset = workspace / "dataset.txt"

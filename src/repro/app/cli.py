@@ -127,27 +127,17 @@ class CommandLoop:
                 self._write(f"  {key}: {value}")
         elif choice == "10":
             from repro.app.report import rules_report
-            manager = self.session.manager
-            if manager is None:
-                self._write("Error: no rules mined yet")
-            else:
-                self._write(rules_report(manager, compress=True))
+            self._write(rules_report(self.session._require_manager(),
+                                     compress=True))
         elif choice == "11":
             from repro.app.report import candidates_report
-            manager = self.session.manager
-            if manager is None:
-                self._write("Error: no rules mined yet")
-            else:
-                self._write(candidates_report(manager))
+            self._write(candidates_report(self.session._require_manager()))
         elif choice == "12":
             from repro.core import persistence
-            manager = self.session.manager
-            if manager is None:
-                self._write("Error: no rules mined yet")
-            else:
-                path = self._ask("Enter the snapshot file to write: ")
-                persistence.save(manager, path)
-                self._write(f"Saved session state to {path}")
+            manager = self.session._require_manager()
+            path = self._ask("Enter the snapshot file to write: ")
+            persistence.save(manager, path)
+            self._write(f"Saved session state to {path}")
         elif choice == "13":
             from repro.core import persistence
             path = self._ask("Enter the snapshot file to load: ")
@@ -176,18 +166,14 @@ class CommandLoop:
                 UnexplainedAnnotationFinder,
             )
 
-            manager = self.session.manager
-            if manager is None:
-                self._write("Error: no rules mined yet")
+            suggestions = UnexplainedAnnotationFinder(
+                self.session._require_manager()).scan()
+            if not suggestions:
+                self._write("No unexplained annotations found.")
             else:
-                suggestions = UnexplainedAnnotationFinder(manager).scan()
-                if not suggestions:
-                    self._write("No unexplained annotations found.")
-                else:
-                    self._write(f"{len(suggestions)} attachment(s) to "
-                                f"review:")
-                    for suggestion in suggestions[:20]:
-                        self._write(f"  {suggestion.render()}")
+                self._write(f"{len(suggestions)} attachment(s) to review:")
+                for suggestion in suggestions[:20]:
+                    self._write(f"  {suggestion.render()}")
         else:
             self._write(f"Unknown option {choice!r}")
 
@@ -205,10 +191,7 @@ class CommandLoop:
         served from the catalog's presorted orderings."""
         from repro.core.catalog import ALL_METRICS
 
-        manager = self.session.manager
-        if manager is None:
-            self._write("Error: no rules mined yet")
-            return
+        manager = self.session._require_manager()
         metric = self._ask(f"Metric ({'/'.join(ALL_METRICS)}) "
                            f"[confidence]: ") or "confidence"
         # Validate here, not just in the query: the per-rule metric
@@ -251,10 +234,7 @@ class CommandLoop:
         for a flush."""
         from repro.app.estimate import ESTIMATE_METRICS
 
-        manager = self.session.manager
-        if manager is None:
-            self._write("Error: no rules mined yet")
-            return
+        manager = self.session._require_manager()
         metric = self._ask(f"Metric ({'/'.join(ESTIMATE_METRICS)}) "
                            f"[confidence]: ") or "confidence"
         if metric not in ESTIMATE_METRICS:
@@ -283,10 +263,7 @@ class CommandLoop:
         """Menu option 20: the significance tier — rules whose 2x2
         contingency table survives a p-value ceiling, strongest
         evidence first."""
-        manager = self.session.manager
-        if manager is None:
-            self._write("Error: no rules mined yet")
-            return
+        manager = self.session._require_manager()
         raw = self._ask("Maximum p-value [0.05]: ")
         try:
             ceiling = float(raw) if raw else 0.05
@@ -309,10 +286,7 @@ class CommandLoop:
 
     def _rules_for_annotation(self) -> None:
         """Menu option 18: the catalog's by-RHS index as a command."""
-        manager = self.session.manager
-        if manager is None:
-            self._write("Error: no rules mined yet")
-            return
+        manager = self.session._require_manager()
         token = self._ask("Annotation id: ")
         rules = self.session.rules_for_annotation(token)
         if not rules:
@@ -325,10 +299,7 @@ class CommandLoop:
     def _explain_rule(self) -> None:
         from repro.core.explain import explain_rule, render_evidence
 
-        manager = self.session.manager
-        if manager is None:
-            self._write("Error: no rules mined yet")
-            return
+        manager = self.session._require_manager()
         rules = manager.rules.sorted_rules()
         if not rules:
             self._write("No rules to explain.")

@@ -17,9 +17,9 @@ is the read tier in front of it:
   engine vocabulary without interning anything (an unseen token cannot
   match an existing rule, so it is skipped, not added).
 
-Every figure therefore carries a zero bound and ``exact=True``; the
-bound fields and ``z`` / ``confidence_level`` stay on the wire so
-estimate clients keep one shape.  Annotation add/remove events
+Every figure is therefore exact.  The wire still pairs each with a
+zero bound and ``exact: true``, and ``z`` / ``confidence_level`` stay,
+so estimate clients keep one shape.  Annotation add/remove events
 reference tuples by tid and need engine state to score, so they are
 *deferred*: counted in :attr:`EstimateSnapshot.deferred_events` and
 reflected as soon as the flush that is already under way lands.
@@ -61,59 +61,26 @@ def z_score(confidence_level: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class Estimate:
-    """A point estimate with a symmetric error bound (same units)."""
-
-    value: float
-    bound: float
-    exact: bool
-
-    def __post_init__(self) -> None:
-        if self.bound < 0.0:
-            raise MiningError(f"bound must be >= 0, got {self.bound}")
-
-    @classmethod
-    def exactly(cls, value: float) -> "Estimate":
-        return cls(value=value, bound=0.0, exact=True)
-
-
-@dataclass(frozen=True, slots=True)
 class RuleEstimate:
-    """Support/confidence/lift for one rule, with bounds."""
+    """Support/confidence/lift for one rule, from exact counts."""
 
     support: float
-    support_bound: float
     confidence: float
-    confidence_bound: float
     lift: float
-    lift_bound: float
     count: float
-    exact: bool
 
 
-def combine_rule_estimate(both: Estimate, lhs: Estimate, rhs_count: int,
+def combine_rule_estimate(both: int, lhs: int, rhs_count: int,
                           db_size: int) -> RuleEstimate:
-    """Assemble rule metrics from count estimates.
-
-    ``rhs_count`` is the *exact* RHS marginal, so the lift denominator
-    contributes no extra error; confidence propagates the ratio bound
-    ``|d(a/b)| <= (da + (a/b)·db) / b``.
-    """
+    """Rule metrics from the counts of the rule's union, its LHS and
+    its RHS in a database of ``db_size`` tuples."""
     n = max(db_size, 0)
-    support = both.value / n if n else 0.0
-    support_bound = min(both.bound / n, 1.0) if n else 0.0
-    lhs_floor = max(lhs.value, 1.0)
-    confidence = min(both.value / lhs_floor, 1.0) if lhs.value > 0 else 0.0
-    confidence_bound = min(
-        (both.bound + confidence * lhs.bound) / lhs_floor, 1.0)
+    support = both / n if n else 0.0
+    confidence = min(both / lhs, 1.0) if lhs > 0 else 0.0
     p_rhs = rhs_count / n if n else 0.0
     lift = confidence / p_rhs if p_rhs else 0.0
-    lift_bound = confidence_bound / p_rhs if p_rhs else 0.0
-    return RuleEstimate(
-        support=support, support_bound=support_bound,
-        confidence=confidence, confidence_bound=confidence_bound,
-        lift=lift, lift_bound=lift_bound,
-        count=both.value, exact=both.exact and lhs.exact)
+    return RuleEstimate(support=support, confidence=confidence, lift=lift,
+                        count=float(both))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +89,7 @@ class EstimatedRule:
 
     #: The rule as last published (its counts are the *flushed* state).
     rule: AssociationRule
-    #: Index + overlay statistics with their (zero) error bounds.
+    #: Index + overlay statistics (exact: every error bound is zero).
     estimate: RuleEstimate
 
     def metric(self, name: str) -> float:
@@ -133,20 +100,18 @@ class EstimatedRule:
         return getattr(self.estimate, name)
 
     def bound(self, name: str) -> float:
-        if name not in ESTIMATE_METRICS:
-            raise SessionError(
-                f"unknown estimate metric {name!r}; choose from "
-                f"{', '.join(ESTIMATE_METRICS)}")
-        return getattr(self.estimate, f"{name}_bound")
+        """The metric's error bound: always 0.0, as every count is
+        exact."""
+        self.metric(name)
+        return 0.0
 
     def render(self, vocabulary: ItemVocabulary) -> str:
-        """Figure 7 style with the uncertainty made visible."""
+        """Figure 7 style with the (zero) uncertainty made visible."""
         lhs = vocabulary.render(self.rule.lhs)
         rhs = vocabulary.item(self.rule.rhs).token
         est = self.estimate
-        return (f"{lhs} ==> {rhs}, "
-                f"{est.confidence:.4f}±{est.confidence_bound:.4f}, "
-                f"{est.support:.4f}±{est.support_bound:.4f}")
+        return (f"{lhs} ==> {rhs}, {est.confidence:.4f}±0.0000, "
+                f"{est.support:.4f}±0.0000")
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,16 +299,16 @@ def estimate_snapshot(engine, rules: Sequence[AssociationRule],
     db_size = max(engine.db_size + overlay.inserts - overlay.removals, 0)
     index = engine.index
 
-    counts: dict[tuple[int, ...], Estimate] = {}
+    counts: dict[tuple[int, ...], int] = {}
     rhs_counts: dict[int, int] = {}
 
-    def count(items: tuple[int, ...]) -> Estimate:
+    def count(items: tuple[int, ...]) -> int:
         found = counts.get(items)
         if found is None:
-            value = index.count(items)
+            found = index.count(items)
             if overlay.rows:
-                value += overlay.count_containing(frozenset(items))
-            found = counts[items] = Estimate.exactly(float(value))
+                found += overlay.count_containing(frozenset(items))
+            counts[items] = found
         return found
 
     def rhs_count(item: int) -> int:

@@ -14,8 +14,8 @@ Concurrency model, per session:
   read that walks engine state;
 * :meth:`CorrelationService.submit` appends to a queue under a cheap
   mutex and never touches the engine, so producers are not blocked by
-  readers (set ``auto_flush_every`` to bound queue growth by flushing
-  inline once the queue reaches that depth);
+  readers or by a running flush; when to flush is the caller's choice
+  (the server flushes at a queue watermark and on ``POST .../flush``);
 * :meth:`CorrelationService.flush` drains the queue inside one
   session-lock hold and applies it as **one coalesced delta plan**
   (``engine.apply_batch``) — one maintenance pass, one rule refresh,
@@ -44,7 +44,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -155,14 +154,6 @@ class _Hosted:
     lock: threading.Lock = field(default_factory=threading.Lock)
     queue_lock: threading.Lock = field(default_factory=threading.Lock)
     queue: deque[UpdateEvent] = field(default_factory=deque)
-    #: Token of the writer holding the inline auto-flush duty (None when
-    #: unclaimed).  Set under ``queue_lock`` by the submit that crosses
-    #: the threshold, cleared under ``queue_lock`` when a flush drains
-    #: the queue — so exactly one writer triggers per crossing, decided
-    #: atomically with the depth read.  A token (not a bool) lets a
-    #: failed claimant release only its *own* claim, never one a later
-    #: writer legitimately took after the drain.
-    flush_claim: object | None = None
     #: The read view of the last commit, replaced (never mutated) under
     #: the session lock; readers take it without any session lock.
     published: RuleSnapshot | None = None
@@ -180,22 +171,16 @@ class CorrelationService:
 
     def __init__(self, *,
                  config: EngineConfig | None = None,
-                 auto_flush_every: int | None = None,
                  instrumentation: "ServiceInstrumentation | None" = None,
                  journal_dir: str | os.PathLike | None = None,
                  journal_fsync: bool = True,
                  journal_snapshot_every: int | None = 64,
                  ) -> None:
-        if auto_flush_every is not None and auto_flush_every < 1:
-            raise SessionError(
-                f"auto_flush_every must be >= 1 or None, "
-                f"got {auto_flush_every}")
         if journal_snapshot_every is not None and journal_snapshot_every < 1:
             raise SessionError(
                 f"journal_snapshot_every must be >= 1 or None, "
                 f"got {journal_snapshot_every}")
         self._default_config = config
-        self._auto_flush_every = auto_flush_every
         #: Base directory of per-session durability stores (``None``
         #: serves everything in memory, the historical behavior).
         self._journal_dir = (os.fspath(journal_dir)
@@ -208,9 +193,6 @@ class CorrelationService:
         self._instrumentation = instrumentation
         self._registry_lock = threading.Lock()
         self._hosted: dict[str, _Hosted] = {}
-        #: Lazily created worker for :meth:`flush_async` — the exact
-        #: refresh runs here while estimate reads keep serving.
-        self._flush_executor: ThreadPoolExecutor | None = None
 
     # -- session registry ------------------------------------------------------
 
@@ -251,6 +233,10 @@ class CorrelationService:
         with self._registry_lock:
             return tuple(sorted(self._hosted))
 
+    def __contains__(self, name: object) -> bool:
+        with self._registry_lock:
+            return name in self._hosted
+
     def drop(self, name: str, *, force: bool = False) -> None:
         """Remove session ``name``.
 
@@ -279,29 +265,21 @@ class CorrelationService:
             hosted.journal.close()
 
     def close(self) -> None:
-        """Stop the async-flush worker and sync every journal.
-        Sessions stay registered and usable, so this is safe to call at
-        any quiesce point; the server's graceful drain calls it after
-        the final flushes."""
+        """Sync every journal.  Sessions stay registered and usable, so
+        this is safe to call at any quiesce point; the server's graceful
+        drain calls it after the final flushes."""
         with self._registry_lock:
             hosted_sessions = list(self._hosted.values())
-            executor, self._flush_executor = self._flush_executor, None
-        if executor is not None:
-            # Let in-flight async flushes land before syncing; a later
-            # flush_async simply starts a fresh worker.
-            executor.shutdown(wait=True)
         for hosted in hosted_sessions:
             if hosted.journal is not None:
                 hosted.journal.sync()
 
     def _session(self, name: str) -> _Hosted:
         with self._registry_lock:
-            try:
-                return self._hosted[name]
-            except KeyError:
-                known = ", ".join(sorted(self._hosted)) or "(none)"
-                raise SessionError(
-                    f"unknown session {name!r}; known: {known}") from None
+            hosted = self._hosted.get(name)
+        if hosted is None:
+            raise SessionError(f"unknown session {name!r}")
+        return hosted
 
     # -- durability ------------------------------------------------------------
 
@@ -434,48 +412,14 @@ class CorrelationService:
     def submit(self, name: str, event: UpdateEvent) -> int:
         """Queue ``event`` for the next flush; returns the queue depth.
 
-        Never blocks on readers.  With ``auto_flush_every`` set, the
-        submit that fills the queue flushes it inline before returning —
-        the flush decision is made atomically with the depth read, so
-        concurrent writers trigger exactly one inline flush per
-        threshold crossing.  The returned depth is re-read after the
-        flush (usually 0, but truthful when other writers queued events
-        meanwhile or a failing batch was re-queued).
-        """
+        Takes only the queue mutex, so it never waits for a reader or
+        for a running flush."""
         hosted = self._session(name)
-        instrumentation = self._instrumentation
-        if instrumentation is not None:
-            instrumentation.submitted_events.inc()
-        token = object()
+        if self._instrumentation is not None:
+            self._instrumentation.submitted_events.inc()
         with hosted.queue_lock:
             hosted.queue.append(event)
-            depth = len(hosted.queue)
-            # Decide inline-flush duty atomically with the depth read:
-            # exactly one writer claims it per threshold crossing, so
-            # concurrent submitters cannot pile redundant flushes onto
-            # the same backlog.
-            claimed = (self._auto_flush_every is not None
-                       and depth >= self._auto_flush_every
-                       and hosted.flush_claim is None)
-            if claimed:
-                hosted.flush_claim = token
-        if not claimed:
-            return depth
-        try:
-            self.flush(name)
-        finally:
-            # flush() normally releases the claim when it drains the
-            # queue; if it failed *before* the drain, release our own
-            # claim so auto-flushing is not dead forever after.  Only
-            # our token is released — by now another writer may hold a
-            # legitimate claim on the post-drain backlog.
-            with hosted.queue_lock:
-                if hosted.flush_claim is token:
-                    hosted.flush_claim = None
-                depth = len(hosted.queue)
-        # Post-flush depth, read under the lock: 0 unless other writers
-        # queued during the flush (or a failing batch was re-queued).
-        return depth
+            return len(hosted.queue)
 
     def flush(self, name: str) -> BatchReport:
         """Apply every queued event as **one** coalesced batch,
@@ -509,10 +453,6 @@ class CorrelationService:
                     with hosted.queue_lock:
                         batch = list(hosted.queue)
                         hosted.queue.clear()
-                        # The backlog this claim covered is drained;
-                        # the next threshold crossing may claim a fresh
-                        # inline flush.
-                        hosted.flush_claim = None
                     if not batch:
                         # Nothing to apply, but a stale engine is
                         # still loud.
@@ -573,26 +513,6 @@ class CorrelationService:
         """Feed a report's phase breakdown to the metric sink."""
         if self._instrumentation is not None and report.phases:
             self._instrumentation.observe_phases(report.phases)
-
-    def flush_async(self, name: str) -> "Future[BatchReport]":
-        """Start :meth:`flush` on a background worker and return its
-        :class:`~concurrent.futures.Future`.
-
-        This is the "exact refresh behind the estimate" write path:
-        the caller queues events, kicks the flush here, and serves
-        :meth:`estimate` reads immediately — the pending overlay covers
-        the queue until the batch reaches the substrate, the vertical
-        index covers it from then on, and the Future resolves when
-        the exact rules (and the next exact snapshot) are published.
-        """
-        hosted = self._session(name)  # fail fast on unknown sessions
-        del hosted
-        with self._registry_lock:
-            if self._flush_executor is None:
-                self._flush_executor = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="repro-flush")
-            executor = self._flush_executor
-        return executor.submit(self.flush, name)
 
     def mine(self, name: str) -> MaintenanceReport:
         """(Re-)run the initial from-scratch pass for ``name``."""

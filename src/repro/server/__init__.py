@@ -18,7 +18,6 @@ from repro.server.metrics import (
     MetricsRegistry,
     ServiceInstrumentation,
 )
-from repro.server.tenants import TenantRegistry, TenantState
 
 __all__ = [
     "AdmissionController",
@@ -32,6 +31,4 @@ __all__ = [
     "Request",
     "ServerConfig",
     "ServiceInstrumentation",
-    "TenantRegistry",
-    "TenantState",
 ]

@@ -107,7 +107,6 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
         relation = read_dataset(path)
         server.service.create(name, relation,
                               config=config.default_engine)
-        server.tenants.adopt(name)
         print(f"preloaded tenant {name!r}: {len(relation)} tuples, "
               f"{len(server.service.snapshot(name))} rules",
               file=sys.stderr)
@@ -116,10 +115,10 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
 
 async def _serve(server: CorrelationServer) -> None:
     await server.start()
-    if server.config.journal_dir is not None and len(server.tenants):
-        print(f"journal recovery: serving {len(server.tenants)} "
-              f"tenant(s): {', '.join(server.tenants.names())}",
-              file=sys.stderr)
+    tenants = server.service.sessions()
+    if server.config.journal_dir is not None and tenants:
+        print(f"journal recovery: serving {len(tenants)} "
+              f"tenant(s): {', '.join(tenants)}", file=sys.stderr)
     print(f"repro serve listening on "
           f"http://{server.config.host}:{server.port}", file=sys.stderr)
     loop = asyncio.get_running_loop()

@@ -53,14 +53,14 @@ from repro.server.admission import AdmissionController, retry_after_header
 from repro.server.config import ServerConfig
 from repro.server.metrics import MetricsRegistry, ServiceInstrumentation
 from repro.server.tenants import (
-    TenantRegistry,
-    TenantState,
+    create_tenant,
     estimated_rule_to_json,
     load_create_body,
     parse_metric,
     parse_rule_kind,
     resolve_item,
     rule_to_json,
+    tenant_status,
 )
 
 _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
@@ -69,18 +69,29 @@ _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
 DEFAULT_PAGE = 50
 MAX_PAGE = 1000
 
+#: After answering a request it cannot parse, the server half-closes
+#: the connection and reads (and drops) what the client is still
+#: sending for at most this long: closing with unread input makes the
+#: kernel reset the connection, and the client loses the answer.
+DISCARD_SECONDS = 2.0
+
 
 class HttpError(Exception):
     """An error with a definite HTTP mapping, raised by handlers."""
 
     def __init__(self, status: int, message: str,
                  headers: dict[str, str] | None = None,
-                 extra: dict[str, Any] | None = None) -> None:
+                 extra: dict[str, Any] | None = None, *,
+                 unread: int | None = None) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
         self.headers = headers or {}
         self.extra = extra or {}
+        #: Body bytes the client declared and the server left unread
+        #: (``None`` when the parse failed before the body's length
+        #: was known).
+        self.unread = unread
 
 
 class Request:
@@ -183,23 +194,22 @@ def _checked_create_body(request: Request
 
 
 class CorrelationServer:
-    """One serving process: tenants, endpoints, admission, metrics."""
+    """One serving process: tenants, endpoints, admission, metrics.
 
-    def __init__(self, config: ServerConfig | None = None, *,
-                 service: CorrelationService | None = None) -> None:
+    The tenants are the sessions of :attr:`service`: a session created
+    on it directly (``--preload``, journal recovery, an embedding
+    program) is served like one created over HTTP."""
+
+    def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config if config is not None else ServerConfig()
         self.metrics = MetricsRegistry()
         self.instrumentation = ServiceInstrumentation(self.metrics)
-        if service is None:
-            service = CorrelationService(
-                config=self.config.default_engine,
-                instrumentation=self.instrumentation,
-                journal_dir=self.config.journal_dir,
-                journal_fsync=self.config.journal_fsync,
-                journal_snapshot_every=self.config.journal_snapshot_every)
-        self.service = service
-        self.tenants = TenantRegistry(
-            service, default_engine=self.config.default_engine)
+        self.service = CorrelationService(
+            config=self.config.default_engine,
+            instrumentation=self.instrumentation,
+            journal_dir=self.config.journal_dir,
+            journal_fsync=self.config.journal_fsync,
+            journal_snapshot_every=self.config.journal_snapshot_every)
         self.admission = AdmissionController(self.config, self.metrics)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.executor_workers,
@@ -211,6 +221,10 @@ class CorrelationServer:
         self._inflight_requests = 0
         self._connections: set[asyncio.StreamWriter] = set()
         self._background_flushes: set[asyncio.Task] = set()
+        #: Tenants with a background flush scheduled or running
+        #: (loop-thread only — coalesces triggers; the admission bound
+        #: caps actual concurrency).
+        self._flush_scheduled: set[str] = set()
         self._started_at = time.monotonic()
 
     # -- lifecycle -------------------------------------------------------------
@@ -243,7 +257,6 @@ class CorrelationServer:
             return
         results = await self._run_blocking(self.service.restore_sessions)
         for name, result in results.items():
-            self.tenants.adopt(name)
             self.metrics.counter("journal_recovered_tenants").inc()
             self.metrics.gauge("journal_replayed_records",
                                tenant=name).set(result.replay.records)
@@ -306,7 +319,7 @@ class CorrelationServer:
         # 3. flush whatever is still queued, tenant by tenant — a
         # graceful stop must not discard acknowledged (202) writes.
         # Admission is bypassed: drain always proceeds.
-        for name in self.tenants.names():
+        for name in self.service.sessions():
             try:
                 if self.service.pending(name):
                     await self._run_blocking(self._flush_blocking, name)
@@ -314,8 +327,7 @@ class CorrelationServer:
                 self.metrics.counter("drain_flush_errors",
                                      tenant=name).inc()
 
-        # 4. stop the service's async-flush worker and sync every
-        # journal, after the final flushes.
+        # 4. sync every journal, after the final flushes.
         await self._run_blocking(self.service.close)
 
         # 5. tear down transport and executor.
@@ -341,7 +353,8 @@ class CorrelationServer:
                 except HttpError as error:
                     # Protocol-level parse failure (bad request line,
                     # oversize body, chunked encoding): answer, then
-                    # close — the stream position is unrecoverable.
+                    # close — the stream position is unrecoverable —
+                    # after dropping what the client is still sending.
                     self._write_response(
                         writer, error.status,
                         {"error": error.message, **error.extra},
@@ -351,8 +364,10 @@ class CorrelationServer:
                         status=str(error.status)).inc()
                     try:
                         await writer.drain()
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
+                        writer.write_eof()
+                    except OSError:  # the client is gone
+                        break
+                    await _discard_input(reader, error.unread)
                     break
                 if request is None:
                     break
@@ -408,7 +423,8 @@ class CorrelationServer:
             if size > self.config.max_request_bytes:
                 raise HttpError(
                     413, f"request body of {size} bytes exceeds the "
-                         f"{self.config.max_request_bytes} byte limit")
+                         f"{self.config.max_request_bytes} byte limit",
+                    unread=size)
             if size:
                 body = await reader.readexactly(size)
         return Request(method, target, headers, body)
@@ -499,11 +515,11 @@ class CorrelationServer:
         self._publish_journal_gauges(name)
         return report
 
-    def _maybe_schedule_flush(self, state: TenantState, *,
+    def _maybe_schedule_flush(self, name: str, *,
                               force: bool = False) -> bool:
         """Schedule one coalescing background flush once the tenant's
         queue crosses the watermark.  Loop-thread only; the
-        ``flush_scheduled`` flag coalesces triggers and the admission
+        ``_flush_scheduled`` set coalesces triggers and the admission
         bound caps global concurrency.  ``force=True`` (the estimate
         read path's exact-behind refresh) skips the watermark — any
         non-empty queue schedules — but still respects draining,
@@ -511,45 +527,44 @@ class CorrelationServer:
         trigger = self.config.flush_trigger_depth
         if self._draining or (trigger is None and not force):
             return False
-        if state.flush_scheduled:
+        if name in self._flush_scheduled:
             return True
-        pending = self.service.pending(state.name)
+        pending = self.service.pending(name)
         if pending == 0 or (not force and pending < trigger):
             return False
-        if not self.admission.admit_flush(state.name):
+        if not self.admission.admit_flush(name):
             # The flush lanes are saturated; the queue keeps filling
             # until either a lane frees (a later submit reschedules) or
             # admission starts bouncing writes — which is the contract.
             return False
-        state.flush_scheduled = True
+        self._flush_scheduled.add(name)
         assert self._loop is not None
-        task = self._loop.create_task(self._background_flush(state))
+        task = self._loop.create_task(self._background_flush(name))
         self._background_flushes.add(task)
         task.add_done_callback(self._background_flushes.discard)
         return True
 
-    async def _background_flush(self, state: TenantState) -> None:
+    async def _background_flush(self, name: str) -> None:
         try:
-            await self._run_blocking(self._flush_blocking, state.name)
+            await self._run_blocking(self._flush_blocking, name)
         except Exception:
             self.metrics.counter("background_flush_errors",
-                                 tenant=state.name).inc()
+                                 tenant=name).inc()
         finally:
-            state.flush_scheduled = False
+            self._flush_scheduled.discard(name)
             self.admission.release_flush()
         # Writes kept landing while we flushed; re-check the watermark.
         try:
-            self._maybe_schedule_flush(state)
-        except ServerError:
+            self._maybe_schedule_flush(name)
+        except SessionError:
             pass  # tenant dropped mid-flight
 
     # -- shared handler helpers ------------------------------------------------
 
-    def _tenant(self, name: str) -> TenantState:
-        try:
-            return self.tenants.get(name)
-        except ServerError as error:
-            raise HttpError(404, str(error)) from None
+    def _tenant(self, name: str) -> None:
+        """404 unless ``name`` is a hosted session."""
+        if name not in self.service:
+            raise HttpError(404, f"unknown tenant {name!r}")
 
     def _snapshot_view(self, name: str) -> RuleSnapshot:
         """The tenant's published snapshot; 409 until it is mined."""
@@ -624,8 +639,7 @@ class CorrelationServer:
         """Run the estimate read on the executor and kick the
         exact-behind refresh when anything is pending.  Returns
         ``(estimate, scheduled)``."""
-        state = self._tenant(tenant)
-        self._snapshot_view(tenant)  # 409 before any estimate work
+        self._snapshot_view(tenant)  # 404/409 before any estimate work
         level = self._confidence_level_param(request)
         estimate = await self._run_blocking(
             lambda: self.service.estimate(
@@ -634,8 +648,8 @@ class CorrelationServer:
         scheduled = False
         if estimate.pending_events and not self._draining:
             try:
-                scheduled = self._maybe_schedule_flush(state, force=True)
-            except ServerError:
+                scheduled = self._maybe_schedule_flush(tenant, force=True)
+            except SessionError:
                 pass  # tenant dropped mid-flight
         return estimate, scheduled
 
@@ -663,7 +677,7 @@ class CorrelationServer:
     async def _handle_healthz(self, request: Request) -> tuple[int, dict]:
         return 200, {
             "status": "draining" if self._draining else "ok",
-            "tenants": len(self.tenants),
+            "tenants": len(self.service.sessions()),
             "inflight_flushes": self.admission.inflight_flushes,
             "uptime_seconds": time.monotonic() - self._started_at,
         }
@@ -672,14 +686,15 @@ class CorrelationServer:
     async def _handle_metrics(self, request: Request) -> tuple[int, dict]:
         # Queue depths are sampled at scrape time so the gauge is live
         # even for tenants that have never crossed a flush trigger.
-        for name in self.tenants.names():
+        names = self.service.sessions()
+        for name in names:
             try:
                 self.metrics.gauge("queue_depth", tenant=name).set(
                     self.service.pending(name))
             except SessionError:
-                continue  # dropped between names() and pending()
+                continue  # dropped between sessions() and pending()
             self._publish_journal_gauges(name)
-        self.metrics.gauge("tenants").set(len(self.tenants))
+        self.metrics.gauge("tenants").set(len(names))
         return 200, {
             "metrics": self.metrics.render(),
             "derived": {
@@ -704,24 +719,25 @@ class CorrelationServer:
         self._admit_flush_slot(name)
         try:
             await self._run_blocking(
-                lambda: self.tenants.create(
-                    name, columns=columns, rows=body.get("rows"),
-                    config=body.get("config"), mine=mine))
+                lambda: create_tenant(
+                    self.service, name, columns=columns,
+                    rows=body.get("rows"), config=body.get("config"),
+                    mine=mine, default_engine=self.config.default_engine))
         finally:
             self.admission.release_flush()
-        return 201, {"tenant": self.tenants.status(name)}
+        return 201, {"tenant": tenant_status(self.service, name)}
 
     @_route("GET", r"^/v1/tenants$", "tenant_list")
     async def _handle_tenant_list(self,
                                   request: Request) -> tuple[int, dict]:
-        return 200, {"tenants": [self.tenants.status(name)
-                                 for name in self.tenants.names()]}
+        return 200, {"tenants": [tenant_status(self.service, name)
+                                 for name in self.service.sessions()]}
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)$", "tenant_status")
     async def _handle_tenant_status(self, request: Request, *,
                                     tenant: str) -> tuple[int, dict]:
         self._tenant(tenant)
-        return 200, self.tenants.status(tenant)
+        return 200, tenant_status(self.service, tenant)
 
     @_route("DELETE", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)$", "tenant_drop")
     async def _handle_tenant_drop(self, request: Request, *,
@@ -730,7 +746,7 @@ class CorrelationServer:
         self._tenant(tenant)
         force = request.flag_param("force")
         try:
-            self.tenants.drop(tenant, force=force)
+            self.service.drop(tenant, force=force)
         except SessionError as error:
             if "queued event" in str(error):
                 # Pending writes refuse a silent drop; the caller must
@@ -965,7 +981,7 @@ class CorrelationServer:
     # -- write endpoints -------------------------------------------------------
 
     def _submit_events(self, tenant: str, events: list) -> tuple[int, dict]:
-        state = self._tenant(tenant)
+        self._tenant(tenant)
         decision = self.admission.admit_events(
             tenant, pending=self.service.pending(tenant),
             incoming=len(events))
@@ -981,7 +997,7 @@ class CorrelationServer:
         for event in events:
             depth = self.service.submit(tenant, event)
         self.metrics.gauge("queue_depth", tenant=tenant).set(depth)
-        scheduled = self._maybe_schedule_flush(state)
+        scheduled = self._maybe_schedule_flush(tenant)
         return 202, {
             "tenant": tenant,
             "queued": len(events),
@@ -1088,13 +1104,29 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
                              "the line length limit") from None
 
 
+async def _discard_input(reader: asyncio.StreamReader,
+                         limit: int | None) -> None:
+    """Read and drop up to ``limit`` bytes (no limit when ``None``),
+    stopping early at EOF or after :data:`DISCARD_SECONDS`."""
+    async def discard() -> None:
+        remaining = limit
+        while remaining is None or remaining > 0:
+            chunk = await reader.read(65536 if remaining is None
+                                      else min(remaining, 65536))
+            if not chunk:
+                return
+            if remaining is not None:
+                remaining -= len(chunk)
+
+    try:
+        await asyncio.wait_for(discard(), DISCARD_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
+
+
 def _session_error_response(error: SessionError) -> tuple[int, dict]:
     message = str(error)
-    if "unknown session" in message:
-        return 404, {"error": message}
-    if "already exists" in message:
-        return 409, {"error": message}
-    return 409, {"error": message}
+    return (404 if "unknown session" in message else 409), {"error": message}
 
 
 _REASONS = {

@@ -1,15 +1,17 @@
-"""Multi-tenant registry and the JSON wire codecs.
+"""Tenant creation and status, and the JSON wire codecs.
 
 One *tenant* is one named :class:`~repro.app.service.CorrelationService`
 session — its own relation, engine config, update queue and rule
-catalog — created, listed and dropped over HTTP.  Reads go straight to
-the session's published :class:`~repro.app.service.RuleSnapshot`,
-which the service replaces at every commit and hands out without a
-session lock.  The registry adds what the service facade deliberately
-does not have:
+catalog — created, listed and dropped over HTTP.  The service's session
+table is the tenant table: every hosted session is served, however it
+was created.  Reads go straight to the session's published
+:class:`~repro.app.service.RuleSnapshot`, which the service replaces at
+every commit and hands out without a session lock.  This module adds
+what the service facade deliberately does not have:
 
-* tenant-name validation and the per-tenant background-flush flag;
-* the engine-config template merge for ``POST /v1/tenants`` bodies;
+* tenant-name validation and the engine-config template merge for
+  ``POST /v1/tenants`` bodies (:func:`create_tenant`);
+* the status row the tenant endpoints answer (:func:`tenant_status`);
 * the rule JSON codec shared by the endpoints, the CLI and the
   benchmark load generator (events decode through the journal's
   codec, :func:`repro.core.journal.event_from_json`).
@@ -19,12 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import re
-import threading
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.app.estimate import EstimatedRule
-from repro.app.service import CorrelationService
+from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.catalog import ALL_METRICS, RuleCatalog
 from repro.core.config import EngineConfig
 from repro.core.journal import annotated_row, annotated_rows
@@ -110,8 +110,9 @@ def rule_to_json(rule: AssociationRule,
 
 def estimated_rule_to_json(estimated: EstimatedRule,
                            vocabulary: ItemVocabulary) -> dict[str, Any]:
-    """One approximate rule on the wire: every metric paired with its
-    error bound, plus the ``estimated`` discriminator."""
+    """One estimate-tier rule on the wire: every metric paired with its
+    error bound (always 0.0: the counts are exact), plus the
+    ``estimated`` discriminator."""
     rule = estimated.rule
     est = estimated.estimate
     return {
@@ -119,13 +120,13 @@ def estimated_rule_to_json(estimated: EstimatedRule,
         "lhs": [vocabulary.item(item_id).token for item_id in rule.lhs],
         "rhs": vocabulary.item(rule.rhs).token,
         "support": est.support,
-        "support_bound": est.support_bound,
+        "support_bound": 0.0,
         "confidence": est.confidence,
-        "confidence_bound": est.confidence_bound,
+        "confidence_bound": 0.0,
         "lift": est.lift,
-        "lift_bound": est.lift_bound,
+        "lift_bound": 0.0,
         "count": est.count,
-        "exact": est.exact,
+        "exact": True,
         "estimated": True,
         "rendered": estimated.render(vocabulary),
     }
@@ -147,114 +148,55 @@ def parse_metric(raw: str) -> str:
     return raw
 
 
-# -- the registry --------------------------------------------------------------
+# -- tenants -------------------------------------------------------------------
 
-@dataclass
-class TenantState:
-    """Loop-visible state of one tenant."""
+def create_tenant(service: CorrelationService, name: str, *,
+                  columns: list[str] | None = None,
+                  rows: Any = None,
+                  config: dict[str, Any] | None = None,
+                  mine: bool = True,
+                  default_engine: EngineConfig | None = None
+                  ) -> RuleSnapshot:
+    """Create tenant ``name`` as a session of ``service`` (blocking:
+    runs the initial mine); returns its first snapshot.
 
-    name: str
-    #: True while a watermark-triggered background flush is scheduled
-    #: or running for this tenant (loop-thread only — coalesces
-    #: triggers, the admission semaphore bounds actual concurrency).
-    flush_scheduled: bool = field(default=False)
+    ``config`` is merged onto ``default_engine``.  ``rows`` is a
+    decoded list of ``[[value, ...], [annotation, ...]]`` rows, or the
+    rows :func:`load_create_body` already checked and packed."""
+    if not isinstance(name, str) or not _TENANT_NAME.match(name):
+        raise ServerError(
+            f"tenant name must match [A-Za-z0-9._-]{{1,64}}, "
+            f"got {name!r}")
+    if name in RESERVED_TENANT_NAMES:
+        raise ServerError(f"tenant name {name!r} is reserved")
+    engine_config = engine_config_from_json(config, default_engine)
+    relation = AnnotatedRelation(
+        Schema([str(column) for column in columns]) if columns else None)
+    if isinstance(rows, ConvertedArray):
+        relation.insert_many(rows)
+    elif rows is not None:
+        relation.insert_many(annotated_rows(rows, ServerError))
+    return service.create(name, relation, engine_config, mine=mine)
 
 
-class TenantRegistry:
-    """Tenant lifecycle over one :class:`CorrelationService`.
-
-    :meth:`create` and :meth:`drop` are called by the server inside
-    its thread-pool executor; lookups (:meth:`get`, :meth:`names`,
-    :meth:`status`) are lock-cheap and loop-safe.
-    """
-
-    def __init__(self, service: CorrelationService, *,
-                 default_engine: EngineConfig | None = None) -> None:
-        self._service = service
-        self._default_engine = default_engine
-        self._lock = threading.Lock()
-        self._tenants: dict[str, TenantState] = {}
-
-    @property
-    def service(self) -> CorrelationService:
-        return self._service
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def create(self, name: str, *,
-               columns: list[str] | None = None,
-               rows: Any = None,
-               config: dict[str, Any] | None = None,
-               mine: bool = True) -> TenantState:
-        """Create a tenant (blocking: runs the initial mine).
-
-        ``rows`` is a decoded list of ``[[value, ...], [annotation,
-        ...]]`` rows, or the rows :func:`load_create_body` already
-        checked and packed."""
-        if not isinstance(name, str) or not _TENANT_NAME.match(name):
-            raise ServerError(
-                f"tenant name must match [A-Za-z0-9._-]{{1,64}}, "
-                f"got {name!r}")
-        if name in RESERVED_TENANT_NAMES:
-            raise ServerError(f"tenant name {name!r} is reserved")
-        engine_config = engine_config_from_json(config, self._default_engine)
-        relation = AnnotatedRelation(
-            Schema([str(column) for column in columns]) if columns else None)
-        if isinstance(rows, ConvertedArray):
-            relation.insert_many(rows)
-        elif rows is not None:
-            relation.insert_many(annotated_rows(rows, ServerError))
-        self._service.create(name, relation, engine_config, mine=mine)
-        return self.adopt(name)
-
-    def adopt(self, name: str) -> TenantState:
-        """Register an already-created service session (CLI preload,
-        journal recovery)."""
-        state = TenantState(name=name)
-        with self._lock:
-            self._tenants[name] = state
-        return state
-
-    def drop(self, name: str, *, force: bool = False) -> None:
-        self.get(name)  # unknown tenants 404 before touching the service
-        self._service.drop(name, force=force)
-        with self._lock:
-            self._tenants.pop(name, None)
-
-    def get(self, name: str) -> TenantState:
-        with self._lock:
-            state = self._tenants.get(name)
-        if state is None:
-            raise ServerError(f"unknown tenant {name!r}")
-        return state
-
-    def names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._tenants))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._tenants)
-
-    # -- tenant status ---------------------------------------------------------
-
-    def status(self, name: str) -> dict[str, Any]:
-        """One tenant's status row (loop-safe: the only lock taken is
-        the session queue mutex, for the live pending depth)."""
-        self.get(name)
-        snapshot = self._service.snapshot(name)
-        status = {
-            "tenant": name,
-            "revision": snapshot.revision,
-            "rules": len(snapshot),
-            "db_size": snapshot.db_size,
-            "pending_events": snapshot.pending_events,
-            "config": engine_config_to_json(self._service.config_of(name)),
-        }
-        journal = self._service.journal_status(name)
-        if journal is not None:
-            status["journal"] = journal
-        return status
+def tenant_status(service: CorrelationService, name: str) -> dict[str, Any]:
+    """One tenant's status row (loop-safe: it takes no session lock,
+    only the registry and queue mutexes)."""
+    if name not in service:
+        raise ServerError(f"unknown tenant {name!r}")
+    snapshot = service.snapshot(name)
+    status = {
+        "tenant": name,
+        "revision": snapshot.revision,
+        "rules": len(snapshot),
+        "db_size": snapshot.db_size,
+        "pending_events": snapshot.pending_events,
+        "config": engine_config_to_json(service.config_of(name)),
+    }
+    journal = service.journal_status(name)
+    if journal is not None:
+        status["journal"] = journal
+    return status
 
 
 def load_create_body(body: bytes) -> Any:
@@ -262,7 +204,7 @@ def load_create_body(body: bytes) -> Any:
     except that a top-level ``rows`` array is checked and packed a row
     at a time (:func:`~repro.core.journal.annotated_row`), so the body's
     tree of rows is never built.  A malformed row raises its error when
-    :meth:`TenantRegistry.create` reaches it, after the checks on the
+    :func:`create_tenant` reaches it, after the checks on the
     other fields."""
     return loads_streaming(body, "rows", _checked_row)
 
@@ -285,8 +227,7 @@ def resolve_item(vocabulary: ItemVocabulary, token: str) -> int | None:
 
 __all__ = [
     "ENGINE_CONFIG_FIELDS",
-    "TenantRegistry",
-    "TenantState",
+    "create_tenant",
     "engine_config_from_json",
     "engine_config_to_json",
     "estimated_rule_to_json",
@@ -295,4 +236,5 @@ __all__ = [
     "parse_rule_kind",
     "resolve_item",
     "rule_to_json",
+    "tenant_status",
 ]

@@ -3,14 +3,14 @@
 Covers the layers of ``mode=estimate``: the count-to-metric arithmetic
 and event-queue overlay encoding (:mod:`repro.app.estimate`), the
 estimate snapshot itself (exact counts, zero bounds), and the serving
-facade's lock-free read + async exact-refresh write path.
+facade's lock-free estimate read.
 """
 
 import pytest
 
 from repro.app.estimate import (
     ESTIMATE_METRICS,
-    Estimate,
+    EstimatedRule,
     EstimateSnapshot,
     PendingOverlay,
     combine_rule_estimate,
@@ -66,53 +66,44 @@ class TestZScore:
             z_score(level)
 
 
-class TestEstimate:
-    def test_negative_bound_rejected(self):
-        with pytest.raises(MiningError, match=">= 0"):
-            Estimate(value=1.0, bound=-0.1, exact=False)
-
-    def test_exactly(self):
-        estimate = Estimate.exactly(4.0)
-        assert estimate == Estimate(value=4.0, bound=0.0, exact=True)
-
-
 class TestCombineRuleEstimate:
     def test_arithmetic(self):
-        combined = combine_rule_estimate(
-            both=Estimate(3.0, 0.5, False),
-            lhs=Estimate(6.0, 0.25, False),
-            rhs_count=4, db_size=10)
+        combined = combine_rule_estimate(both=3, lhs=6, rhs_count=4,
+                                         db_size=10)
         assert combined.support == pytest.approx(0.3)
-        assert combined.support_bound == pytest.approx(0.05)
         assert combined.confidence == pytest.approx(0.5)
-        # Ratio propagation: (d_both + conf * d_lhs) / lhs.
-        assert combined.confidence_bound == pytest.approx(
-            (0.5 + 0.5 * 0.25) / 6.0)
         assert combined.lift == pytest.approx(0.5 / 0.4)
-        assert combined.lift_bound == pytest.approx(
-            combined.confidence_bound / 0.4)
-        assert combined.count == pytest.approx(3.0)
-        assert not combined.exact
+        assert combined.count == 3.0
 
-    def test_exact_inputs_give_exact_output(self):
-        combined = combine_rule_estimate(
-            both=Estimate.exactly(3.0), lhs=Estimate.exactly(6.0),
-            rhs_count=4, db_size=10)
-        assert combined.exact
-        assert combined.confidence_bound == 0.0
+    def test_exact_inputs_give_exact_output(self, mined):
+        """Integer counts in, zero bounds out: every metric of the
+        re-scored rule reports a 0.0 bound and renders as ``±0.0000``."""
+        estimated = EstimatedRule(
+            rule=mined.catalog().rules[0],
+            estimate=combine_rule_estimate(both=3, lhs=6, rhs_count=4,
+                                           db_size=10))
+        for name in ESTIMATE_METRICS:
+            assert estimated.bound(name) == 0.0
+        assert estimated.render(mined.vocabulary).endswith(
+            ", 0.5000±0.0000, 0.3000±0.0000")
 
-    def test_bounds_clamped_into_unit_range(self):
-        combined = combine_rule_estimate(
-            both=Estimate(5.0, 100.0, False),
-            lhs=Estimate(5.0, 100.0, False),
-            rhs_count=5, db_size=10)
-        assert combined.support_bound <= 1.0
-        assert combined.confidence_bound <= 1.0
+    def test_confidence_clamped_into_unit_range(self):
+        # An overlay can count a union row whose LHS row it has not
+        # seen yet; the ratio must still read as a probability.
+        combined = combine_rule_estimate(both=5, lhs=4, rhs_count=5,
+                                         db_size=10)
+        assert combined.confidence == 1.0
+        assert combined.lift == pytest.approx(2.0)
+
+    def test_unseen_rhs_yields_zero_lift(self):
+        combined = combine_rule_estimate(both=0, lhs=3, rhs_count=0,
+                                         db_size=10)
+        assert combined.support == combined.confidence == 0.0
+        assert combined.lift == 0.0
 
     def test_empty_database_yields_zeros(self):
-        combined = combine_rule_estimate(
-            both=Estimate.exactly(0.0), lhs=Estimate.exactly(0.0),
-            rhs_count=0, db_size=0)
+        combined = combine_rule_estimate(both=0, lhs=0, rhs_count=0,
+                                         db_size=0)
         assert combined.support == combined.confidence == combined.lift == 0.0
 
 
@@ -194,7 +185,6 @@ class TestEstimateSnapshot:
         assert len(snap) == len(mined.catalog().rules)
         for estimated in snap:
             rule = estimated.rule
-            assert estimated.estimate.exact
             assert estimated.metric("support") == pytest.approx(rule.support)
             assert estimated.bound("support") == 0.0
             assert estimated.metric("confidence") == \
@@ -283,6 +273,12 @@ class TestEstimateSnapshot:
             snap.rules[0].metric("chi_square")
         assert set(ESTIMATE_METRICS) == {"support", "confidence", "lift"}
 
+    def test_bound_of_unknown_metric_rejected(self, mined):
+        snap = estimate_snapshot(mined, mined.catalog().rules, [],
+                                 session="s", revision=1)
+        with pytest.raises(SessionError, match="unknown estimate metric"):
+            snap.rules[0].bound("chi_square")
+
 
 class TestServiceEstimate:
     @pytest.fixture
@@ -315,17 +311,6 @@ class TestServiceEstimate:
         # The exact tier still serves the pre-flush revision.
         assert service.snapshot("s").revision == snap.revision == 1
 
-    def test_flush_async_publishes_the_exact_refresh(self, service):
-        service.submit("s", AddAnnotatedTuples.build(
-            [(("1", "2"), ("A",))]))
-        future = service.flush_async("s")
-        report = future.result(timeout=10)
-        assert report.events == 1
-        assert service.pending("s") == 0
-        after = service.snapshot("s")
-        assert after.revision == 2 and after.db_size == 9
-        assert service.estimate("s").revision == 2
-
     def test_estimate_alone_sees_a_landed_flush(self, service):
         """No intervening exact read: the estimate path itself must
         notice the bumped revision and drop the stale cached catalog
@@ -334,7 +319,7 @@ class TestServiceEstimate:
         service.estimate("s")   # publish + warm at revision 1
         service.submit("s", AddAnnotatedTuples.build(
             [(("1", "2"), ("A",))] * 3))
-        service.flush_async("s").result(timeout=10)
+        service.flush("s")
         snap = service.estimate("s")
         assert snap.revision == 2
         assert snap.pending_events == 0 and snap.overlay_rows == 0
@@ -348,21 +333,10 @@ class TestServiceEstimate:
                 er.bound("support")
         assert service.verify("s").equivalent
 
-    def test_flush_async_unknown_session_fails_fast(self, service):
-        with pytest.raises(SessionError, match="unknown session"):
-            service.flush_async("ghost")
-
     def test_estimate_on_unmined_session_rejected(self, service):
         service.create("raw", make_relation(), mine=False)
         with pytest.raises(SessionError, match="no mined rules"):
             service.estimate("raw")
-
-    def test_close_restarts_the_flush_executor_lazily(self, service):
-        service.submit("s", AddAnnotations.build([(3, "A")]))
-        assert service.flush_async("s").result(timeout=10).events == 1
-        service.close()
-        service.submit("s", AddAnnotations.build([(5, "A")]))
-        assert service.flush_async("s").result(timeout=10).events == 1
 
     def test_estimate_instrumentation(self):
         from repro.server.metrics import ServiceInstrumentation

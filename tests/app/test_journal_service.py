@@ -38,6 +38,19 @@ class TestWriteAhead:
         assert status["lag"] == 0
         service.close()
 
+    def test_close_syncs_and_keeps_sessions_usable(self, tmp_path):
+        service = journaled_service(tmp_path)
+        service.create("s", make_relation())
+        service.submit("s", AddAnnotations.build([(3, "A")]))
+        service.flush("s")
+        service.close()
+        service.submit("s", AddAnnotations.build([(5, "A")]))
+        assert service.flush("s").events == 1
+        status = service.journal_status("s")
+        assert status["applied_seq"] == status["last_seq"] == 2
+        assert service.verify("s").equivalent
+        service.close()
+
     def test_failed_append_requeues_and_never_mutates(self, tmp_path):
         """The WAL write comes first: when it fails, the engine state
         and the queue are exactly as before the flush."""

@@ -1,5 +1,6 @@
 """CorrelationService: named sessions, batched updates, concurrency."""
 
+import sys
 import threading
 
 import pytest
@@ -57,6 +58,20 @@ class TestSessions:
         with pytest.raises(SessionError, match="unknown session"):
             service.snapshot("ghost")
 
+    def test_unknown_session_error_names_no_other_session(self, service):
+        service.create("private", make_relation())
+        with pytest.raises(SessionError) as caught:
+            service.snapshot("ghost")
+        assert str(caught.value) == "unknown session 'ghost'"
+
+    def test_contains_tracks_create_and_drop(self, service):
+        assert "s" not in service
+        service.create("s", make_relation())
+        assert "s" in service
+        assert "ghost" not in service and 3 not in service
+        service.drop("s")
+        assert "s" not in service
+
     def test_create_without_any_config_rejected(self):
         bare = CorrelationService()
         with pytest.raises(SessionError, match="EngineConfig"):
@@ -108,27 +123,33 @@ class TestUpdateQueue:
         assert len(service.flush("s")) == 0
         assert service.snapshot("s").revision == 1
 
-    def test_auto_flush_threshold(self):
-        service = CorrelationService(config=CONFIG, auto_flush_every=2)
+    def test_flush_unknown_session_fails_fast(self, service):
+        with pytest.raises(SessionError, match="unknown session"):
+            service.flush("ghost")
+        with pytest.raises(SessionError, match="unknown session"):
+            service.submit("ghost", AddAnnotations.build([(3, "A")]))
+
+    def test_flush_on_another_thread_publishes_the_exact_refresh(
+            self, service):
         service.create("s", make_relation())
-        assert service.submit("s", AddAnnotations.build([(3, "A")])) == 1
-        assert service.submit("s", AddAnnotations.build([(5, "A")])) == 0
+        service.submit("s", AddAnnotatedTuples.build(
+            [(("1", "2"), ("A",))]))
+        reports = []
+        flusher = threading.Thread(
+            target=lambda: reports.append(service.flush("s")))
+        flusher.start()
+        flusher.join(timeout=10)
+        assert not flusher.is_alive()
+        assert [report.events for report in reports] == [1]
         assert service.pending("s") == 0
-        assert service.snapshot("s").revision == 2
+        after = service.snapshot("s")
+        assert after.revision == 2 and after.db_size == 9
+        assert service.estimate("s").revision == 2
 
-    def test_bad_auto_flush_rejected(self):
-        with pytest.raises(SessionError):
-            CorrelationService(config=CONFIG, auto_flush_every=0)
-
-    def test_concurrent_submit_does_not_pile_on_inline_flush(self):
-        """Regression: the flush decision is atomic with the depth read.
-
-        While one writer's inline auto-flush is still applying its
-        batch, a second writer's submit must queue and return a
-        truthful depth promptly — not claim a redundant inline flush
-        and block on the write lock behind the first.
-        """
-        service = CorrelationService(config=CONFIG, auto_flush_every=2)
+    def test_concurrent_submit_does_not_wait_for_a_flush(self, service):
+        """While a flush is applying its batch, a submit queues and
+        returns at once with the true depth: it takes only the queue
+        mutex, never the session lock the flush holds."""
         service.create("s", make_relation())
         hosted = service._session("s")
         in_flush = threading.Event()
@@ -141,19 +162,15 @@ class TestUpdateQueue:
             return real_apply_plan(plan)
 
         hosted.engine.apply_plan = slow_apply_plan
+        assert service.submit("s", AddAnnotations.build([(3, "A")])) == 1
+        assert service.submit("s", AddAnnotations.build([(5, "A")])) == 2
+        flusher = threading.Thread(target=service.flush, args=("s",))
+        flusher.start()
+        assert in_flush.wait(timeout=5), "flush never started"
+
         depths: dict[str, int] = {}
 
-        assert service.submit("s", AddAnnotations.build([(3, "A")])) == 1
-
-        def trigger():   # second event crosses the threshold: flushes
-            depths["trigger"] = service.submit(
-                "s", AddAnnotations.build([(5, "A")]))
-
-        flusher = threading.Thread(target=trigger)
-        flusher.start()
-        assert in_flush.wait(timeout=5), "inline flush never started"
-
-        def bystander():  # submits while the inline flush is running
+        def bystander():  # submits while the flush is running
             depths["bystander"] = service.submit(
                 "s", AddAnnotations.build([(0, "B")]))
 
@@ -161,26 +178,27 @@ class TestUpdateQueue:
         other.start()
         other.join(timeout=2)
         assert not other.is_alive(), (
-            "concurrent submit blocked behind the in-flight inline flush")
-        assert depths["bystander"] == 1  # truthful depth, not a stale 0
+            "concurrent submit blocked behind the in-flight flush")
+        # The flush drained the first two events: the bystander's is
+        # the only one queued.
+        assert depths["bystander"] == 1
         assert service.pending("s") == 1
 
         release.set()
         flusher.join(timeout=5)
         assert not flusher.is_alive()
-        # The triggering submit re-reads the depth after its flush: the
-        # bystander's event arrived meanwhile, so 0 would be a lie.
-        assert depths["trigger"] == 1
+        assert service.pending("s") == 1
+        assert service.snapshot("s").revision == 2
 
         hosted.engine.apply_plan = real_apply_plan
         service.flush("s")
         assert service.pending("s") == 0
         assert service.verify("s").equivalent
 
-    def test_many_writers_every_event_applied_exactly_once(self):
-        """Multi-writer soak: whatever interleaving of inline flushes
-        happens, each submitted event is applied exactly once."""
-        service = CorrelationService(config=CONFIG, auto_flush_every=1)
+    def test_many_writers_every_event_applied_exactly_once(self, service):
+        """Multi-writer soak: 16 writer threads submit while a flushing
+        thread drains the queue; whatever the interleaving, each event
+        is applied exactly once."""
         service.create("s", make_relation())
         hosted = service._session("s")
         applied: list[object] = []
@@ -195,13 +213,30 @@ class TestUpdateQueue:
         hosted.engine.apply_plan = counting_apply_plan
         events = [AddAnnotatedTuples.build([((str(i), "2"), ("A",))])
                   for i in range(16)]
+        stop = threading.Event()
+
+        def flusher():
+            while not stop.is_set():
+                service.flush("s")
+
+        background = threading.Thread(target=flusher)
         threads = [threading.Thread(target=service.submit, args=("s", event))
                    for event in events]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        service.flush("s")   # drain anything left unclaimed
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often
+        try:
+            background.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            stop.set()
+            background.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not background.is_alive()
+        service.flush("s")   # drain anything submitted after the last
 
         assert service.pending("s") == 0
         assert sorted(id(event) for event in applied) == sorted(

@@ -39,7 +39,11 @@ from repro.generalization.rules import (
     IdMatcher,
 )
 from repro.relation.transactions import encode_tuple
-from repro.server.tenants import TenantRegistry, load_create_body
+from repro.server.tenants import (
+    create_tenant,
+    load_create_body,
+    tenant_status,
+)
 from repro.synth.streams import EventStream, StreamConfig, apply_to_relation
 from repro.synth.workloads import paper_scale
 
@@ -74,19 +78,19 @@ def test_a_tenant_created_from_decoded_json_retains_at_most_850_b_per_tuple():
                        for row in workload.relation])
     config = EngineConfig(min_support=workload.min_support,
                           min_confidence=workload.min_confidence)
-    registry = TenantRegistry(CorrelationService(), default_engine=config)
+    service = CorrelationService()
     del workload
     gc.collect()
     tracemalloc.start()
     try:
         rows = json.loads(body)
-        registry.create("paper", rows=rows)
+        create_tenant(service, "paper", rows=rows, default_engine=config)
         del rows
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    status = registry.status("paper")
+    status = tenant_status(service, "paper")
     assert status["db_size"] == N_TUPLES and status["rules"] > 0
     assert retained / N_TUPLES <= MAX_BYTES_PER_TUPLE, (
         f"{retained / N_TUPLES:.0f} B retained per tuple")
@@ -123,14 +127,14 @@ def test_a_tenant_created_from_its_body_bytes_peaks_at_most_1_5x_what_it_keeps()
     del workload
 
     def create():
-        registry = TenantRegistry(CorrelationService())
+        service = CorrelationService()
         body = load_create_body(raw)
-        registry.create(body["name"], rows=body["rows"],
-                        config=body["config"])
-        return registry
+        create_tenant(service, body["name"], rows=body["rows"],
+                      config=body["config"])
+        return service
 
-    registry, retained, peak = traced_load(create)
-    status = registry.status("paper")
+    service, retained, peak = traced_load(create)
+    status = tenant_status(service, "paper")
     assert status["db_size"] == N_TUPLES and status["rules"] > 0
     assert peak <= MAX_LOAD_PEAK_RATIO * retained, (
         f"create peaked at {peak / retained:.2f}x the {retained} B kept")

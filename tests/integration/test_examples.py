@@ -8,6 +8,7 @@ globals rather than skipped).
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,13 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "Incremental state exact: True" in out
         assert "Wrote" in out
+
+    def test_file_workflow_removes_its_workspace(self, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        load_example("file_workflow").main()
+        assert "Incremental state exact: True" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_serving_quickstart(self, capsys):
         load_example("serving_quickstart").main()

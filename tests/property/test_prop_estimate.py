@@ -21,7 +21,7 @@ is checked to change nothing but the echoed ``z``.
 
 import pytest
 
-from repro.app.estimate import estimate_snapshot, z_score
+from repro.app.estimate import ESTIMATE_METRICS, estimate_snapshot, z_score
 from repro.core.engine import engine
 from repro.core.events import AddAnnotatedTuples, AddUnannotatedTuples
 from repro.shard import ShardedEngine
@@ -58,9 +58,8 @@ def assert_estimates_exact(manager, reference):
     for estimated in snap:
         rule = exact[token_key(estimated.rule, manager.vocabulary)]
         est = estimated.estimate
-        assert est.exact
-        assert (est.support_bound, est.confidence_bound,
-                est.lift_bound) == (0.0, 0.0, 0.0)
+        assert [estimated.bound(metric) for metric in ESTIMATE_METRICS] \
+            == [0.0, 0.0, 0.0]
         assert est.count == rule.union_count
         assert est.support == rule.support
         assert est.confidence == rule.confidence
@@ -220,13 +219,13 @@ def test_every_confidence_level_reads_the_exact_counts(
                              confidence_level=confidence_level)
     assert snap.confidence_level == confidence_level
     assert snap.z == z_score(confidence_level)
-    by_key = {estimated.rule.key: estimated.estimate for estimated in snap}
+    by_key = {estimated.rule.key: estimated for estimated in snap}
     assert len(by_key) == len(rules)
     for rule in rules:
-        est = by_key[rule.key]
-        assert est.exact
-        assert (est.support_bound, est.confidence_bound,
-                est.lift_bound) == (0.0, 0.0, 0.0)
+        estimated = by_key[rule.key]
+        assert [estimated.bound(metric) for metric in ESTIMATE_METRICS] \
+            == [0.0, 0.0, 0.0]
+        est = estimated.estimate
         assert est.count == rule.union_count
         assert est.support == rule.support
         assert est.confidence == rule.confidence

@@ -7,13 +7,15 @@ quickstart example and the CI smoke job use.
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.server import CorrelationServer, ServerConfig
-from tests.server.conftest import ENGINE, ROWS, make_server
+from tests.conftest import make_relation
+from tests.server.conftest import ENGINE, ROWS, ServerThread, make_server
 
 ADD = {"type": "add_annotations", "additions": [[0, "A9"]]}
 
@@ -53,6 +55,26 @@ class TestOperational:
                 "POST", "/v1/tenants",
                 {"name": "big", "rows": [[["x" * 40], ["A"]]] * 50})
             assert status == 413
+        finally:
+            server.stop()
+
+    def test_413_reaches_a_client_still_sending_its_body(self):
+        """The server reads and drops the refused body instead of
+        closing on it, so the kernel does not reset the connection and
+        the 413 arrives, every time."""
+        server = make_server(max_request_bytes=1024)
+        body = b"x" * (4 << 20)
+        head = (b"POST /v1/tenants HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        try:
+            for _ in range(5):
+                with socket.create_connection(
+                        ("127.0.0.1", server.port), timeout=30) as sock:
+                    sock.sendall(head)
+                    for start in range(0, len(body), 65536):
+                        sock.sendall(body[start:start + 65536])
+                    status_line = sock.makefile("rb").readline()
+                assert status_line.startswith(b"HTTP/1.1 413 "), status_line
         finally:
             server.stop()
 
@@ -136,6 +158,46 @@ class TestMalformedRequests:
 
 
 class TestTenantLifecycle:
+    def test_a_session_created_before_start_is_served(self):
+        """The service's sessions are the server's tenants: a session
+        created on ``server.service`` needs no registration step."""
+        served = ServerThread(ServerConfig(
+            host="127.0.0.1", port=0, default_engine=ENGINE,
+            flush_watermark=None))
+        served.server.service.create("pre", make_relation())
+        served.start()
+        try:
+            status, body, _ = served.request("GET", "/v1/tenants")
+            assert status == 200
+            assert [t["tenant"] for t in body["tenants"]] == ["pre"]
+            status, body, _ = served.request("GET", "/v1/pre")
+            assert status == 200 and body["db_size"] == 8
+            status, body, _ = served.request("GET", "/v1/pre/rules")
+            assert status == 200 and body["total"] > 0
+            status, body, _ = served.request("POST", "/v1/pre/events",
+                                             ADD)
+            assert status == 202
+            status, body, _ = served.request("POST", "/v1/pre/flush")
+            assert status == 200 and body["events_applied"] == 1
+            _, health, _ = served.request("GET", "/healthz")
+            assert health["tenants"] == 1
+        finally:
+            served.stop()
+
+    def test_unknown_tenant_404_names_no_other_tenant(self, served):
+        for name in ("alpha", "beta"):
+            status, _, _ = served.request(
+                "POST", "/v1/tenants", {"name": name, "rows": ROWS})
+            assert status == 201
+        for method, path, body in (("GET", "/v1/ghost", None),
+                                   ("GET", "/v1/ghost/rules", None),
+                                   ("POST", "/v1/ghost/events", ADD),
+                                   ("POST", "/v1/ghost/flush", None),
+                                   ("DELETE", "/v1/ghost", None)):
+            status, answer, _ = served.request(method, path, body)
+            assert status == 404, path
+            assert answer == {"error": "unknown tenant 'ghost'"}, path
+
     def test_create_list_status_drop(self, served):
         status, body, _ = served.request(
             "POST", "/v1/tenants",

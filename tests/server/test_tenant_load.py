@@ -1,6 +1,6 @@
 """Loading a tenant's rows: one pass, the old checks, shared strings.
 
-``TenantRegistry.create`` streams the checked rows of a create body
+``create_tenant`` streams the checked rows of a create body
 straight into ``AnnotatedRelation.insert_many``.  The relation must
 equal the one the earlier two-pass load built (a checked list of every
 row, then one ``insert`` per row), the caller's rows must be left as
@@ -31,7 +31,7 @@ from repro.errors import SchemaError, ServerError
 from repro.relation.relation import AnnotatedRelation
 from repro.relation.schema import Schema
 from repro.server import http as server_http
-from repro.server.tenants import TenantRegistry, load_create_body
+from repro.server.tenants import create_tenant, load_create_body
 from repro.synth.workloads import paper_scale
 
 from tests.server.conftest import ROWS, make_server
@@ -71,31 +71,36 @@ def picture(relation: AnnotatedRelation) -> dict:
     }
 
 
-def hosted_relation(registry: TenantRegistry,
+def hosted_relation(service: CorrelationService,
                     name: str) -> AnnotatedRelation:
-    return registry.service._session(name).engine.relation
+    return service._session(name).engine.relation
 
 
 @pytest.fixture
-def registry():
-    return TenantRegistry(CorrelationService(), default_engine=ENGINE)
+def service():
+    return CorrelationService()
+
+
+def create(service: CorrelationService, name: str, **fields) -> None:
+    """Create a tenant the way ``POST /v1/tenants`` does."""
+    create_tenant(service, name, default_engine=ENGINE, **fields)
 
 
 @pytest.mark.parametrize("columns", [None, [f"c{i}" for i in range(6)]])
-def test_one_pass_load_equals_the_two_pass_load(registry, columns):
+def test_one_pass_load_equals_the_two_pass_load(service, columns):
     rows = decoded_rows(2000)
     untouched = json.loads(json.dumps(rows))
-    registry.create("paper", columns=columns, rows=rows, mine=False)
-    loaded = hosted_relation(registry, "paper")
+    create(service, "paper", columns=columns, rows=rows, mine=False)
+    loaded = hosted_relation(service, "paper")
     assert picture(loaded) == picture(two_pass_load(untouched, columns))
     assert loaded.live_count == 2000
     assert rows == untouched
 
 
-def test_every_row_shares_one_interned_string_per_annotation(registry):
-    registry.create("paper", rows=decoded_rows(2000))
+def test_every_row_shares_one_interned_string_per_annotation(service):
+    create(service, "paper", rows=decoded_rows(2000))
     shared: dict[str, str] = {}
-    for row in hosted_relation(registry, "paper"):
+    for row in hosted_relation(service, "paper"):
         for key in row.annotations:
             assert key is sys.intern(key)
             assert shared.setdefault(key, key) is key
@@ -109,15 +114,14 @@ def test_every_row_shares_one_interned_string_per_annotation(registry):
     (["c1", "c2"], [["b"], ["A2"]], "row has 1 values, schema expects 2"),
     (None, [[], ["A2"]], "a tuple needs at least one data value"),
 ])
-def test_a_malformed_row_fails_the_create(registry, columns, row, error):
+def test_a_malformed_row_fails_the_create(service, columns, row, error):
     """Row 2 of 4 is malformed: the create fails with that row's
     message after rows 0 and 1 loaded, and registers nothing."""
     with pytest.raises((ServerError, SchemaError)) as raised:
-        registry.create("bad", columns=columns,
-                        rows=ROWS[:2] + [row] + ROWS[3:])
+        create(service, "bad", columns=columns,
+               rows=ROWS[:2] + [row] + ROWS[3:])
     assert str(raised.value) == error
-    assert registry.names() == ()
-    assert registry.service.sessions() == ()
+    assert service.sessions() == ()
 
 
 def test_malformed_row_over_http_registers_nothing(served):
@@ -186,25 +190,25 @@ def post_raw(served, body: str | bytes) -> tuple[int, dict]:
 def assert_nothing_registered(served) -> None:
     _, listing, _ = served.request("GET", "/v1/tenants")
     assert listing["tenants"] == []
-    assert served.server.tenants.service.sessions() == ()
+    assert served.server.service.sessions() == ()
 
 
 def streamed_load(text: str) -> AnnotatedRelation:
     """The tenant the server builds from a create body's text."""
-    registry = TenantRegistry(CorrelationService(), default_engine=ENGINE)
+    service = CorrelationService()
     body = load_create_body(text.encode("utf-8"))
-    registry.create(body["name"], columns=body.get("columns"),
-                    rows=body.get("rows"), mine=False)
-    return hosted_relation(registry, body["name"])
+    create(service, body["name"], columns=body.get("columns"),
+           rows=body.get("rows"), mine=False)
+    return hosted_relation(service, body["name"])
 
 
 def decoded_load(text: str) -> AnnotatedRelation:
     """The tenant built from the whole decoded body, as before."""
-    registry = TenantRegistry(CorrelationService(), default_engine=ENGINE)
+    service = CorrelationService()
     body = json.loads(text)
-    registry.create(body["name"], columns=body.get("columns"),
-                    rows=body.get("rows"), mine=False)
-    return hosted_relation(registry, body["name"])
+    create(service, body["name"], columns=body.get("columns"),
+           rows=body.get("rows"), mine=False)
+    return hosted_relation(service, body["name"])
 
 
 COLUMNS = [f"c{i}" for i in range(6)]

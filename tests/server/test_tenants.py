@@ -1,4 +1,5 @@
-"""Tenant registry and the JSON wire codecs the endpoints use."""
+"""Tenant creation and status, and the JSON wire codecs the endpoints
+use."""
 
 import pytest
 
@@ -14,13 +15,14 @@ from repro.core.events import (
 from repro.core.journal import event_from_json as decode_event
 from repro.errors import ServerError, SessionError
 from repro.server.tenants import (
-    TenantRegistry,
+    create_tenant,
     engine_config_from_json,
     engine_config_to_json,
     parse_metric,
     parse_rule_kind,
     resolve_item,
     rule_to_json,
+    tenant_status,
 )
 
 ENGINE = EngineConfig(min_support=0.25, min_confidence=0.6)
@@ -40,8 +42,13 @@ ROWS = [
 
 
 @pytest.fixture
-def registry():
-    return TenantRegistry(CorrelationService(), default_engine=ENGINE)
+def service():
+    return CorrelationService()
+
+
+def create(service, name, **fields):
+    """Create a tenant the way ``POST /v1/tenants`` does."""
+    return create_tenant(service, name, default_engine=ENGINE, **fields)
 
 
 class TestEngineConfigCodec:
@@ -132,67 +139,67 @@ class TestParsers:
             parse_metric("coverage")
 
 
-class TestRegistry:
-    def test_create_publishes_snapshot_and_vocabulary(self, registry):
-        registry.create("demo", columns=["c1", "c2"], rows=ROWS)
-        snapshot = registry.service.snapshot("demo")
+class TestTenants:
+    def test_create_publishes_snapshot_and_vocabulary(self, service):
+        create(service, "demo", columns=["c1", "c2"], rows=ROWS)
+        snapshot = service.snapshot("demo")
         assert snapshot.revision == 1
         assert len(snapshot) > 0
         rendered = rule_to_json(snapshot.rules[0], snapshot.vocabulary)
         assert set(rendered) >= {"kind", "lhs", "rhs", "support",
                                  "confidence", "lift", "rendered"}
 
-    def test_bad_names_rejected(self, registry):
+    def test_bad_names_rejected(self, service):
         for name in ("", "a/b", "a b", "x" * 65, "tenants"):
             with pytest.raises(ServerError):
-                registry.create(name, rows=ROWS)
+                create(service, name, rows=ROWS)
 
-    def test_unknown_tenant_raises(self, registry):
+    def test_unknown_tenant_raises(self, service):
         with pytest.raises(ServerError, match="unknown tenant"):
-            registry.get("ghost")
+            tenant_status(service, "ghost")
 
-    def test_drop_removes_and_names_sorted(self, registry):
-        registry.create("beta", rows=ROWS)
-        registry.create("alpha", rows=ROWS)
-        assert registry.names() == ("alpha", "beta")
-        registry.drop("beta")
-        assert registry.names() == ("alpha",)
-        assert len(registry) == 1
+    def test_drop_removes_and_names_sorted(self, service):
+        create(service, "beta", rows=ROWS)
+        create(service, "alpha", rows=ROWS)
+        assert service.sessions() == ("alpha", "beta")
+        service.drop("beta")
+        assert service.sessions() == ("alpha",)
+        assert len(service.sessions()) == 1
 
-    def test_drop_with_pending_propagates_refusal(self, registry):
-        registry.create("demo", rows=ROWS)
-        registry.service.submit("demo", event_from_json(
+    def test_drop_with_pending_propagates_refusal(self, service):
+        create(service, "demo", rows=ROWS)
+        service.submit("demo", event_from_json(
             {"type": "add_annotations", "additions": [[0, "A9"]]}))
         with pytest.raises(SessionError, match="queued event"):
-            registry.drop("demo")
-        registry.drop("demo", force=True)
-        assert registry.names() == ()
+            service.drop("demo")
+        service.drop("demo", force=True)
+        assert service.sessions() == ()
 
-    def test_status_reads_each_commit_without_a_refresh(self, registry):
+    def test_status_reads_each_commit_without_a_refresh(self, service):
         """A flush driven straight through the service, not the
-        server, is visible in the status row: the registry keeps no
-        copy of the snapshot to go stale."""
-        registry.create("demo", rows=ROWS)
-        before = registry.status("demo")
-        registry.service.submit("demo", event_from_json(
+        server, is visible in the status row: nothing keeps a copy of
+        the snapshot to go stale."""
+        create(service, "demo", rows=ROWS)
+        before = tenant_status(service, "demo")
+        service.submit("demo", event_from_json(
             {"type": "add_annotations", "additions": [[2, "A1"]]}))
-        assert registry.status("demo")["pending_events"] == 1
-        registry.service.flush("demo")
-        after = registry.status("demo")
+        assert tenant_status(service, "demo")["pending_events"] == 1
+        service.flush("demo")
+        after = tenant_status(service, "demo")
         assert after["revision"] == before["revision"] + 1
         assert after["pending_events"] == 0
 
-    def test_status_row(self, registry):
-        registry.create("demo", columns=["c1", "c2"], rows=ROWS)
-        status = registry.status("demo")
+    def test_status_row(self, service):
+        create(service, "demo", columns=["c1", "c2"], rows=ROWS)
+        status = tenant_status(service, "demo")
         assert status["tenant"] == "demo"
         assert status["rules"] > 0
         assert status["db_size"] == 4
         assert status["pending_events"] == 0
         assert status["config"]["min_support"] == 0.25
 
-    def test_resolve_item(self, registry):
-        registry.create("demo", columns=["c1", "c2"], rows=ROWS)
-        vocabulary = registry.service.snapshot("demo").vocabulary
+    def test_resolve_item(self, service):
+        create(service, "demo", columns=["c1", "c2"], rows=ROWS)
+        vocabulary = service.snapshot("demo").vocabulary
         assert resolve_item(vocabulary, "A1") is not None
         assert resolve_item(vocabulary, "nope") is None

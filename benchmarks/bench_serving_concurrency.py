@@ -2,8 +2,8 @@
 
 The serving claim of the stack is that the read path never queues
 behind the write path: read endpoints answer from the tenant's cached
-frozen snapshot, while flushes run in the executor behind an admission
-bound.  This experiment measures that claim from the *client side* of
+frozen snapshot, while flushes run on their own threads behind an
+admission bound.  This experiment measures that claim from the *client side* of
 a real socket:
 
 1. **read-only baseline** — concurrent reader threads replay a mixed
@@ -124,8 +124,6 @@ class ServerHarness:
     TENANTS = ("alpha", "beta")
 
     def __init__(self, workload, **overrides) -> None:
-        import asyncio
-
         engine_config = EngineConfig(
             min_support=workload.min_support,
             min_confidence=workload.min_confidence)
@@ -139,31 +137,10 @@ class ServerHarness:
         for name in self.TENANTS:
             self.server.service.create(name, workload.relation.copy(),
                                        engine_config)
-        self._ready = threading.Event()
-        self._stop: "asyncio.Event | None" = None
-        self._loop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=60):
-            raise RuntimeError("benchmark server failed to start")
-
-    def _run(self) -> None:
-        import asyncio
-
-        async def main():
-            await self.server.start()
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            self._ready.set()
-            await self._stop.wait()
-            await self.server.shutdown()
-
-        asyncio.run(main())
+        self.server.start()
 
     def stop(self) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=180)
+        self.server.shutdown()
 
     @property
     def port(self) -> int:

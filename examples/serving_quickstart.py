@@ -1,8 +1,9 @@
 """Serving quickstart: the correlation engine behind an HTTP API.
 
-Starts a :class:`repro.CorrelationServer` on an ephemeral port (in a
-background thread, so this file works as both a script and a test),
-then drives the whole tenant lifecycle with nothing but ``urllib``:
+Starts a :class:`repro.CorrelationServer` on an ephemeral port (it
+accepts on its own threads, so this file works as both a script and a
+test), then drives the whole tenant lifecycle with nothing but
+``urllib``:
 
 1. create a tenant from inline rows (mines immediately);
 2. read rules — listing, top-k by lift, a filtered query;
@@ -13,9 +14,7 @@ then drives the whole tenant lifecycle with nothing but ``urllib``:
 Run with:  python examples/serving_quickstart.py
 """
 
-import asyncio
 import json
-import threading
 import urllib.request
 
 from repro import CorrelationServer, EngineConfig, ServerConfig
@@ -50,22 +49,7 @@ def main() -> None:
                                     min_confidence=0.6),
         flush_watermark=None)  # this example flushes explicitly
     server = CorrelationServer(config)
-    started = threading.Event()
-    stop: list = []
-
-    def serve():
-        async def run():
-            await server.start()
-            stop.append(asyncio.get_running_loop())
-            stop.append(asyncio.Event())
-            started.set()
-            await stop[1].wait()
-            await server.shutdown()
-        asyncio.run(run())
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    started.wait()
+    server.start()
     port = server.port
 
     # 1. Create a tenant: schema columns, rows, immediate mine.
@@ -115,8 +99,7 @@ def main() -> None:
     print(f"metrics: {flushes} flush batch(es), snapshot hit rate "
           f"{metrics['derived']['snapshot_hit_rate']:.2f}")
 
-    stop[0].call_soon_threadsafe(stop[1].set)
-    thread.join(timeout=30)
+    server.shutdown()
     print("server drained")
 
 

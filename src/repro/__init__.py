@@ -11,8 +11,8 @@ maintenance reports.  Every other public name (the service, session and
 server, the journal, sharding, audit and explain, the timeline,
 persistence, the re-mine oracle, closed itemsets, generalization and
 exploitation) is imported on first access through ``_LAZY`` (PEP 562),
-so ``import repro; repro.engine(...)`` loads neither asyncio nor the
-HTTP server.  ``from repro import X``, ``from repro import *`` and
+so ``import repro; repro.engine(...)`` loads neither the service nor
+the HTTP server.  ``from repro import X``, ``from repro import *`` and
 ``repro.X`` behave as if every name were imported eagerly.
 """
 

@@ -15,12 +15,6 @@ _OPS_COMMANDS = ("journal", "recover")
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "serve":
-        # The server speaks plain HTTP; TLS belongs in a proxy in front
-        # of it.  asyncio imports ssl only to offer TLS, and loading it
-        # maps OpenSSL into the process (about 4 MB of peak RSS).  A
-        # None entry makes asyncio see a Python built without OpenSSL.
-        # An ssl something already imported is left alone.
-        sys.modules.setdefault("ssl", None)
         from repro.server.cli import main as serve_main
         return serve_main(argv[1:])
     if argv and argv[0] in _OPS_COMMANDS:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 from repro.core.events import (
     AddAnnotatedTuples,
@@ -57,6 +56,9 @@ def z_score(confidence_level: float) -> float:
     if not 0.0 < confidence_level < 1.0:
         raise MiningError(
             f"confidence level must be in (0, 1), got {confidence_level}")
+    # Loaded on the first estimate: a server that never estimates
+    # never imports statistics.
+    from statistics import NormalDist
     return NormalDist().inv_cdf((1.0 + confidence_level) / 2.0)
 
 

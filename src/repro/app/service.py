@@ -59,7 +59,6 @@ from repro.core.engine import (
     rule_signature,
 )
 from repro.core.events import UpdateEvent
-from repro.core.journal import JournalStore, RecoveryResult, WAL_NAME
 from repro.core.maintenance import BatchReport, MaintenanceReport
 from repro.core.rules import AssociationRule, RuleKind
 from repro.errors import SessionError
@@ -67,6 +66,7 @@ from repro.mining.itemsets import ItemVocabulary
 from repro.relation.relation import AnnotatedRelation
 
 if TYPE_CHECKING:  # the app layer never imports the server at runtime
+    from repro.core.journal import JournalStore, RecoveryResult
     from repro.server.metrics import ServiceInstrumentation
 
 
@@ -303,6 +303,9 @@ class CorrelationService:
         its history, so a non-empty store directory is refused —
         recover it with :meth:`restore_session` instead.
         """
+        # Loaded by the first journaled session: a service without
+        # journal_dir never imports the journal.
+        from repro.core.journal import WAL_NAME, JournalStore
         path = self._session_journal_path(hosted.name)
         if os.path.exists(os.path.join(path, WAL_NAME)):
             raise SessionError(
@@ -339,6 +342,7 @@ class CorrelationService:
         is the engine's restored config, and its revision the restored
         engine's, so it never goes backwards across a restart.
         """
+        from repro.core.journal import WAL_NAME, JournalStore
         with self._registry_lock:
             if name in self._hosted:
                 raise SessionError(f"session {name!r} already exists")
@@ -372,6 +376,7 @@ class CorrelationService:
         recovery results keyed by name."""
         if self._journal_dir is None or not os.path.isdir(self._journal_dir):
             return {}
+        from repro.core.journal import WAL_NAME
         recovered: dict[str, RecoveryResult] = {}
         for name in sorted(os.listdir(self._journal_dir)):
             path = os.path.join(self._journal_dir, name)

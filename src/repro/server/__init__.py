@@ -1,7 +1,8 @@
-"""The serving tier: a stdlib asyncio HTTP front-end for the service.
+"""The serving tier: a stdlib threaded HTTP front-end for the service.
 
 ``repro.server`` packages four concerns the library layers deliberately
-do not have: a multi-tenant HTTP surface (:mod:`repro.server.http`),
+do not have: a multi-tenant HTTP surface served one thread per
+connection, with no event loop or executor (:mod:`repro.server.http`),
 admission control with backpressure (:mod:`repro.server.admission`),
 serving configuration (:mod:`repro.server.config`) and process-local
 metrics (:mod:`repro.server.metrics`).  The app layer never imports

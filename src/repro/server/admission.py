@@ -9,10 +9,11 @@ Requests`` and a ``Retry-After`` hint derived from the tenant's recent
 flush latency, so well-behaved clients converge on the rate the engine
 can actually absorb.
 
-This module is pure bookkeeping (no asyncio, no HTTP): the endpoint
+This module is pure bookkeeping (no sockets, no HTTP): the endpoint
 layer asks :meth:`AdmissionController.admit_events` /
-:meth:`admit_flush` and translates the returned decision.  Keeping it
-synchronous makes the policy unit-testable without a running server.
+:meth:`admit_flush` from its connection threads and translates the
+returned decision, which keeps the policy unit-testable without a
+running server.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class AdmissionController:
 
     Tracks, per tenant, an EWMA of flush wall-clock latency (fed by the
     server after each completed flush) and, globally, the number of
-    in-flight blocking jobs.  Thread-safe: the flush latency feed
-    arrives from executor threads while checks run on the event loop.
+    in-flight blocking jobs.  Thread-safe: checks and the flush
+    latency feed arrive from every connection and flush thread.
     """
 
     def __init__(self, config: ServerConfig,

@@ -12,16 +12,16 @@ The process drains on SIGINT/SIGTERM: in-flight requests finish and
 every tenant's queued events are flushed before exit.
 
 The server speaks plain HTTP; TLS belongs in a proxy in front of it.
-``python -m repro serve`` is the only shell entry point, and it keeps
-:mod:`ssl` out of the process (see ``repro/__main__.py``).
+``python -m repro serve`` is the only shell entry point.  It serves on
+threads, with no event loop, and loads no :mod:`ssl`.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
+import threading
 
 from repro.core.config import EngineConfig
 from repro.errors import ReproError
@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "of --max-pending-events (0 disables "
                                 "background flushing)")
     admission.add_argument("--max-inflight-flushes", type=int, default=2)
-    admission.add_argument("--executor-workers", type=int, default=4)
     admission.add_argument("--drain-timeout", type=float, default=30.0)
     durability = parser.add_argument_group("durability")
     durability.add_argument(
@@ -91,7 +90,6 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
         max_pending_events=args.max_pending_events,
         flush_watermark=args.flush_watermark or None,
         max_inflight_flushes=args.max_inflight_flushes,
-        executor_workers=args.executor_workers,
         drain_timeout=args.drain_timeout,
         journal_dir=args.journal_dir,
         journal_fsync=not args.journal_no_fsync,
@@ -113,43 +111,25 @@ def build_server(args: argparse.Namespace) -> CorrelationServer:
     return server
 
 
-async def _serve(server: CorrelationServer) -> None:
-    await server.start()
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        server = build_server(args)
+        stop = threading.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop.set())
+        server.start()
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     tenants = server.service.sessions()
     if server.config.journal_dir is not None and tenants:
         print(f"journal recovery: serving {len(tenants)} "
               f"tenant(s): {', '.join(tenants)}", file=sys.stderr)
     print(f"repro serve listening on "
           f"http://{server.config.host}:{server.port}", file=sys.stderr)
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # non-Unix loop
-            pass
-    serving = asyncio.ensure_future(server.serve_forever())
-    waiting = asyncio.ensure_future(stop.wait())
-    try:
-        await asyncio.wait({serving, waiting},
-                           return_when=asyncio.FIRST_COMPLETED)
-    finally:
-        serving.cancel()
-        waiting.cancel()
-        print("draining...", file=sys.stderr)
-        await server.shutdown()
-        print("drained; bye", file=sys.stderr)
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        server = build_server(args)
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        asyncio.run(_serve(server))
-    except KeyboardInterrupt:
-        pass
+    stop.wait()
+    print("draining...", file=sys.stderr)
+    server.shutdown()
+    print("drained; bye", file=sys.stderr)
     return 0

@@ -36,13 +36,9 @@ class ServerConfig:
     #: server-initiated flushes (tests drive them explicitly).
     flush_watermark: float | None = 0.5
     #: Global bound on concurrently running flush/mine jobs; writes
-    #: beyond it are not queued but rejected with 429, keeping both
-    #: memory and executor backlog bounded.
+    #: beyond it are not queued but rejected with 429, keeping memory
+    #: and engine work bounded.
     max_inflight_flushes: int = 2
-    #: Thread-pool width for blocking engine work (flush, mine, create,
-    #: verify).  Must accommodate :attr:`max_inflight_flushes` plus at
-    #: least one slot for non-flush jobs.
-    executor_workers: int = 4
     #: Floor (seconds) for computed Retry-After hints; the estimate
     #: scales with the tenant's recent flush latency.
     retry_after_floor: float = 0.25
@@ -53,7 +49,9 @@ class ServerConfig:
     drain_timeout: float = 30.0
     #: Largest accepted request body (bytes) — oversized writes get 413.
     max_request_bytes: int = 8 * 1024 * 1024
-    #: Idle keep-alive connections are closed after this many seconds.
+    #: A connection waiting this many seconds for the first byte of its
+    #: next request is closed (the rest of the request must then arrive
+    #: within :data:`repro.server.http.REQUEST_READ_SECONDS`).
     keep_alive_timeout: float = 60.0
     #: Root directory for per-tenant write-ahead journals.  ``None``
     #: (the default) serves purely in memory; set, every flush is
@@ -86,11 +84,6 @@ class ServerConfig:
             raise ServerError(
                 f"max_inflight_flushes must be >= 1, "
                 f"got {self.max_inflight_flushes}")
-        if self.executor_workers <= self.max_inflight_flushes:
-            raise ServerError(
-                f"executor_workers ({self.executor_workers}) must exceed "
-                f"max_inflight_flushes ({self.max_inflight_flushes}) so "
-                f"non-flush jobs (create, drain, verify) cannot starve")
         if self.retry_after_floor <= 0:
             raise ServerError(
                 f"retry_after_floor must be > 0, "

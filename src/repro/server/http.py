@@ -1,52 +1,63 @@
-"""The asyncio HTTP/1.1 JSON serving tier in front of the service facade.
+"""The threaded HTTP/1.1 JSON serving tier in front of the service facade.
 
-Stdlib only: :func:`asyncio.start_server` plus a small hand-rolled
-HTTP/1.1 request reader (request line, headers, ``Content-Length``
-bodies, keep-alive).  The interesting part is the concurrency contract,
-not the protocol plumbing:
+Stdlib only: one accept thread hands each connection to its own
+thread, which reads requests with a small hand-rolled HTTP/1.1 reader
+(request line, headers, ``Content-Length`` bodies, keep-alive),
+dispatches them and writes the replies.  No event loop and no executor:
+a handler is a plain function that runs on its connection's thread.
+The interesting part is the concurrency contract, not the protocol
+plumbing:
 
 * **reads never block on writes.**  Every read endpoint serves from
   the session's published, frozen
   :class:`~repro.app.service.RuleSnapshot` (``service.snapshot()``,
   replaced by the service at every commit) and renders item ids
   through the vocabulary that snapshot carries, so it touches no
-  session lock — a flush holding the writer-preferring lock stalls
-  other flushes, never the event loop or a read;
+  session lock — a flush holding the session lock stalls other
+  flushes, never a read;
 * **writes are admitted, not buffered.**  ``POST .../events`` checks
   the per-tenant queue bound first and answers ``429`` with a
   ``Retry-After`` hint (sized from the tenant's recent flush latency)
   when the queue is full; queue memory is bounded by config, not by
   client enthusiasm;
-* **blocking engine work never runs on the loop.**  Flush, mine,
-  create and verify run in a thread-pool executor, gated by a global
+* **blocking engine work is bounded.**  Flush, mine, create and verify
+  run on the requesting connection's thread, gated by a global
   in-flight bound — saturating that bound is also a ``429``;
-* **shutdown drains.**  ``shutdown()`` stops accepting, lets in-flight
-  requests finish, completes scheduled background flushes, then
-  flushes every tenant's remaining queue before the executor goes
-  away — queued-but-unflushed writes survive a graceful stop.
+* **connections are bounded.**  At most :data:`MAX_CONNECTIONS` are
+  served at once; one past the cap is answered ``503`` with
+  ``Retry-After`` and closed.  A connection waits at most ``keep_alive_timeout`` for a
+  request's first byte and :data:`REQUEST_READ_SECONDS` for the rest
+  of it;
+* **shutdown drains.**  ``shutdown()`` stops accepting, ends every
+  read (idle keep-alive waits and half-read requests alike), lets
+  dispatched requests finish, completes
+  scheduled background flushes, then flushes every tenant's remaining
+  queue and syncs the journals — queued-but-unflushed writes survive a
+  graceful stop.
 
 Every endpoint is observable: per-endpoint request counters and
-latency histograms, admission rejection counters, flush latency, queue
-depths and snapshot hit rates all land in one
+latency histograms, admission and connection rejection counters, flush
+latency, queue depths and snapshot hit rates all land in one
 :class:`~repro.server.metrics.MetricsRegistry` served by
 ``GET /metrics``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
+import selectors
+import socket
+import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.app.estimate import ESTIMATE_METRICS
 from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.catalog import SIGNIFICANCE_METRICS
-from repro.core.journal import event_from_json
+from repro.core.events import event_from_json
 from repro.core.rules import RuleKind
 from repro.errors import ReproError, ServerError, SessionError
 from repro.server.admission import AdmissionController, retry_after_header
@@ -69,11 +80,24 @@ _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
 DEFAULT_PAGE = 50
 MAX_PAGE = 1000
 
+#: Longest request or header line (bytes, newline included); a longer
+#: one is answered 431.
+MAX_LINE_BYTES = 64 * 1024
+
 #: After answering a request it cannot parse, the server half-closes
 #: the connection and reads (and drops) what the client is still
 #: sending for at most this long: closing with unread input makes the
 #: kernel reset the connection, and the client loses the answer.
 DISCARD_SECONDS = 2.0
+
+#: Once a request's first byte has arrived, its request line, headers
+#: and body must all arrive within this many seconds or the connection
+#: is closed: a client trickling bytes holds its thread no longer.
+REQUEST_READ_SECONDS = 30.0
+
+#: Connections served at once, each on its own thread; one past the
+#: cap is answered 503 with ``Retry-After`` and closed.
+MAX_CONNECTIONS = 64
 
 
 class HttpError(Exception):
@@ -193,12 +217,100 @@ def _checked_create_body(request: Request
     return name, columns, mine, body
 
 
+class _Connection:
+    """One accepted socket, the bytes read from it but not yet parsed,
+    and whether a request read from it is being dispatched."""
+
+    __slots__ = ("sock", "buffer", "dispatching")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.buffer = bytearray()
+        self.dispatching = False
+
+    def _fill(self, deadline: float, size: int = 65536) -> bool:
+        """Receive up to ``size`` more bytes by ``deadline``; ``False``
+        at EOF.  Past the deadline, raises :class:`TimeoutError`."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request read deadline passed")
+        self.sock.settimeout(remaining)
+        chunk = self.sock.recv(size)
+        self.buffer += chunk
+        return bool(chunk)
+
+    def wait_for_request(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for the next request's first
+        byte; ``False`` at EOF."""
+        return bool(self.buffer) or self._fill(time.monotonic() + timeout)
+
+    def readline(self, deadline: float) -> bytes:
+        """One line, newline included; ``b""`` at EOF before its first
+        byte.  A line over :data:`MAX_LINE_BYTES` is a 431, and EOF
+        inside a line a :class:`ConnectionError`."""
+        scanned = 0
+        while (end := self.buffer.find(b"\n", scanned)) < 0:
+            if len(self.buffer) >= MAX_LINE_BYTES:
+                break
+            scanned = len(self.buffer)
+            if not self._fill(deadline):
+                if self.buffer:
+                    raise ConnectionError("connection closed mid-line")
+                return b""
+        if not 0 <= end < MAX_LINE_BYTES:
+            raise HttpError(431, "request line or header line exceeds "
+                                 "the line length limit")
+        line = bytes(self.buffer[:end + 1])
+        del self.buffer[:end + 1]
+        return line
+
+    def read_exactly(self, size: int, deadline: float) -> bytes:
+        while len(self.buffer) < size:
+            if not self._fill(deadline, size - len(self.buffer)):
+                raise ConnectionError("connection closed mid-body")
+        with memoryview(self.buffer) as view:  # one copy of the body
+            body = bytes(view[:size])
+        del self.buffer[:size]
+        return body
+
+    def discard(self, limit: int | None) -> None:
+        """Read and drop up to ``limit`` more bytes (no limit when
+        ``None``), stopping early at EOF or after
+        :data:`DISCARD_SECONDS`."""
+        remaining = None if limit is None else limit - len(self.buffer)
+        self.buffer.clear()
+        deadline = time.monotonic() + DISCARD_SECONDS
+        try:
+            while remaining is None or remaining > 0:
+                if not self._fill(deadline):
+                    return
+                if remaining is not None:
+                    remaining -= len(self.buffer)
+                self.buffer.clear()
+        except OSError:  # the deadline passed, or the client is gone
+            pass
+
+    def send(self, data: bytes, timeout: float) -> None:
+        self.sock.settimeout(timeout)
+        self.sock.sendall(data)
+
+    def shutdown(self, how: int) -> None:
+        try:
+            self.sock.shutdown(how)
+        except OSError:  # already disconnected
+            pass
+
+
 class CorrelationServer:
     """One serving process: tenants, endpoints, admission, metrics.
 
     The tenants are the sessions of :attr:`service`: a session created
     on it directly (``--preload``, journal recovery, an embedding
-    program) is served like one created over HTTP."""
+    program) is served like one created over HTTP.
+
+    :meth:`start` returns once the socket is listening, with a
+    background thread accepting connections; :meth:`shutdown` (from any
+    other thread) drains and stops it."""
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config if config is not None else ServerConfig()
@@ -211,20 +323,27 @@ class CorrelationServer:
             journal_fsync=self.config.journal_fsync,
             journal_snapshot_every=self.config.journal_snapshot_every)
         self.admission = AdmissionController(self.config, self.metrics)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="repro-serve")
-        self._server: asyncio.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = False
-        self._stopped = False
-        self._inflight_requests = 0
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._background_flushes: set[asyncio.Task] = set()
+        self._listener: socket.socket | None = None
+        self._port: int | None = None
+        #: Closing the send end wakes the accept thread to stop it.
+        self._wake_recv: socket.socket | None = None
+        self._wake_send: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        #: Guards the connection table, each connection's dispatching
+        #: flag, the scheduled-flush set and the draining and stopped
+        #: flags; notified whenever a dispatch or a scheduled flush ends.
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+        self._connections: set[_Connection] = set()
         #: Tenants with a background flush scheduled or running
-        #: (loop-thread only — coalesces triggers; the admission bound
-        #: caps actual concurrency).
+        #: (coalesces triggers; the admission bound caps concurrency).
         self._flush_scheduled: set[str] = set()
+        #: Makes an event admission check and its submits one step.
+        self._submit_lock = threading.Lock()
+        self._draining = False
+        #: Set once the drain has waited out dispatched requests: no
+        #: request is dispatched after it, and shutdown() is a no-op.
+        self._stopped = False
         self._started_at = time.monotonic()
 
     # -- lifecycle -------------------------------------------------------------
@@ -232,30 +351,39 @@ class CorrelationServer:
     @property
     def port(self) -> int:
         """The bound TCP port (resolves ``port=0`` ephemeral binds)."""
-        if self._server is None or not self._server.sockets:
+        if self._port is None:
             raise ServerError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._port
 
     @property
     def draining(self) -> bool:
         return self._draining
 
-    async def start(self) -> None:
-        if self._server is not None:
+    def start(self) -> None:
+        """Recover journaled tenants, bind the socket and start the
+        accept thread."""
+        if self._listener is not None:
             raise ServerError("server already started")
-        self._loop = asyncio.get_running_loop()
         # Recover journaled tenants before the socket opens: a client
         # that can connect must see the recovered catalogs, never a
         # window where a durable tenant 404s.
-        await self._recover_journaled_tenants()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        self._recover_journaled_tenants()
+        host, port = self.config.host, self.config.port
+        family = socket.getaddrinfo(host, port,
+                                    type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((host, port), family=family)
+        self._listener.setblocking(False)
+        self._port = self._listener.getsockname()[1]
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="repro-accept", daemon=True)
+        self._accept_thread.start()
         self._started_at = time.monotonic()
 
-    async def _recover_journaled_tenants(self) -> None:
+    def _recover_journaled_tenants(self) -> None:
         if self.config.journal_dir is None:
             return
-        results = await self._run_blocking(self.service.restore_sessions)
+        results = self.service.restore_sessions()
         for name, result in results.items():
             self.metrics.counter("journal_recovered_tenants").inc()
             self.metrics.gauge("journal_replayed_records",
@@ -278,43 +406,34 @@ class CorrelationServer:
         self.metrics.gauge("journal_lag", tenant=name).set(
             status["lag"])
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServerError("start() the server before serving")
-        await self._server.serve_forever()
-
-    async def run(self) -> None:
-        """``start()`` + serve until cancelled, then drain gracefully."""
-        await self.start()
-        try:
-            await self.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.shutdown()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight requests
-        and scheduled flushes, flush every remaining queue, stop."""
+    def shutdown(self) -> None:
+        """Graceful drain: stop accepting, end every read, finish
+        dispatched requests and scheduled flushes, flush every remaining
+        queue, sync the journals, stop."""
         if self._stopped:
             return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        with self._lock:
+            self._draining = True  # new writes get 503 from here on
         deadline = time.monotonic() + self.config.drain_timeout
 
-        # 1. let in-flight requests finish (new writes already get 503).
-        while self._inflight_requests and time.monotonic() < deadline:
-            await asyncio.sleep(0.005)
+        # 1. stop accepting; the accept thread closes the listener.
+        if self._accept_thread is not None:
+            self._wake_send.close()
+            self._accept_thread.join()
 
-        # 2. let scheduled background flushes run to completion.
-        pending_flushes = [task for task in self._background_flushes
-                           if not task.done()]
-        if pending_flushes:
-            await asyncio.wait(
-                pending_flushes,
+        # 2. end every read: an idle keep-alive wait or a half-read
+        # request sees EOF and its connection closes.  Then let the
+        # dispatched requests and scheduled background flushes run to
+        # completion; no request is dispatched after them.
+        with self._lock:
+            for connection in self._connections:
+                if not connection.dispatching:
+                    connection.shutdown(socket.SHUT_RD)
+            self._changed.wait_for(
+                lambda: not self._flush_scheduled and not any(
+                    c.dispatching for c in self._connections),
                 timeout=max(0.0, deadline - time.monotonic()))
+            self._stopped = True
 
         # 3. flush whatever is still queued, tenant by tenant — a
         # graceful stop must not discard acknowledged (202) writes.
@@ -322,79 +441,126 @@ class CorrelationServer:
         for name in self.service.sessions():
             try:
                 if self.service.pending(name):
-                    await self._run_blocking(self._flush_blocking, name)
+                    self._flush_blocking(name)
             except Exception:
                 self.metrics.counter("drain_flush_errors",
                                      tenant=name).inc()
 
         # 4. sync every journal, after the final flushes.
-        await self._run_blocking(self.service.close)
+        self.service.close()
 
-        # 5. tear down transport and executor.
-        for writer in list(self._connections):
-            writer.close()
-        self._executor.shutdown(wait=True)
-        self._stopped = True
+        # 5. cut off connections that outlived the drain budget.
+        with self._lock:
+            for connection in self._connections:
+                connection.shutdown(socket.SHUT_RDWR)
 
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        try:
-            while not self._stopped:
+    def _accept_loop(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake_recv, selectors.EVENT_READ)
+            while not any(key.fileobj is self._wake_recv
+                          for key, _ in selector.select()):
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        timeout=self.config.keep_alive_timeout)
-                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                        ConnectionResetError):
-                    break
-                except HttpError as error:
-                    # Protocol-level parse failure (bad request line,
-                    # oversize body, chunked encoding): answer, then
-                    # close — the stream position is unrecoverable —
-                    # after dropping what the client is still sending.
-                    self._write_response(
-                        writer, error.status,
-                        {"error": error.message, **error.extra},
-                        dict(error.headers), keep_alive=False)
-                    self.metrics.counter(
-                        "http_requests", route="unparsed",
-                        status=str(error.status)).inc()
-                    try:
-                        await writer.drain()
-                        writer.write_eof()
-                    except OSError:  # the client is gone
-                        break
-                    await _discard_input(reader, error.unread)
-                    break
-                if request is None:
-                    break
-                self._inflight_requests += 1
-                try:
-                    keep_alive = await self._dispatch(request, writer)
-                finally:
-                    self._inflight_requests -= 1
-                try:
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    break
-                if not keep_alive or self._draining:
-                    break
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                    sock, _ = self._listener.accept()
+                except (BlockingIOError, InterruptedError,
+                        ConnectionAbortedError):
+                    continue
+                except OSError:  # out of descriptors: back off briefly
+                    time.sleep(0.05)
+                    continue
+                self._admit_connection(sock)
+        self._listener.close()
+        self._wake_recv.close()
 
-    async def _read_request(self,
-                            reader: asyncio.StreamReader) -> Request | None:
-        line = await _read_line(reader)
+    def _admit_connection(self, sock: socket.socket) -> None:
+        connection = _Connection(sock)
+        with self._lock:
+            admitted = len(self._connections) < MAX_CONNECTIONS
+            if admitted:
+                self._connections.add(connection)
+        if not admitted:
+            self._refuse_connection(connection)
+            return
+        threading.Thread(target=self._serve_connection, args=(connection,),
+                         name="repro-connection", daemon=True).start()
+
+    def _refuse_connection(self, connection: _Connection) -> None:
+        """Answer a connection past the cap ``503`` and close it, on
+        the accept thread: the answer is one small write, and what the
+        client is still sending is dropped for at most
+        :data:`DISCARD_SECONDS` so the close is not a reset."""
+        self.metrics.counter("connections_rejected").inc()
+        reply = _response_bytes(
+            503, {"error": f"connection limit {MAX_CONNECTIONS} reached"},
+            {"Retry-After": "1"}, keep_alive=False)
+        try:
+            connection.send(reply, 1.0)
+            connection.shutdown(socket.SHUT_WR)
+            connection.discard(None)
+        except OSError:  # the client is gone
+            pass
+        finally:
+            connection.sock.close()
+
+    def _serve_connection(self, connection: _Connection) -> None:
+        try:
+            while connection.wait_for_request(
+                    self.config.keep_alive_timeout):
+                if not self._serve_request(connection) or self._draining:
+                    break
+        except OSError:  # idle or read timeout, reset, or shut down
+            pass
+        finally:
+            with self._lock:
+                self._connections.discard(connection)
+            connection.sock.close()
+
+    def _serve_request(self, connection: _Connection) -> bool:
+        """Read, dispatch and answer one request.  Returns whether to
+        keep the connection alive."""
+        try:
+            request = self._read_request(
+                connection, time.monotonic() + REQUEST_READ_SECONDS)
+        except HttpError as error:
+            # Protocol-level parse failure (bad request line, oversize
+            # line or body, chunked encoding): answer, then close — the
+            # stream position is unrecoverable — after dropping what
+            # the client is still sending.
+            self.metrics.counter("http_requests", route="unparsed",
+                                 status=str(error.status)).inc()
+            connection.send(_response_bytes(
+                error.status, {"error": error.message, **error.extra},
+                dict(error.headers), keep_alive=False),
+                self.config.keep_alive_timeout)
+            connection.sock.shutdown(socket.SHUT_WR)
+            connection.discard(error.unread)
+            return False
+        if request is None:
+            return False  # clean EOF between requests
+        with self._lock:
+            if self._stopped:
+                return False  # read after the drain stopped dispatching
+            connection.dispatching = True
+        try:
+            status, payload, headers = self._dispatch(request)
+            keep_alive = (request.headers.get("connection", "").lower()
+                          != "close" and not self._draining)
+            connection.send(_response_bytes(status, payload, headers,
+                                            keep_alive=keep_alive),
+                            self.config.keep_alive_timeout)
+        finally:
+            with self._lock:
+                connection.dispatching = False
+                self._changed.notify_all()
+        return keep_alive
+
+    def _read_request(self, connection: _Connection,
+                      deadline: float) -> Request | None:
+        line = connection.readline(deadline)
         if not line:
-            return None  # clean EOF between requests
+            return None
         match = _REQUEST_LINE.match(line.rstrip(b"\r\n"))
         if not match:
             raise HttpError(400, f"malformed request line: "
@@ -403,8 +569,10 @@ class CorrelationServer:
         target = match.group(2).decode("ascii", "replace")
         headers: dict[str, str] = {}
         while True:
-            raw = await _read_line(reader)
-            if raw in (b"\r\n", b"\n", b""):
+            raw = connection.readline(deadline)
+            if not raw:
+                raise ConnectionError("connection closed mid-headers")
+            if raw in (b"\r\n", b"\n"):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
@@ -426,14 +594,12 @@ class CorrelationServer:
                          f"{self.config.max_request_bytes} byte limit",
                     unread=size)
             if size:
-                body = await reader.readexactly(size)
+                body = connection.read_exactly(size, deadline)
         return Request(method, target, headers, body)
 
-    async def _dispatch(self, request: Request,
-                        writer: asyncio.StreamWriter) -> bool:
-        """Route, run, respond.  Returns whether to keep the
-        connection alive."""
-        keep_alive = request.headers.get("connection", "").lower() != "close"
+    def _dispatch(self, request: Request
+                  ) -> tuple[int, dict[str, Any], dict[str, str]]:
+        """Route and run; returns ``(status, payload, headers)``."""
         route_id = "unmatched"
         status = 500
         payload: dict[str, Any]
@@ -441,7 +607,7 @@ class CorrelationServer:
         started = time.perf_counter()
         try:
             route_id, handler, path_args = self._match(request)
-            status, payload = await handler(request, **path_args)
+            status, payload = handler(request, **path_args)
         except HttpError as error:
             status = error.status
             payload = {"error": error.message, **error.extra}
@@ -463,23 +629,7 @@ class CorrelationServer:
         self.metrics.histogram("http_request_seconds",
                                route=route_id).observe(
             time.perf_counter() - started)
-        self._write_response(writer, status, payload, headers,
-                             keep_alive=keep_alive)
-        return keep_alive
-
-    @staticmethod
-    def _write_response(writer: asyncio.StreamWriter, status: int,
-                        payload: dict[str, Any],
-                        headers: dict[str, str], *,
-                        keep_alive: bool) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        headers.setdefault("Content-Type", "application/json")
-        headers["Content-Length"] = str(len(body))
-        headers["Connection"] = "keep-alive" if keep_alive else "close"
-        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}"]
-        lines += [f"{name}: {value}" for name, value in headers.items()]
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-                     + body)
+        return status, payload, headers
 
     def _match(self, request: Request
                ) -> tuple[str, Callable, dict[str, str]]:
@@ -499,13 +649,9 @@ class CorrelationServer:
 
     # -- blocking-work plumbing ------------------------------------------------
 
-    async def _run_blocking(self, fn: Callable, *args: Any) -> Any:
-        assert self._loop is not None
-        return await self._loop.run_in_executor(self._executor, fn, *args)
-
     def _flush_blocking(self, name: str) -> Any:
-        """Executor-side flush: apply the queue (the service publishes
-        the new snapshot), feed the admission EWMA."""
+        """Apply the queue (the service publishes the new snapshot) and
+        feed the admission EWMA."""
         started = time.perf_counter()
         report = self.service.flush(name)
         self.admission.record_flush_seconds(
@@ -515,44 +661,47 @@ class CorrelationServer:
         self._publish_journal_gauges(name)
         return report
 
-    def _maybe_schedule_flush(self, name: str, *,
-                              force: bool = False) -> bool:
-        """Schedule one coalescing background flush once the tenant's
-        queue crosses the watermark.  Loop-thread only; the
-        ``_flush_scheduled`` set coalesces triggers and the admission
-        bound caps global concurrency.  ``force=True`` (the estimate
-        read path's exact-behind refresh) skips the watermark — any
-        non-empty queue schedules — but still respects draining,
-        coalescing and admission."""
+    def _maybe_schedule_flush(self, name: str, *, force: bool = False) -> bool:
+        """Start one coalescing background flush thread once the
+        tenant's queue crosses the watermark.  The ``_flush_scheduled``
+        set coalesces triggers and the admission bound caps global
+        concurrency.  ``force=True`` (the estimate read path's
+        exact-behind refresh) skips the watermark — any non-empty queue
+        schedules — but still respects draining, coalescing and
+        admission."""
         trigger = self.config.flush_trigger_depth
-        if self._draining or (trigger is None and not force):
+        if trigger is None and not force:
             return False
-        if name in self._flush_scheduled:
-            return True
-        pending = self.service.pending(name)
-        if pending == 0 or (not force and pending < trigger):
-            return False
-        if not self.admission.admit_flush(name):
-            # The flush lanes are saturated; the queue keeps filling
-            # until either a lane frees (a later submit reschedules) or
-            # admission starts bouncing writes — which is the contract.
-            return False
-        self._flush_scheduled.add(name)
-        assert self._loop is not None
-        task = self._loop.create_task(self._background_flush(name))
-        self._background_flushes.add(task)
-        task.add_done_callback(self._background_flushes.discard)
+        with self._lock:
+            if self._draining:
+                return False
+            if name in self._flush_scheduled:
+                return True
+            pending = self.service.pending(name)
+            if pending == 0 or (not force and pending < trigger):
+                return False
+            if not self.admission.admit_flush(name):
+                # The flush lanes are saturated; the queue keeps
+                # filling until either a lane frees (a later submit
+                # reschedules) or admission starts bouncing writes —
+                # which is the contract.
+                return False
+            self._flush_scheduled.add(name)
+        threading.Thread(target=self._background_flush, args=(name,),
+                         name="repro-flush", daemon=True).start()
         return True
 
-    async def _background_flush(self, name: str) -> None:
+    def _background_flush(self, name: str) -> None:
         try:
-            await self._run_blocking(self._flush_blocking, name)
+            self._flush_blocking(name)
         except Exception:
             self.metrics.counter("background_flush_errors",
                                  tenant=name).inc()
         finally:
-            self._flush_scheduled.discard(name)
             self.admission.release_flush()
+            with self._lock:
+                self._flush_scheduled.discard(name)
+                self._changed.notify_all()
         # Writes kept landing while we flushed; re-check the watermark.
         try:
             self._maybe_schedule_flush(name)
@@ -615,8 +764,7 @@ class CorrelationServer:
             raise HttpError(400, str(error)) from None
 
     @staticmethod
-    def _estimate_metric_param(request: Request,
-                               name: str = "by") -> str:
+    def _estimate_metric_param(request: Request, name: str = "by") -> str:
         metric = request.param(name, "confidence")
         if metric not in ESTIMATE_METRICS:
             raise HttpError(
@@ -633,18 +781,16 @@ class CorrelationServer:
                                  f"between 0 and 1, got {level}")
         return level
 
-    async def _take_estimate(self, request: Request, tenant: str, *,
-                             n: int | None, metric: str,
-                             kind: RuleKind | None):
-        """Run the estimate read on the executor and kick the
-        exact-behind refresh when anything is pending.  Returns
+    def _take_estimate(self, request: Request, tenant: str, *,
+                       n: int | None, metric: str,
+                       kind: RuleKind | None):
+        """Run the estimate read and kick the exact-behind refresh
+        when anything is pending.  Returns
         ``(estimate, scheduled)``."""
         self._snapshot_view(tenant)  # 404/409 before any estimate work
         level = self._confidence_level_param(request)
-        estimate = await self._run_blocking(
-            lambda: self.service.estimate(
-                tenant, n=n, by=metric, kind=kind,
-                confidence_level=level))
+        estimate = self.service.estimate(
+            tenant, n=n, by=metric, kind=kind, confidence_level=level)
         scheduled = False
         if estimate.pending_events and not self._draining:
             try:
@@ -674,7 +820,7 @@ class CorrelationServer:
     # -- operational endpoints -------------------------------------------------
 
     @_route("GET", r"^/healthz$", "healthz")
-    async def _handle_healthz(self, request: Request) -> tuple[int, dict]:
+    def _handle_healthz(self, request: Request) -> tuple[int, dict]:
         return 200, {
             "status": "draining" if self._draining else "ok",
             "tenants": len(self.service.sessions()),
@@ -683,7 +829,7 @@ class CorrelationServer:
         }
 
     @_route("GET", r"^/metrics$", "metrics")
-    async def _handle_metrics(self, request: Request) -> tuple[int, dict]:
+    def _handle_metrics(self, request: Request) -> tuple[int, dict]:
         # Queue depths are sampled at scrape time so the gauge is live
         # even for tenants that have never crossed a flush trigger.
         names = self.service.sessions()
@@ -695,6 +841,7 @@ class CorrelationServer:
                 continue  # dropped between sessions() and pending()
             self._publish_journal_gauges(name)
         self.metrics.gauge("tenants").set(len(names))
+        self.metrics.gauge("connections").set(len(self._connections))
         return 200, {
             "metrics": self.metrics.render(),
             "derived": {
@@ -706,42 +853,36 @@ class CorrelationServer:
     # -- tenant lifecycle endpoints --------------------------------------------
 
     @_route("POST", r"^/v1/tenants$", "tenant_create")
-    async def _handle_tenant_create(self,
-                                    request: Request) -> tuple[int, dict]:
+    def _handle_tenant_create(self, request: Request) -> tuple[int, dict]:
         self._reject_writes_while_draining()
-        # Decoding a large body takes tens of milliseconds: the executor
-        # does it, so other connections are served meanwhile.
-        name, columns, mine, body = await self._run_blocking(
-            _checked_create_body, request)
+        name, columns, mine, body = _checked_create_body(request)
         self._reject_writes_while_draining()  # it may have begun since
         # Tenant creation mines, which is blocking engine work: it
-        # takes a flush lane and runs on the executor.
+        # takes a flush lane.
         self._admit_flush_slot(name)
         try:
-            await self._run_blocking(
-                lambda: create_tenant(
-                    self.service, name, columns=columns,
-                    rows=body.get("rows"), config=body.get("config"),
-                    mine=mine, default_engine=self.config.default_engine))
+            create_tenant(
+                self.service, name, columns=columns,
+                rows=body.get("rows"), config=body.get("config"),
+                mine=mine, default_engine=self.config.default_engine)
         finally:
             self.admission.release_flush()
         return 201, {"tenant": tenant_status(self.service, name)}
 
     @_route("GET", r"^/v1/tenants$", "tenant_list")
-    async def _handle_tenant_list(self,
-                                  request: Request) -> tuple[int, dict]:
+    def _handle_tenant_list(self, request: Request) -> tuple[int, dict]:
         return 200, {"tenants": [tenant_status(self.service, name)
                                  for name in self.service.sessions()]}
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)$", "tenant_status")
-    async def _handle_tenant_status(self, request: Request, *,
-                                    tenant: str) -> tuple[int, dict]:
+    def _handle_tenant_status(self, request: Request, *,
+                              tenant: str) -> tuple[int, dict]:
         self._tenant(tenant)
         return 200, tenant_status(self.service, tenant)
 
     @_route("DELETE", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)$", "tenant_drop")
-    async def _handle_tenant_drop(self, request: Request, *,
-                                  tenant: str) -> tuple[int, dict]:
+    def _handle_tenant_drop(self, request: Request, *,
+                            tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         self._tenant(tenant)
         force = request.flag_param("force")
@@ -762,8 +903,8 @@ class CorrelationServer:
     # -- read endpoints (lock-free: served from the published snapshot) --------
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/rules$", "rules")
-    async def _handle_rules(self, request: Request, *,
-                            tenant: str) -> tuple[int, dict]:
+    def _handle_rules(self, request: Request, *,
+                      tenant: str) -> tuple[int, dict]:
         snapshot = self._snapshot_view(tenant)
         kind = self._kind_param(request)
         metric = self._metric_param(request)
@@ -787,14 +928,14 @@ class CorrelationServer:
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/rules/top$",
             "rules_top")
-    async def _handle_rules_top(self, request: Request, *,
-                                tenant: str) -> tuple[int, dict]:
+    def _handle_rules_top(self, request: Request, *,
+                          tenant: str) -> tuple[int, dict]:
         snapshot = self._snapshot_view(tenant)
         n = request.int_param("n", 10, minimum=1, maximum=MAX_PAGE)
         kind = self._kind_param(request)
         if request.flag_param("estimate"):
             metric = self._estimate_metric_param(request)
-            estimate, scheduled = await self._take_estimate(
+            estimate, scheduled = self._take_estimate(
                 request, tenant, n=n, metric=metric, kind=kind)
             payload = self._estimate_payload(tenant, estimate)
             payload["metric"] = metric
@@ -821,8 +962,8 @@ class CorrelationServer:
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/rules/for-item$",
             "rules_for_item")
-    async def _handle_rules_for_item(self, request: Request, *,
-                                     tenant: str) -> tuple[int, dict]:
+    def _handle_rules_for_item(self, request: Request, *,
+                               tenant: str) -> tuple[int, dict]:
         snapshot = self._snapshot_view(tenant)
         token = request.param("token")
         if token is None:
@@ -856,12 +997,12 @@ class CorrelationServer:
         }
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/query$", "query")
-    async def _handle_query(self, request: Request, *,
-                            tenant: str) -> tuple[int, dict]:
+    def _handle_query(self, request: Request, *,
+                      tenant: str) -> tuple[int, dict]:
         snapshot = self._snapshot_view(tenant)
         kind = self._kind_param(request)
         if request.flag_param("estimate"):
-            return await self._handle_query_estimate(request, tenant,
+            return self._handle_query_estimate(request, tenant,
                                                      kind=kind)
         query = snapshot.catalog.query()
         if kind is not None:
@@ -916,9 +1057,9 @@ class CorrelationServer:
             payload["explain"] = paged.explain().describe()
         return 200, payload
 
-    async def _handle_query_estimate(self, request: Request, tenant: str,
-                                     *, kind: RuleKind | None
-                                     ) -> tuple[int, dict]:
+    def _handle_query_estimate(self, request: Request, tenant: str,
+                               *, kind: RuleKind | None
+                               ) -> tuple[int, dict]:
         """The ``estimate=true`` leg of ``/query``: floors filter the
         *estimated* metrics, ordering is an estimate metric, and every
         returned value carries its bound.  Significance floors are an
@@ -940,7 +1081,7 @@ class CorrelationServer:
         floors = [(name, request.float_param(name))
                   for name in ("min_support", "min_confidence",
                                "min_lift")]
-        estimate, scheduled = await self._take_estimate(
+        estimate, scheduled = self._take_estimate(
             request, tenant, n=None, metric=metric, kind=kind)
         matched = [
             estimated for estimated in estimate.rules
@@ -962,14 +1103,14 @@ class CorrelationServer:
         return 200, payload
 
     @_route("GET", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/verify$", "verify")
-    async def _handle_verify(self, request: Request, *,
-                             tenant: str) -> tuple[int, dict]:
+    def _handle_verify(self, request: Request, *,
+                       tenant: str) -> tuple[int, dict]:
         self._tenant(tenant)
         # A verify is a full re-mine — blocking engine work on a flush
         # lane, same as mine, even though it mutates nothing.
         self._admit_flush_slot(tenant)
         try:
-            result = await self._run_blocking(self.service.verify, tenant)
+            result = self.service.verify(tenant)
         finally:
             self.admission.release_flush()
         return 200, {
@@ -982,9 +1123,16 @@ class CorrelationServer:
 
     def _submit_events(self, tenant: str, events: list) -> tuple[int, dict]:
         self._tenant(tenant)
-        decision = self.admission.admit_events(
-            tenant, pending=self.service.pending(tenant),
-            incoming=len(events))
+        depth = 0
+        # Check and queue as one step, so writers racing on other
+        # connections cannot overshoot the bound together.
+        with self._submit_lock:
+            decision = self.admission.admit_events(
+                tenant, pending=self.service.pending(tenant),
+                incoming=len(events))
+            if decision:
+                for event in events:
+                    depth = self.service.submit(tenant, event)
         if not decision:
             raise HttpError(
                 429, decision.reason,
@@ -993,9 +1141,6 @@ class CorrelationServer:
                 extra={"retry_after": decision.retry_after,
                        "queue_depth": decision.queue_depth,
                        "limit": decision.limit})
-        depth = 0
-        for event in events:
-            depth = self.service.submit(tenant, event)
         self.metrics.gauge("queue_depth", tenant=tenant).set(depth)
         scheduled = self._maybe_schedule_flush(tenant)
         return 202, {
@@ -1006,8 +1151,8 @@ class CorrelationServer:
         }
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/events$", "events")
-    async def _handle_events(self, request: Request, *,
-                             tenant: str) -> tuple[int, dict]:
+    def _handle_events(self, request: Request, *,
+                       tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         try:
             event = event_from_json(request.json(), ServerError)
@@ -1017,8 +1162,8 @@ class CorrelationServer:
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/events:batch$",
             "events_batch")
-    async def _handle_events_batch(self, request: Request, *,
-                                   tenant: str) -> tuple[int, dict]:
+    def _handle_events_batch(self, request: Request, *,
+                             tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         body = request.json()
         if not isinstance(body, dict) or not isinstance(
@@ -1037,13 +1182,13 @@ class CorrelationServer:
         return self._submit_events(tenant, events)
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/flush$", "flush")
-    async def _handle_flush(self, request: Request, *,
-                            tenant: str) -> tuple[int, dict]:
+    def _handle_flush(self, request: Request, *,
+                      tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         self._tenant(tenant)
         self._admit_flush_slot(tenant)
         try:
-            report = await self._run_blocking(self._flush_blocking, tenant)
+            report = self._flush_blocking(tenant)
         finally:
             self.admission.release_flush()
         snapshot = self.service.snapshot(tenant)
@@ -1059,13 +1204,13 @@ class CorrelationServer:
         }
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/mine$", "mine")
-    async def _handle_mine(self, request: Request, *,
-                           tenant: str) -> tuple[int, dict]:
+    def _handle_mine(self, request: Request, *,
+                     tenant: str) -> tuple[int, dict]:
         self._reject_writes_while_draining()
         self._tenant(tenant)
         self._admit_flush_slot(tenant)
         try:
-            report = await self._run_blocking(self.service.mine, tenant)
+            report = self.service.mine(tenant)
         finally:
             self.admission.release_flush()
         snapshot = self.service.snapshot(tenant)
@@ -1081,47 +1226,28 @@ class CorrelationServer:
 
     @_route("POST", r"^/v1/(?P<tenant>[A-Za-z0-9._-]+)/checkpoint$",
             "checkpoint")
-    async def _handle_checkpoint(self, request: Request, *,
-                                 tenant: str) -> tuple[int, dict]:
+    def _handle_checkpoint(self, request: Request, *,
+                           tenant: str) -> tuple[int, dict]:
         self._tenant(tenant)
         status = self.service.journal_status(tenant)
         if status is None:
             raise HttpError(409, f"tenant {tenant!r} has no journal — "
                                  f"the server was started without "
                                  f"--journal-dir")
-        result = await self._run_blocking(self.service.checkpoint, tenant)
+        result = self.service.checkpoint(tenant)
         self._publish_journal_gauges(tenant)
         return 200, {"tenant": tenant, "journal": result}
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One request or header line; a line longer than the reader's
-    buffer limit is a 431, not the ``ValueError`` ``readline`` raises."""
-    try:
-        return await reader.readline()
-    except ValueError:
-        raise HttpError(431, "request line or header line exceeds "
-                             "the line length limit") from None
-
-
-async def _discard_input(reader: asyncio.StreamReader,
-                         limit: int | None) -> None:
-    """Read and drop up to ``limit`` bytes (no limit when ``None``),
-    stopping early at EOF or after :data:`DISCARD_SECONDS`."""
-    async def discard() -> None:
-        remaining = limit
-        while remaining is None or remaining > 0:
-            chunk = await reader.read(65536 if remaining is None
-                                      else min(remaining, 65536))
-            if not chunk:
-                return
-            if remaining is not None:
-                remaining -= len(chunk)
-
-    try:
-        await asyncio.wait_for(discard(), DISCARD_SECONDS)
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
+def _response_bytes(status: int, payload: dict[str, Any],
+                    headers: dict[str, str], *, keep_alive: bool) -> bytes:
+    body = json.dumps(payload).encode("utf-8")
+    headers.setdefault("Content-Type", "application/json")
+    headers["Content-Length"] = str(len(body))
+    headers["Connection"] = "keep-alive" if keep_alive else "close"
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
 def _session_error_response(error: SessionError) -> tuple[int, dict]:

@@ -13,8 +13,8 @@ what the service facade deliberately does not have:
   ``POST /v1/tenants`` bodies (:func:`create_tenant`);
 * the status row the tenant endpoints answer (:func:`tenant_status`);
 * the rule JSON codec shared by the endpoints, the CLI and the
-  benchmark load generator (events decode through the journal's
-  codec, :func:`repro.core.journal.event_from_json`).
+  benchmark load generator (events decode through the one event
+  codec, :func:`repro.core.events.event_from_json`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.app.estimate import EstimatedRule
 from repro.app.service import CorrelationService, RuleSnapshot
 from repro.core.catalog import ALL_METRICS, RuleCatalog
 from repro.core.config import EngineConfig
-from repro.core.journal import annotated_row, annotated_rows
+from repro.core.events import annotated_row, annotated_rows
 from repro.core.rules import AssociationRule, RuleKind
 from repro.errors import (
     ItemKindError,
@@ -180,7 +180,7 @@ def create_tenant(service: CorrelationService, name: str, *,
 
 
 def tenant_status(service: CorrelationService, name: str) -> dict[str, Any]:
-    """One tenant's status row (loop-safe: it takes no session lock,
+    """One tenant's status row (it takes no session lock,
     only the registry and queue mutexes)."""
     if name not in service:
         raise ServerError(f"unknown tenant {name!r}")
@@ -202,7 +202,7 @@ def tenant_status(service: CorrelationService, name: str) -> dict[str, Any]:
 def load_create_body(body: bytes) -> Any:
     """A ``POST /v1/tenants`` body, decoded as :func:`json.loads` would,
     except that a top-level ``rows`` array is checked and packed a row
-    at a time (:func:`~repro.core.journal.annotated_row`), so the body's
+    at a time (:func:`~repro.core.events.annotated_row`), so the body's
     tree of rows is never built.  A malformed row raises its error when
     :func:`create_tenant` reaches it, after the checks on the
     other fields."""

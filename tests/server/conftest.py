@@ -1,15 +1,12 @@
 """Shared serving-tier fixtures: a real server on a real socket.
 
-CI has no asyncio pytest plugin, so end-to-end tests run the server in
-a daemon thread (its own event loop) and drive it with blocking
-``http.client`` calls from the test thread — which doubles as proof
-that the wire format interoperates with stdlib clients.
+The server accepts on its own threads; the tests drive it with
+blocking ``http.client`` calls from the test thread — which doubles as
+proof that the wire format interoperates with stdlib clients.
 """
 
-import asyncio
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -29,39 +26,18 @@ ROWS = [
 
 
 class ServerThread:
-    """A live CorrelationServer on an ephemeral port, in a thread."""
+    """A live CorrelationServer on an ephemeral port."""
 
     def __init__(self, config: ServerConfig) -> None:
         self.server = CorrelationServer(config)
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        await self.server.start()
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.shutdown()
 
     def start(self) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("server thread failed to start")
+        self.server.start()
         return self
 
     def stop(self) -> None:
-        """Graceful drain + join (idempotent)."""
-        if self._thread.is_alive():
-            assert self._loop is not None and self._stop is not None
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=60)
-        assert not self._thread.is_alive(), "server thread did not drain"
+        """Graceful drain (idempotent)."""
+        self.server.shutdown()
 
     @property
     def port(self) -> int:

@@ -10,8 +10,8 @@ from repro.server.metrics import MetricsRegistry
 
 def controller(registry=None, **overrides):
     settings = dict(max_pending_events=10, max_inflight_flushes=2,
-                    executor_workers=4, retry_after_floor=0.25,
-                    retry_after_cap=30.0, flush_watermark=0.5)
+                    retry_after_floor=0.25, retry_after_cap=30.0,
+                    flush_watermark=0.5)
     settings.update(overrides)
     return AdmissionController(ServerConfig(**settings), registry)
 

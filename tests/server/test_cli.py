@@ -19,3 +19,11 @@ def test_removed_max_log_events_flag_is_unknown(capsys):
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --max-log-events" in \
         capsys.readouterr().err
+
+
+def test_removed_executor_workers_flag_is_unknown(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["--executor-workers", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --executor-workers" in \
+        capsys.readouterr().err

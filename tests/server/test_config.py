@@ -24,11 +24,11 @@ class TestValidation:
         with pytest.raises(ServerError):
             ServerConfig(flush_watermark=1.5)
 
-    def test_executor_must_outnumber_flush_lanes(self):
-        # Otherwise drain/create work could starve behind the flush
-        # lanes it is supposed to be independent of.
-        with pytest.raises(ServerError, match="exceed"):
-            ServerConfig(max_inflight_flushes=4, executor_workers=4)
+    def test_executor_workers_is_gone(self):
+        # Blocking work runs on the connection's thread; there is no
+        # pool to size.
+        with pytest.raises(TypeError, match="executor_workers"):
+            ServerConfig(executor_workers=4)
 
     def test_bad_retry_window_rejected(self):
         with pytest.raises(ServerError):

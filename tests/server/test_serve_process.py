@@ -3,9 +3,10 @@
 Spawns the real entry point with a journal, drives one tenant through
 create, mine, events, flush, an estimate read and a checkpoint over
 HTTP, then stops it with SIGTERM and expects a clean drain.  The
-process must not map OpenSSL: the server speaks plain HTTP, and the
-entry point keeps :mod:`ssl` (and with it ``libssl``/``libcrypto``)
-out of it.
+process must not map OpenSSL: the server speaks plain HTTP on threads
+and loads neither asyncio nor :mod:`ssl` (and with it
+``libssl``/``libcrypto``).  A SIGTERM while a client holds an idle
+keep-alive connection still exits cleanly.
 """
 
 import http.client
@@ -92,3 +93,22 @@ def test_a_served_journey_then_a_clean_sigterm_drain(tmp_path):
         process.stderr.close()
     assert returncode == 0, log
     assert "drained; bye" in log
+
+
+def test_sigterm_with_an_idle_keep_alive_connection_exits_cleanly(tmp_path):
+    process, port = spawn_server(str(tmp_path / "journal"))
+    idle = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        idle.request("GET", "/healthz")
+        response = idle.getresponse()
+        assert response.status == 200
+        response.read()  # the connection stays open, idle
+    finally:
+        process.send_signal(signal.SIGTERM)
+        returncode = process.wait(60)
+        log = process.stderr.read()
+        process.stderr.close()
+        idle.close()
+    assert returncode == 0, log
+    assert "drained; bye" in log
+    assert "Traceback" not in log, log

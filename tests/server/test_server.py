@@ -1,19 +1,23 @@
 """End-to-end serving tests over a real socket.
 
-The server runs in a daemon thread (see ``conftest.ServerThread``) and
-the tests speak plain stdlib HTTP to it — the same wire surface the
+The server accepts on its own threads (see ``conftest.ServerThread``)
+and the tests speak plain stdlib HTTP to it — the same wire surface the
 quickstart example and the CI smoke job use.
 """
 
-import asyncio
 import json
+import re
 import socket
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.server import CorrelationServer, ServerConfig
+from repro.server import http as server_http
 from tests.conftest import make_relation
 from tests.server.conftest import ENGINE, ROWS, ServerThread, make_server
 
@@ -113,31 +117,41 @@ class TestOperational:
         assert 0.0 <= body["derived"]["snapshot_hit_rate"] <= 1.0
 
 
-async def exchange_raw(stream: bytes) -> tuple[bytes, list]:
+def read_until_closed(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes the connection (a
+    reset counts as a close)."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    return b"".join(chunks)
+
+
+def exchange_raw(stream: bytes) -> tuple[bytes, list]:
     """Send ``stream`` on one connection to a fresh server; returns the
-    reply and whatever reached the loop's exception handler."""
-    loop = asyncio.get_running_loop()
+    reply and whatever escaped a server thread."""
     unhandled = []
-    loop.set_exception_handler(lambda _, context: unhandled.append(context))
+    previous_hook = threading.excepthook
+    threading.excepthook = unhandled.append
     server = CorrelationServer(ServerConfig(
         host="127.0.0.1", port=0, default_engine=ENGINE))
-    await server.start()
+    server.start()
     try:
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", server.port)
-        writer.write(stream)
-        await writer.drain()
-        reply = await asyncio.wait_for(reader.read(), 30)
-        writer.close()
-        await writer.wait_closed()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(stream)
+            reply = read_until_closed(sock)
     finally:
-        await server.shutdown()
+        server.shutdown()
+        threading.excepthook = previous_hook
     return reply, unhandled
 
 
 class TestMalformedRequests:
     """Lines past the reader's limit and negative lengths are answered
-    and the connection closed; nothing escapes to asyncio."""
+    and the connection closed; nothing escapes a server thread."""
 
     LONG = b"a" * 70_000
 
@@ -151,9 +165,190 @@ class TestMalformedRequests:
     ], ids=["request-line", "header-line", "negative-length",
             "non-integer-length"])
     def test_answered_with_4xx_and_closed(self, stream, status):
-        reply, unhandled = asyncio.run(exchange_raw(stream))
+        reply, unhandled = exchange_raw(stream)
         assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:200]
         assert b"Connection: close" in reply
+        assert unhandled == []
+
+
+_STATUS_LINE = re.compile(rb"^HTTP/1\.1 (\d{3}) ")
+
+#: Pieces of requests for the byte-stream fuzz: real and broken request
+#: lines, headers with good and bad values, and short bodies.
+_REQUESTS = st.builds(
+    lambda method, target, version, headers, body: (
+        method + b" " + target + b" " + version + b"\r\n"
+        + b"".join(name + b": " + value + b"\r\n"
+                   for name, value in headers)
+        + b"\r\n" + body),
+    st.sampled_from([b"GET", b"POST", b"DELETE", b"PUT", b"get", b""]),
+    st.sampled_from([b"/healthz", b"/metrics", b"/v1/tenants",
+                     b"/v1/ghost/events", b"/v1/ghost/rules?limit=x",
+                     b"*", b""]),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2", b""]),
+    st.lists(st.tuples(
+        st.sampled_from([b"Content-Length", b"Connection",
+                         b"Transfer-Encoding", b"X-Any"]),
+        st.sampled_from([b"0", b"7", b"-1", b"5x", b"close", b"chunked",
+                         b"99999999999"])), max_size=4),
+    st.binary(max_size=48))
+_STREAMS = st.one_of(st.binary(max_size=256),
+                     st.lists(_REQUESTS, min_size=1,
+                              max_size=3).map(b"".join))
+
+
+def reply_statuses(reply: bytes) -> list[int]:
+    """The status of every response in ``reply``, in order."""
+    statuses = []
+    while reply:
+        head, separator, rest = reply.partition(b"\r\n\r\n")
+        assert separator, reply[:200]
+        match = _STATUS_LINE.match(head)
+        assert match, head[:200]
+        statuses.append(int(match.group(1)))
+        length = re.search(rb"\r\nContent-Length: (\d+)", head)
+        reply = rest[int(length.group(1)):]
+    return statuses
+
+
+class TestConnections:
+    def test_a_connection_past_the_cap_gets_503_and_is_closed(
+            self, monkeypatch):
+        monkeypatch.setattr(server_http, "MAX_CONNECTIONS", 2)
+        server = make_server()
+        first, second = server.connection(), server.connection()
+        try:
+            for conn in (first, second):
+                assert server.request("GET", "/healthz", conn=conn)[0] \
+                    == 200
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) as third:
+                reply = read_until_closed(third)
+            assert reply.startswith(b"HTTP/1.1 503 "), reply[:200]
+            assert b"\r\nRetry-After: 1\r\n" in reply
+            assert b"\r\nConnection: close\r\n" in reply
+            _, body, _ = server.request("GET", "/metrics", conn=first)
+            assert body["metrics"]["connections_rejected"]["value"] == 1
+            assert body["metrics"]["connections"]["value"] == 2
+            second.close()
+            # The freed slot serves the next connection.
+            deadline = time.monotonic() + 10
+            while server.request("GET", "/healthz")[0] != 200:
+                assert time.monotonic() < deadline, "slot never freed"
+                time.sleep(0.01)
+        finally:
+            first.close()
+            second.close()
+            server.stop()
+
+    def test_the_503_reaches_a_client_past_the_cap_still_sending(
+            self, monkeypatch):
+        """The refused connection's input is read and dropped after
+        the 503, so the close is not a reset and the answer arrives
+        even while the client is still sending a large body."""
+        monkeypatch.setattr(server_http, "MAX_CONNECTIONS", 1)
+        server = make_server()
+        holder = server.connection()
+        body = b"x" * (8 << 20)
+        head = (b"POST /v1/tenants HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        try:
+            assert server.request("GET", "/healthz", conn=holder)[0] \
+                == 200
+            for _ in range(3):
+                with socket.create_connection(
+                        ("127.0.0.1", server.port), timeout=30) as sock:
+                    sock.sendall(head)
+                    for start in range(0, len(body), 65536):
+                        sock.sendall(body[start:start + 65536])
+                    status_line = sock.makefile("rb").readline()
+                assert status_line.startswith(b"HTTP/1.1 503 "), \
+                    status_line
+        finally:
+            holder.close()
+            server.stop()
+
+    def test_a_half_sent_request_does_not_hold_the_drain(self):
+        """Shutdown ends a read in progress instead of waiting out the
+        drain budget for a request that was never dispatched."""
+        server = make_server()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /v1/tenants HTTP/1.1\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"name\"")
+            time.sleep(0.1)  # the server is now reading the body
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 5
+            assert read_until_closed(sock) == b""
+
+    def test_eof_inside_the_headers_is_not_dispatched(self, served):
+        with socket.create_connection(("127.0.0.1", served.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert read_until_closed(sock) == b""
+        status, body, _ = served.request("GET", "/metrics")
+        requests = body["metrics"].get("http_requests", {"series": {}})
+        assert not any(key.startswith("route=healthz,")
+                       for key in requests["series"])
+
+    def test_a_trickling_client_is_closed_after_the_read_deadline(
+            self, monkeypatch):
+        monkeypatch.setattr(server_http, "REQUEST_READ_SECONDS", 0.5)
+        server = make_server()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) as sock:
+                started = time.monotonic()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                sock.settimeout(0.05)
+                reply = None
+                while reply is None and time.monotonic() - started < 10:
+                    try:
+                        sock.sendall(b"X")  # one header byte at a time
+                        reply = sock.recv(1024)
+                    except TimeoutError:
+                        continue
+                    except OSError:  # reset: closed with unread input
+                        reply = b""
+                elapsed = time.monotonic() - started
+            assert reply == b"", reply
+            assert 0.5 <= elapsed < 5, elapsed
+        finally:
+            server.stop()
+
+    def test_arbitrary_byte_streams_never_get_a_500_or_hang(self):
+        """Whatever bytes arrive, each answer is a 2xx (a well-formed
+        request), a 4xx, or the 501 for a chunked body, and the server
+        closes the connection once the client stops sending.  One
+        connection at a time."""
+        unhandled = []
+        previous_hook = threading.excepthook
+        threading.excepthook = unhandled.append
+        server = make_server()
+
+        @seed(31)
+        @settings(max_examples=25, deadline=None, database=None)
+        @given(stream=_STREAMS)
+        def check(stream):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                try:
+                    sock.sendall(stream)
+                    sock.shutdown(socket.SHUT_WR)
+                except OSError:  # the server closed first
+                    pass
+                reply = read_until_closed(sock)  # a hang times out
+            for status in reply_statuses(reply):
+                assert status < 300 or 400 <= status < 500 \
+                    or status == 501, (stream, reply[:300])
+
+        try:
+            check()
+        finally:
+            server.stop()
+            threading.excepthook = previous_hook
         assert unhandled == []
 
 
@@ -495,6 +690,44 @@ class TestBackpressure:
         finally:
             server.stop()
 
+    def test_racing_writers_never_overshoot_the_queue_bound(self):
+        """Four connections post at once: the admission check and the
+        submit are one step, so exactly the bound's worth is queued."""
+        server = make_server(max_pending_events=5)
+        try:
+            server.request("POST", "/v1/tenants",
+                           {"name": "demo", "rows": ROWS})
+            statuses: list[int] = []
+            go = threading.Event()
+
+            def writer():
+                conn = server.connection()
+                try:
+                    go.wait()
+                    for _ in range(3):
+                        statuses.append(server.request(
+                            "POST", "/v1/demo/events", ADD,
+                            conn=conn)[0])
+                finally:
+                    conn.close()
+
+            writers = [threading.Thread(target=writer) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as it can
+            try:
+                for thread in writers:
+                    thread.start()
+                go.set()
+                for thread in writers:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in writers)
+            assert sorted(statuses) == [202] * 5 + [429] * 7
+            assert server.server.service.pending("demo") == 5
+        finally:
+            server.stop()
+
     def test_retry_after_honored_write_succeeds_after_drain(self):
         """The 429 contract: back off, let the background flush drain
         the queue, and the retried write is admitted."""
@@ -520,7 +753,7 @@ class TestBackpressure:
             server.stop()
 
     def test_flush_saturation_yields_429(self):
-        server = make_server(max_inflight_flushes=1, executor_workers=2)
+        server = make_server(max_inflight_flushes=1)
         try:
             server.request("POST", "/v1/tenants",
                            {"name": "demo", "rows": ROWS})

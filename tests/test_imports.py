@@ -40,10 +40,24 @@ print(json.dumps(sorted(name for name in set(sys.modules) - before
 
 #: Most ``repro`` modules (the package itself included) a serve start
 #: may load: every one adds to the time before the first request.
-MAX_SERVE_MODULES = 45
+MAX_SERVE_MODULES = 44
+
+#: What a server that keeps no journal must not load: it serves on
+#: threads (no event loop, executor or their logging), speaks plain
+#: HTTP (no ``ssl``), computes no estimate bound at start (no
+#: ``statistics``) and imports the journal only for a ``journal_dir``.
+SERVE_NEVER_LOADS = ("asyncio", "concurrent.futures", "logging", "ssl",
+                     "statistics", "repro.core.journal")
+
+SERVE_LEAN_PROBE = """\
+import json, sys
+before = set(sys.modules)
+import repro.server.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
 #: ``python -m repro serve --help`` run in-process: the serve branch of
-#: ``repro/__main__`` loads the server (and asyncio) without ``ssl``.
+#: ``repro/__main__`` loads the server without ``ssl``.
 SERVE_MAIN_PROBE = """\
 import contextlib, io, json, runpy, sys
 sys.argv = ["repro", "serve", "--help"]
@@ -155,7 +169,14 @@ def test_the_serve_entry_point_loads_a_bounded_set_of_modules():
 def test_the_serve_entry_point_keeps_ssl_out():
     result = run_probe(SERVE_MAIN_PROBE)
     assert result == {"code": 0, "help": True,
-                      "loaded": ["asyncio", "repro.server.http"]}
+                      "loaded": ["repro.server.http"]}
+
+
+def test_a_server_without_a_journal_loads_no_loop_tls_or_journal():
+    added = set(run_probe(SERVE_LEAN_PROBE))
+    assert "repro.server.http" in added
+    assert sorted(name for name in SERVE_NEVER_LOADS if name in added) \
+        == []
 
 
 def test_the_engine_loads_without_the_serving_and_exploitation_tiers():
